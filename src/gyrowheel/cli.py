@@ -3,7 +3,8 @@
 Exit codes are a stable contract:
 
     0  run converged
-    1  horizon reached (or steering went singular) without convergence
+    1  horizon reached (or steering went singular, or the state went
+       non-finite) without convergence
     2  wheel toppled
     3  inadmissible initial state
     4  configuration or I/O error
@@ -29,7 +30,6 @@ from .simulate import (
     CHANNEL_INFO,
     Event,
     InadmissibleStateError,
-    NonFiniteStateError,
     Trajectory,
     UnknownChannelError,
     run_closed_loop,
@@ -125,6 +125,8 @@ def _status_and_exit(traj: Trajectory) -> tuple[str, int]:
     terminal = traj.terminal_event
     if terminal is not None and terminal.kind == "Toppled":
         return "toppled", EXIT_TOPPLED
+    if terminal is not None and terminal.kind == "NonFinite":
+        return "non_finite", EXIT_NO_CONVERGENCE
     if traj.converged:
         return "converged", EXIT_CONVERGED
     if terminal is not None and terminal.kind == "SingularSteering":
@@ -227,11 +229,6 @@ def run_scenario(sc: Scenario, out_dir, fmt: str = "csv") -> tuple[int, dict]:
         report = build_report(sc, None, "inadmissible", EXIT_INADMISSIBLE, wall, str(exc))
         _write_report(report, out_dir)
         return EXIT_INADMISSIBLE, report
-    except NonFiniteStateError as exc:
-        wall = time.perf_counter() - start
-        report = build_report(sc, None, "non_finite", EXIT_NO_CONVERGENCE, wall, str(exc))
-        _write_report(report, out_dir)
-        return EXIT_NO_CONVERGENCE, report
     wall = time.perf_counter() - start
 
     if fmt == "json":

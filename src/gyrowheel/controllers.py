@@ -258,15 +258,16 @@ class BalanceController:
             bdd = lean_accel(state.beta, state.alpha_dot, state.gamma_dot, self.params)
         return balance_value(state.beta, state.beta_dot, bdd, self.gains.k1)
 
-    def command(self, state: GeneralizedState) -> tuple[float, float]:
+    def command(self, state: GeneralizedState, V: float | None = None) -> tuple[float, float]:
+        """Balance command at `state`; V is its certificate, if the caller has it."""
         if abs(state.alpha_dot) < self.alpha_dot_floor:
             raise SingularSteeringError(
                 f"|alpha_dot| = {abs(state.alpha_dot):.3e} below floor "
                 f"{self.alpha_dot_floor:.3e}"
             )
-        return balance_control(
-            state, self.gains, self.certificate(state), self.sign0, self.params
-        )
+        if V is None:
+            V = self.certificate(state)
+        return balance_control(state, self.gains, V, self.sign0, self.params)
 
 
 class PositionController:
@@ -288,9 +289,12 @@ class PositionController:
         return polar_view(contact, state.alpha, self.target)
 
     def command(
-        self, state: GeneralizedState, contact: ContactPoint
+        self, state: GeneralizedState, contact: ContactPoint, view: PolarView | None = None
     ) -> tuple[float, float]:
-        return position_control(state, self.view(state, contact), self.gains, self.params)
+        """Rate command at `state`; view is its polar view, if the caller has it."""
+        if view is None:
+            view = self.view(state, contact)
+        return position_control(state, view, self.gains, self.params)
 
 
 class LineController:
@@ -327,8 +331,13 @@ class LineController:
         )
 
     def command(
-        self, state: GeneralizedState, contact: ContactPoint, segment: int = 0
+        self,
+        state: GeneralizedState,
+        contact: ContactPoint,
+        segment: int = 0,
+        geometry: LineGeometry | None = None,
     ) -> tuple[float, float]:
-        return line_control(
-            state, self.geometry(state, contact, segment), self.gains, self.params
-        )
+        """Rate command at `state`; geometry is its segment geometry, if the caller has it."""
+        if geometry is None:
+            geometry = self.geometry(state, contact, segment)
+        return line_control(state, geometry, self.gains, self.params)

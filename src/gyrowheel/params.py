@@ -8,7 +8,7 @@ parameters below feed every dynamics evaluation in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,8 @@ class RobotParams:
         M22: lean-axis inertia in kg m^2. Defaults to Ix + m R^2, the
             lean inertia of a thin rolling disk about the contact line.
             Only the ratios Gm, Im, Jm depend on it.
+        Gm, Im, Jm: the reduced lean-dynamics coefficients (gravity in 1/s^2,
+            centrifugal, gyroscopic coupling), derived once at construction.
     """
 
     m: float = 1.0
@@ -30,6 +32,9 @@ class RobotParams:
     Ix: float = 0.5
     g: float = 9.8
     M22: float | None = None
+    Gm: float = field(init=False, repr=False, compare=False)
+    Im: float = field(init=False, repr=False, compare=False)
+    Jm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("m", "R", "Ix", "g"):
@@ -39,21 +44,9 @@ class RobotParams:
             object.__setattr__(self, "M22", self.Ix + self.m * self.R**2)
         elif self.M22 <= 0.0:
             raise ValueError(f"M22 must be positive, got {self.M22}")
-
-    @property
-    def Gm(self) -> float:
-        """Gravity coefficient of the reduced lean dynamics, 1/s^2."""
-        return self.m * self.g * self.R / self.M22
-
-    @property
-    def Im(self) -> float:
-        """Centrifugal coefficient of the reduced lean dynamics, dimensionless."""
-        return (self.Ix + self.m * self.R**2) / self.M22
-
-    @property
-    def Jm(self) -> float:
-        """Gyroscopic coupling coefficient of the reduced lean dynamics."""
-        return (2.0 * self.Ix + self.m * self.R**2) / self.M22
+        object.__setattr__(self, "Gm", self.m * self.g * self.R / self.M22)
+        object.__setattr__(self, "Im", (self.Ix + self.m * self.R**2) / self.M22)
+        object.__setattr__(self, "Jm", (2.0 * self.Ix + self.m * self.R**2) / self.M22)
 
     def reduced(self) -> tuple[float, float, float]:
         """Return (Gm, Im, Jm)."""

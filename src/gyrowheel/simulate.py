@@ -1,6 +1,6 @@
 """Deterministic fixed-step simulation of the wheel's closed loops.
 
-One integrator, two modes:
+Two modes, four right-hand sides:
 
 * torque mode: the state carries all three angle rates and the command is
   the decoupled acceleration pair (u5, u6). With friction disabled the
@@ -9,21 +9,40 @@ One integrator, two modes:
   motor torques at the start of each step and the full inertia/force
   equations are integrated, friction subtracted on the motor axes.
 * velocity mode: the command is the rate pair (u_alpha, u_gamma), applied
-  instantaneously (or through an optional first-order actuator lag); the
-  integrated state is (angles, lean rate, contact point).
+  instantaneously or through an optional first-order actuator lag; the
+  integrated state is (angles, lean rate, contact point) plus, under lag,
+  the filtered rates.
+
+The kernel is single-pass. Each right-hand side has one RK4 stepper,
+unrolled over plain floats with the run's constants bound once, and
+rk4_step wraps the same steppers. run_closed_loop keeps the state in local
+floats and computes each per-row quantity once: the lean acceleration (also
+the first RK4 stage of the next step), the balance certificate (also the
+balance law's input), and the polar view or line geometry (shared by the
+segment advance, the command, the certificate and the convergence test).
+Rows go straight into the trajectory columns. The loop and detect_events
+fire events through the same predicate functions.
 
 Commands are held constant across each RK4 step (zero-order hold), computed
 from the state at the step start. Every step boundary emits one trajectory
 row; terminal events truncate the run at the row where they fire, so the
-last row's time is the event time. Runs are bitwise deterministic: there is
-no randomness, no wall-clock coupling, and no platform-dependent branching
-in the numeric path.
+last row's time is the event time. A step whose stages or result are not
+finite ends the run with a NonFinite event at the time of its first row.
+
+Runs are bitwise deterministic: there is no randomness, no wall-clock
+coupling, and no platform-dependent branching in the numeric path. The
+order and grouping of every float expression are part of the output
+contract: trajectory bytes are pinned by tests, so a rewrite must keep
+``y + (0.5*dt)*k``, ``(dt/6.0)*(k1 + 2.0*k2 + 2.0*k3 + k4)``,
+``R*gd*cos(a)`` and ``-Gm*cb - Im*cb*sb*ad**2 - Jm*sb*ad*gd`` exactly as
+written (regrouping a product or hoisting a common factor changes bytes).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from math import cos, exp, isfinite, pi, sin
 
 from .controllers import (
     DEFAULT_ALPHA_DOT_FLOOR,
@@ -35,9 +54,9 @@ from .controllers import (
     PositionGains,
     sigma,
 )
-from .dynamics import GeneralizedState, cancel_and_decouple, full_accel, lean_accel
-from .kinematics import EPS_DISTANCE, ContactPoint, line_geometry
-from .lyapunov import lean_tracking_value
+from .dynamics import DegenerateLeanError, GeneralizedState, _require_open_lean, lean_accel
+from .kinematics import EPS_DISTANCE, ContactPoint, LineGeometry, line_geometry, polar_view
+from .lyapunov import balance_value, lean_tracking_value
 from .params import FrictionParams, RobotParams
 
 __all__ = [
@@ -283,74 +302,248 @@ class Trajectory:
         return any(ev.kind == "Converged" for ev in self.events)
 
 
-def _finite(values) -> bool:
-    return all(map(math.isfinite, values))
+# ---------------------------------------------------------------- steppers
+#
+# One unrolled RK4 stepper per right-hand side. A factory binds a run's
+# constants once; the stepper maps the state at the step start and the held
+# command to the state at the step end, and raises NonFiniteStateError when
+# a stage or the result is not finite. Stage values the right-hand side
+# never reads (gamma, the contact point) are not formed; stage values that
+# coincide exactly are formed once.
 
 
-def _rhs_torque_reduced(y, u5, u6, params):
-    a, b, g, ad, bd, gd, xa, ya = y
-    R = params.R
-    return (
-        ad, bd, gd,
-        u5,
-        lean_accel(b, ad, gd, params),
-        u6,
-        R * gd * math.cos(a),
-        R * gd * math.sin(a),
-    )
+def _nonfinite() -> NonFiniteStateError:
+    return NonFiniteStateError("an RK4 stage produced a NaN or an infinity")
 
 
-def _rhs_torque_full(y, u1, u2, params, friction):
-    a, b, g, ad, bd, gd, xa, ya = y
-    R = params.R
-    gs = GeneralizedState(
-        alpha=a, beta=b, gamma=g, alpha_dot=ad, beta_dot=bd, gamma_dot=gd
-    )
-    add, bdd, gdd = full_accel(gs, u1, u2, params, friction)
-    return (
-        ad, bd, gd,
-        add, bdd, gdd,
-        R * gd * math.cos(a),
-        R * gd * math.sin(a),
-    )
+def _checked(out: tuple) -> tuple:
+    # the sum is finite unless some value is not, or the sum overflowed
+    if isfinite(sum(out)) or all(map(isfinite, out)):
+        return out
+    raise _nonfinite()
 
 
-def _rhs_velocity(y, ua, ug, params):
-    a, b, g, bd, xa, ya = y
-    R = params.R
-    return (
-        ua, bd, ug,
-        lean_accel(b, ua, ug, params),
-        R * ug * math.cos(a),
-        R * ug * math.sin(a),
-    )
+def _torque_stepper(params: RobotParams, dt: float):
+    """Decoupled accelerations (u5, u6) held; the decoupling is exact."""
+    R, Gm, Im, Jm = params.R, params.Gm, params.Im, params.Jm
+    h2, h6 = 0.5 * dt, dt / 6.0
+
+    def step(a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6):
+        # bdd: lean acceleration at the step start, the first stage's
+        try:
+            a2, b2 = a + h2 * ad, b + h2 * bd
+            ad2, bd2, gd2 = ad + h2 * u5, bd + h2 * bdd, gd + h2 * u6
+            sb, cb = sin(b2), cos(b2)
+            l2 = -Gm * cb - Im * cb * sb * ad2**2 - Jm * sb * ad2 * gd2
+            # held u5, u6 make the third stage's rates equal the second's
+            a3, b3, bd3 = a + h2 * ad2, b + h2 * bd2, bd + h2 * l2
+            sb, cb = sin(b3), cos(b3)
+            l3 = -Gm * cb - Im * cb * sb * ad2**2 - Jm * sb * ad2 * gd2
+            a4, b4 = a + dt * ad2, b + dt * bd3
+            ad4, bd4, gd4 = ad + dt * u5, bd + dt * l3, gd + dt * u6
+            sb, cb = sin(b4), cos(b4)
+            l4 = -Gm * cb - Im * cb * sb * ad4**2 - Jm * sb * ad4 * gd4
+            x1, y1 = R * gd * cos(a), R * gd * sin(a)
+            x2, y2 = R * gd2 * cos(a2), R * gd2 * sin(a2)
+            x3, y3 = R * gd2 * cos(a3), R * gd2 * sin(a3)
+            x4, y4 = R * gd4 * cos(a4), R * gd4 * sin(a4)
+            b_n = b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4)
+            ad_n = ad + h6 * (u5 + 2.0 * u5 + 2.0 * u5 + u5)
+            gd_n = gd + h6 * (u6 + 2.0 * u6 + 2.0 * u6 + u6)
+            sb, cb = sin(b_n), cos(b_n)
+            return _checked((
+                a + h6 * (ad + 2.0 * ad2 + 2.0 * ad2 + ad4),
+                b_n,
+                g + h6 * (gd + 2.0 * gd2 + 2.0 * gd2 + gd4),
+                ad_n,
+                bd + h6 * (bdd + 2.0 * l2 + 2.0 * l3 + l4),
+                gd_n,
+                -Gm * cb - Im * cb * sb * ad_n**2 - Jm * sb * ad_n * gd_n,
+                xa + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
+                ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
+            ))
+        except (ValueError, OverflowError):  # sin/cos of inf, or ** overflow
+            raise _nonfinite() from None
+
+    return step
 
 
-def _rhs_velocity_lag(y, ua, ug, tau, params):
-    a, b, g, bd, xa, ya, za, zg = y
-    R = params.R
-    return (
-        za, bd, zg,
-        lean_accel(b, za, zg, params),
-        R * zg * math.cos(a),
-        R * zg * math.sin(a),
-        (ua - za) / tau,
-        (ug - zg) / tau,
-    )
+def _lean_exit(beta: float) -> None:
+    """Raise for a stage lean outside (0, pi): non-finite, or a flat wheel."""
+    if not isfinite(beta):
+        raise _nonfinite()
+    _require_open_lean(beta)
 
 
-def _rk4(y, f, dt):
-    k1 = f(y)
-    y2 = tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k1))
-    k2 = f(y2)
-    y3 = tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k2))
-    k3 = f(y3)
-    y4 = tuple(yi + dt * ki for yi, ki in zip(y, k3))
-    k4 = f(y4)
-    return tuple(
-        yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-    )
+def _friction_stepper(params: RobotParams, friction: FrictionParams, dt: float):
+    """Motor torques held, full inertia/force equations, joint friction.
+
+    The decoupled command is converted to motor torques once, at the step
+    start (cancel_and_decouple); each stage then solves the full equations
+    (inertia_matrix, nonlinear_terms, full_accel) with friction_torque
+    subtracted on the steering and rolling axes. The returned lean
+    acceleration is the reduced one (lean_accel), as the balance law reads.
+    """
+    R, M22, Gm, Im, Jm = params.R, params.M22, params.Gm, params.Im, params.Jm
+    m, Ix = params.m, params.Ix
+    big = 2.0 * Ix + m * R**2
+    disk = Ix + m * R**2
+    ix2, disk2, mgr = 2.0 * Ix, 2.0 * disk, -m * params.g * R
+    mv_a, _, mv_g = friction.mu_v
+    md_a, _, md_g = friction.mu_d
+    ms_a, _, ms_g = friction.mu_s
+    D = friction.D
+    h2, h6 = 0.5 * dt, dt / 6.0
+
+    def forces(b, ad, bd, gd):
+        # inertia entries (M11, M13, M_rho; M33 = big) and forces (n1, n2, n3)
+        if not 0.0 < b < pi:
+            _lean_exit(b)
+        sb, cb, s2b = sin(b), cos(b), sin(2.0 * b)
+        M11 = Ix * sb**2 + big * cb**2
+        M13 = big * cb
+        return (
+            M11, M13, M11 * big - M13**2,
+            disk * s2b * ad * bd + ix2 * sb * bd * gd,
+            mgr * cb - big * sb * ad * gd - disk * cb * sb * ad**2,
+            disk2 * sb * ad * bd,
+        )
+
+    def accel(f, ad, gd, u1, u2):
+        # (alpha_ddot, beta_ddot, gamma_ddot) under motor torques less friction
+        M11, M13, M_rho, n1, n2, n3 = f
+        s = 1.0 if ad > 0.0 else -1.0 if ad < 0.0 else 0.0
+        rhs1 = n1 + (u1 - (mv_a * ad + (md_a + (ms_a - md_a) * exp(-abs(ad) / D)) * s))
+        s = 1.0 if gd > 0.0 else -1.0 if gd < 0.0 else 0.0
+        rhs3 = n3 + (u2 - (mv_g * gd + (md_g + (ms_g - md_g) * exp(-abs(gd) / D)) * s))
+        return (
+            (big * rhs1 - M13 * rhs3) / M_rho,
+            n2 / M22,
+            (-M13 * rhs1 + M11 * rhs3) / M_rho,
+        )
+
+    def step(a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6):
+        # bdd is unused: the first stage solves the full equations
+        try:
+            f = forces(b, ad, bd, gd)
+            M11, M13, _, n1, _, n3 = f
+            u1 = (M11 * u5 + M13 * u6) - n1
+            u2 = (M13 * u5 + big * u6) - n3
+            add1, bdd1, gdd1 = accel(f, ad, gd, u1, u2)
+            a2, b2 = a + h2 * ad, b + h2 * bd
+            ad2, bd2, gd2 = ad + h2 * add1, bd + h2 * bdd1, gd + h2 * gdd1
+            add2, bdd2, gdd2 = accel(forces(b2, ad2, bd2, gd2), ad2, gd2, u1, u2)
+            a3, b3 = a + h2 * ad2, b + h2 * bd2
+            ad3, bd3, gd3 = ad + h2 * add2, bd + h2 * bdd2, gd + h2 * gdd2
+            add3, bdd3, gdd3 = accel(forces(b3, ad3, bd3, gd3), ad3, gd3, u1, u2)
+            a4, b4 = a + dt * ad3, b + dt * bd3
+            ad4, bd4, gd4 = ad + dt * add3, bd + dt * bdd3, gd + dt * gdd3
+            add4, bdd4, gdd4 = accel(forces(b4, ad4, bd4, gd4), ad4, gd4, u1, u2)
+            x1, y1 = R * gd * cos(a), R * gd * sin(a)
+            x2, y2 = R * gd2 * cos(a2), R * gd2 * sin(a2)
+            x3, y3 = R * gd3 * cos(a3), R * gd3 * sin(a3)
+            x4, y4 = R * gd4 * cos(a4), R * gd4 * sin(a4)
+            b_n = b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4)
+            ad_n = ad + h6 * (add1 + 2.0 * add2 + 2.0 * add3 + add4)
+            gd_n = gd + h6 * (gdd1 + 2.0 * gdd2 + 2.0 * gdd3 + gdd4)
+            sb, cb = sin(b_n), cos(b_n)
+            return _checked((
+                a + h6 * (ad + 2.0 * ad2 + 2.0 * ad3 + ad4),
+                b_n,
+                g + h6 * (gd + 2.0 * gd2 + 2.0 * gd3 + gd4),
+                ad_n,
+                bd + h6 * (bdd1 + 2.0 * bdd2 + 2.0 * bdd3 + bdd4),
+                gd_n,
+                -Gm * cb - Im * cb * sb * ad_n**2 - Jm * sb * ad_n * gd_n,
+                xa + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
+                ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
+            ))
+        except DegenerateLeanError:
+            raise
+        except (ValueError, OverflowError):
+            raise _nonfinite() from None
+
+    return step
+
+
+def _velocity_stepper(params: RobotParams, dt: float):
+    """Rates (u_alpha, u_gamma) held and applied at once."""
+    R, Gm, Im, Jm = params.R, params.Gm, params.Im, params.Jm
+    h2, h6 = 0.5 * dt, dt / 6.0
+
+    def step(a, b, g, bd, xa, ya, ad, gd, bdd, ua, ug):
+        # ad, gd: the rates in effect, replaced by the command at once;
+        # bdd: lean acceleration at the step start under (ua, ug)
+        try:
+            a2, b2, bd2 = a + h2 * ua, b + h2 * bd, bd + h2 * bdd
+            sb, cb = sin(b2), cos(b2)
+            l2 = -Gm * cb - Im * cb * sb * ua**2 - Jm * sb * ua * ug
+            b3, bd3 = b + h2 * bd2, bd + h2 * l2
+            sb, cb = sin(b3), cos(b3)
+            l3 = -Gm * cb - Im * cb * sb * ua**2 - Jm * sb * ua * ug
+            a4, b4, bd4 = a + dt * ua, b + dt * bd3, bd + dt * l3
+            sb, cb = sin(b4), cos(b4)
+            l4 = -Gm * cb - Im * cb * sb * ua**2 - Jm * sb * ua * ug
+            x2, y2 = R * ug * cos(a2), R * ug * sin(a2)  # stage 3 shares a2
+            return _checked((
+                a + h6 * (ua + 2.0 * ua + 2.0 * ua + ua),
+                b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4),
+                g + h6 * (ug + 2.0 * ug + 2.0 * ug + ug),
+                bd + h6 * (bdd + 2.0 * l2 + 2.0 * l3 + l4),
+                xa + h6 * (R * ug * cos(a) + 2.0 * x2 + 2.0 * x2 + R * ug * cos(a4)),
+                ya + h6 * (R * ug * sin(a) + 2.0 * y2 + 2.0 * y2 + R * ug * sin(a4)),
+                ua,
+                ug,
+            ))
+        except (ValueError, OverflowError):
+            raise _nonfinite() from None
+
+    return step
+
+
+def _lag_stepper(params: RobotParams, dt: float, tau: float):
+    """Rates relax toward the held command through a first-order lag tau."""
+    R, Gm, Im, Jm = params.R, params.Gm, params.Im, params.Jm
+    h2, h6 = 0.5 * dt, dt / 6.0
+
+    def step(a, b, g, bd, xa, ya, za, zg, bdd, ua, ug):
+        # (za, zg): the lag filter, which is the rates in effect;
+        # bdd: lean acceleration at the step start under (za, zg)
+        try:
+            fa1, fg1 = (ua - za) / tau, (ug - zg) / tau
+            a2, b2, bd2 = a + h2 * za, b + h2 * bd, bd + h2 * bdd
+            za2, zg2 = za + h2 * fa1, zg + h2 * fg1
+            sb, cb = sin(b2), cos(b2)
+            l2 = -Gm * cb - Im * cb * sb * za2**2 - Jm * sb * za2 * zg2
+            fa2, fg2 = (ua - za2) / tau, (ug - zg2) / tau
+            a3, b3, bd3 = a + h2 * za2, b + h2 * bd2, bd + h2 * l2
+            za3, zg3 = za + h2 * fa2, zg + h2 * fg2
+            sb, cb = sin(b3), cos(b3)
+            l3 = -Gm * cb - Im * cb * sb * za3**2 - Jm * sb * za3 * zg3
+            fa3, fg3 = (ua - za3) / tau, (ug - zg3) / tau
+            a4, b4, bd4 = a + dt * za3, b + dt * bd3, bd + dt * l3
+            za4, zg4 = za + dt * fa3, zg + dt * fg3
+            sb, cb = sin(b4), cos(b4)
+            l4 = -Gm * cb - Im * cb * sb * za4**2 - Jm * sb * za4 * zg4
+            fa4, fg4 = (ua - za4) / tau, (ug - zg4) / tau
+            x1, y1 = R * zg * cos(a), R * zg * sin(a)
+            x2, y2 = R * zg2 * cos(a2), R * zg2 * sin(a2)
+            x3, y3 = R * zg3 * cos(a3), R * zg3 * sin(a3)
+            x4, y4 = R * zg4 * cos(a4), R * zg4 * sin(a4)
+            return _checked((
+                a + h6 * (za + 2.0 * za2 + 2.0 * za3 + za4),
+                b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4),
+                g + h6 * (zg + 2.0 * zg2 + 2.0 * zg3 + zg4),
+                bd + h6 * (bdd + 2.0 * l2 + 2.0 * l3 + l4),
+                xa + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
+                ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
+                za + h6 * (fa1 + 2.0 * fa2 + 2.0 * fa3 + fa4),
+                zg + h6 * (fg1 + 2.0 * fg2 + 2.0 * fg3 + fg4),
+            ))
+        except (ValueError, OverflowError):
+            raise _nonfinite() from None
+
+    return step
 
 
 def rk4_step(
@@ -362,40 +555,28 @@ def rk4_step(
 ) -> WheelState:
     """Advance one RK4 step with the command held constant.
 
-    dt may be negative (backward integration, used by finite-difference
-    oracles). Raises NonFiniteStateError if the step produces a NaN or
-    infinity.
+    Runs the same stepper as run_closed_loop. dt may be negative (backward
+    integration, used by finite-difference oracles). Raises
+    NonFiniteStateError if the step produces a NaN or infinity.
     """
+    st, u1, u2 = state, command.steer, command.drive
     if command.mode == "torque":
-        y = (
-            state.alpha, state.beta, state.gamma,
-            state.alpha_dot, state.beta_dot, state.gamma_dot,
-            state.x_a, state.y_a,
-        )
         if friction is None:
-            f = lambda yy: _rhs_torque_reduced(yy, command.steer, command.drive, params)
+            step_ = _torque_stepper(params, dt)
+            bdd = lean_accel(st.beta, st.alpha_dot, st.gamma_dot, params)
         else:
-            u1, u2 = cancel_and_decouple(command.steer, command.drive, state, params)
-            f = lambda yy: _rhs_torque_full(yy, u1, u2, params, friction)
-        out = _rk4(y, f, dt)
-        if not _finite(out):
-            raise NonFiniteStateError(f"non-finite state after step from t-state {y}")
-        a, b, g, ad, bd, gd, xa, ya = out
-        return WheelState(
-            alpha=a, beta=b, gamma=g, alpha_dot=ad, beta_dot=bd, gamma_dot=gd,
-            beta_ddot=lean_accel(b, ad, gd, params), x_a=xa, y_a=ya,
+            step_, bdd = _friction_stepper(params, friction, dt), None
+        a, b, g, ad, bd, gd, bdd, xa, ya = step_(
+            st.alpha, st.beta, st.gamma, st.alpha_dot, st.beta_dot, st.gamma_dot,
+            bdd, st.x_a, st.y_a, u1, u2,
         )
-    # velocity mode: rates are the held command
-    ua, ug = command.steer, command.drive
-    y = (state.alpha, state.beta, state.gamma, state.beta_dot, state.x_a, state.y_a)
-    out = _rk4(y, lambda yy: _rhs_velocity(yy, ua, ug, params), dt)
-    if not _finite(out):
-        raise NonFiniteStateError(f"non-finite state after step from t-state {y}")
-    a, b, g, bd, xa, ya = out
-    return WheelState(
-        alpha=a, beta=b, gamma=g, alpha_dot=ua, beta_dot=bd, gamma_dot=ug,
-        beta_ddot=lean_accel(b, ua, ug, params), x_a=xa, y_a=ya,
-    )
+    else:
+        a, b, g, bd, xa, ya, ad, gd = _velocity_stepper(params, dt)(
+            st.alpha, st.beta, st.gamma, st.beta_dot, st.x_a, st.y_a, u1, u2,
+            lean_accel(st.beta, u1, u2, params), u1, u2,
+        )
+        bdd = lean_accel(b, ad, gd, params)
+    return WheelState(a, b, g, ad, bd, gd, bdd, xa, ya)
 
 
 def step(state: WheelState, command: ControlCommand, cfg: SimConfig) -> WheelState:
@@ -404,6 +585,9 @@ def step(state: WheelState, command: ControlCommand, cfg: SimConfig) -> WheelSta
         raise ValueError(f"command mode {command.mode!r} does not match run mode {cfg.mode!r}")
     friction = cfg.friction if cfg.mode == "torque" else None
     return rk4_step(state, command, cfg.params, cfg.dt, friction)
+
+
+# ------------------------------------------------------------------ events
 
 
 def _build_controller(cfg: SimConfig):
@@ -418,10 +602,15 @@ def _build_controller(cfg: SimConfig):
 
 
 def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) -> str | None:
-    """Name the violated initial-domain predicate, or None if admissible."""
+    """Name the violated domain predicate at `state`, or None if admissible.
+
+    Without a state this is the initial-state check. The distance from the
+    first waypoint is a fact about the start only, so a given state is not
+    tested against it.
+    """
     st = cfg.initial if state is None else state
     thr = cfg.thresholds
-    if _toppled(st.beta, thr):
+    if _topple_event(0.0, st.beta, thr) is not None:
         return (
             f"initial lean {st.beta:.6f} rad outside the topple margin window "
             f"({thr.topple_margin}, pi - {thr.topple_margin})"
@@ -454,13 +643,14 @@ def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) ->
             )
         return None
     # line / corridor
-    x0, y0 = cfg.waypoints[0]
-    r0 = math.hypot(st.x_a - x0, st.y_a - y0)
-    if r0 > thr.start_radius:
-        return (
-            f"initial distance {r0:.4f} m from the segment start exceeds "
-            f"the admissible radius {thr.start_radius} m"
-        )
+    if state is None:
+        x0, y0 = cfg.waypoints[0]
+        r0 = math.hypot(st.x_a - x0, st.y_a - y0)
+        if r0 > thr.start_radius:
+            return (
+                f"initial distance {r0:.4f} m from the segment start exceeds "
+                f"the admissible radius {thr.start_radius} m"
+            )
     if abs(st.beta - math.pi / 2.0) > thr.start_lean:
         return (
             f"initial lean offset {abs(st.beta - math.pi / 2.0):.4f} rad exceeds "
@@ -469,60 +659,84 @@ def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) ->
     return None
 
 
-def _toppled(beta: float, thr: Thresholds) -> bool:
-    return not thr.topple_margin < beta < math.pi - thr.topple_margin
+# Event predicates, shared by run_closed_loop and detect_events.
 
 
-def _converged_detail(cfg: SimConfig, state: WheelState, segment: int) -> str | None:
-    """Convergence predicate; returns a detail string when satisfied."""
-    thr = cfg.thresholds
-    if cfg.kind == "balance":
-        ok = (
-            abs(state.beta - math.pi / 2.0) <= thr.lean
-            and abs(state.beta_dot) <= thr.lean_rate
-            and abs(state.alpha_dot) <= thr.steer_rate
-            and abs(state.gamma_dot) <= thr.roll_rate
-        )
-        if ok:
-            return "lean, lean rate, steering rate, rolling rate all within thresholds"
+def _topple_event(t: float, beta: float, thr: Thresholds) -> Event | None:
+    if thr.topple_margin < beta < math.pi - thr.topple_margin:
         return None
-    if cfg.kind == "point_to_point":
-        e = math.hypot(state.x_a - cfg.target[0], state.y_a - cfg.target[1])
-        if e < thr.distance:
-            return f"e = {e:.4f} m < {thr.distance} m"
+    return Event("Toppled", t, f"beta = {beta:.6f} rad")
+
+
+def _singular_event(t: float, alpha_dot: float, thr: Thresholds) -> Event | None:
+    """Torque mode only: the balance law divides by the steering rate."""
+    if not abs(alpha_dot) < thr.alpha_dot_floor:
         return None
-    # line / corridor: only the last segment can converge the run
-    if segment != len(cfg.waypoints) - 2:
-        return None
-    lg = line_geometry(
-        state.contact(), state.alpha, cfg.waypoints[segment + 1],
-        origin=cfg.waypoints[segment],
+    return Event(
+        "SingularSteering", t,
+        f"|alpha_dot| = {abs(alpha_dot):.3e} below floor {thr.alpha_dot_floor:.3e}",
     )
+
+
+def _balance_converged(thr: Thresholds, beta, beta_dot, alpha_dot, gamma_dot) -> str | None:
+    if (
+        abs(beta - math.pi / 2.0) <= thr.lean
+        and abs(beta_dot) <= thr.lean_rate
+        and abs(alpha_dot) <= thr.steer_rate
+        and abs(gamma_dot) <= thr.roll_rate
+    ):
+        return "lean, lean rate, steering rate, rolling rate all within thresholds"
+    return None
+
+
+def _target_converged(thr: Thresholds, e: float) -> str | None:
+    if e < thr.distance:
+        return f"e = {e:.4f} m < {thr.distance} m"
+    return None
+
+
+def _line_converged(thr: Thresholds, lg: LineGeometry) -> str | None:
+    """Only the last segment can converge the run; callers check the segment."""
     if lg.d < thr.distance and lg.e < thr.line_offset:
         return f"d = {lg.d:.4f} m and line distance e = {lg.e:.4f} m within thresholds"
     return None
 
 
 def detect_events(state: WheelState, cfg: SimConfig, t: float = 0.0, segment: int = 0) -> list[Event]:
-    """Evaluate all event predicates at one state. Pure and idempotent."""
-    events: list[Event] = []
-    if _toppled(state.beta, cfg.thresholds):
-        events.append(Event("Toppled", t, f"beta = {state.beta:.6f} rad"))
-    detail = _converged_detail(cfg, state, segment)
+    """Evaluate all event predicates at one state. Pure and idempotent.
+
+    Uses the predicates run_closed_loop fires its events with, so at the
+    final state of a run this reports the events the run recorded at its
+    final time (DomainExit aside, which the run does not record).
+    """
+    thr = cfg.thresholds
+    events = [_topple_event(t, state.beta, thr)]
+    if cfg.kind == "balance":
+        detail = _balance_converged(
+            thr, state.beta, state.beta_dot, state.alpha_dot, state.gamma_dot
+        )
+    elif cfg.kind == "point_to_point":
+        detail = _target_converged(
+            thr, polar_view(state.contact(), state.alpha, cfg.target).e
+        )
+    elif segment == len(cfg.waypoints) - 2:
+        detail = _line_converged(
+            thr, line_geometry(state.contact(), state.alpha, cfg.waypoints[segment + 1],
+                               origin=cfg.waypoints[segment]),
+        )
+    else:
+        detail = None
     if detail is not None:
         events.append(Event("Converged", t, detail))
-    if cfg.mode == "torque" and abs(state.alpha_dot) < cfg.thresholds.alpha_dot_floor:
-        events.append(
-            Event(
-                "SingularSteering", t,
-                f"|alpha_dot| = {abs(state.alpha_dot):.3e} below floor "
-                f"{cfg.thresholds.alpha_dot_floor:.3e}",
-            )
-        )
+    if cfg.mode == "torque":
+        events.append(_singular_event(t, state.alpha_dot, thr))
     violated = _admissibility_violation(cfg, state)
     if violated is not None:
         events.append(Event("DomainExit", t, violated))
-    return events
+    return [ev for ev in events if ev is not None]
+
+
+# -------------------------------------------------------------------- loop
 
 
 def run_closed_loop(cfg: SimConfig) -> Trajectory:
@@ -530,175 +744,143 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
 
     Raises InadmissibleStateError before any integration if the initial
     state violates the controller's domain predicate. Terminal events
-    (Toppled, SingularSteering, and Converged when stop_on_converged is
-    set) truncate the run; otherwise it ends at the horizon.
+    (Toppled, SingularSteering, NonFinite, and Converged when
+    stop_on_converged is set) truncate the run; otherwise it ends at the
+    horizon.
     """
     violated = _admissibility_violation(cfg)
     if violated is not None:
         raise InadmissibleStateError(violated)
 
     controller = _build_controller(cfg)
-    params = cfg.params
-    thr = cfg.thresholds
-    dt = cfg.dt
+    command = controller.command
+    kind, params, thr, dt = cfg.kind, cfg.params, cfg.thresholds, cfg.dt
     n = cfg.n_steps
-    traj = Trajectory(cfg.kind, cfg.mode)
-    ch = traj.channels
-    col_t = ch["t"]
+    balance, p2p = kind == "balance", kind == "point_to_point"
+    torque, lag = cfg.mode == "torque", cfg.actuator_lag > 0.0
+    Gm, Im, Jm = params.Gm, params.Im, params.Jm
+    k1 = cfg.gains.k1 if balance else 0.0
+    target = getattr(controller, "target", None)
+    waypoints = getattr(controller, "waypoints", ())
+    last_segment = len(waypoints) - 2
+    nan = math.nan
 
-    state = cfg.initial
-    if cfg.mode == "torque":
-        state = replace(
-            state,
-            beta_ddot=lean_accel(state.beta, state.alpha_dot, state.gamma_dot, params),
-        )
-    lag = None
-    if cfg.actuator_lag > 0.0:
-        lag = (state.alpha_dot, state.gamma_dot)
+    traj = Trajectory(kind, cfg.mode)
+    events = traj.events
+    put = {name: col.append for name, col in traj.channels.items()}
+    (put_t, put_a, put_b, put_g, put_ad, put_bd, put_gd, put_bdd, put_xa, put_ya,
+     put_us, put_ud, put_V) = (put[name] for name in _BASE_CHANNELS)
+    put_V1, put_e, put_psi, put_d, put_p, put_segment = (
+        put.get(name) for name in ("V1", "e", "psi", "d", "p", "segment")
+    )
+
+    st = cfg.initial
+    a, b, g, ad, bd, gd = st.alpha, st.beta, st.gamma, st.alpha_dot, st.beta_dot, st.gamma_dot
+    xa, ya, bdd = st.x_a, st.y_a, st.beta_ddot
+    if torque:
+        bdd = lean_accel(b, ad, gd, params)
+        if cfg.friction is None:
+            advance = _torque_stepper(params, dt)
+        else:
+            advance = _friction_stepper(params, cfg.friction, dt)
+    elif lag:
+        advance = _lag_stepper(params, dt, cfg.actuator_lag)
+    else:
+        advance = _velocity_stepper(params, dt)
 
     segment = 0
-    last_segment = len(cfg.waypoints) - 2 if cfg.waypoints else 0
     converged_seen = False
-
-    def emit(t, st, cmd, extra):
-        col_t.append(t)
-        ch["alpha"].append(st.alpha)
-        ch["beta"].append(st.beta)
-        ch["gamma"].append(st.gamma)
-        ch["alpha_dot"].append(st.alpha_dot)
-        ch["beta_dot"].append(st.beta_dot)
-        ch["gamma_dot"].append(st.gamma_dot)
-        ch["beta_ddot"].append(st.beta_ddot)
-        ch["x_a"].append(st.x_a)
-        ch["y_a"].append(st.y_a)
-        ch["u_steer"].append(cmd[0] if cmd else math.nan)
-        ch["u_drive"].append(cmd[1] if cmd else math.nan)
-        for name, value in extra.items():
-            ch[name].append(value)
-
     for i in range(n + 1):
         t = i * dt
-        # terminal checks that must precede command evaluation
-        if _toppled(state.beta, thr):
-            emit(t, state, None, _passive_channels(cfg, controller, state, segment))
-            traj.events.append(Event("Toppled", t, f"beta = {state.beta:.6f} rad"))
+        stop = _topple_event(t, b, thr)
+        if stop is None and torque:
+            stop = _singular_event(t, ad, thr)
+        if balance:
+            V = balance_value(b, bd, bdd, k1)
+        else:
+            contact = ContactPoint(xa, ya)
+            if p2p:
+                geo = polar_view(contact, a, target)
+            else:
+                geo = line_geometry(contact, a, waypoints[segment + 1], waypoints[segment])
+                # advance the corridor before the command for this row
+                if stop is None and segment < last_segment and geo.d < thr.advance_radius:
+                    segment += 1
+                    geo = line_geometry(contact, a, waypoints[segment + 1], waypoints[segment])
+
+        if stop is not None:
+            us = ud = nan
+        elif balance:
+            us, ud = command(WheelState(a, b, g, ad, bd, gd, bdd, xa, ya), V)
+        else:
+            state = WheelState(a, b, g, ad, bd, gd, None, xa, ya)
+            if p2p:
+                us, ud = command(state, contact, geo)
+            else:
+                us, ud = command(state, contact, segment, geo)
+            if not lag:  # the commanded rates act at once
+                ad, gd = us, ud
+        if not torque:  # lean acceleration under the rates in effect for this row
+            sb, cb = sin(b), cos(b)
+            bdd = -Gm * cb - Im * cb * sb * ad**2 - Jm * sb * ad * gd
+
+        put_t(t)
+        put_a(a)
+        put_b(b)
+        put_g(g)
+        put_ad(ad)
+        put_bd(bd)
+        put_gd(gd)
+        put_bdd(bdd)
+        put_xa(xa)
+        put_ya(ya)
+        put_us(us)
+        put_ud(ud)
+        if balance:
+            put_V(V)
+        else:
+            v1 = lean_tracking_value(b, bd)
+            if p2p:
+                put_V(v1 + 0.5 * geo.e**2)
+                put_V1(v1)
+                put_e(geo.e)
+                put_psi(geo.psi)
+            else:
+                put_V(v1 + 0.5 * (geo.e**2 + geo.d**2))
+                put_V1(v1)
+                put_e(geo.e)
+                put_d(geo.d)
+                put_p(geo.p)
+                put_segment(float(segment))
+
+        if stop is not None:
+            events.append(stop)
             break
-        if cfg.mode == "torque" and abs(state.alpha_dot) < thr.alpha_dot_floor:
-            emit(t, state, None, _passive_channels(cfg, controller, state, segment))
-            traj.events.append(
-                Event(
-                    "SingularSteering", t,
-                    f"|alpha_dot| = {abs(state.alpha_dot):.3e} below floor "
-                    f"{thr.alpha_dot_floor:.3e}",
-                )
-            )
-            break
-
-        # advance the corridor before computing the command for this row
-        if cfg.kind in ("line", "corridor") and segment < last_segment:
-            lg = line_geometry(
-                state.contact(), state.alpha, cfg.waypoints[segment + 1],
-                origin=cfg.waypoints[segment],
-            )
-            if lg.d < thr.advance_radius:
-                segment += 1
-
-        cmd, state = _command_and_state(cfg, controller, state, segment, lag)
-        emit(t, state, cmd, _certificate_channels(cfg, controller, state, segment))
-
-        detail = _converged_detail(cfg, state, segment)
-        if detail is not None and not converged_seen:
-            converged_seen = True
-            traj.events.append(Event("Converged", t, detail))
-            if cfg.stop_on_converged:
-                break
+        if not converged_seen:
+            if balance:
+                detail = _balance_converged(thr, b, bd, ad, gd)
+            elif p2p:
+                detail = _target_converged(thr, geo.e)
+            else:
+                detail = _line_converged(thr, geo) if segment == last_segment else None
+            if detail is not None:
+                converged_seen = True
+                events.append(Event("Converged", t, detail))
+                if cfg.stop_on_converged:
+                    break
         if i == n:
             break
+        try:
+            if torque:
+                a, b, g, ad, bd, gd, bdd, xa, ya = advance(a, b, g, ad, bd, gd, bdd, xa, ya, us, ud)
+            else:
+                a, b, g, bd, xa, ya, ad, gd = advance(a, b, g, bd, xa, ya, ad, gd, bdd, us, ud)
+        except NonFiniteStateError as exc:
+            events.append(Event("NonFinite", t, str(exc)))
+            break
 
-        state, lag = _advance(cfg, state, cmd, lag)
-
-    traj.final_state = state
+    traj.final_state = WheelState(a, b, g, ad, bd, gd, bdd, xa, ya)
     return traj
-
-
-def _command_and_state(cfg, controller, state, segment, lag):
-    """Compute the held command; in velocity mode also refresh the state's rates."""
-    if cfg.kind == "balance":
-        return controller.command(state), state
-    if cfg.kind == "point_to_point":
-        cmd = controller.command(state, state.contact())
-    else:
-        cmd = controller.command(state, state.contact(), segment)
-    if lag is None:
-        ua, ug = cmd
-        state = replace(
-            state,
-            alpha_dot=ua,
-            gamma_dot=ug,
-            beta_ddot=lean_accel(state.beta, ua, ug, cfg.params),
-        )
-    else:
-        za, zg = lag
-        state = replace(
-            state,
-            alpha_dot=za,
-            gamma_dot=zg,
-            beta_ddot=lean_accel(state.beta, za, zg, cfg.params),
-        )
-    return cmd, state
-
-
-def _certificate_channels(cfg, controller, state, segment) -> dict:
-    if cfg.kind == "balance":
-        return {"V": controller.certificate(state)}
-    v1 = lean_tracking_value(state.beta, state.beta_dot)
-    if cfg.kind == "point_to_point":
-        pv = controller.view(state, state.contact())
-        return {"V": v1 + 0.5 * pv.e**2, "V1": v1, "e": pv.e, "psi": pv.psi}
-    lg = controller.geometry(state, state.contact(), segment)
-    return {
-        "V": v1 + 0.5 * (lg.e**2 + lg.d**2),
-        "V1": v1,
-        "e": lg.e,
-        "d": lg.d,
-        "p": lg.p,
-        "segment": float(segment),
-    }
-
-
-def _passive_channels(cfg, controller, state, segment) -> dict:
-    """Certificate channels for rows where no command was computed."""
-    try:
-        return _certificate_channels(cfg, controller, state, segment)
-    except Exception:
-        nan = math.nan
-        names = set(_KIND_CHANNELS[cfg.kind]) - set(_BASE_CHANNELS)
-        out = {name: nan for name in names}
-        out["V"] = nan
-        return out
-
-
-def _advance(cfg, state, cmd, lag):
-    """One integration step; returns the new state and actuator-lag filter state."""
-    if lag is not None:
-        tau = cfg.actuator_lag
-        ua, ug = cmd
-        y = (
-            state.alpha, state.beta, state.gamma, state.beta_dot,
-            state.x_a, state.y_a, lag[0], lag[1],
-        )
-        out = _rk4(y, lambda yy: _rhs_velocity_lag(yy, ua, ug, tau, cfg.params), cfg.dt)
-        if not _finite(out):
-            raise NonFiniteStateError("non-finite state during lagged velocity step")
-        a, b, g, bd, xa, ya, za, zg = out
-        new = WheelState(
-            alpha=a, beta=b, gamma=g, alpha_dot=za, beta_dot=bd, gamma_dot=zg,
-            beta_ddot=lean_accel(b, za, zg, cfg.params), x_a=xa, y_a=ya,
-        )
-        return new, (za, zg)
-    mode_cmd = ControlCommand(cfg.mode, cmd[0], cmd[1])
-    friction = cfg.friction if cfg.mode == "torque" else None
-    return rk4_step(state, mode_cmd, cfg.params, cfg.dt, friction), None
 
 
 def run_lean_subsystem(
@@ -734,3 +916,18 @@ def run_lean_subsystem(
         xds.append(y[1])
         xdds.append(y[2])
     return times, xs, xds, xdds
+
+
+def _rk4(y, f, dt):
+    """Generic RK4 over tuples, for the lean-subsystem oracle."""
+    k1 = f(y)
+    y2 = tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k1))
+    k2 = f(y2)
+    y3 = tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k2))
+    k3 = f(y3)
+    y4 = tuple(yi + dt * ki for yi, ki in zip(y, k3))
+    k4 = f(y4)
+    return tuple(
+        yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+    )

@@ -1,0 +1,76 @@
+"""Byte-identity guard: short runs must reproduce recorded SHA-256 digests.
+
+Float expression order is part of the output contract, so a change to the
+step kernel that keeps the mathematics but regroups an operation shows up
+here. Each bundled scenario runs through the CLI path at a 0.5 s horizon
+(trajectory CSV and plot files hashed); the friction and actuator-lag
+paths, which no bundled scenario reaches, run directly (channel repr bytes,
+events and final state hashed).
+"""
+
+import hashlib
+from dataclasses import replace
+
+import pytest
+
+from gyrowheel import bundled_scenario_path, parse_scenario, run_closed_loop, scenario_from_mapping
+from gyrowheel.cli import run_scenario
+
+from conftest import make_balance_mapping
+
+T_END = 0.5
+
+CLI_DIGESTS = {
+    "balance_default": "a0f6db48e6897f71c22bf050e4e3d93adb6b85a5ab28069074bd2cde6a3d5aa0",
+    "p2p_default": "74c9a49f1e0031187024690fbf3c1e6e9d52a1682934a0050acc29a4d7c7b104",
+    "line_5m": "d3c051415715d1263f6cf49b53e70589a986a3503035b0ad84430a89748a38cf",
+    "corridor_demo": "733f0ab91caaf7dc27091d961b3ac63e38a137b5c968cf89f29d14a6f795995d",
+}
+
+DIRECT_DIGESTS = {
+    "balance_friction": "fb31309a1790aa64687f733f2d8832408aaa155e638b90550d5b494db50fab6c",
+    "line_lag": "87d1fb8cf5963d4b4e253f26a805bdf4d4bd66a7ec24e58091e83788f9537c3d",
+}
+
+
+def _dir_digest(out_dir) -> str:
+    h = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        if path.name == "report.json":
+            continue  # carries the wall time
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def _traj_digest(traj) -> str:
+    h = hashlib.sha256()
+    for name in traj.names:
+        h.update(name.encode() + b"\0" + repr(traj.channels[name]).encode())
+    for ev in traj.events:
+        h.update(f"{ev.kind}|{ev.time!r}|{ev.detail}".encode())
+    h.update(repr(traj.final_state).encode())
+    return h.hexdigest()
+
+
+def _direct_config(name):
+    if name == "balance_friction":
+        m = make_balance_mapping(t_end=T_END)
+        m["friction"] = {"D": 0.05}
+        return scenario_from_mapping(m).config
+    sc = parse_scenario(bundled_scenario_path("line_5m"))
+    return replace(sc.config, t_end=T_END, actuator_lag=0.05)
+
+
+@pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
+def test_bundled_scenario_files_are_byte_identical(name, tmp_path):
+    sc = parse_scenario(bundled_scenario_path(name))
+    sc = replace(sc, config=replace(sc.config, t_end=T_END))
+    run_scenario(sc, tmp_path)
+    assert _dir_digest(tmp_path) == CLI_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_DIGESTS))
+def test_friction_and_lag_channels_are_byte_identical(name):
+    traj = run_closed_loop(_direct_config(name))
+    assert traj.row_count == round(T_END / 1e-3) + 1
+    assert _traj_digest(traj) == DIRECT_DIGESTS[name]

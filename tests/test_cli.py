@@ -211,3 +211,26 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "beta" in proc.stdout
+
+
+def test_run_non_finite_exit(tmp_path):
+    # schema-valid, but the first RK4 step overflows (u6 ~ 1/alpha_dot)
+    path = tmp_path / "non_finite.yaml"
+    path.write_text(
+        "name: non_finite\n"
+        "kind: balance\n"
+        "dt: 0.001\n"
+        "t_end: 1.0\n"
+        "initial: {lean_offset: 0.05, alpha_dot: 1.0e-200}\n"
+        "thresholds: {alpha_dot_floor: 1.0e-300}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "non_finite"
+    assert report["exit_code"] == 1
+    assert report["terminal_event"]["kind"] == "NonFinite"
+    assert report["rows"] >= 1
+    assert report["final_time"] == report["terminal_event"]["time"]
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == report["rows"] + 1

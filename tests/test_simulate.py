@@ -12,9 +12,11 @@ from gyrowheel import (
     Thresholds,
     UnknownChannelError,
     WheelState,
+    bundled_scenario_path,
     closed_form_beta,
     detect_events,
     lean_accel,
+    parse_scenario,
     rk4_step,
     run_closed_loop,
     run_lean_subsystem,
@@ -364,3 +366,37 @@ def test_scenario_beta_ddot_cached_in_torque_rows(balance_traj_5s):
         assert bdds[i] == pytest.approx(
             lean_accel(betas[i], ads[i], gds[i], p), abs=1e-12
         )
+
+
+def test_stage_overflow_ends_the_run_as_non_finite():
+    # h3 ~ alpha_dot makes u6 ~ 1e199; the first step's stages overflow
+    m = make_balance_mapping(
+        lean_offset=0.05, alpha_dot=1e-200, alpha_dot_floor=1e-300, t_end=1.0
+    )
+    traj = run_closed_loop(scenario_from_mapping(m).config)
+    ev = traj.terminal_event
+    assert ev is not None and ev.kind == "NonFinite"
+    assert traj.row_count >= 1
+    assert traj.times[-1] == ev.time
+    assert all(math.isfinite(v) for v in traj.channel("beta"))
+    assert traj.final_state.beta == traj.channel("beta")[-1]
+    # a direct call on the same step still raises
+    cmd = ControlCommand(
+        "torque", traj.channel("u_steer")[-1], traj.channel("u_drive")[-1]
+    )
+    with pytest.raises(NonFiniteStateError):
+        rk4_step(traj.final_state, cmd, RobotParams(), 1e-3)
+
+
+@pytest.mark.parametrize(
+    "name", ["balance_default", "p2p_default", "line_5m", "corridor_demo"]
+)
+def test_detect_events_agrees_with_the_run_at_its_final_state(name):
+    cfg = parse_scenario(bundled_scenario_path(name)).config
+    traj = run_closed_loop(cfg)
+    t_final = traj.times[-1]
+    segment = int(traj.channel("segment")[-1]) if "segment" in traj.names else 0
+    recorded = [ev.kind for ev in traj.events if ev.time == t_final]
+    assert recorded
+    found = detect_events(traj.final_state, cfg, t_final, segment)
+    assert [ev.kind for ev in found] == recorded
