@@ -21,7 +21,6 @@ from .dynamics import (
     DegenerateLeanError,
     GeneralizedState,
     InertiaEntries,
-    TorqueInput,
     beta_jerk_coeffs,
     cancel_and_decouple,
     friction_torque,
@@ -30,8 +29,6 @@ from .dynamics import (
     lean_accel,
     nonlinear_terms,
     recover_decoupled,
-    reduced_accel,
-    reduced_params,
 )
 from .kinematics import (
     ContactPoint,
@@ -46,10 +43,9 @@ from .kinematics import (
     rolling_velocity,
     wrap_to_pi,
 )
-from .switching import hard_sign, hard_step, smooth_sign, smooth_step, switching
+from .switching import hard_sign, hard_step, smooth_sign, smooth_step
 from .lyapunov import (
     DecayReport,
-    LyapunovKind,
     balance_value,
     closed_form_alpha_dot,
     closed_form_beta,
@@ -57,7 +53,6 @@ from .lyapunov import (
     decay_monitor,
     lean_tracking_value,
     line_value,
-    lyapunov_value,
     position_value,
     steer_value,
 )
@@ -90,7 +85,6 @@ from .simulate import (
     rk4_step,
     run_closed_loop,
     run_lean_subsystem,
-    step,
 )
 from .scenario import (
     Scenario,

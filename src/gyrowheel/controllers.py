@@ -60,6 +60,11 @@ class SingularSteeringError(RuntimeError):
     """Raised when the balance law is evaluated with |alpha_dot| below its floor."""
 
 
+def _require(ok: bool, key: str, constraint: str, value: float) -> None:
+    if not ok:
+        raise ValueError(f"{key}: constraint {constraint} violated (got {value})")
+
+
 @dataclass(frozen=True)
 class BalanceGains:
     """Gains of the balance law.
@@ -73,10 +78,8 @@ class BalanceGains:
     k1: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.k2 <= 0.0:
-            raise ValueError(f"k2 must be positive, got {self.k2}")
-        if self.k1 < 0.0:
-            raise ValueError(f"k1 must be non-negative, got {self.k1}")
+        _require(self.k1 >= 0.0, "k1", "k1 >= 0", self.k1)
+        _require(self.k2 > 0.0, "k2", "k2 > 0", self.k2)
 
 
 @dataclass(frozen=True)
@@ -87,8 +90,8 @@ class Smoothing:
     k7: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.k6 <= 0.0 or self.k7 <= 0.0:
-            raise ValueError("smoothing slopes k6, k7 must be positive")
+        _require(self.k6 > 0.0, "k6", "k6 > 0", self.k6)
+        _require(self.k7 > 0.0, "k7", "k7 > 0", self.k7)
 
 
 @dataclass(frozen=True)
@@ -105,12 +108,8 @@ class PositionGains:
     smoothing: Smoothing | None = None
 
     def __post_init__(self) -> None:
-        if self.k3 <= 2.0:
-            raise ValueError(f"k3 must exceed 2, got {self.k3}")
-        if not 0.0 < self.k4 < self.k3 - 1.0:
-            raise ValueError(
-                f"k4 must lie in (0, k3 - 1) = (0, {self.k3 - 1.0}), got {self.k4}"
-            )
+        _require(self.k3 > 2.0, "k3", "k3 > 2", self.k3)
+        _require(0.0 < self.k4 < self.k3 - 1.0, "k4", "0 < k4 < k3 - 1", self.k4)
 
 
 @dataclass(frozen=True)
@@ -122,10 +121,8 @@ class LineGains:
     smoothing: Smoothing | None = None
 
     def __post_init__(self) -> None:
-        if self.k3 <= 2.0:
-            raise ValueError(f"k3 must exceed 2, got {self.k3}")
-        if self.k5 <= 0.0:
-            raise ValueError(f"k5 must be positive, got {self.k5}")
+        _require(self.k3 > 2.0, "k3", "k3 > 2", self.k3)
+        _require(self.k5 > 0.0, "k5", "k5 > 0", self.k5)
 
 
 def sigma(a: float, b: float, c: float) -> float:

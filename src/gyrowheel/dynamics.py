@@ -24,7 +24,7 @@ be integrated into a configuration constraint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .params import FrictionParams, RobotParams
 
@@ -32,13 +32,10 @@ __all__ = [
     "DegenerateLeanError",
     "GeneralizedState",
     "InertiaEntries",
-    "TorqueInput",
     "inertia_matrix",
     "nonlinear_terms",
-    "reduced_params",
     "cancel_and_decouple",
     "recover_decoupled",
-    "reduced_accel",
     "lean_accel",
     "beta_jerk_coeffs",
     "beta_jerk_coeffs_variant",
@@ -88,58 +85,6 @@ class InertiaEntries:
     M_rho: float
 
 
-@dataclass(frozen=True)
-class TorqueInput:
-    """One control input expressed in up to three torque layers.
-
-    Layers: motor torques (u1, u2), cancelled torques (u3, u4), decoupled
-    accelerations (u5, u6). Any populated layer determines the others at a
-    given state; `completed` fills them in explicitly so the layer maps can
-    be round-trip tested.
-    """
-
-    u1: float | None = None
-    u2: float | None = None
-    u3: float | None = None
-    u4: float | None = None
-    u5: float | None = None
-    u6: float | None = None
-
-    @classmethod
-    def from_decoupled(cls, u5: float, u6: float) -> "TorqueInput":
-        return cls(u5=u5, u6=u6)
-
-    @classmethod
-    def from_motor(cls, u1: float, u2: float) -> "TorqueInput":
-        return cls(u1=u1, u2=u2)
-
-    def completed(self, state: GeneralizedState, params: RobotParams) -> "TorqueInput":
-        """Return a copy with all three layers populated.
-
-        Exactly one layer must be present; the others are derived from the
-        inertia entries and nonlinear terms at `state`.
-        """
-        ent = inertia_matrix(state, params)
-        n1, _, n3 = nonlinear_terms(state, params)
-        have_motor = self.u1 is not None and self.u2 is not None
-        have_cancelled = self.u3 is not None and self.u4 is not None
-        have_decoupled = self.u5 is not None and self.u6 is not None
-        if have_decoupled:
-            u3 = ent.M11 * self.u5 + ent.M13 * self.u6
-            u4 = ent.M13 * self.u5 + ent.M33 * self.u6
-            return replace(self, u1=u3 - n1, u2=u4 - n3, u3=u3, u4=u4)
-        if have_motor:
-            u3 = self.u1 + n1
-            u4 = self.u2 + n3
-        elif have_cancelled:
-            u3, u4 = self.u3, self.u4
-        else:
-            raise ValueError("TorqueInput has no fully populated layer")
-        u5 = (ent.M33 * u3 - ent.M13 * u4) / ent.M_rho
-        u6 = (-ent.M13 * u3 + ent.M11 * u4) / ent.M_rho
-        return replace(self, u1=u3 - n1, u2=u4 - n3, u3=u3, u4=u4, u5=u5, u6=u6)
-
-
 def _require_open_lean(beta: float) -> None:
     if not 0.0 < beta < math.pi:
         raise DegenerateLeanError(
@@ -185,11 +130,6 @@ def nonlinear_terms(
     return (n1, n2, n3)
 
 
-def reduced_params(params: RobotParams) -> tuple[float, float, float]:
-    """Return the reduced lean-dynamics coefficients (Gm, Im, Jm)."""
-    return params.reduced()
-
-
 def cancel_and_decouple(
     u5: float, u6: float, state: GeneralizedState, params: RobotParams
 ) -> tuple[float, float]:
@@ -198,16 +138,25 @@ def cancel_and_decouple(
     Applying the result through full_accel at the same state reproduces
     alpha_ddot = u5 and gamma_ddot = u6 exactly.
     """
-    filled = TorqueInput.from_decoupled(u5, u6).completed(state, params)
-    return (filled.u1, filled.u2)
+    ent = inertia_matrix(state, params)
+    n1, _, n3 = nonlinear_terms(state, params)
+    u3 = ent.M11 * u5 + ent.M13 * u6
+    u4 = ent.M13 * u5 + ent.M33 * u6
+    return (u3 - n1, u4 - n3)
 
 
 def recover_decoupled(
     u1: float, u2: float, state: GeneralizedState, params: RobotParams
 ) -> tuple[float, float]:
     """Inverse of cancel_and_decouple at the same state."""
-    filled = TorqueInput.from_motor(u1, u2).completed(state, params)
-    return (filled.u5, filled.u6)
+    ent = inertia_matrix(state, params)
+    n1, _, n3 = nonlinear_terms(state, params)
+    u3 = u1 + n1
+    u4 = u2 + n3
+    return (
+        (ent.M33 * u3 - ent.M13 * u4) / ent.M_rho,
+        (-ent.M13 * u3 + ent.M11 * u4) / ent.M_rho,
+    )
 
 
 def lean_accel(
@@ -221,15 +170,6 @@ def lean_accel(
     Gm, Im, Jm = params.reduced()
     sb, cb = math.sin(beta), math.cos(beta)
     return -Gm * cb - Im * cb * sb * alpha_dot**2 - Jm * sb * alpha_dot * gamma_dot
-
-
-def reduced_accel(
-    state: GeneralizedState, u5: float, u6: float, params: RobotParams
-) -> tuple[float, float, float]:
-    """Accelerations in the decoupled layer: (u5, lean_accel, u6)."""
-    _require_open_lean(state.beta)
-    bdd = lean_accel(state.beta, state.alpha_dot, state.gamma_dot, params)
-    return (u5, bdd, u6)
 
 
 def beta_jerk_coeffs(

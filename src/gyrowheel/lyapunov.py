@@ -22,30 +22,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 __all__ = [
-    "LyapunovKind",
     "DecayReport",
     "balance_value",
     "steer_value",
     "lean_tracking_value",
     "position_value",
     "line_value",
-    "lyapunov_value",
     "closed_form_beta",
     "closed_form_beta_rates",
     "closed_form_alpha_dot",
     "decay_monitor",
 ]
-
-
-class LyapunovKind(Enum):
-    BALANCE = "balance"
-    BALANCE_STEER = "balance_steer"
-    POSITION = "position"
-    LINE = "line"
 
 
 def balance_value(
@@ -78,31 +68,6 @@ def position_value(beta: float, beta_dot: float, e: float) -> float:
 def line_value(beta: float, beta_dot: float, e: float, d: float) -> float:
     """Line certificate: lean certificate plus half squared line and end distances."""
     return lean_tracking_value(beta, beta_dot) + 0.5 * (e * e + d * d)
-
-
-def lyapunov_value(kind: LyapunovKind, state, *, e=None, d=None, gains=None) -> float:
-    """Dispatch a certificate evaluation for a state-like object.
-
-    `state` needs beta/beta_dot (and beta_ddot, alpha_dot for the balance
-    kinds); e and d supply the tracking distances; `gains` provides k1/k2
-    where the kind uses them.
-    """
-    k1 = getattr(gains, "k1", 1.0) if gains is not None else 1.0
-    k2 = getattr(gains, "k2", 1.0) if gains is not None else 1.0
-    if kind is LyapunovKind.BALANCE:
-        return balance_value(state.beta, state.beta_dot, state.beta_ddot, k1)
-    if kind is LyapunovKind.BALANCE_STEER:
-        V = balance_value(state.beta, state.beta_dot, state.beta_ddot, k1)
-        return steer_value(V, state.alpha_dot, k2)
-    if kind is LyapunovKind.POSITION:
-        if e is None:
-            raise ValueError("position certificate needs the target distance e")
-        return position_value(state.beta, state.beta_dot, e)
-    if kind is LyapunovKind.LINE:
-        if e is None or d is None:
-            raise ValueError("line certificate needs both distances e and d")
-        return line_value(state.beta, state.beta_dot, e, d)
-    raise ValueError(f"unknown Lyapunov kind {kind!r}")
 
 
 def closed_form_beta(a: float, b: float, c: float, t: float) -> float:

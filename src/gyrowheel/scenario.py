@@ -42,7 +42,7 @@ import yaml
 
 from .controllers import BalanceGains, LineGains, PositionGains, Smoothing
 from .params import FrictionParams, RobotParams
-from .simulate import _KIND_CHANNELS, KINDS, SimConfig, Thresholds, WheelState
+from .simulate import _KIND_CHANNELS, _KIND_MODE, KINDS, SimConfig, Thresholds, WheelState
 
 __all__ = [
     "ScenarioError",
@@ -158,6 +158,14 @@ def _point(value, where: str) -> tuple[float, float]:
     raise ScenarioError(f"{where}: expected {{x, y}} or [x, y]")
 
 
+def _build(cls, where: str, **kwargs):
+    """cls(**kwargs); the dataclass's own ValueError becomes a ScenarioError at `where`."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}{exc}") from None
+
+
 def _parse_params(data: dict) -> RobotParams:
     block = _require_mapping(data.get("params", {}), "params")
     _check_keys(block, _PARAM_KEYS, "params")
@@ -165,19 +173,12 @@ def _parse_params(data: dict) -> RobotParams:
     for key in _PARAM_KEYS:
         if key in block:
             kwargs[key] = _num(block, key, "params")
-    try:
-        return RobotParams(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"params: {exc}") from None
+    return _build(RobotParams, "params: ", **kwargs)
 
 
-def _parse_friction(data: dict, kind: str) -> FrictionParams | None:
+def _parse_friction(data: dict) -> FrictionParams | None:
     if "friction" not in data:
         return None
-    if kind != "balance":
-        raise ScenarioError(
-            "friction: joint friction applies in torque mode (balance runs) only"
-        )
     block = _require_mapping(data["friction"], "friction")
     _check_keys(block, _FRICTION_KEYS, "friction")
     kwargs = {}
@@ -186,26 +187,14 @@ def _parse_friction(data: dict, kind: str) -> FrictionParams | None:
             kwargs[key] = _triple(block, key, "friction")
     if "D" in block:
         kwargs["D"] = _num(block, "D", "friction")
-    try:
-        return FrictionParams(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"friction: {exc}") from None
+    return _build(FrictionParams, "friction: ", **kwargs)
 
 
 def _parse_thresholds(data: dict) -> Thresholds:
     block = _require_mapping(data.get("thresholds", {}), "thresholds")
     _check_keys(block, _THRESHOLD_KEYS, "thresholds")
     kwargs = {key: _num(block, key, "thresholds") for key in block}
-    try:
-        return Thresholds(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"thresholds: {exc}") from None
-
-
-def _gate(where: str, key: str, value: float, ok: bool, constraint: str) -> float:
-    if not ok:
-        raise ScenarioError(f"{where}.{key}: constraint {constraint} violated (got {value})")
-    return value
+    return _build(Thresholds, "thresholds: ", **kwargs)
 
 
 def _parse_smoothing(block: dict, where: str) -> Smoothing | None:
@@ -215,10 +204,8 @@ def _parse_smoothing(block: dict, where: str) -> Smoothing | None:
             raise ScenarioError(f"{where}: hard_switching excludes k6/k7")
         return None
     k6 = _opt_num(block, "k6", where, 20.0)
-    _gate(where, "k6", k6, k6 > 0.0, "k6 > 0")
     k7 = _opt_num(block, "k7", where, 20.0)
-    _gate(where, "k7", k7, k7 > 0.0, "k7 > 0")
-    return Smoothing(k6=k6, k7=k7)
+    return _build(Smoothing, f"{where}.", k6=k6, k7=k7)
 
 
 def _parse_gains(data: dict, kind: str):
@@ -226,20 +213,15 @@ def _parse_gains(data: dict, kind: str):
     _check_keys(block, _GAIN_KEYS[kind], "gains")
     if kind == "balance":
         k1 = _opt_num(block, "k1", "gains", 1.0)
-        _gate("gains", "k1", k1, k1 >= 0.0, "k1 >= 0")
         k2 = _opt_num(block, "k2", "gains", 1.0)
-        _gate("gains", "k2", k2, k2 > 0.0, "k2 > 0")
-        return BalanceGains(k2=k2, k1=k1)
+        return _build(BalanceGains, "gains.", k2=k2, k1=k1)
     smoothing = _parse_smoothing(block, "gains")
     k3 = _opt_num(block, "k3", "gains", 3.0)
-    _gate("gains", "k3", k3, k3 > 2.0, "k3 > 2")
     if kind == "point_to_point":
         k4 = _opt_num(block, "k4", "gains", 1.0)
-        _gate("gains", "k4", k4, 0.0 < k4 < k3 - 1.0, "0 < k4 < k3 - 1")
-        return PositionGains(k3=k3, k4=k4, smoothing=smoothing)
+        return _build(PositionGains, "gains.", k3=k3, k4=k4, smoothing=smoothing)
     k5 = _opt_num(block, "k5", "gains", 1.0)
-    _gate("gains", "k5", k5, k5 > 0.0, "k5 > 0")
-    return LineGains(k3=k3, k5=k5, smoothing=smoothing)
+    return _build(LineGains, "gains.", k3=k3, k5=k5, smoothing=smoothing)
 
 
 def _parse_initial(data: dict, kind: str, params: RobotParams) -> WheelState:
@@ -305,8 +287,11 @@ def _parse_rate_limits(data: dict, kind: str, gains, initial: WheelState, target
     _check_keys(block, _RATE_LIMIT_KEYS, "rate_limits")
     a_max = _num(block, "alpha_dot_max", "rate_limits")
     g_max = _num(block, "gamma_dot_max", "rate_limits")
-    _gate("rate_limits", "alpha_dot_max", a_max, a_max > 0.0, "alpha_dot_max > 0")
-    _gate("rate_limits", "gamma_dot_max", g_max, g_max > 0.0, "gamma_dot_max > 0")
+    for key, value in (("alpha_dot_max", a_max), ("gamma_dot_max", g_max)):
+        if not value > 0.0:
+            raise ScenarioError(
+                f"rate_limits.{key}: constraint {key} > 0 violated (got {value})"
+            )
     # the steering command is bounded by k3; the drive bound is checked where known
     if gains.k3 >= a_max:
         raise ScenarioError(
@@ -361,7 +346,7 @@ def scenario_from_mapping(data: dict, default_name: str = "scenario") -> Scenari
     if kind not in KINDS:
         raise ScenarioError(f"kind: expected one of {', '.join(KINDS)}, got {kind!r}")
 
-    required_mode = "torque" if kind == "balance" else "velocity"
+    required_mode = _KIND_MODE[kind]
     mode = data.get("mode", required_mode)
     if mode != required_mode:
         raise ScenarioError(
@@ -369,12 +354,7 @@ def scenario_from_mapping(data: dict, default_name: str = "scenario") -> Scenari
         )
 
     dt = _num(data, "dt", "scenario", default=1e-3)
-    if dt <= 0.0:
-        raise ScenarioError(f"dt: must be positive, got {dt}")
     t_end = _num(data, "t_end", "scenario")
-    if t_end < dt:
-        raise ScenarioError(f"t_end: must be at least dt, got {t_end}")
-
     params = _parse_params(data)
     gains = _parse_gains(data, kind)
     if "initial" not in data:
@@ -402,36 +382,29 @@ def scenario_from_mapping(data: dict, default_name: str = "scenario") -> Scenari
     elif "waypoints" in data:
         raise ScenarioError(f"waypoints: not used by kind {kind!r}")
 
-    friction = _parse_friction(data, kind)
+    friction = _parse_friction(data)
     thresholds = _parse_thresholds(data)
     stop_on_converged = _bool(data, "stop_on_converged", "scenario", default=True)
-
     actuator_lag = _num(data, "actuator_lag", "scenario", default=0.0)
-    if actuator_lag < 0.0:
-        raise ScenarioError(f"actuator_lag: must be non-negative, got {actuator_lag}")
-    if actuator_lag > 0.0 and kind == "balance":
-        raise ScenarioError("actuator_lag: applies to velocity (tracking) kinds only")
-
     rate_limits = _parse_rate_limits(data, kind, gains, initial, target)
     plot_channels = _parse_plot_channels(data, kind)
 
-    try:
-        config = SimConfig(
-            kind=kind,
-            dt=dt,
-            t_end=t_end,
-            initial=initial,
-            gains=gains,
-            params=params,
-            target=target,
-            waypoints=waypoints,
-            friction=friction,
-            thresholds=thresholds,
-            stop_on_converged=stop_on_converged,
-            actuator_lag=actuator_lag,
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    config = _build(
+        SimConfig,
+        "",
+        kind=kind,
+        dt=dt,
+        t_end=t_end,
+        initial=initial,
+        gains=gains,
+        params=params,
+        target=target,
+        waypoints=waypoints,
+        friction=friction,
+        thresholds=thresholds,
+        stop_on_converged=stop_on_converged,
+        actuator_lag=actuator_lag,
+    )
     return Scenario(
         name=name, config=config, plot_channels=plot_channels, rate_limits=rate_limits
     )

@@ -27,7 +27,9 @@ Commands are held constant across each RK4 step (zero-order hold), computed
 from the state at the step start. Every step boundary emits one trajectory
 row; terminal events truncate the run at the row where they fire, so the
 last row's time is the event time. A step whose stages or result are not
-finite ends the run with a NonFinite event at the time of its first row.
+finite ends the run with a NonFinite event at the time of its first row; a
+friction step whose stage lean leaves (0, pi) ends it with a Toppled event
+the same way.
 
 Runs are bitwise deterministic: there is no randomness, no wall-clock
 coupling, and no platform-dependent branching in the numeric path. The
@@ -71,7 +73,6 @@ __all__ = [
     "Trajectory",
     "CHANNEL_INFO",
     "rk4_step",
-    "step",
     "detect_events",
     "run_closed_loop",
     "run_lean_subsystem",
@@ -79,7 +80,10 @@ __all__ = [
     "MODES",
 ]
 
-KINDS = ("balance", "point_to_point", "line", "corridor")
+# kind -> mode: balance works at the torque layer, the tracking controllers command rates
+_KIND_MODE = {"balance": "torque", "point_to_point": "velocity", "line": "velocity",
+              "corridor": "velocity"}
+KINDS = tuple(_KIND_MODE)
 MODES = ("torque", "velocity")
 
 # Channel registry: name -> (unit, description). Which channels a run emits
@@ -184,13 +188,12 @@ class Thresholds:
 
     def __post_init__(self) -> None:
         for name in (
-            "topple_margin", "lean", "lean_rate", "steer_rate", "roll_rate",
-            "distance", "line_offset", "advance_radius", "start_radius", "start_lean",
+            "topple_margin", "alpha_dot_floor", "lean", "lean_rate", "steer_rate",
+            "roll_rate", "distance", "line_offset", "advance_radius", "start_radius",
+            "start_lean",
         ):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"threshold {name} must be positive")
-        if self.alpha_dot_floor < 0.0:
-            raise ValueError("alpha_dot_floor must be non-negative")
         if self.topple_margin >= math.pi / 2:
             raise ValueError("topple_margin must be below pi/2")
 
@@ -206,9 +209,8 @@ class Event:
 class SimConfig:
     """Everything one closed-loop run needs.
 
-    kind selects the controller family; mode is the actuation layer and is
-    dictated by the kind (balance works at the torque layer, the tracking
-    controllers command rates).
+    kind selects the controller family; mode is the actuation layer the
+    kind runs in.
     """
 
     kind: str
@@ -216,7 +218,6 @@ class SimConfig:
     t_end: float
     initial: WheelState
     gains: object
-    mode: str = ""
     params: RobotParams = RobotParams()
     target: tuple[float, float] = (0.0, 0.0)
     waypoints: tuple[tuple[float, float], ...] = ()
@@ -228,17 +229,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        required_mode = "torque" if self.kind == "balance" else "velocity"
-        if self.mode == "":
-            object.__setattr__(self, "mode", required_mode)
-        elif self.mode != required_mode:
-            raise ValueError(
-                f"kind {self.kind!r} runs in {required_mode} mode, got {self.mode!r}"
-            )
         if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ValueError(f"dt: must be positive, got {self.dt}")
         if self.t_end < self.dt:
-            raise ValueError(f"t_end must be at least dt, got {self.t_end}")
+            raise ValueError(f"t_end: must be at least dt, got {self.t_end}")
         expected_gains = {
             "balance": BalanceGains,
             "point_to_point": PositionGains,
@@ -253,11 +247,17 @@ class SimConfig:
         if self.kind in ("line", "corridor") and len(self.waypoints) < 2:
             raise ValueError("line and corridor runs need at least two waypoints")
         if self.friction is not None and self.mode != "torque":
-            raise ValueError("friction is a joint-torque effect; torque mode only")
+            raise ValueError(
+                "friction: joint friction applies in torque mode (balance runs) only"
+            )
         if self.actuator_lag < 0.0:
-            raise ValueError("actuator_lag must be non-negative")
+            raise ValueError(f"actuator_lag: must be non-negative, got {self.actuator_lag}")
         if self.actuator_lag > 0.0 and self.mode != "velocity":
-            raise ValueError("actuator lag applies to velocity mode only")
+            raise ValueError("actuator_lag: applies to velocity (tracking) kinds only")
+
+    @property
+    def mode(self) -> str:
+        return _KIND_MODE[self.kind]
 
     @property
     def n_steps(self) -> int:
@@ -579,14 +579,6 @@ def rk4_step(
     return WheelState(a, b, g, ad, bd, gd, bdd, xa, ya)
 
 
-def step(state: WheelState, command: ControlCommand, cfg: SimConfig) -> WheelState:
-    """One zero-order-hold RK4 step under a config (its dt, params, friction)."""
-    if command.mode != cfg.mode:
-        raise ValueError(f"command mode {command.mode!r} does not match run mode {cfg.mode!r}")
-    friction = cfg.friction if cfg.mode == "torque" else None
-    return rk4_step(state, command, cfg.params, cfg.dt, friction)
-
-
 # ------------------------------------------------------------------ events
 
 
@@ -877,6 +869,9 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
                 a, b, g, bd, xa, ya, ad, gd = advance(a, b, g, bd, xa, ya, ad, gd, bdd, us, ud)
         except NonFiniteStateError as exc:
             events.append(Event("NonFinite", t, str(exc)))
+            break
+        except DegenerateLeanError as exc:  # a stage lean left (0, pi)
+            events.append(Event("Toppled", t, str(exc)))
             break
 
     traj.final_state = WheelState(a, b, g, ad, bd, gd, bdd, xa, ya)

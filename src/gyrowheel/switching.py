@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["hard_sign", "hard_step", "smooth_sign", "smooth_step", "switching"]
+__all__ = ["hard_sign", "hard_step", "smooth_sign", "smooth_step"]
 
 
 def hard_sign(x: float) -> float:
@@ -40,20 +40,3 @@ def smooth_step(x: float, k: float) -> float:
         return 1.0 / (1.0 + math.exp(-kx))
     ex = math.exp(kx)
     return ex / (1.0 + ex)
-
-
-def switching(x: float, kind: str, k: float | None = None) -> float:
-    """Evaluate one member of the switching family by name.
-
-    kind is one of 'sgn', 'theta', 'tanh', 'uanh'; the last two require the
-    slope parameter k > 0.
-    """
-    if kind == "sgn":
-        return hard_sign(x)
-    if kind == "theta":
-        return hard_step(x)
-    if kind in ("tanh", "uanh"):
-        if k is None or k <= 0.0:
-            raise ValueError(f"kind {kind!r} requires a positive slope k")
-        return smooth_sign(x, k) if kind == "tanh" else smooth_step(x, k)
-    raise ValueError(f"unknown switching kind {kind!r}")

@@ -3,11 +3,20 @@ import math
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from gyrowheel import UnknownChannelError, bundled_scenario_path
+from gyrowheel import (
+    ScenarioError,
+    UnknownChannelError,
+    bundled_scenario_path,
+    scenario_from_mapping,
+)
 from gyrowheel.cli import emit_plot_data, main
 
 from conftest import make_balance_mapping
@@ -234,3 +243,139 @@ def test_run_non_finite_exit(tmp_path):
     assert report["final_time"] == report["terminal_event"]["time"]
     rows = (out / "trajectory.csv").read_text().splitlines()
     assert len(rows) == report["rows"] + 1
+
+
+def test_run_lean_leaving_open_interval_in_a_friction_step_topples(tmp_path):
+    # schema-valid; inside one friction step a stage lean leaves (0, pi)
+    path = tmp_path / "flat_stage.yaml"
+    path.write_text(
+        "name: flat_stage\n"
+        "kind: balance\n"
+        "t_end: 5.0\n"
+        "friction: {}\n"
+        "initial: {lean_offset: 0.1, alpha_dot: 1.0e-3}\n"
+        "thresholds: {alpha_dot_floor: 1.0e-9}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "toppled"
+    assert report["exit_code"] == 2
+    terminal = report["terminal_event"]
+    assert terminal["kind"] == "Toppled"
+    assert "outside (0, pi)" in terminal["detail"]
+    assert report["rows"] >= 1
+    assert report["final_time"] == terminal["time"]
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == report["rows"] + 1
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_zero_alpha_dot_floor_is_a_config_error(tmp_path, capsys, command):
+    path = tmp_path / "zero_floor.yaml"
+    path.write_text(
+        "name: zero_floor\n"
+        "kind: balance\n"
+        "t_end: 1.0\n"
+        "initial: {beta: 1.5707963267948966, alpha_dot: 0.0}\n"
+        "thresholds: {alpha_dot_floor: 0.0}\n"
+    )
+    out = tmp_path / "out"
+    argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 4
+    assert "thresholds: threshold alpha_dot_floor must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ------------------------------------------- exit-code contract, property form
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+def _signed(magnitudes):
+    return st.tuples(st.sampled_from((-1.0, 1.0)), magnitudes).map(lambda p: p[0] * p[1])
+
+
+@st.composite
+def _schema_valid_mappings(draw):
+    kind = draw(st.sampled_from(["balance", "point_to_point", "line", "corridor"]))
+    dt = draw(st.sampled_from([1e-3, 5e-3, 0.02]))
+    m = {
+        "name": "prop",
+        "kind": kind,
+        "dt": dt,
+        "t_end": draw(st.floats(dt, 0.3)),
+        "stop_on_converged": draw(st.booleans()),
+        "thresholds": {"alpha_dot_floor": draw(_log_uniform(-12.0, -1.0))},
+    }
+    up = math.pi / 2
+    if kind == "balance":
+        alpha_dot = draw(_signed(_log_uniform(-9.0, 0.5)))
+        if draw(st.booleans()):
+            m["initial"] = {
+                "lean_offset": draw(st.floats(-0.3, 0.3)),
+                "lean_rate": draw(st.floats(-0.5, 0.5)),
+                "lean_accel": draw(st.floats(-0.5, 0.5)),
+                "alpha_dot": alpha_dot,
+            }
+        else:
+            m["initial"] = {
+                "beta": up + draw(st.floats(-0.5, 0.5)),
+                "beta_dot": draw(st.floats(-0.5, 0.5)),
+                "gamma_dot": draw(st.floats(-3.0, 3.0)),
+                "alpha_dot": alpha_dot,
+            }
+        m["gains"] = {"k1": draw(st.floats(0.0, 3.0)), "k2": draw(st.floats(0.1, 3.0))}
+        if draw(st.booleans()):
+            m["friction"] = draw(st.sampled_from([{}, {"D": 0.01}, {"mu_v": [0.0, 0.0, 0.0]}]))
+        return m
+    m["initial"] = {
+        "x_a": draw(st.floats(-0.4, 0.4)),
+        "y_a": draw(st.floats(-0.4, 0.4)),
+        "alpha": draw(st.floats(-math.pi, math.pi)),
+        "beta": up + draw(st.floats(-0.35, 0.35)),
+        "beta_dot": draw(st.floats(-0.5, 0.5)),
+    }
+    k3 = draw(st.floats(2.05, 5.0))
+    gains = {"k3": k3}
+    if kind == "point_to_point":
+        m["target"] = {"x": draw(st.floats(-3.0, 3.0)), "y": draw(st.floats(-3.0, 3.0))}
+        gains["k4"] = (k3 - 1.0) * draw(st.floats(0.05, 0.95))
+    else:
+        legs = 1 if kind == "line" else draw(st.integers(1, 3))
+        points = [[0.0, 0.0]]
+        for _ in range(legs):
+            heading = draw(st.floats(-math.pi, math.pi))
+            length = draw(st.floats(0.05, 3.0))
+            x, y = points[-1]
+            points.append([x + length * math.cos(heading), y + length * math.sin(heading)])
+        m["waypoints"] = points
+        gains["k5"] = draw(st.floats(0.05, 3.0))
+    if draw(st.booleans()):
+        gains["hard_switching"] = True
+    else:
+        gains["k6"] = draw(_log_uniform(-1.0, 2.0))
+        gains["k7"] = draw(_log_uniform(-1.0, 2.0))
+    m["gains"] = gains
+    if draw(st.booleans()):
+        m["actuator_lag"] = draw(_log_uniform(-4.0, -0.5))
+    return m
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mapping=_schema_valid_mappings())
+def test_every_schema_valid_run_exits_in_contract_with_a_report(mapping):
+    try:
+        scenario_from_mapping(mapping)
+    except ScenarioError:
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp), "prop.yaml", mapping)
+        out = Path(tmp) / "out"
+        code = main(["run", str(path), "--out", str(out)])
+        assert code in (0, 1, 2, 3, 4)
+        report = json.loads((out / "report.json").read_text())
+        assert report["exit_code"] == code

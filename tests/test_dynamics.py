@@ -10,7 +10,6 @@ from gyrowheel import (
     FrictionParams,
     GeneralizedState,
     RobotParams,
-    TorqueInput,
     beta_jerk_coeffs,
     cancel_and_decouple,
     friction_torque,
@@ -19,8 +18,6 @@ from gyrowheel import (
     lean_accel,
     nonlinear_terms,
     recover_decoupled,
-    reduced_accel,
-    reduced_params,
 )
 from gyrowheel.dynamics import beta_jerk_coeffs_variant
 
@@ -64,16 +61,14 @@ def test_nonlinear_terms_upright_spinning(params):
 
 
 def test_reduced_params_values(params):
-    Gm, Im, Jm = reduced_params(params)
+    Gm, Im, Jm = params.reduced()
     assert Gm == pytest.approx(6.533333333333333, rel=1e-12)
     assert Im == pytest.approx(1.0, rel=1e-12)
     assert Jm == pytest.approx(1.3333333333333333, rel=1e-12)
 
 
 def test_reduced_accel_upright_spinning(params):
-    st_ = GeneralizedState(beta=math.pi / 2, alpha_dot=1.0, gamma_dot=2.0)
-    u5, bdd, u6 = reduced_accel(st_, 0.0, 0.0, params)
-    assert (u5, u6) == (0.0, 0.0)
+    bdd = lean_accel(math.pi / 2, 1.0, 2.0, params)
     assert bdd == pytest.approx(-8.0 / 3.0, rel=1e-12)
 
 
@@ -106,15 +101,18 @@ def test_cancellation_round_trip(params):
 
 
 def test_torque_layer_completion_is_consistent(params):
+    # motor torques plus the cancelled forces (N1, N3) are the cancelled
+    # layer, which is the steering/rolling inertia block times (u5, u6)
     rng = random.Random(7)
     for _ in range(50):
         st_ = _random_state(rng)
-        filled = TorqueInput.from_decoupled(1.3, -0.4).completed(st_, params)
-        back = TorqueInput.from_motor(filled.u1, filled.u2).completed(st_, params)
-        assert filled.u5 == pytest.approx(back.u5, abs=1e-10)
-        assert filled.u6 == pytest.approx(back.u6, abs=1e-10)
-        assert filled.u3 == pytest.approx(back.u3, abs=1e-10)
-        assert filled.u4 == pytest.approx(back.u4, abs=1e-10)
+        u1, u2 = cancel_and_decouple(1.3, -0.4, st_, params)
+        ent = inertia_matrix(st_, params)
+        n1, _, n3 = nonlinear_terms(st_, params)
+        assert u1 + n1 == pytest.approx(ent.M11 * 1.3 + ent.M13 * -0.4, abs=1e-10)
+        assert u2 + n3 == pytest.approx(ent.M13 * 1.3 + ent.M33 * -0.4, abs=1e-10)
+        u5, u6 = recover_decoupled(u1, u2, st_, params)
+        assert (u5, u6) == (pytest.approx(1.3, abs=1e-10), pytest.approx(-0.4, abs=1e-10))
 
 
 def test_decoupled_commands_realize_requested_accelerations(params):
@@ -186,7 +184,7 @@ def test_friction_only_dissipates(params):
 
 def test_pure_lean_dynamics_conserve_pendulum_energy(params):
     # with both rates zero the lean equation is a pendulum about the rim
-    Gm, _, _ = reduced_params(params)
+    Gm = params.Gm
     beta, beta_dot = math.pi / 2 + 0.4, 0.0
     e0 = 0.5 * beta_dot**2 + Gm * math.sin(beta)
     dt = 1e-3

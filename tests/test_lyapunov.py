@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gyrowheel import (
-    GeneralizedState,
-    LyapunovKind,
     balance_value,
     closed_form_alpha_dot,
     closed_form_beta,
@@ -15,7 +13,6 @@ from gyrowheel import (
     decay_monitor,
     lean_tracking_value,
     line_value,
-    lyapunov_value,
     position_value,
     sigma,
     steer_value,
@@ -45,28 +42,6 @@ def test_line_value_sums_distances():
     assert line_value(1.6, -0.2, 3.0, 4.0) == pytest.approx(
         base + 12.5, abs=1e-12
     )
-
-
-def test_lyapunov_value_dispatch():
-    st_ = GeneralizedState(beta=math.pi / 2 + 0.1, beta_dot=0.0, beta_ddot=0.0,
-                           alpha_dot=1.0)
-    assert lyapunov_value(LyapunovKind.BALANCE, st_) == pytest.approx(0.03)
-    expected = steer_value(0.03, 1.0)
-    assert lyapunov_value(LyapunovKind.BALANCE_STEER, st_) == pytest.approx(expected)
-    assert lyapunov_value(LyapunovKind.POSITION, st_, e=2.0) == pytest.approx(
-        position_value(st_.beta, 0.0, 2.0)
-    )
-    assert lyapunov_value(LyapunovKind.LINE, st_, e=1.0, d=2.0) == pytest.approx(
-        line_value(st_.beta, 0.0, 1.0, 2.0)
-    )
-
-
-def test_lyapunov_value_missing_distances():
-    st_ = GeneralizedState(beta=math.pi / 2)
-    with pytest.raises(ValueError):
-        lyapunov_value(LyapunovKind.POSITION, st_)
-    with pytest.raises(ValueError):
-        lyapunov_value(LyapunovKind.LINE, st_, e=1.0)
 
 
 @given(

@@ -242,6 +242,64 @@ class TestRejection:
             scenario_from_mapping([1, 2, 3])
 
 
+def _p2p_gains(**gains):
+    return _p2p_mapping(gains=gains)
+
+
+def _line_gains(**gains):
+    return _line_mapping(gains=gains)
+
+
+def _with(mapping, **over):
+    mapping.update(over)
+    return mapping
+
+
+# Exact texts, one fault per case; where a case has two faults, the text
+# names the one checked first. `gyrowheel batch` prints these verbatim.
+PINNED_ERRORS = {
+    "k1": (make_balance_mapping(k1=-0.5),
+           "gains.k1: constraint k1 >= 0 violated (got -0.5)"),
+    "k2": (make_balance_mapping(k2=0.0),
+           "gains.k2: constraint k2 > 0 violated (got 0.0)"),
+    "k1_before_k2": (make_balance_mapping(k1=-0.5, k2=0.0),
+                     "gains.k1: constraint k1 >= 0 violated (got -0.5)"),
+    "k3": (_p2p_gains(k3=1.5, k4=1.0),
+           "gains.k3: constraint k3 > 2 violated (got 1.5)"),
+    "k4": (_p2p_gains(k3=3.0, k4=2.5),
+           "gains.k4: constraint 0 < k4 < k3 - 1 violated (got 2.5)"),
+    "k5": (_line_gains(k3=3.0, k5=0.0),
+           "gains.k5: constraint k5 > 0 violated (got 0.0)"),
+    "k6": (_line_gains(k3=3.0, k5=1.0, k6=0.0),
+           "gains.k6: constraint k6 > 0 violated (got 0.0)"),
+    "k7": (_line_gains(k3=3.0, k5=1.0, k7=-1.0),
+           "gains.k7: constraint k7 > 0 violated (got -1.0)"),
+    "k6_before_k3": (_p2p_gains(k3=1.5, k4=1.0, k6=-2.0),
+                     "gains.k6: constraint k6 > 0 violated (got -2.0)"),
+    "dt": (_with(make_balance_mapping(), dt=0),
+           "dt: must be positive, got 0.0"),
+    "t_end": (_with(make_balance_mapping(), dt=0.01, t_end=0.005),
+              "t_end: must be at least dt, got 0.005"),
+    "lag": (_p2p_mapping(actuator_lag=-1),
+            "actuator_lag: must be non-negative, got -1.0"),
+    "lag_in_torque_mode": (_with(make_balance_mapping(), actuator_lag=0.1),
+                           "actuator_lag: applies to velocity (tracking) kinds only"),
+    "friction_in_velocity_mode": (
+        _p2p_mapping(friction={"D": 0.05}),
+        "friction: joint friction applies in torque mode (balance runs) only"),
+    "mode": (_p2p_mapping(mode="torque"),
+             "mode: kind 'point_to_point' runs in 'velocity' mode, got 'torque'"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_ERRORS)
+def test_error_text_is_pinned(case):
+    mapping, text = PINNED_ERRORS[case]
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_mapping(mapping)
+    assert str(exc.value) == text
+
+
 class TestFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="read"):

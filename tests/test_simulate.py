@@ -7,6 +7,7 @@ import pytest
 from gyrowheel import (
     ControlCommand,
     InadmissibleStateError,
+    LineGains,
     NonFiniteStateError,
     RobotParams,
     Thresholds,
@@ -21,7 +22,6 @@ from gyrowheel import (
     run_closed_loop,
     run_lean_subsystem,
     scenario_from_mapping,
-    step,
 )
 
 from conftest import make_balance_config, make_balance_mapping
@@ -124,10 +124,13 @@ def test_velocity_mode_reduces_torque_lean_dynamics(params):
         assert vel.x_a == pytest.approx(tq.x_a, abs=1e-12)
 
 
-def test_step_rejects_mode_mismatch():
+def test_config_mode_follows_kind():
     cfg = make_balance_config(t_end=1.0)
-    with pytest.raises(ValueError):
-        step(cfg.initial, ControlCommand("velocity", 0.0, 0.0), cfg)
+    assert cfg.mode == "torque"
+    assert replace(cfg, kind="line", gains=LineGains(),
+                   waypoints=((0.0, 0.0), (1.0, 0.0))).mode == "velocity"
+    with pytest.raises(AttributeError):
+        cfg.mode = "velocity"
 
 
 def test_non_finite_state_raises(params):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gyrowheel import hard_sign, hard_step, smooth_sign, smooth_step, switching
+from gyrowheel import hard_sign, hard_step, smooth_sign, smooth_step
 
 
 def test_hard_sign_zero_takes_upper_branch():
@@ -59,19 +59,3 @@ def test_smooth_converges_to_hard_away_from_zero():
     for x in (-0.5, 0.5, 2.0):
         assert smooth_sign(x, 200.0) == pytest.approx(hard_sign(x), abs=1e-12)
         assert smooth_step(x, 200.0) == pytest.approx(hard_step(x), abs=1e-12)
-
-
-def test_switching_dispatch():
-    assert switching(-2.0, "sgn") == -1.0
-    assert switching(-2.0, "theta") == 0.0
-    assert switching(0.3, "tanh", 20.0) == smooth_sign(0.3, 20.0)
-    assert switching(0.3, "uanh", 20.0) == smooth_step(0.3, 20.0)
-
-
-def test_switching_dispatch_rejects_bad_input():
-    with pytest.raises(ValueError):
-        switching(0.0, "tanh")
-    with pytest.raises(ValueError):
-        switching(0.0, "uanh", k=0.0)
-    with pytest.raises(ValueError):
-        switching(0.0, "nope")
