@@ -11,7 +11,12 @@ Exit codes are a stable contract:
 
 Outputs per run: ``trajectory.csv`` (or ``.json``), ``report.json``, and one
 ``plot_<channel>.csv`` per requested channel. All trajectory and plot files
-are bitwise deterministic for a given scenario.
+are bitwise deterministic for a given scenario. Every float in them is its
+shortest ``repr``, and ``trajectory.json`` is exactly
+``json.dumps(doc, indent=2, allow_nan=True)`` (non-finite values as the
+``NaN``/``Infinity``/``-Infinity`` literals). One output pass writes the
+trajectory and plot files of a run together, formatting each value once
+and streaming the rows in fixed-size chunks.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import json
 import math
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
 
@@ -61,16 +67,6 @@ def _header_cell(name: str) -> str:
     return f"{name} [{unit}]"
 
 
-def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
-    """Plain columnar text; floats via repr so repeat runs are bitwise identical."""
-    names = traj.names
-    cols = [traj.channels[n] for n in names]
-    lines = [",".join(_header_cell(n) for n in names)]
-    for i in range(traj.row_count):
-        lines.append(",".join(repr(col[i]) for col in cols))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _state_dict(state) -> dict:
     return {
         "alpha": state.alpha,
@@ -88,37 +84,115 @@ def _event_dict(ev: Event) -> dict:
     return {"kind": ev.kind, "time": ev.time, "detail": ev.detail}
 
 
-def write_trajectory_json(traj: Trajectory, path: Path) -> None:
-    doc = {
+# ------------------------------------------------------------- output pass
+#
+# One pass writes a run's trajectory file and its plot files. Each value is
+# formatted once, by _repr, and every file that shows it is written from
+# that one string; rows are joined in C and written _CHUNK_ROWS at a time,
+# so the strings held at once are one chunk's. trajectory.json is laid out
+# channel by channel, so there the t strings are held for the whole run:
+# every plot file pairs them with its channel.
+
+_CHUNK_ROWS = 1024
+_repr = repr  # the one formatting step: a float's shortest round-trip text
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_ITEM = ",\n      "  # between the items of a channel array in trajectory.json
+
+
+def _write_outputs(traj: Trajectory, trajectory, fmt: str, plot_channels, out_dir) -> list[Path]:
+    """Write ``trajectory`` (a path, or None for none) and plot_<channel>.csv files.
+
+    Raises UnknownChannelError, listing the valid names, before any file is
+    opened if a plot channel does not exist in this trajectory. Returns the
+    plot file paths in the requested order.
+    """
+    plot_channels = tuple(plot_channels)
+    for name in plot_channels:
+        traj.channel(name)
+    paths = [Path(out_dir) / f"plot_{name}.csv" for name in plot_channels]
+    with ExitStack() as stack:
+        out = stack.enter_context(open(trajectory, "w")) if trajectory is not None else None
+        plot_files = {}
+        for name, path in dict(zip(plot_channels, paths)).items():  # one file per channel
+            f = plot_files[name] = stack.enter_context(open(path, "w"))
+            f.write(f"{_header_cell('t')},{_header_cell(name)}\n")
+        if fmt == "json" and out is not None:
+            _json_pass(traj, out, plot_files)
+        else:
+            _csv_pass(traj, out, plot_files)
+    return paths
+
+
+def _write_rows(f, cols) -> None:
+    f.write("\n".join(map(",".join, zip(*cols))) + "\n")
+
+
+def _csv_pass(traj: Trajectory, out, plot_files: dict) -> None:
+    # "t" comes first in traj.names, and so in the formatted columns
+    names = traj.names if out is not None else tuple(dict.fromkeys(("t", *plot_files)))
+    cols = [traj.channels[n] for n in names]
+    pairs = [(f, names.index(n)) for n, f in plot_files.items()]
+    if out is not None:
+        out.write(",".join(map(_header_cell, names)) + "\n")
+    for start in range(0, traj.row_count, _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        strs = [list(map(_repr, col[start:stop])) for col in cols]
+        if out is not None:
+            _write_rows(out, strs)
+        for f, i in pairs:
+            _write_rows(f, (strs[0], strs[i]))
+
+
+def _json_pass(traj: Trajectory, out, plot_files: dict) -> None:
+    # byte for byte json.dumps(doc, indent=2, allow_nan=True): the small
+    # members go through json.dumps, the channel arrays are spliced in
+    head = json.dumps({
         "kind": traj.kind,
         "mode": traj.mode,
         "names": list(traj.names),
         "units": {n: CHANNEL_INFO[n][0] for n in traj.names},
-        "channels": {n: traj.channels[n] for n in traj.names},
+    }, indent=2, allow_nan=True)
+    tail = json.dumps({
         "events": [_event_dict(ev) for ev in traj.events],
         "final_state": _state_dict(traj.final_state) if traj.final_state else None,
-    }
-    path.write_text(json.dumps(doc, indent=2, allow_nan=True) + "\n")
+    }, indent=2, allow_nan=True)
+    rows = traj.row_count
+    times = list(map(_repr, traj.times))
+    out.write(head[:-2] + ',\n  "channels": {')
+    for k, name in enumerate(traj.names):
+        out.write(("," if k else "") + "\n    " + json.dumps(name) + ": [")
+        col = traj.channels[name]
+        f = plot_files.get(name)
+        for start in range(0, rows, _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            strs = times[start:stop] if name == "t" else list(map(_repr, col[start:stop]))
+            text = _JSON_ITEM.join(strs)
+            if "n" in text:  # nan, inf or -inf; no finite number's repr has an n
+                text = _JSON_ITEM.join([_JSON_NONFINITE.get(s, s) for s in strs])
+            out.write((_JSON_ITEM if start else "\n      ") + text)
+            if f is not None:
+                _write_rows(f, (times[start:stop], strs))
+        out.write("\n    ]" if rows else "]")
+    out.write("\n  }," + tail[1:] + "\n")
+
+
+def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
+    """Plain columnar text; floats via repr so repeat runs are bitwise identical."""
+    _write_outputs(traj, path, "csv", (), None)
+
+
+def write_trajectory_json(traj: Trajectory, path: Path) -> None:
+    """Exactly json.dumps(doc, indent=2, allow_nan=True) of the trajectory document."""
+    _write_outputs(traj, path, "json", (), None)
 
 
 def emit_plot_data(traj: Trajectory, channels, out_dir: Path) -> list[Path]:
     """One two-column (t, channel) csv per requested channel.
 
     Raises UnknownChannelError, listing the valid names, if a channel does
-    not exist in this trajectory.
+    not exist in this trajectory; no file is written then.
     """
-    out_dir = Path(out_dir)
-    paths = []
-    times = traj.times
-    for name in channels:
-        col = traj.channel(name)
-        lines = [f"{_header_cell('t')},{_header_cell(name)}"]
-        for i in range(traj.row_count):
-            lines.append(f"{times[i]!r},{col[i]!r}")
-        path = out_dir / f"plot_{name}.csv"
-        path.write_text("\n".join(lines) + "\n")
-        paths.append(path)
-    return paths
+    return _write_outputs(traj, None, "csv", channels, out_dir)
 
 
 def _status_and_exit(traj: Trajectory) -> tuple[str, int]:
@@ -231,11 +305,8 @@ def run_scenario(sc: Scenario, out_dir, fmt: str = "csv") -> tuple[int, dict]:
         return EXIT_INADMISSIBLE, report
     wall = time.perf_counter() - start
 
-    if fmt == "json":
-        write_trajectory_json(traj, out_dir / "trajectory.json")
-    else:
-        write_trajectory_csv(traj, out_dir / "trajectory.csv")
-    emit_plot_data(traj, sc.plot_channels, out_dir)
+    name = "trajectory.json" if fmt == "json" else "trajectory.csv"
+    _write_outputs(traj, out_dir / name, fmt, sc.plot_channels, out_dir)
 
     status, exit_code = _status_and_exit(traj)
     report = build_report(sc, traj, status, exit_code, wall)

@@ -259,7 +259,15 @@ def _parse_initial(data: dict, kind: str, params: RobotParams) -> WheelState:
                     "initial: alpha_dot must be nonzero (and beta away from 0, pi) "
                     "to realize the requested lean_accel"
                 )
-            gamma_dot = -(c + Gm * cb + Im * cb * sb * alpha_dot**2) / denom
+            try:
+                gamma_dot = -(c + Gm * cb + Im * cb * sb * alpha_dot**2) / denom
+            except OverflowError:
+                gamma_dot = math.inf
+            if not math.isfinite(gamma_dot):
+                raise ScenarioError(
+                    f"initial: alpha_dot = {alpha_dot!r} is too small or too large to "
+                    "realize the requested lean_accel with a finite gamma_dot"
+                )
         return WheelState(
             alpha=alpha, beta=beta, gamma=gamma,
             alpha_dot=alpha_dot, beta_dot=beta_dot, gamma_dot=gamma_dot,

@@ -3,9 +3,14 @@
 The closed-loop trajectories are session-scoped; several test modules
 inspect the same runs, and each run is deterministic, so there is no
 point integrating twice.
+
+pyproject.toml puts src/ on sys.path for the suite; PYTHONPATH is set here
+too, so that interpreters the tests start import the same checkout.
 """
 
 import math
+import os
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +20,11 @@ from gyrowheel import (
     parse_scenario,
     run_closed_loop,
     scenario_from_mapping,
+)
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
 )
 
 

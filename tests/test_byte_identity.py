@@ -3,7 +3,7 @@
 Float expression order is part of the output contract, so a change to the
 step kernel that keeps the mathematics but regroups an operation shows up
 here. Each bundled scenario runs through the CLI path at a 0.5 s horizon
-(trajectory CSV and plot files hashed); the friction and actuator-lag
+(trajectory CSV or JSON and plot files hashed); the friction and actuator-lag
 paths, which no bundled scenario reaches, run directly (channel repr bytes,
 events and final state hashed).
 """
@@ -25,6 +25,13 @@ CLI_DIGESTS = {
     "p2p_default": "74c9a49f1e0031187024690fbf3c1e6e9d52a1682934a0050acc29a4d7c7b104",
     "line_5m": "d3c051415715d1263f6cf49b53e70589a986a3503035b0ad84430a89748a38cf",
     "corridor_demo": "733f0ab91caaf7dc27091d961b3ac63e38a137b5c968cf89f29d14a6f795995d",
+}
+
+JSON_DIGESTS = {
+    "balance_default": "527a1f13f8d85db7538d42f730004b3cbcdf3c69837328c54b57c95c7dd6f057",
+    "p2p_default": "b70000a11dfc77ad1c3eb727217ff963b9c0622364ec2abffbcff339d2065a29",
+    "line_5m": "e27c92b70174494492cd007a85ac2b33bea87629306327a87fc72583dfbaca9a",
+    "corridor_demo": "13ccd83f613e248714bd32707501403b9aee5220b081eddffb4ca88029e1ab20",
 }
 
 DIRECT_DIGESTS = {
@@ -67,6 +74,14 @@ def test_bundled_scenario_files_are_byte_identical(name, tmp_path):
     sc = replace(sc, config=replace(sc.config, t_end=T_END))
     run_scenario(sc, tmp_path)
     assert _dir_digest(tmp_path) == CLI_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(JSON_DIGESTS))
+def test_bundled_scenario_json_files_are_byte_identical(name, tmp_path):
+    sc = parse_scenario(bundled_scenario_path(name))
+    sc = replace(sc, config=replace(sc.config, t_end=T_END))
+    run_scenario(sc, tmp_path, "json")
+    assert _dir_digest(tmp_path) == JSON_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(DIRECT_DIGESTS))

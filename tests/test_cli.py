@@ -211,6 +211,10 @@ def test_emit_plot_data_unknown_channel(balance_traj_5s, tmp_path):
         emit_plot_data(balance_traj_5s, ["bogus"], tmp_path)
     msg = str(exc.value)
     assert "bogus" in msg and "beta" in msg
+    # checked before any file is opened: no half-written plot set
+    with pytest.raises(UnknownChannelError):
+        emit_plot_data(balance_traj_5s, ["beta", "t", "bogus"], tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_console_entry_point_runs():
@@ -284,6 +288,28 @@ def test_zero_alpha_dot_floor_is_a_config_error(tmp_path, capsys, command):
     argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
     assert main(argv) == 4
     assert "thresholds: threshold alpha_dot_floor must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha_dot", ["1.0e-310", "1.0e+200"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_alpha_dot_without_a_finite_gamma_dot_is_a_config_error(tmp_path, capsys, command,
+                                                                alpha_dot):
+    # the balance lean form derives gamma_dot ~ 1/alpha_dot; tiny or huge alpha_dot overflows it
+    path = tmp_path / "extreme_alpha_dot.yaml"
+    path.write_text(
+        "name: extreme_alpha_dot\n"
+        "kind: balance\n"
+        "dt: 0.001\n"
+        "t_end: 0.1\n"
+        f"initial: {{lean_offset: 0.1, alpha_dot: {alpha_dot}}}\n"
+        "thresholds: {alpha_dot_floor: 1.0e-320}\n"
+    )
+    out = tmp_path / "out"
+    argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "initial: alpha_dot = " in err and "finite gamma_dot" in err
     assert not out.exists()
 
 

@@ -1,0 +1,186 @@
+"""The output pass against the row-wise writers it replaced.
+
+The oracles below are the earlier writers, kept verbatim: a row-wise CSV
+writer, json.dumps(doc, indent=2, allow_nan=True) for trajectory.json and a
+row-wise plot writer. The output pass must give their bytes for runs longer
+than two chunks whose length is not a multiple of the chunk size, with
+nan, inf and -inf in a channel, and for a 1-row non-finite run.
+"""
+
+import json
+import math
+import tracemalloc
+from dataclasses import replace
+
+import pytest
+
+from gyrowheel import bundled_scenario_path, parse_scenario, run_closed_loop
+from gyrowheel import cli
+from gyrowheel.simulate import CHANNEL_INFO
+
+CHUNK = cli._CHUNK_ROWS
+ROWS = 2 * CHUNK + 37
+NON_FINITE_YAML = (
+    "name: non_finite\n"
+    "kind: balance\n"
+    "dt: 0.001\n"
+    "t_end: 1.0\n"
+    "initial: {lean_offset: 0.05, alpha_dot: 1.0e-200}\n"
+    "thresholds: {alpha_dot_floor: 1.0e-300}\n"
+)
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def _header_cell(name):
+    return f"{name} [{CHANNEL_INFO[name][0]}]"
+
+
+def oracle_csv(traj):
+    names = traj.names
+    cols = [traj.channels[n] for n in names]
+    lines = [",".join(_header_cell(n) for n in names)]
+    for i in range(traj.row_count):
+        lines.append(",".join(repr(col[i]) for col in cols))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_json(traj):
+    doc = {
+        "kind": traj.kind,
+        "mode": traj.mode,
+        "names": list(traj.names),
+        "units": {n: CHANNEL_INFO[n][0] for n in traj.names},
+        "channels": {n: traj.channels[n] for n in traj.names},
+        "events": [{"kind": ev.kind, "time": ev.time, "detail": ev.detail} for ev in traj.events],
+        "final_state": cli._state_dict(traj.final_state) if traj.final_state else None,
+    }
+    return json.dumps(doc, indent=2, allow_nan=True) + "\n"
+
+
+def oracle_plot(traj, name):
+    times, col = traj.times, traj.channels[name]
+    lines = [f"{_header_cell('t')},{_header_cell(name)}"]
+    for i in range(traj.row_count):
+        lines.append(f"{times[i]!r},{col[i]!r}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_files(traj, fmt, plot_channels):
+    files = {f"plot_{n}.csv": oracle_plot(traj, n) for n in plot_channels}
+    if fmt == "json":
+        files["trajectory.json"] = oracle_json(traj)
+    else:
+        files["trajectory.csv"] = oracle_csv(traj)
+    return files
+
+
+def written_files(out_dir):
+    return {p.name: p.read_text() for p in out_dir.iterdir() if p.name != "report.json"}
+
+
+# ------------------------------------------------------------- fixtures
+
+
+def _long_scenario(name):
+    sc = parse_scenario(bundled_scenario_path(name))
+    cfg = replace(sc.config, t_end=(ROWS - 1) * sc.config.dt, stop_on_converged=False)
+    return replace(sc, config=cfg)
+
+
+@pytest.fixture(scope="module", params=["balance_default", "line_5m"])
+def long_run(request):
+    """A run of ROWS rows with nan, inf and -inf in a plot channel, across chunks."""
+    sc = _long_scenario(request.param)
+    traj = run_closed_loop(sc.config)
+    assert traj.row_count == ROWS and ROWS > 2 * CHUNK and ROWS % CHUNK
+    col = traj.channels[sc.plot_channels[-1]]
+    rows = (0, CHUNK - 1, CHUNK, 2 * CHUNK + 5, ROWS - 1)
+    values = (math.nan, math.inf, -math.inf, math.nan, -math.inf)
+    for i, v in zip(rows, values):
+        col[i] = v
+    return sc, traj
+
+
+def _run_with(monkeypatch, sc, traj, out_dir, fmt):
+    monkeypatch.setattr(cli, "run_closed_loop", lambda cfg: traj)
+    return cli.run_scenario(sc, out_dir, fmt)
+
+
+# ----------------------------------------------------------------- tests
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_run_files_match_the_row_wise_writers(long_run, fmt, tmp_path, monkeypatch):
+    sc, traj = long_run
+    _run_with(monkeypatch, sc, traj, tmp_path, fmt)
+    assert written_files(tmp_path) == oracle_files(traj, fmt, sc.plot_channels)
+
+
+def test_public_writers_match_the_row_wise_writers(long_run, tmp_path):
+    sc, traj = long_run
+    cli.write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    assert (tmp_path / "trajectory.csv").read_text() == oracle_csv(traj)
+    cli.write_trajectory_json(traj, tmp_path / "trajectory.json")
+    assert (tmp_path / "trajectory.json").read_text() == oracle_json(traj)
+    # a repeated channel and t itself as a plot channel
+    channels = (sc.plot_channels[-1], "t", sc.plot_channels[-1])
+    paths = cli.emit_plot_data(traj, channels, tmp_path)
+    assert paths == [tmp_path / f"plot_{n}.csv" for n in channels]
+    for name in channels:
+        assert (tmp_path / f"plot_{name}.csv").read_text() == oracle_plot(traj, name)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_one_row_non_finite_run_matches_the_row_wise_writers(fmt, tmp_path):
+    path = tmp_path / "non_finite.yaml"
+    path.write_text(NON_FINITE_YAML)
+    sc = parse_scenario(path)
+    traj = run_closed_loop(sc.config)
+    assert traj.row_count == 1
+    out = tmp_path / "out"
+    assert cli.run_scenario(sc, out, fmt)[0] == cli.EXIT_NO_CONVERGENCE
+    assert written_files(out) == oracle_files(traj, fmt, sc.plot_channels)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_each_value_is_formatted_once(fmt, tmp_path, monkeypatch):
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    sc = _long_scenario("p2p_default")
+    traj = run_closed_loop(sc.config)
+    assert len(sc.plot_channels) >= 2
+    monkeypatch.setattr(cli, "_repr", counting_repr)
+    _run_with(monkeypatch, sc, traj, tmp_path, fmt)
+    assert len(calls) == traj.row_count * len(traj.names)
+
+    calls.clear()
+    cli.emit_plot_data(traj, ("beta", "t", "beta", "V"), tmp_path)
+    assert len(calls) == traj.row_count * 3  # t, beta, V
+
+
+def _peak_bytes(write):
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_memory_is_bounded_by_a_chunk(tmp_path):
+    # four times the rows must not take four times the memory
+    sc = parse_scenario(bundled_scenario_path("balance_default"))
+    short = run_closed_loop(replace(sc.config, t_end=(2 * CHUNK - 1) * sc.config.dt))
+    long = run_closed_loop(replace(sc.config, t_end=(8 * CHUNK - 1) * sc.config.dt))
+    peaks = [
+        _peak_bytes(lambda: (cli.write_trajectory_csv(traj, tmp_path / "trajectory.csv"),
+                             cli.emit_plot_data(traj, sc.plot_channels, tmp_path)))
+        for traj in (short, long)
+    ]
+    assert peaks[1] < 1.5 * peaks[0]
