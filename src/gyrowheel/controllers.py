@@ -22,14 +22,22 @@ Hard geometric switching costs nothing here because those arguments are
 state measurements, not sliding surfaces the trajectory rides on, except in
 the line task where the induced drive duty-cycling is the intended
 discrete-time sliding behavior.
+
+Each law is written once, over plain floats, by a factory that binds the
+gains, the smoothing slopes, (Gm, Im, Jm) and, for balance, the latched
+sign. A controller builds its law at construction, so its command method
+takes only the floats the law reads and returns (steer, drive); the
+simulation loop calls it once per row. balance_control, position_control
+and line_control keep their state-object signatures and wrap the same laws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import cos, sin
 
-from .dynamics import GeneralizedState, beta_jerk_coeffs, lean_accel
+from .dynamics import GeneralizedState, _jerk_coeffs, lean_accel
 from .kinematics import ContactPoint, LineGeometry, PolarView, line_geometry, polar_view
 from .lyapunov import balance_value
 from .params import RobotParams
@@ -54,6 +62,8 @@ __all__ = [
 
 # Default steering-rate magnitude below which u6 is considered unbounded.
 DEFAULT_ALPHA_DOT_FLOOR = 1e-4
+
+_HALF_PI = math.pi / 2.0
 
 
 class SingularSteeringError(RuntimeError):
@@ -140,6 +150,30 @@ def sigma(a: float, b: float, c: float) -> float:
     )
 
 
+def _balance_law(gains: BalanceGains, sign0: float, params: RobotParams):
+    """Balance law over plain floats, gains, sign0 and (Gm, Im, Jm) bound.
+
+    Returns law(beta, alpha_dot, beta_dot, gamma_dot, beta_ddot, V) -> (u5, u6).
+    """
+    k2 = gains.k2
+    c0, c1 = 2.0 + gains.k1, 3.0 + 2.0 * gains.k1
+    Gm, Im, Jm = params.Gm, params.Im, params.Jm
+
+    def law(beta, alpha_dot, beta_dot, gamma_dot, beta_ddot, V):
+        x = beta - _HALF_PI
+        u5 = -(alpha_dot - sign0 * (k2 * V) ** 0.25)
+        h1, h2, h3 = _jerk_coeffs(beta, alpha_dot, gamma_dot, Gm, Im, Jm)
+        if h3 == 0.0:
+            raise SingularSteeringError(
+                "steering rate is zero: rolling-channel gain h3 vanished"
+            )
+        target_jerk = c0 * x + c1 * beta_dot + c0 * beta_ddot
+        u6 = -(target_jerk + h1 * beta_dot + h2 * u5) / h3
+        return (u5, u6)
+
+    return law
+
+
 def balance_control(
     state: GeneralizedState,
     gains: BalanceGains,
@@ -155,40 +189,48 @@ def balance_control(
     natural lean jerk and imposes the stable linear one; it requires the
     cached beta_ddot and a nonzero steering rate (h3 != 0).
     """
-    k1, k2 = gains.k1, gains.k2
-    x = state.beta - math.pi / 2.0
-    bd = state.beta_dot
     bdd = state.beta_ddot
     if bdd is None:
         bdd = lean_accel(state.beta, state.alpha_dot, state.gamma_dot, params)
-    u5 = -(state.alpha_dot - sign0 * (k2 * V) ** 0.25)
-    h1, h2, h3 = beta_jerk_coeffs(state, params)
-    if h3 == 0.0:
-        raise SingularSteeringError(
-            "steering rate is zero: rolling-channel gain h3 vanished"
-        )
-    target_jerk = (2.0 + k1) * x + (3.0 + 2.0 * k1) * bd + (2.0 + k1) * bdd
-    u6 = -(target_jerk + h1 * bd + h2 * u5) / h3
-    return (u5, u6)
+    return _balance_law(gains, sign0, params)(
+        state.beta, state.alpha_dot, state.beta_dot, state.gamma_dot, bdd, V
+    )
 
 
-def _lean_switch(s_lean: float, smoothing: Smoothing | None) -> float:
-    if smoothing is None:
-        return hard_sign(s_lean)
-    return smooth_sign(s_lean, smoothing.k6)
-
-
-def _drive_floor(s_lean: float, beta: float, k3: float, params: RobotParams) -> float:
+def _drive_floor(k3: float, params: RobotParams):
     """Minimum drive magnitude u_k that keeps the lean certificate decreasing.
 
     Dominates the worst-case gravity and centrifugal push f1 plus a margin
     proportional to the lean error. Divides by sin(beta), positive on the
-    open lean domain.
+    open lean domain. Returns drive_floor(s_lean, beta) with k3 and
+    (Gm, Im, Jm) bound.
     """
-    Gm, Im, Jm = params.reduced()
-    sb, cb = math.sin(beta), math.cos(beta)
-    f1 = abs(Gm * cb + Im * cb * sb * k3 * k3)
-    return (2.0 * abs(s_lean) + f1) / (Jm * sb * k3)
+    Gm, Im, Jm = params.Gm, params.Im, params.Jm
+
+    def drive_floor(s_lean, beta):
+        sb, cb = sin(beta), cos(beta)
+        f1 = abs(Gm * cb + Im * cb * sb * k3 * k3)
+        return (2.0 * abs(s_lean) + f1) / (Jm * sb * k3)
+
+    return drive_floor
+
+
+def _position_law(gains: PositionGains, params: RobotParams):
+    """Point-to-point law over plain floats: law(beta, beta_dot, e, psi) -> (u_alpha, u_gamma)."""
+    k3, k4 = gains.k3, gains.k4
+    k6 = None if gains.smoothing is None else gains.smoothing.k6
+    drive_floor = _drive_floor(k3, params)
+
+    def law(beta, beta_dot, e, psi):
+        s_lean = (beta - _HALF_PI) + beta_dot
+        side = hard_sign(cos(psi))
+        u_k = drive_floor(s_lean, beta)
+        lean = hard_sign(s_lean) if k6 is None else smooth_sign(s_lean, k6)
+        u_alpha = -k3 * side * lean
+        u_gamma = -(k4 * e + u_k) * side
+        return (u_alpha, u_gamma)
+
+    return law
 
 
 def position_control(
@@ -202,12 +244,34 @@ def position_control(
     feedback once psi settles, so scenario authoring must aim the initial
     transient (see the aiming study script).
     """
-    s_lean = (state.beta - math.pi / 2.0) + state.beta_dot
-    side = hard_sign(math.cos(pv.psi))
-    u_k = _drive_floor(s_lean, state.beta, gains.k3, params)
-    u_alpha = -gains.k3 * side * _lean_switch(s_lean, gains.smoothing)
-    u_gamma = -(gains.k4 * pv.e + u_k) * side
-    return (u_alpha, u_gamma)
+    return _position_law(gains, params)(state.beta, state.beta_dot, pv.e, pv.psi)
+
+
+def _line_law(gains: LineGains, params: RobotParams):
+    """Line-tracking law over plain floats.
+
+    Returns law(alpha, beta, beta_dot, theta, phi, p) -> (u_alpha, u_gamma).
+    """
+    k3, k5 = gains.k3, gains.k5
+    k6 = k7 = None
+    if gains.smoothing is not None:
+        k6, k7 = gains.smoothing.k6, gains.smoothing.k7
+    drive_floor = _drive_floor(k3, params)
+
+    def law(alpha, beta, beta_dot, theta, phi, p):
+        s_lean = (beta - _HALF_PI) + beta_dot
+        s = hard_sign(sin(phi - alpha) * sin(phi - theta))
+        u_k = drive_floor(s_lean, beta)
+        if k7 is None:
+            f2 = k5 * hard_step(p * s)
+        else:
+            f2 = k5 * smooth_step(p * s, k7)
+        lean = hard_sign(s_lean) if k6 is None else smooth_sign(s_lean, k6)
+        u_alpha = -k3 * s * lean
+        u_gamma = -(f2 + u_k) * s
+        return (u_alpha, u_gamma)
+
+    return law
 
 
 def line_control(
@@ -220,20 +284,13 @@ def line_control(
     sliding regime along the line; the drive adds k5 through a step in the
     overshoot projection p so the wheel brakes once past the segment end.
     """
-    s_lean = (state.beta - math.pi / 2.0) + state.beta_dot
-    s = hard_sign(math.sin(lg.phi - state.alpha) * math.sin(lg.phi - lg.theta))
-    u_k = _drive_floor(s_lean, state.beta, gains.k3, params)
-    if gains.smoothing is None:
-        f2 = gains.k5 * hard_step(lg.p * s)
-    else:
-        f2 = gains.k5 * smooth_step(lg.p * s, gains.smoothing.k7)
-    u_alpha = -gains.k3 * s * _lean_switch(s_lean, gains.smoothing)
-    u_gamma = -(f2 + u_k) * s
-    return (u_alpha, u_gamma)
+    return _line_law(gains, params)(
+        state.alpha, state.beta, state.beta_dot, lg.theta, lg.phi, lg.p
+    )
 
 
 class BalanceController:
-    """Stateful wrapper binding gains, the latched steering sign, and the floor."""
+    """Balance controller: gains, the latched steering sign and the floor bound once."""
 
     kind = "balance"
 
@@ -248,6 +305,7 @@ class BalanceController:
         self.params = params
         self.sign0 = hard_sign(alpha_dot0)
         self.alpha_dot_floor = alpha_dot_floor
+        self._law = _balance_law(gains, self.sign0, params)
 
     def certificate(self, state: GeneralizedState) -> float:
         bdd = state.beta_ddot
@@ -255,16 +313,22 @@ class BalanceController:
             bdd = lean_accel(state.beta, state.alpha_dot, state.gamma_dot, self.params)
         return balance_value(state.beta, state.beta_dot, bdd, self.gains.k1)
 
-    def command(self, state: GeneralizedState, V: float | None = None) -> tuple[float, float]:
-        """Balance command at `state`; V is its certificate, if the caller has it."""
-        if abs(state.alpha_dot) < self.alpha_dot_floor:
+    def command(
+        self,
+        beta: float,
+        alpha_dot: float,
+        beta_dot: float,
+        gamma_dot: float,
+        beta_ddot: float,
+        V: float,
+    ) -> tuple[float, float]:
+        """Balance command (u5, u6); V is the certificate at the same lean data."""
+        if abs(alpha_dot) < self.alpha_dot_floor:
             raise SingularSteeringError(
-                f"|alpha_dot| = {abs(state.alpha_dot):.3e} below floor "
+                f"|alpha_dot| = {abs(alpha_dot):.3e} below floor "
                 f"{self.alpha_dot_floor:.3e}"
             )
-        if V is None:
-            V = self.certificate(state)
-        return balance_control(state, self.gains, V, self.sign0, self.params)
+        return self._law(beta, alpha_dot, beta_dot, gamma_dot, beta_ddot, V)
 
 
 class PositionController:
@@ -281,17 +345,14 @@ class PositionController:
         self.gains = gains
         self.params = params
         self.target = (float(target[0]), float(target[1]))
+        self._law = _position_law(gains, params)
 
     def view(self, state: GeneralizedState, contact: ContactPoint) -> PolarView:
         return polar_view(contact, state.alpha, self.target)
 
-    def command(
-        self, state: GeneralizedState, contact: ContactPoint, view: PolarView | None = None
-    ) -> tuple[float, float]:
-        """Rate command at `state`; view is its polar view, if the caller has it."""
-        if view is None:
-            view = self.view(state, contact)
-        return position_control(state, view, self.gains, self.params)
+    def command(self, beta: float, beta_dot: float, e: float, psi: float) -> tuple[float, float]:
+        """Rate command (u_alpha, u_gamma); e, psi come from the target's polar chart."""
+        return self._law(beta, beta_dot, e, psi)
 
 
 class LineController:
@@ -314,6 +375,7 @@ class LineController:
         self.gains = gains
         self.params = params
         self.waypoints = tuple((float(x), float(y)) for x, y in waypoints)
+        self._law = _line_law(gains, params)
 
     @property
     def segment_count(self) -> int:
@@ -328,13 +390,7 @@ class LineController:
         )
 
     def command(
-        self,
-        state: GeneralizedState,
-        contact: ContactPoint,
-        segment: int = 0,
-        geometry: LineGeometry | None = None,
+        self, alpha: float, beta: float, beta_dot: float, theta: float, phi: float, p: float
     ) -> tuple[float, float]:
-        """Rate command at `state`; geometry is its segment geometry, if the caller has it."""
-        if geometry is None:
-            geometry = self.geometry(state, contact, segment)
-        return line_control(state, geometry, self.gains, self.params)
+        """Rate command (u_alpha, u_gamma); theta, phi, p come from the segment's line chart."""
+        return self._law(alpha, beta, beta_dot, theta, phi, p)

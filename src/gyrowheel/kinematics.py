@@ -11,12 +11,20 @@ pure heading motion,
 which is what makes A the natural point for all tracking geometry. The
 error-polar chart (e, theta, psi) expresses A relative to a target point;
 the line chart expresses A relative to a directed segment.
+
+Each chart is written once, over plain floats: polar_chart binds its target
+and line_chart binds its segment, with the segment's length ell and bearing
+phi computed once, and each returns a function of (x_a, y_a, alpha). The
+simulation loop builds one polar chart per run and one line chart per
+segment it reaches. polar_view and line_geometry wrap the same charts and
+return the PolarView and LineGeometry records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import atan2, cos, hypot, sin
 
 from .dynamics import GeneralizedState
 from .params import RobotParams
@@ -30,8 +38,10 @@ __all__ = [
     "rolling_velocity",
     "contact_point",
     "contact_velocity",
+    "polar_chart",
     "polar_view",
     "polar_rates",
+    "line_chart",
     "line_geometry",
 ]
 
@@ -143,17 +153,27 @@ def contact_velocity(
     return (v * math.cos(alpha), v * math.sin(alpha))
 
 
+def polar_chart(target: tuple[float, float] = (0.0, 0.0)):
+    """Error-polar chart about a target: chart(x_a, y_a, alpha) -> (e, theta, psi)."""
+    tx, ty = target[0], target[1]
+
+    def chart(x_a, y_a, alpha):
+        dx = x_a - tx
+        dy = y_a - ty
+        e = hypot(dx, dy)
+        if e < EPS_DISTANCE:
+            return (0.0, wrap_to_pi(alpha), 0.0)
+        theta = atan2(dy, dx)
+        return (e, theta, wrap_to_pi(theta - alpha))
+
+    return chart
+
+
 def polar_view(
     a: ContactPoint, alpha: float, target: tuple[float, float] = (0.0, 0.0)
 ) -> PolarView:
     """Error-polar chart of the contact point about a target point."""
-    dx = a.x_a - target[0]
-    dy = a.y_a - target[1]
-    e = math.hypot(dx, dy)
-    if e < EPS_DISTANCE:
-        return PolarView(e=0.0, theta=wrap_to_pi(alpha), psi=0.0)
-    theta = math.atan2(dy, dx)
-    return PolarView(e=e, theta=theta, psi=wrap_to_pi(theta - alpha))
+    return PolarView(*polar_chart(target)(a.x_a, a.y_a, alpha))
 
 
 def polar_rates(
@@ -172,6 +192,35 @@ def polar_rates(
     return (e_dot, psi_dot)
 
 
+def line_chart(origin: tuple[float, float], end: tuple[float, float]):
+    """Line chart of the directed segment origin -> end.
+
+    Returns chart(x_a, y_a, alpha) -> (r, e, d, theta, phi, p, ell), the
+    LineGeometry fields in order. Raises DegenerateLineError when the
+    endpoints coincide.
+    """
+    ox, oy = origin[0], origin[1]
+    sx, sy = end[0], end[1]
+    ex = sx - ox
+    ey = sy - oy
+    ell = hypot(ex, ey)
+    if ell < EPS_RADIUS:
+        raise DegenerateLineError(f"segment endpoints {origin} and {end} coincide")
+    phi = atan2(ey, ex)
+
+    def chart(x_a, y_a, alpha):
+        rx = x_a - ox
+        ry = y_a - oy
+        r = hypot(rx, ry)
+        theta = atan2(ry, rx) if r > EPS_RADIUS else phi
+        e = r * abs(sin(phi - theta))
+        d = hypot(x_a - sx, y_a - sy)
+        p = r * cos(theta - alpha) - ell * cos(phi - alpha)
+        return (r, e, d, theta, phi, p, ell)
+
+    return chart
+
+
 def line_geometry(
     a: ContactPoint,
     alpha: float,
@@ -184,19 +233,4 @@ def line_geometry(
     pass a different origin rather than re-basing coordinates. Raises
     DegenerateLineError when the segment endpoints coincide.
     """
-    ex = second_point[0] - origin[0]
-    ey = second_point[1] - origin[1]
-    ell = math.hypot(ex, ey)
-    if ell < EPS_RADIUS:
-        raise DegenerateLineError(
-            f"segment endpoints {origin} and {second_point} coincide"
-        )
-    phi = math.atan2(ey, ex)
-    rx = a.x_a - origin[0]
-    ry = a.y_a - origin[1]
-    r = math.hypot(rx, ry)
-    theta = math.atan2(ry, rx) if r > EPS_RADIUS else phi
-    e = r * abs(math.sin(phi - theta))
-    d = math.hypot(a.x_a - second_point[0], a.y_a - second_point[1])
-    p = r * math.cos(theta - alpha) - ell * math.cos(phi - alpha)
-    return LineGeometry(r=r, e=e, d=d, theta=theta, phi=phi, p=p, ell=ell)
+    return LineGeometry(*line_chart(origin, second_point)(a.x_a, a.y_a, alpha))

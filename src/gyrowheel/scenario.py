@@ -244,6 +244,13 @@ def _parse_initial(data: dict, kind: str, params: RobotParams) -> WheelState:
             beta = _num(block, "beta", "initial")
             beta_dot = _opt_num(block, "beta_dot", "initial")
             gamma_dot = _opt_num(block, "gamma_dot", "initial")
+            try:
+                alpha_dot**2  # the lean dynamics square the steering rate
+            except OverflowError:
+                raise ScenarioError(
+                    f"initial.alpha_dot: {alpha_dot!r} is too large: the lean "
+                    "acceleration squares it beyond the float range"
+                ) from None
         else:
             a = _opt_num(block, "lean_offset", "initial")
             b = _opt_num(block, "lean_rate", "initial")

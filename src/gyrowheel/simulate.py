@@ -13,15 +13,19 @@ Two modes, four right-hand sides:
   integrated state is (angles, lean rate, contact point) plus, under lag,
   the filtered rates.
 
-The kernel is single-pass. Each right-hand side has one RK4 stepper,
-unrolled over plain floats with the run's constants bound once, and
-rk4_step wraps the same steppers. run_closed_loop keeps the state in local
-floats and computes each per-row quantity once: the lean acceleration (also
-the first RK4 stage of the next step), the balance certificate (also the
-balance law's input), and the polar view or line geometry (shared by the
-segment advance, the command, the certificate and the convergence test).
-Rows go straight into the trajectory columns. The loop and detect_events
-fire events through the same predicate functions.
+The kernel is single-pass and builds no object per row. Each right-hand
+side has one RK4 stepper, unrolled over plain floats with the run's
+constants bound once, and rk4_step wraps the same steppers. The controller
+binds its gains and (Gm, Im, Jm) at construction; the polar chart binds the
+target once per run and each line chart binds its segment's length and
+bearing once, when the corridor first reaches it. run_closed_loop keeps the
+state in local floats and computes each per-row quantity once: the lean
+acceleration (also the first RK4 stage of the next step), the balance
+certificate (also the balance law's input), and the chart's coordinates
+(shared by the segment advance, the command, the certificate and the
+convergence test). It calls the controller's command once per row, with
+plain floats. Rows go straight into the trajectory columns. The loop and
+detect_events fire events through the same predicate functions.
 
 Commands are held constant across each RK4 step (zero-order hold), computed
 from the state at the step start. Every step boundary emits one trajectory
@@ -57,7 +61,9 @@ from .controllers import (
     sigma,
 )
 from .dynamics import DegenerateLeanError, GeneralizedState, _require_open_lean, lean_accel
-from .kinematics import EPS_DISTANCE, ContactPoint, LineGeometry, line_geometry, polar_view
+from .kinematics import (
+    EPS_DISTANCE, ContactPoint, line_chart, line_geometry, polar_chart, polar_view,
+)
 from .lyapunov import balance_value, lean_tracking_value
 from .params import FrictionParams, RobotParams
 
@@ -687,10 +693,10 @@ def _target_converged(thr: Thresholds, e: float) -> str | None:
     return None
 
 
-def _line_converged(thr: Thresholds, lg: LineGeometry) -> str | None:
+def _line_converged(thr: Thresholds, d: float, e: float) -> str | None:
     """Only the last segment can converge the run; callers check the segment."""
-    if lg.d < thr.distance and lg.e < thr.line_offset:
-        return f"d = {lg.d:.4f} m and line distance e = {lg.e:.4f} m within thresholds"
+    if d < thr.distance and e < thr.line_offset:
+        return f"d = {d:.4f} m and line distance e = {e:.4f} m within thresholds"
     return None
 
 
@@ -712,10 +718,9 @@ def detect_events(state: WheelState, cfg: SimConfig, t: float = 0.0, segment: in
             thr, polar_view(state.contact(), state.alpha, cfg.target).e
         )
     elif segment == len(cfg.waypoints) - 2:
-        detail = _line_converged(
-            thr, line_geometry(state.contact(), state.alpha, cfg.waypoints[segment + 1],
-                               origin=cfg.waypoints[segment]),
-        )
+        lg = line_geometry(state.contact(), state.alpha, cfg.waypoints[segment + 1],
+                           origin=cfg.waypoints[segment])
+        detail = _line_converged(thr, lg.d, lg.e)
     else:
         detail = None
     if detail is not None:
@@ -752,9 +757,9 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
     torque, lag = cfg.mode == "torque", cfg.actuator_lag > 0.0
     Gm, Im, Jm = params.Gm, params.Im, params.Jm
     k1 = cfg.gains.k1 if balance else 0.0
-    target = getattr(controller, "target", None)
     waypoints = getattr(controller, "waypoints", ())
     last_segment = len(waypoints) - 2
+    advance_radius = thr.advance_radius
     nan = math.nan
 
     traj = Trajectory(kind, cfg.mode)
@@ -781,6 +786,10 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
         advance = _velocity_stepper(params, dt)
 
     segment = 0
+    if p2p:
+        chart = polar_chart(controller.target)
+    elif not balance:  # one line chart per segment reached
+        chart = line_chart(waypoints[0], waypoints[1])
     converged_seen = False
     for i in range(n + 1):
         t = i * dt
@@ -789,27 +798,25 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
             stop = _singular_event(t, ad, thr)
         if balance:
             V = balance_value(b, bd, bdd, k1)
+        elif p2p:
+            e, theta, psi = chart(xa, ya, a)
         else:
-            contact = ContactPoint(xa, ya)
-            if p2p:
-                geo = polar_view(contact, a, target)
-            else:
-                geo = line_geometry(contact, a, waypoints[segment + 1], waypoints[segment])
-                # advance the corridor before the command for this row
-                if stop is None and segment < last_segment and geo.d < thr.advance_radius:
-                    segment += 1
-                    geo = line_geometry(contact, a, waypoints[segment + 1], waypoints[segment])
+            r, e, d, theta, phi, p, ell = chart(xa, ya, a)
+            # advance the corridor, at most one segment, before the command for this row
+            if stop is None and segment < last_segment and d < advance_radius:
+                segment += 1
+                chart = line_chart(waypoints[segment], waypoints[segment + 1])
+                r, e, d, theta, phi, p, ell = chart(xa, ya, a)
 
         if stop is not None:
             us = ud = nan
         elif balance:
-            us, ud = command(WheelState(a, b, g, ad, bd, gd, bdd, xa, ya), V)
+            us, ud = command(b, ad, bd, gd, bdd, V)
         else:
-            state = WheelState(a, b, g, ad, bd, gd, None, xa, ya)
             if p2p:
-                us, ud = command(state, contact, geo)
+                us, ud = command(b, bd, e, psi)
             else:
-                us, ud = command(state, contact, segment, geo)
+                us, ud = command(a, b, bd, theta, phi, p)
             if not lag:  # the commanded rates act at once
                 ad, gd = us, ud
         if not torque:  # lean acceleration under the rates in effect for this row
@@ -833,16 +840,16 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
         else:
             v1 = lean_tracking_value(b, bd)
             if p2p:
-                put_V(v1 + 0.5 * geo.e**2)
+                put_V(v1 + 0.5 * e**2)
                 put_V1(v1)
-                put_e(geo.e)
-                put_psi(geo.psi)
+                put_e(e)
+                put_psi(psi)
             else:
-                put_V(v1 + 0.5 * (geo.e**2 + geo.d**2))
+                put_V(v1 + 0.5 * (e**2 + d**2))
                 put_V1(v1)
-                put_e(geo.e)
-                put_d(geo.d)
-                put_p(geo.p)
+                put_e(e)
+                put_d(d)
+                put_p(p)
                 put_segment(float(segment))
 
         if stop is not None:
@@ -852,9 +859,9 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
             if balance:
                 detail = _balance_converged(thr, b, bd, ad, gd)
             elif p2p:
-                detail = _target_converged(thr, geo.e)
+                detail = _target_converged(thr, e)
             else:
-                detail = _line_converged(thr, geo) if segment == last_segment else None
+                detail = _line_converged(thr, d, e) if segment == last_segment else None
             if detail is not None:
                 converged_seen = True
                 events.append(Event("Converged", t, detail))

@@ -4,8 +4,9 @@ Float expression order is part of the output contract, so a change to the
 step kernel that keeps the mathematics but regroups an operation shows up
 here. Each bundled scenario runs through the CLI path at a 0.5 s horizon
 (trajectory CSV or JSON and plot files hashed); the friction and actuator-lag
-paths, which no bundled scenario reaches, run directly (channel repr bytes,
-events and final state hashed).
+paths, and the control paths no bundled scenario reaches (hard switching, a
+corridor advancing on consecutive rows, a converged stop, k1 != 1), run
+directly (channel repr bytes, events and final state hashed).
 """
 
 import hashlib
@@ -13,7 +14,14 @@ from dataclasses import replace
 
 import pytest
 
-from gyrowheel import bundled_scenario_path, parse_scenario, run_closed_loop, scenario_from_mapping
+from gyrowheel import (
+    LineGains,
+    PositionGains,
+    bundled_scenario_path,
+    parse_scenario,
+    run_closed_loop,
+    scenario_from_mapping,
+)
 from gyrowheel.cli import run_scenario
 
 from conftest import make_balance_mapping
@@ -37,6 +45,14 @@ JSON_DIGESTS = {
 DIRECT_DIGESTS = {
     "balance_friction": "fb31309a1790aa64687f733f2d8832408aaa155e638b90550d5b494db50fab6c",
     "line_lag": "87d1fb8cf5963d4b4e253f26a805bdf4d4bd66a7ec24e58091e83788f9537c3d",
+}
+
+CONTROL_DIGESTS = {
+    "balance_k1": "1372ac4f31842d82f3e6612c40e2db735d0b81c01ebd38c3ab7306166c5a0feb",
+    "corridor_short_segment": "e0c5b8c5d5b1bda9be4e81cd0398198943dd14cfc295c6246409c7df60a99eb2",
+    "line_converged": "8c669566b868f0f142011983c524d9dbed37aa830d7fc0330b266eb58cd107ab",
+    "line_hard": "c11c1d20beb287da1c9d03c84725563bb8056709e38b3ec02265e7ca605e1c38",
+    "p2p_hard": "a34cfe948a51b9ea6abef60a913d4dfdff390a2fa9839a2f3b0b2ccea8bbb73f",
 }
 
 
@@ -89,3 +105,38 @@ def test_friction_and_lag_channels_are_byte_identical(name):
     traj = run_closed_loop(_direct_config(name))
     assert traj.row_count == round(T_END / 1e-3) + 1
     assert _traj_digest(traj) == DIRECT_DIGESTS[name]
+
+
+def _control_config(name):
+    if name == "balance_k1":
+        return scenario_from_mapping(make_balance_mapping(t_end=T_END, k1=2.5)).config
+    if name == "p2p_hard":
+        cfg = parse_scenario(bundled_scenario_path("p2p_default")).config
+        return replace(cfg, t_end=T_END, gains=PositionGains(k3=3.0, k4=1.0))
+    cfg = parse_scenario(bundled_scenario_path("line_5m")).config
+    if name == "line_hard":
+        return replace(cfg, t_end=T_END, gains=LineGains(k3=3.0, k5=1.5))
+    if name == "line_converged":
+        return replace(cfg, t_end=1.0, waypoints=((0.0, 0.0), (0.3, 0.0)))
+    # the middle segment (0.022 m) is shorter than the advance radius and
+    # points back, so the corridor could advance twice in one row
+    return replace(
+        cfg, kind="corridor", t_end=T_END,
+        waypoints=((0.0, 0.0), (0.3, 0.0), (0.28, 0.01), (2.0, 0.5)),
+        thresholds=replace(cfg.thresholds, advance_radius=0.05),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CONTROL_DIGESTS))
+def test_control_paths_are_byte_identical(name):
+    traj = run_closed_loop(_control_config(name))
+    if name == "line_converged":
+        assert traj.terminal_event.kind == "Converged"
+        assert traj.row_count < 1001
+    else:
+        assert traj.events == []
+        assert traj.row_count == round(T_END / 1e-3) + 1
+    if name == "corridor_short_segment":
+        seg = traj.channels["segment"]
+        assert [i for i in range(1, len(seg)) if seg[i] != seg[i - 1]] == [401, 402]
+    assert _traj_digest(traj) == CONTROL_DIGESTS[name]

@@ -313,6 +313,24 @@ def test_alpha_dot_without_a_finite_gamma_dot_is_a_config_error(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_raw_alpha_dot_whose_square_overflows_is_a_config_error(tmp_path, capsys, command):
+    # the raw form takes alpha_dot as given; the lean acceleration squares it
+    path = tmp_path / "huge_alpha_dot.yaml"
+    path.write_text(
+        "name: huge_alpha_dot\n"
+        "kind: balance\n"
+        "dt: 0.001\n"
+        "t_end: 0.1\n"
+        "initial: {beta: 1.6, alpha_dot: 1.0e+200}\n"
+    )
+    out = tmp_path / "out"
+    argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 4
+    assert "initial.alpha_dot: 1e+200 is too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------- exit-code contract, property form
 
 

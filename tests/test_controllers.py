@@ -36,6 +36,14 @@ def _upright(alpha_dot=1.0, **kw):
     return GeneralizedState(beta=math.pi / 2, alpha_dot=alpha_dot, **kw)
 
 
+def _balance_command(ctl, st):
+    """BalanceController.command at a state, with the lean acceleration and V filled in."""
+    bdd = st.beta_ddot
+    if bdd is None:
+        bdd = lean_accel(st.beta, st.alpha_dot, st.gamma_dot, ctl.params)
+    return ctl.command(st.beta, st.alpha_dot, st.beta_dot, st.gamma_dot, bdd, ctl.certificate(st))
+
+
 class TestBalanceControl:
     def test_upright_rest_pure_steer_decay(self, params):
         st = _upright(beta_ddot=0.0)
@@ -98,24 +106,24 @@ class TestBalanceController:
     def test_sign_latched_at_construction(self, params):
         ctl = BalanceController(BalanceGains(), params, alpha_dot0=-2.0)
         # the state's current sign is positive, but the latch stays negative
-        u5, _ = ctl.command(_upright(alpha_dot=1.0, beta_ddot=0.0))
+        u5, _ = _balance_command(ctl, _upright(alpha_dot=1.0, beta_ddot=0.0))
         assert u5 == pytest.approx(-1.0, abs=1e-12)
         ctl_pos = BalanceController(BalanceGains(), params, alpha_dot0=2.0)
-        u5_pos, _ = ctl_pos.command(_upright(alpha_dot=1.0, beta_ddot=0.0))
+        u5_pos, _ = _balance_command(ctl_pos, _upright(alpha_dot=1.0, beta_ddot=0.0))
         assert u5_pos == pytest.approx(-1.0, abs=1e-12)
         # with a nonzero certificate the branches separate
         st = GeneralizedState(beta=math.pi / 2 + 0.05, alpha_dot=1.0)
-        assert ctl.command(st)[0] < ctl_pos.command(st)[0]
+        assert _balance_command(ctl, st)[0] < _balance_command(ctl_pos, st)[0]
 
     def test_floor_guard(self, params):
         ctl = BalanceController(BalanceGains(), params, alpha_dot0=1.0)
         with pytest.raises(SingularSteeringError):
-            ctl.command(_upright(alpha_dot=5e-5, beta_ddot=0.0))
+            _balance_command(ctl, _upright(alpha_dot=5e-5, beta_ddot=0.0))
         raised = BalanceController(
             BalanceGains(), params, alpha_dot0=1.0, alpha_dot_floor=0.01
         )
         with pytest.raises(SingularSteeringError):
-            raised.command(_upright(alpha_dot=5e-3, beta_ddot=0.0))
+            _balance_command(raised, _upright(alpha_dot=5e-3, beta_ddot=0.0))
 
     def test_certificate_fills_missing_lean_accel(self, params):
         ctl = BalanceController(BalanceGains(), params, alpha_dot0=1.0)
@@ -312,7 +320,7 @@ class TestControllerWrappers:
         pv = ctl.view(st, ContactPoint(x_a=3.0, y_a=0.0))
         assert pv.e == pytest.approx(4.0, abs=1e-12)
         direct = position_control(st, pv, ctl.gains, params)
-        assert ctl.command(st, ContactPoint(x_a=3.0, y_a=0.0)) == direct
+        assert ctl.command(st.beta, st.beta_dot, pv.e, pv.psi) == direct
 
     def test_line_controller_segments(self, params):
         ctl = LineController(
