@@ -15,8 +15,10 @@ are bitwise deterministic for a given scenario. Every float in them is its
 shortest ``repr``, and ``trajectory.json`` is exactly
 ``json.dumps(doc, indent=2, allow_nan=True)`` (non-finite values as the
 ``NaN``/``Infinity``/``-Infinity`` literals). One output pass writes the
-trajectory and plot files of a run together, formatting each value once
-and streaming the rows in fixed-size chunks.
+trajectory and plot files of a run together, formatting each distinct value
+once (a column holding an earlier column's float objects reuses its text)
+and streaming the rows in fixed-size chunks. Scenario files are read with
+libyaml when it is present; every error text is the pure-Python loader's.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import sys
 import time
 from contextlib import ExitStack
 from dataclasses import replace
+from itertools import compress, repeat
+from operator import is_
 from pathlib import Path
 
 from .lyapunov import decay_monitor
@@ -86,12 +90,18 @@ def _event_dict(ev: Event) -> dict:
 
 # ------------------------------------------------------------- output pass
 #
-# One pass writes a run's trajectory file and its plot files. Each value is
-# formatted once, by _repr, and every file that shows it is written from
-# that one string; rows are joined in C and written _CHUNK_ROWS at a time,
-# so the strings held at once are one chunk's. trajectory.json is laid out
-# channel by channel, so there the t strings are held for the whole run:
-# every plot file pairs them with its channel.
+# One pass writes a run's trajectory file and its plot files. Each distinct
+# value is formatted once, by _repr, and every file that shows it is written
+# from that one string: a column chunk holding the same float objects as an
+# earlier column's chunk reuses that column's strings (identity, not ==,
+# because -0.0 == 0.0 but their reprs differ), and a chunk whose values are
+# all one object is formatted once. Rows are joined in C and written
+# _CHUNK_ROWS at a time, so the strings held at once are one chunk's.
+# trajectory.json is laid out channel by channel, so there what a later
+# column shows is held for the whole pass: t's strings when there are plot
+# files (every plot file pairs them with its channel), and the joined text of
+# a chunk that a later column aliases (its strings too if that column has a
+# plot file).
 
 _CHUNK_ROWS = 1024
 _repr = repr  # the one formatting step: a float's shortest round-trip text
@@ -127,6 +137,24 @@ def _write_rows(f, cols) -> None:
     f.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
+def _alias(chunks: list, k: int) -> int:
+    """Index of the first chunk holding the same objects as chunks[k] (k itself if none)."""
+    chunk = chunks[k]
+    first = chunk[0]
+    for j in range(k):
+        other = chunks[j]
+        if other[0] is first and all(map(is_, chunk, other)):
+            return j
+    return k
+
+
+def _format(chunk: list) -> list[str]:
+    first = chunk[0]
+    if all(map(is_, chunk, repeat(first))):
+        return [_repr(first)] * len(chunk)
+    return list(map(_repr, chunk))
+
+
 def _csv_pass(traj: Trajectory, out, plot_files: dict) -> None:
     # "t" comes first in traj.names, and so in the formatted columns
     names = traj.names if out is not None else tuple(dict.fromkeys(("t", *plot_files)))
@@ -135,8 +163,11 @@ def _csv_pass(traj: Trajectory, out, plot_files: dict) -> None:
     if out is not None:
         out.write(",".join(map(_header_cell, names)) + "\n")
     for start in range(0, traj.row_count, _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        strs = [list(map(_repr, col[start:stop])) for col in cols]
+        chunks = [col[start:start + _CHUNK_ROWS] for col in cols]
+        strs = []
+        for k, chunk in enumerate(chunks):
+            j = _alias(chunks, k)
+            strs.append(strs[j] if j < k else _format(chunk))
         if out is not None:
             _write_rows(out, strs)
         for f, i in pairs:
@@ -156,23 +187,43 @@ def _json_pass(traj: Trajectory, out, plot_files: dict) -> None:
         "events": [_event_dict(ev) for ev in traj.events],
         "final_state": _state_dict(traj.final_state) if traj.final_state else None,
     }, indent=2, allow_nan=True)
-    rows = traj.row_count
-    times = list(map(_repr, traj.times))
+    cols = [traj.channels[n] for n in traj.names]
+    starts = range(0, traj.row_count, _CHUNK_ROWS)
+    # aliases[c][k]: the column whose text column k shows in chunk c
+    aliases = []
+    for start in starts:
+        chunks = [col[start:start + _CHUNK_ROWS] for col in cols]
+        aliases.append([_alias(chunks, k) for k in range(len(chunks))])
+    # (j, c) -> whether a later column that shows chunk c of column j has a plot file
+    shown = {}
+    for c, row in enumerate(aliases):
+        for k, j in enumerate(row):
+            if j < k:
+                shown[j, c] = shown.get((j, c), False) or traj.names[k] in plot_files
+    held = {}  # (j, c) -> (text, the strings if a plot file needs them)
+    times = []  # t's strings per chunk, when there are plot files
     out.write(head[:-2] + ',\n  "channels": {')
     for k, name in enumerate(traj.names):
         out.write(("," if k else "") + "\n    " + json.dumps(name) + ": [")
-        col = traj.channels[name]
+        col = cols[k]
         f = plot_files.get(name)
-        for start in range(0, rows, _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            strs = times[start:stop] if name == "t" else list(map(_repr, col[start:stop]))
-            text = _JSON_ITEM.join(strs)
-            if "n" in text:  # nan, inf or -inf; no finite number's repr has an n
-                text = _JSON_ITEM.join([_JSON_NONFINITE.get(s, s) for s in strs])
+        for c, start in enumerate(starts):
+            j = aliases[c][k]
+            if j < k:
+                text, strs = held[j, c]
+            else:
+                strs = _format(col[start:start + _CHUNK_ROWS])
+                text = _JSON_ITEM.join(strs)
+                if "n" in text:  # nan, inf or -inf; no finite number's repr has an n
+                    text = _JSON_ITEM.join([_JSON_NONFINITE.get(s, s) for s in strs])
+                if (k, c) in shown:
+                    held[k, c] = (text, strs if shown[k, c] else None)
+            if k == 0 and plot_files:  # "t" comes first in traj.names
+                times.append(strs)
             out.write((_JSON_ITEM if start else "\n      ") + text)
             if f is not None:
-                _write_rows(f, (times[start:stop], strs))
-        out.write("\n    ]" if rows else "]")
+                _write_rows(f, (times[c], strs))
+        out.write("\n    ]" if starts else "]")
     out.write("\n  }," + tail[1:] + "\n")
 
 
@@ -238,14 +289,13 @@ def _decay_summary(traj: Trajectory) -> dict | None:
     values = traj.channels.get(name)
     if not values:
         return None
-    finite_t, finite_v = [], []
-    for t, v in zip(traj.times, values):
-        if math.isfinite(v):
-            finite_t.append(t)
-            finite_v.append(v)
-    if not finite_v:
-        return None
-    report = decay_monitor(finite_t, finite_v)
+    times = traj.times
+    if not all(map(math.isfinite, values)):  # fit the finite samples only
+        finite = list(map(math.isfinite, values))
+        times, values = list(compress(times, finite)), list(compress(values, finite))
+        if not values:
+            return None
+    report = decay_monitor(times, values)
     summary = report.summary()
     summary["channel"] = name
     return summary

@@ -21,7 +21,9 @@ Certificates:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, compress, islice, repeat
+from operator import gt, mul, sub
 from typing import Sequence
 
 __all__ = [
@@ -173,18 +175,19 @@ def decay_monitor(
         raise ValueError("times and values must have equal length")
     if not times:
         raise ValueError("empty trajectory")
-    max_inc = -math.inf
-    violations = []
-    for i in range(1, len(values)):
-        inc = values[i] - values[i - 1]
-        if inc > max_inc:
-            max_inc = inc
-        if inc > tolerance:
-            violations.append(times[i])
+    # the increases values[i] - values[i - 1]; max skips a NaN one, as `inc > max_inc` does
+    max_inc = max(chain((-math.inf,), map(sub, islice(values, 1, None), values)))
     if len(values) == 1:
         max_inc = 0.0
-    ts = [t for t, v in zip(times, values) if v > rate_floor]
-    logs = [math.log(v) for v in values if v > rate_floor]
+    violations = []
+    if max_inc > tolerance:  # then, and only then, some increase exceeds the tolerance
+        incs = map(sub, islice(values, 1, None), values)
+        violations = list(compress(islice(times, 1, None), map(gt, incs, repeat(tolerance))))
+    if all(map(gt, values, repeat(rate_floor))):
+        ts, logs = times, list(map(math.log, values))
+    else:
+        above = list(map(gt, values, repeat(rate_floor)))
+        ts, logs = list(compress(times, above)), list(map(math.log, compress(values, above)))
     fitted = _slope(ts, logs) if len(ts) >= 2 else None
     return DecayReport(
         values=tuple(values),
@@ -200,8 +203,9 @@ def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     n = float(len(xs))
     mx = sum(xs) / n
     my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
+    dx = list(map(sub, xs, repeat(mx)))  # x - mx
+    sxx = sum(map(pow, dx, repeat(2.0)))  # (x - mx) ** 2, which is pow(x - mx, 2.0) too
     if sxx == 0.0:
         raise ValueError("cannot fit a rate to a single time point")
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxy = sum(map(mul, dx, map(sub, ys, repeat(my))))  # (x - mx) * (y - my)
     return sxy / sxx

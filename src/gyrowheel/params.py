@@ -8,6 +8,7 @@ parameters below feed every dynamics evaluation in the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -40,13 +41,23 @@ class RobotParams:
         for name in ("m", "R", "Ix", "g"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        try:
+            mR2 = self.m * self.R**2
+        except OverflowError:
+            mR2 = math.inf
         if self.M22 is None:
-            object.__setattr__(self, "M22", self.Ix + self.m * self.R**2)
+            object.__setattr__(self, "M22", self.Ix + mR2)
         elif self.M22 <= 0.0:
             raise ValueError(f"M22 must be positive, got {self.M22}")
         object.__setattr__(self, "Gm", self.m * self.g * self.R / self.M22)
-        object.__setattr__(self, "Im", (self.Ix + self.m * self.R**2) / self.M22)
-        object.__setattr__(self, "Jm", (2.0 * self.Ix + self.m * self.R**2) / self.M22)
+        object.__setattr__(self, "Im", (self.Ix + mR2) / self.M22)
+        object.__setattr__(self, "Jm", (2.0 * self.Ix + mR2) / self.M22)
+        if not all(map(math.isfinite, (self.M22, self.Gm, self.Im, self.Jm))):
+            raise ValueError(
+                f"the lean inertia M22 and the reduced coefficients Gm, Im, Jm must be "
+                f"finite; m = {self.m}, R = {self.R}, Ix = {self.Ix}, g = {self.g} "
+                f"give {self.M22}, {self.Gm}, {self.Im}, {self.Jm}"
+            )
 
     def reduced(self) -> tuple[float, float, float]:
         """Return (Gm, Im, Jm)."""

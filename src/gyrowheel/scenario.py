@@ -2,8 +2,10 @@
 
 The schema is deliberately rigid. Unknown keys are rejected at every level
 and gain constraints fail at parse time, so a typo'd experiment dies with a
-diagnostic instead of silently running something else. parse and serialize
-round-trip exactly: every number passes through untouched.
+diagnostic instead of silently running something else. Every number must
+be finite: .inf, .nan and integers beyond the float range fail at parse time
+with the key named. parse and serialize round-trip exactly: every number
+passes through untouched.
 
 Top-level keys::
 
@@ -35,6 +37,7 @@ alpha) with optional beta, beta_dot, gamma.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -109,15 +112,25 @@ def _require_mapping(value, where: str) -> dict:
     return value
 
 
+def _number(value, where: str) -> float:
+    """The float of a YAML number; a non-number or a non-finite one fails at `where`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where}: expected a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ScenarioError(f"{where}: expected a finite number, got {value!r}")
+    return out
+
+
 def _num(block: dict, key: str, where: str, default=None) -> float:
     if key not in block:
         if default is None:
             raise ScenarioError(f"{where}: missing required key {key!r}")
         return default
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}")
-    return float(value)
+    return _number(block[key], f"{where}.{key}")
 
 def _opt_num(block: dict, key: str, where: str, default: float = 0.0) -> float:
     return _num(block, key, where, default=default)
@@ -136,12 +149,7 @@ def _triple(block: dict, key: str, where: str) -> tuple[float, float, float]:
     value = block.get(key)
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ScenarioError(f"{where}.{key}: expected a list of three numbers")
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ScenarioError(f"{where}.{key}[{i}]: expected a number, got {item!r}")
-        out.append(float(item))
-    return tuple(out)
+    return tuple(_number(item, f"{where}.{key}[{i}]") for i, item in enumerate(value))
 
 
 def _point(value, where: str) -> tuple[float, float]:
@@ -149,12 +157,7 @@ def _point(value, where: str) -> tuple[float, float]:
         _check_keys(value, ("x", "y"), where)
         return (_num(value, "x", where), _num(value, "y", where))
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        out = []
-        for i, item in enumerate(value):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ScenarioError(f"{where}[{i}]: expected a number, got {item!r}")
-            out.append(float(item))
-        return tuple(out)
+        return tuple(_number(item, f"{where}[{i}]") for i, item in enumerate(value))
     raise ScenarioError(f"{where}: expected {{x, y}} or [x, y]")
 
 
@@ -425,6 +428,29 @@ def scenario_from_mapping(data: dict, default_name: str = "scenario") -> Scenari
     )
 
 
+_FAST_LOADER = getattr(yaml, "CSafeLoader", None)  # libyaml, when PyYAML was built with it
+# libyaml accepts some text that PyYAML's pure-Python scanner refuses, or
+# reads it differently: a tab after a value, an empty "!" node, a block
+# scalar header followed by "#", a "?" inside a flow-style key. No scenario
+# needs these, so text with a tab, a tag, a block scalar indicator, a "?" or
+# a character outside printable ASCII goes to the pure-Python loader.
+_PURE_ONLY = re.compile(r"[^\n\r -~]|[!|>?]")
+
+
+def _load(text: str):
+    """yaml.safe_load(text), parsed by libyaml where the two loaders agree.
+
+    libyaml words its errors differently, so text it refuses is parsed again
+    by the pure-Python loader, which raises the error yaml.safe_load would.
+    """
+    if _FAST_LOADER is not None and not _PURE_ONLY.search(text):
+        try:
+            return yaml.load(text, Loader=_FAST_LOADER)
+        except yaml.YAMLError:
+            pass
+    return yaml.safe_load(text)
+
+
 def parse_scenario(path) -> Scenario:
     """Load and validate one scenario file."""
     p = Path(path)
@@ -433,7 +459,7 @@ def parse_scenario(path) -> Scenario:
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {p}: {exc}") from None
     try:
-        data = yaml.safe_load(text)
+        data = _load(text)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{p}: malformed scenario file: {exc}") from None
     if data is None:

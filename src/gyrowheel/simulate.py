@@ -235,10 +235,17 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        for name in ("dt", "t_end", "actuator_lag"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
         if self.dt <= 0.0:
             raise ValueError(f"dt: must be positive, got {self.dt}")
         if self.t_end < self.dt:
             raise ValueError(f"t_end: must be at least dt, got {self.t_end}")
+        if not isfinite(self.t_end / self.dt):
+            raise ValueError(
+                f"t_end: t_end / dt = {self.t_end} / {self.dt} is beyond the float range"
+            )
         expected_gains = {
             "balance": BalanceGains,
             "point_to_point": PositionGains,
@@ -466,7 +473,7 @@ def _friction_stepper(params: RobotParams, friction: FrictionParams, dt: float):
             ))
         except DegenerateLeanError:
             raise
-        except (ValueError, OverflowError):
+        except (ValueError, OverflowError, ZeroDivisionError):  # M_rho can underflow to 0
             raise _nonfinite() from None
 
     return step
@@ -786,6 +793,7 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
         advance = _velocity_stepper(params, dt)
 
     segment = 0
+    segment_value = 0.0  # one float object per segment, so the writers format it once
     if p2p:
         chart = polar_chart(controller.target)
     elif not balance:  # one line chart per segment reached
@@ -805,6 +813,7 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
             # advance the corridor, at most one segment, before the command for this row
             if stop is None and segment < last_segment and d < advance_radius:
                 segment += 1
+                segment_value = float(segment)
                 chart = line_chart(waypoints[segment], waypoints[segment + 1])
                 r, e, d, theta, phi, p, ell = chart(xa, ya, a)
 
@@ -819,9 +828,16 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
                 us, ud = command(a, b, bd, theta, phi, p)
             if not lag:  # the commanded rates act at once
                 ad, gd = us, ud
-        if not torque:  # lean acceleration under the rates in effect for this row
-            sb, cb = sin(b), cos(b)
-            bdd = -Gm * cb - Im * cb * sb * ad**2 - Jm * sb * ad * gd
+        try:
+            if not torque:  # lean acceleration under the rates in effect for this row
+                sb, cb = sin(b), cos(b)
+                bdd = -Gm * cb - Im * cb * sb * ad**2 - Jm * sb * ad * gd
+            if not balance:
+                v1 = lean_tracking_value(b, bd)
+                V = v1 + 0.5 * e**2 if p2p else v1 + 0.5 * (e**2 + d**2)
+        except OverflowError:  # a finite rate or distance whose square is not
+            events.append(Event("NonFinite", t, "a value of this row is beyond the float range"))
+            break
 
         put_t(t)
         put_a(a)
@@ -835,22 +851,16 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
         put_ya(ya)
         put_us(us)
         put_ud(ud)
-        if balance:
-            put_V(V)
-        else:
-            v1 = lean_tracking_value(b, bd)
+        put_V(V)
+        if not balance:
+            put_V1(v1)
+            put_e(e)
             if p2p:
-                put_V(v1 + 0.5 * e**2)
-                put_V1(v1)
-                put_e(e)
                 put_psi(psi)
             else:
-                put_V(v1 + 0.5 * (e**2 + d**2))
-                put_V1(v1)
-                put_e(e)
                 put_d(d)
                 put_p(p)
-                put_segment(float(segment))
+                put_segment(segment_value)
 
         if stop is not None:
             events.append(stop)

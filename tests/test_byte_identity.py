@@ -3,13 +3,15 @@
 Float expression order is part of the output contract, so a change to the
 step kernel that keeps the mathematics but regroups an operation shows up
 here. Each bundled scenario runs through the CLI path at a 0.5 s horizon
-(trajectory CSV or JSON and plot files hashed); the friction and actuator-lag
-paths, and the control paths no bundled scenario reaches (hard switching, a
-corridor advancing on consecutive rows, a converged stop, k1 != 1), run
-directly (channel repr bytes, events and final state hashed).
+(trajectory CSV or JSON and plot files hashed, and report.json without its
+wall time, which carries the certificate decay fit); the friction and
+actuator-lag paths, and the control paths no bundled scenario reaches (hard
+switching, a corridor advancing on consecutive rows, a converged stop,
+k1 != 1), run directly (channel repr bytes, events and final state hashed).
 """
 
 import hashlib
+import re
 from dataclasses import replace
 
 import pytest
@@ -40,6 +42,14 @@ JSON_DIGESTS = {
     "p2p_default": "b70000a11dfc77ad1c3eb727217ff963b9c0622364ec2abffbcff339d2065a29",
     "line_5m": "e27c92b70174494492cd007a85ac2b33bea87629306327a87fc72583dfbaca9a",
     "corridor_demo": "13ccd83f613e248714bd32707501403b9aee5220b081eddffb4ca88029e1ab20",
+}
+
+# report.json without its wall_time_s line (the only timing field)
+REPORT_DIGESTS = {
+    "balance_default": "8378015a4dd26afd23c2755c1807049361e9bd9166f6080fa7ddb4ced4f9b321",
+    "corridor_demo": "1780dd78dcad04ed3fc8f5cc6b163340bf857e3944f471ff1d3198677ee3be4e",
+    "line_5m": "e56099a22f5a8f45c1e2fa079c21535e79b2511c9d82a50348d6b1dc22020a95",
+    "p2p_default": "1bc713bab465bfe2eb0177740d6e6ee1f2daa83de7c4a374f7ac22ceec2b820b",
 }
 
 DIRECT_DIGESTS = {
@@ -98,6 +108,17 @@ def test_bundled_scenario_json_files_are_byte_identical(name, tmp_path):
     sc = replace(sc, config=replace(sc.config, t_end=T_END))
     run_scenario(sc, tmp_path, "json")
     assert _dir_digest(tmp_path) == JSON_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_bundled_scenario_reports_are_byte_identical(name, tmp_path):
+    sc = parse_scenario(bundled_scenario_path(name))
+    sc = replace(sc, config=replace(sc.config, t_end=T_END))
+    run_scenario(sc, tmp_path)
+    data = (tmp_path / "report.json").read_bytes()
+    timed = re.compile(rb'\n  "wall_time_s": [^\n]*')
+    assert len(timed.findall(data)) == 1
+    assert hashlib.sha256(timed.sub(b"", data)).hexdigest() == REPORT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(DIRECT_DIGESTS))

@@ -1,5 +1,9 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -12,11 +16,17 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gyrowheel import (
+    FrictionParams,
+    RobotParams,
     ScenarioError,
+    Thresholds,
     UnknownChannelError,
     bundled_scenario_path,
+    decay_monitor,
+    run_closed_loop,
     scenario_from_mapping,
 )
+from gyrowheel import cli
 from gyrowheel.cli import emit_plot_data, main
 
 from conftest import make_balance_mapping
@@ -331,6 +341,91 @@ def test_raw_alpha_dot_whose_square_overflows_is_a_config_error(tmp_path, capsys
     assert not out.exists()
 
 
+_NON_FINITE_FILES = {
+    # a line file whose heading is infinite: once a math domain error in the chart
+    "line_alpha_inf": (
+        "kind: line\nt_end: 0.1\ninitial: {x_a: 0.0, y_a: 0.0, alpha: .inf}\n"
+        "waypoints: [[0.0, 0.0], [1.0, 0.0]]\n",
+        "initial.alpha: expected a finite number, got inf",
+    ),
+    # an infinite horizon: once an OverflowError counting the steps
+    "t_end_inf": (
+        "kind: balance\nt_end: .inf\ninitial: {beta: 1.6, alpha_dot: 1.0}\n",
+        "scenario.t_end: expected a finite number, got inf",
+    ),
+    # a NaN steering rate: once a NonFinite event at t = 0, exit 1
+    "alpha_dot_nan": (
+        "kind: balance\nt_end: 0.1\ninitial: {beta: 1.6, alpha_dot: .nan}\n",
+        "initial.alpha_dot: expected a finite number, got nan",
+    ),
+    "waypoint_minus_inf": (
+        "kind: line\nt_end: 0.1\ninitial: {x_a: 0.0, y_a: 0.0, alpha: 0.0}\n"
+        "waypoints: [[0.0, 0.0], [1.0, -.inf]]\n",
+        "waypoints[1][1]: expected a finite number, got -inf",
+    ),
+    "friction_nan": (
+        "kind: balance\nt_end: 0.1\ninitial: {beta: 1.6, alpha_dot: 1.0}\n"
+        "friction: {mu_v: [0.0, .nan, 0.0]}\n",
+        "friction.mu_v[1]: expected a finite number, got nan",
+    ),
+    "integer_beyond_floats": (
+        "kind: balance\nt_end: 1" + "0" * 400 + "\ninitial: {beta: 1.6, alpha_dot: 1.0}\n",
+        "scenario.t_end: expected a finite number, got 1" + "0" * 400,
+    ),
+    "steps_beyond_floats": (
+        "kind: balance\ndt: 1.0e-300\nt_end: 1.0e+300\ninitial: {beta: 1.6, alpha_dot: 1.0}\n",
+        "t_end: t_end / dt = 1e+300 / 1e-300 is beyond the float range",
+    ),
+    "params_beyond_floats": (
+        "kind: balance\nt_end: 0.1\nparams: {R: 1.0e+200}\n"
+        "initial: {beta: 1.6, alpha_dot: 1.0}\n",
+        "params: the lean inertia M22 and the reduced coefficients Gm, Im, Jm must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_FINITE_FILES))
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_numbers_beyond_the_float_range_are_config_errors(tmp_path, capsys, command, name):
+    text, message = _NON_FINITE_FILES[name]
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 4
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    (["--t-end", "inf"], "error: t_end: must be finite, got inf"),
+    (["--dt", "nan"], "error: dt: must be finite, got nan"),
+    (["--dt", "1e-320"], "error: t_end: t_end / dt = 20.0 / 1e-320 is beyond the float range"),
+])
+def test_non_finite_overrides_are_config_errors(tmp_path, capsys, override, message):
+    out = tmp_path / "out"
+    argv = ["run", str(bundled_scenario_path("balance_default")), "--out", str(out)]
+    assert main(argv + override) == 4
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_distance_whose_square_overflows_ends_non_finite(tmp_path):
+    # finite, schema-valid, but e**2 in the certificate is beyond the float range
+    path = tmp_path / "far.yaml"
+    path.write_text(
+        "kind: point_to_point\nt_end: 0.1\n"
+        "initial: {x_a: 0.0, y_a: -1.0e+300, alpha: 0.0}\ntarget: {x: 0.0, y: 0.0}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "non_finite" and report["rows"] == 0
+    assert report["terminal_event"] == {
+        "kind": "NonFinite", "time": 0.0, "detail": "a value of this row is beyond the float range",
+    }
+
+
 # ------------------------------------------- exit-code contract, property form
 
 
@@ -423,3 +518,136 @@ def test_every_schema_valid_run_exits_in_contract_with_a_report(mapping):
         assert code in (0, 1, 2, 3, 4)
         report = json.loads((out / "report.json").read_text())
         assert report["exit_code"] == code
+
+
+# ------------------------------ exit-code contract, extreme numbers, property form
+
+# the float limits and numbers beyond them: a 400-digit YAML integer does
+# not fit a float
+_BEYOND = (math.inf, -math.inf, math.nan, 10**400, -(10**400))
+_NEAR_LIMIT = (
+    sys.float_info.max, -sys.float_info.max, 1e300, -1e300,
+    sys.float_info.min, -sys.float_info.min, 5e-324, -5e-324,
+)
+_SHORT_RUN_ROWS = 2000  # a run is started only when it has at most this many rows
+
+
+def _with_every_numeric_key(m):
+    """The mapping with each optional numeric key it can take: defaults, rate limits 1e3."""
+    m = copy.deepcopy(m)
+    p = RobotParams()
+    m["params"] = {"m": p.m, "R": p.R, "Ix": p.Ix, "g": p.g, "M22": p.M22}
+    defaults = Thresholds()
+    m["thresholds"] = {
+        **{k: getattr(defaults, k) for k in defaults.__dataclass_fields__}, **m["thresholds"],
+    }
+    m.setdefault("actuator_lag", 0.0)
+    for key in ("alpha", "gamma", "x_a", "y_a") if m["kind"] == "balance" else ("gamma",):
+        m["initial"].setdefault(key, 0.0)
+    if "friction" in m:
+        f = FrictionParams()
+        m["friction"] = {"mu_v": list(f.mu_v), "mu_d": list(f.mu_d), "mu_s": list(f.mu_s),
+                         "D": f.D}
+    if m["kind"] != "balance":
+        m["rate_limits"] = {"alpha_dot_max": 1e3, "gamma_dot_max": 1e3}
+    return m
+
+
+def _numeric_paths(node, path=()):
+    """The key path of every number in a mapping, list indices included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _numeric_paths(value, path + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,)
+
+
+def _key_text(path):
+    """The key as a ScenarioError names it: scenario.dt, initial.alpha, waypoints[1][0]."""
+    if len(path) == 1:
+        return f"scenario.{path[0]}"
+    text = path[0]
+    for key in path[1:]:
+        text += f"[{key}]" if isinstance(key, int) else f".{key}"
+    return text
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_extreme_numbers_are_refused_or_run_in_contract(data):
+    mapping = data.draw(_schema_valid_mappings())
+    try:
+        scenario_from_mapping(mapping)
+    except ScenarioError:
+        assume(False)
+    mapping = _with_every_numeric_key(mapping)
+    path = data.draw(st.sampled_from(sorted(_numeric_paths(mapping), key=repr)))
+    if path[0] != "rate_limits":
+        mapping.pop("rate_limits", None)  # so that a huge target or gain reaches the run
+    value = data.draw(st.sampled_from(_BEYOND + _NEAR_LIMIT))
+    node = mapping
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = _write(Path(tmp), "extreme.yaml", mapping)
+        out = Path(tmp) / "out"
+        if value in _BEYOND:
+            # refused at parse time, naming the key; nothing is run
+            message = f"{_key_text(path)}: expected a finite number"
+            with pytest.raises(ScenarioError, match=re.escape(message)):
+                scenario_from_mapping(mapping)
+            for argv in (["validate", str(scenario)], ["run", str(scenario), "--out", str(out)]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    assert main(argv) == 4
+                assert message in err.getvalue()
+            assert not out.exists()
+            return
+        assert main(["validate", str(scenario)]) in (0, 3, 4)
+        try:
+            sc = scenario_from_mapping(mapping)
+        except ScenarioError:
+            assert main(["run", str(scenario), "--out", str(out)]) == 4
+            assert not out.exists()
+            return
+        if sc.config.n_steps >= _SHORT_RUN_ROWS:
+            return  # a long or huge run: never started here
+        code = main(["run", str(scenario), "--out", str(out)])
+        assert code in (0, 1, 2, 3, 4)
+        assert json.loads((out / "report.json").read_text())["exit_code"] == code
+
+
+# --------------------------------------------------- certificate decay summary
+
+
+def _loop_decay_summary(traj):
+    """The report's decay summary with the per-row finite filter it replaced."""
+    name = "V" if traj.kind == "balance" else "V1"
+    values = traj.channels.get(name)
+    finite_t, finite_v = [], []
+    for t, v in zip(traj.times, values):
+        if math.isfinite(v):
+            finite_t.append(t)
+            finite_v.append(v)
+    if not finite_v:
+        return None
+    summary = decay_monitor(finite_t, finite_v).summary()
+    summary["channel"] = name
+    return summary
+
+
+@pytest.mark.parametrize("spoil", ["none", "some", "all"])
+def test_decay_summary_fits_the_finite_samples(spoil):
+    traj = run_closed_loop(scenario_from_mapping(make_balance_mapping(t_end=0.3)).config)
+    v = traj.channels["V"]
+    if spoil == "some":
+        v[0], v[7], v[-1] = math.nan, math.inf, -math.inf
+    elif spoil == "all":
+        v[:] = [math.nan] * len(v)
+    expected = _loop_decay_summary(traj)
+    assert repr(cli._decay_summary(traj)) == repr(expected)
+    assert (expected is None) == (spoil == "all")

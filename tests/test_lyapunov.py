@@ -217,3 +217,80 @@ def test_decay_monitor_fit_window_skips_floor():
     values = [max(math.exp(-2.0 * t), 1e-13) for t in times]
     report = decay_monitor(times, values, rate_floor=1e-12)
     assert report.fitted_rate == pytest.approx(-2.0, abs=1e-6)
+
+
+# ------------------------------------- decay_monitor against its loop form
+
+
+def _loop_decay_monitor(times, values, tolerance=1e-6, rate_floor=1e-12):
+    """decay_monitor as a per-sample loop: the reference for its C-level form."""
+    max_inc = -math.inf
+    violations = []
+    for i in range(1, len(values)):
+        inc = values[i] - values[i - 1]
+        if inc > max_inc:
+            max_inc = inc
+        if inc > tolerance:
+            violations.append(times[i])
+    if len(values) == 1:
+        max_inc = 0.0
+    ts = [t for t, v in zip(times, values) if v > rate_floor]
+    logs = [math.log(v) for v in values if v > rate_floor]
+    fitted = None
+    if len(ts) >= 2:
+        n = float(len(ts))
+        mx = sum(ts) / n
+        my = sum(logs) / n
+        sxx = sum((x - mx) ** 2 for x in ts)
+        if sxx == 0.0:
+            raise ValueError("cannot fit a rate to a single time point")
+        sxy = sum((x - mx) * (y - my) for x, y in zip(ts, logs))
+        fitted = sxy / sxx
+    return (repr(max_inc), repr(fitted), repr(tuple(violations)), repr(tuple(values)))
+
+
+def _decay_outcome(monitor, times, values, **limits):
+    try:
+        r = monitor(times, values, **limits)
+    except (ValueError, OverflowError) as exc:
+        return (type(exc).__name__, str(exc))
+    if isinstance(r, tuple):
+        return r
+    return (repr(r.max_step_increase), repr(r.fitted_rate), repr(r.violation_times),
+            repr(r.values))
+
+
+_certificate_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.0, 10.0),
+    st.sampled_from([0.0, -0.0, 1e-12, 1e-6, math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    values=st.lists(_certificate_values, min_size=1, max_size=40),
+    dt=st.sampled_from([1e-3, 0.02, 0.5]),
+    constant=st.booleans(),
+    tolerance=st.sampled_from([1e-6, 0.0, -1.0, math.inf, math.nan]),
+    rate_floor=st.sampled_from([1e-12, 0.0, -math.inf, 5.0, math.nan]),
+)
+def test_decay_monitor_matches_its_loop_form(values, dt, constant, tolerance, rate_floor):
+    if constant:  # one value throughout
+        values = [values[0]] * len(values)
+    times = [i * dt for i in range(len(values))]
+    limits = {"tolerance": tolerance, "rate_floor": rate_floor}
+    expected = _decay_outcome(_loop_decay_monitor, times, values, **limits)
+    assert _decay_outcome(decay_monitor, times, values, **limits) == expected
+    assert _decay_outcome(decay_monitor, tuple(times), tuple(values), **limits) == expected
+
+
+@pytest.mark.parametrize("values", [
+    [1.0], [math.nan], [math.inf], [2.0, 2.0, 2.0, 2.0],
+    [math.nan, 1.0, 0.5], [1.0, math.nan, 2.0], [1.0, math.inf, 0.5, -math.inf],
+    [math.inf, math.inf], [0.0, -0.0, 0.0],
+])
+def test_decay_monitor_matches_its_loop_form_on_edge_series(values):
+    times = [i * 0.01 for i in range(len(values))]
+    expected = _decay_outcome(_loop_decay_monitor, times, values)
+    assert _decay_outcome(decay_monitor, times, values) == expected

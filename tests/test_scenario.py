@@ -1,6 +1,14 @@
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gyrowheel import scenario as scenario_module
 
 from gyrowheel import (
     Scenario,
@@ -368,3 +376,92 @@ class TestRoundTrip:
         assert keys.index("kind") < keys.index("initial") < keys.index("gains")
         assert "waypoints" not in mapped
         assert isinstance(sc, Scenario)
+
+
+# ------------------------------------------- libyaml against the pure loader
+#
+# parse_scenario loads with libyaml where it agrees with PyYAML's pure-Python
+# loader. Generated scenario text, valid and malformed, must give the same
+# mapping or the same error through both, and the same Scenario or the same
+# ScenarioError text through parse_scenario.
+
+_BUNDLED_TEXT = [bundled_scenario_path(name).read_text() for name in BUNDLED]
+_YAML_PIECES = (
+    ":", "-", "[", "]", "{", "}", ",", "#", "'", '"', "\n", " ", "  ", "&a ", "*a", "? ",
+    "<<: *a", "---", "...", "%YAML 1.1\n---\n", ".inf", ".nan", "-.inf", "1e400", "0x1F",
+    "1_000", "yes", "~", "null", "2001-12-14", "\\", "\r\n", "- ", "\n  ", ": ", "{a: 1}",
+    # text the two loaders read differently, which must go to the pure loader
+    "\t", "!", "! ", "!!str ", "|", ">", ">#", "|-#", "\x85", "\u00e9", "\x00",
+)
+
+
+def _outcome(load, text):
+    try:
+        return ("ok", repr(load(text)))
+    except yaml.YAMLError as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def _parse_outcome(path):
+    try:
+        return ("ok", repr(parse_scenario(path)))
+    except ScenarioError as exc:
+        return ("error", str(exc))
+
+
+@st.composite
+def _scenario_mappings(draw):
+    m = yaml.safe_load(draw(st.sampled_from(_BUNDLED_TEXT)))
+    for block in ("initial", "gains"):
+        for key in list(m.get(block, {})):
+            if draw(st.booleans()):
+                m[block][key] = draw(st.one_of(
+                    st.floats(allow_nan=True, allow_infinity=True), st.integers(-10, 10**20),
+                    st.sampled_from([True, None, "x", [], {}]),
+                ))
+    if draw(st.booleans()):
+        m["name"] = draw(st.text(max_size=8))
+    return m
+
+
+@st.composite
+def _scenario_texts(draw):
+    text = yaml.safe_dump(
+        draw(_scenario_mappings()),
+        sort_keys=draw(st.booleans()),
+        default_flow_style=draw(st.sampled_from([False, True, None])),
+        indent=draw(st.integers(2, 4)),
+        allow_unicode=draw(st.booleans()),
+    )
+    for _ in range(draw(st.integers(0, 4))):  # malformed: edit the text
+        i = draw(st.integers(0, len(text)))
+        piece = draw(st.sampled_from(_YAML_PIECES) | st.text(max_size=2))
+        cut = draw(st.integers(0, 6))
+        text = text[:i] + piece + text[i + cut:]
+    return text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=st.one_of(_scenario_texts(), st.sampled_from(_BUNDLED_TEXT)))
+def test_libyaml_and_the_pure_loader_agree_on_scenario_text(text):
+    assert _outcome(scenario_module._load, text) == _outcome(yaml.safe_load, text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "generated.yaml"
+        path.write_text(text)
+        fast = _parse_outcome(path)
+        with mock.patch.object(scenario_module, "_load", yaml.safe_load):
+            assert _parse_outcome(path) == fast
+
+
+@pytest.mark.parametrize("text", [
+    "t_end: 1.0\t\n",  # libyaml accepts a tab after a value; the pure scanner refuses it
+    "!",  # libyaml gives '', the pure loader None
+    "name: >#x\n  y\n",  # libyaml accepts "#" right after a block scalar header
+    "{n? ame: x}",  # libyaml reads a "?" inside a flow-style key as part of it
+])
+def test_text_the_loaders_read_differently_goes_to_the_pure_loader(text):
+    fast = yaml.load(text, Loader=yaml.CSafeLoader) if yaml.__with_libyaml__ else None
+    assert _outcome(scenario_module._load, text) == _outcome(yaml.safe_load, text)
+    if yaml.__with_libyaml__:
+        assert _outcome(lambda t: fast, text) != _outcome(yaml.safe_load, text)

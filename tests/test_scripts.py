@@ -1,0 +1,44 @@
+"""Smoke test of the studies in scripts/: each runs at its smallest setting.
+
+Each script is started as a user starts it, in a fresh interpreter, and
+must exit 0 and print its header line and one row per setting.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+STUDIES = {
+    "decay_rate_study.py": (
+        ["--t-end", "1", "--k1", "1.0"],
+        "   k1   fitted rate   predicted   max step increase",
+        1,
+    ),
+    "aiming_sensitivity.py": (
+        ["--offsets", "0.005"],
+        "offset [rad]  converged   time [s]   min e [m]   5sin|o|   path [m]",
+        1,
+    ),
+    "chatter_comparison.py": (
+        ["--sharpness", "20"],
+        " switching  converged   time [s]  sign flips   variation    final d    final e",
+        2,  # the hard law, then k = 20
+    ),
+}
+
+
+@pytest.mark.parametrize("script", sorted(STUDIES))
+def test_study_runs_at_its_smallest_setting(script):
+    args, header, rows = STUDIES[script]
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + rows

@@ -11,6 +11,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from operator import is_
 
 import pytest
 
@@ -155,13 +156,115 @@ def test_each_value_is_formatted_once(fmt, tmp_path, monkeypatch):
     sc = _long_scenario("p2p_default")
     traj = run_closed_loop(sc.config)
     assert len(sc.plot_channels) >= 2
+    # velocity mode without lag: the commanded rates act at once, so
+    # u_steer and u_drive hold alpha_dot's and gamma_dot's float objects
+    ch = traj.channels
+    assert all(map(is_, ch["u_steer"], ch["alpha_dot"]))
+    assert all(map(is_, ch["u_drive"], ch["gamma_dot"]))
     monkeypatch.setattr(cli, "_repr", counting_repr)
     _run_with(monkeypatch, sc, traj, tmp_path, fmt)
-    assert len(calls) == traj.row_count * len(traj.names)
+    assert len(calls) == traj.row_count * (len(traj.names) - 2)  # rows x distinct columns
 
     calls.clear()
-    cli.emit_plot_data(traj, ("beta", "t", "beta", "V"), tmp_path)
-    assert len(calls) == traj.row_count * 3  # t, beta, V
+    cli.emit_plot_data(traj, ("beta", "t", "beta", "V", "alpha_dot", "u_steer"), tmp_path)
+    assert len(calls) == traj.row_count * 4  # t, beta, V, alpha_dot = u_steer
+
+    # a line run has one segment: its float object is formatted once per chunk
+    sc = _long_scenario("line_5m")
+    traj = run_closed_loop(sc.config)
+    assert set(map(id, traj.channels["segment"])) == {id(traj.channels["segment"][0])}
+    calls.clear()
+    _run_with(monkeypatch, sc, traj, tmp_path, fmt)
+    chunks = -(-traj.row_count // CHUNK)
+    assert len(calls) == traj.row_count * (len(traj.names) - 3) + chunks
+
+
+# -------------------------------------------- columns that share objects
+
+
+def _toppled_velocity_run():
+    """A point-to-point run that topples on row 27: its last row has no command."""
+    sc = parse_scenario(bundled_scenario_path("p2p_default"))
+    cfg = sc.config
+    cfg = replace(
+        cfg, t_end=1.0, initial=replace(cfg.initial, beta=math.pi / 2, beta_dot=0.5),
+        thresholds=replace(cfg.thresholds, topple_margin=1.5645),
+    )
+    sc = replace(sc, config=cfg, plot_channels=("alpha_dot", "u_steer", "u_drive"))
+    return sc, run_closed_loop(cfg)
+
+
+def _truncated_long_velocity_run():
+    """A long point-to-point run cut after row CHUNK + 10 as a topple cuts it."""
+    sc = _long_scenario("p2p_default")
+    traj = run_closed_loop(sc.config)
+    for col in traj.channels.values():
+        del col[CHUNK + 11:]
+    traj.channels["u_steer"][-1] = traj.channels["u_drive"][-1] = math.nan
+    return replace(sc, plot_channels=("u_steer", "alpha_dot", "gamma_dot")), traj
+
+
+def _signed_zeros_run():
+    """Columns that hold equal but differently signed zeros, or one shared zero."""
+    sc = _long_scenario("p2p_default")
+    traj = run_closed_loop(sc.config)
+    ch = traj.channels
+    ch["alpha_dot"][5], ch["u_steer"][5] = 0.0, -0.0  # equal, not the same object
+    zero = -0.0
+    ch["alpha_dot"][6] = ch["u_steer"][6] = zero  # one object
+    ch["gamma_dot"][CHUNK:2 * CHUNK] = [0.0] * CHUNK  # constant chunks of either sign
+    ch["u_drive"][CHUNK:2 * CHUNK] = [-0.0] * CHUNK
+    ch["u_drive"][CHUNK + 3] = 0.0  # == every other value of its chunk, not the same object
+    return replace(sc, plot_channels=("u_steer", "u_drive", "gamma_dot")), traj
+
+
+def _corridor_advancing_mid_chunk():
+    """A corridor that advances on rows 401 and 402, then holds its last segment."""
+    sc = parse_scenario(bundled_scenario_path("line_5m"))
+    cfg = replace(
+        sc.config, kind="corridor", t_end=(ROWS - 1) * sc.config.dt, stop_on_converged=False,
+        waypoints=((0.0, 0.0), (0.3, 0.0), (0.28, 0.01), (2.0, 0.5)),
+    )
+    sc = replace(sc, config=cfg, plot_channels=("segment", "d"))
+    traj = run_closed_loop(cfg)
+    seg = traj.channels["segment"]
+    assert [i for i in range(1, len(seg)) if seg[i] != seg[i - 1]] == [401, 402]
+    return sc, traj
+
+
+def _constant_chunks_at_edges():
+    """segment changes on the last row of a chunk and on the first of the next."""
+    sc = _long_scenario("line_5m")
+    traj = run_closed_loop(sc.config)
+    one, two = 1.0, 2.0
+    seg = traj.channels["segment"]
+    seg[CHUNK - 1] = one
+    seg[CHUNK:2 * CHUNK] = [one] * CHUNK  # a whole chunk of one object
+    seg[2 * CHUNK:] = [two] * (ROWS - 2 * CHUNK)  # the short last chunk, constant
+    traj.channels["p"][CHUNK:2 * CHUNK] = [one] * CHUNK  # the same object as segment's
+    return replace(sc, plot_channels=("segment", "p")), traj
+
+
+_SHARED_OBJECT_CASES = {
+    "toppled_velocity": _toppled_velocity_run,
+    "truncated_long_velocity": _truncated_long_velocity_run,
+    "signed_zeros": _signed_zeros_run,
+    "corridor_advancing_mid_chunk": _corridor_advancing_mid_chunk,
+    "constant_chunks_at_edges": _constant_chunks_at_edges,
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(_SHARED_OBJECT_CASES))
+def test_shared_objects_match_the_row_wise_writers(case, fmt, tmp_path, monkeypatch):
+    sc, traj = _SHARED_OBJECT_CASES[case]()
+    if case == "toppled_velocity":
+        ch = traj.channels
+        assert traj.terminal_event.kind == "Toppled" and traj.row_count == 28
+        assert all(map(is_, ch["u_steer"][:-1], ch["alpha_dot"][:-1]))
+        assert ch["alpha_dot"][-1] == ch["alpha_dot"][-1] and ch["u_steer"][-1] != ch["u_steer"][-1]
+    _run_with(monkeypatch, sc, traj, tmp_path, fmt)
+    assert written_files(tmp_path) == oracle_files(traj, fmt, sc.plot_channels)
 
 
 def _peak_bytes(write):
