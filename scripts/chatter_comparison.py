@@ -16,6 +16,8 @@ Usage:
 
 import argparse
 import math
+import os
+import sys
 
 from gyrowheel import run_closed_loop, scenario_from_mapping
 
@@ -73,4 +75,11 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout early, as `| head -1` does
+        # point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)

@@ -25,23 +25,28 @@ discrete-time sliding behavior.
 
 Each law is written once, over plain floats, by a factory that binds the
 gains, the smoothing slopes, (Gm, Im, Jm) and, for balance, the latched
-sign. A controller builds its law at construction, so its command method
-takes only the floats the law reads and returns (steer, drive); the
-simulation loop calls it once per row. balance_control, position_control
-and line_control keep their state-object signatures and wrap the same laws.
+sign. The law computes in place what it reads of the rest of the package:
+the switches of switching.py, the drive floor and, for balance, the jerk
+coefficients of dynamics.beta_jerk_coeffs with their open-lean check,
+each with the same float expressions, so a command makes one call below
+the controller. A controller builds its law at construction, so its
+command method takes only the floats the law reads and returns (steer,
+drive); the simulation loop calls it once per row. balance_control,
+position_control and line_control keep their state-object signatures and
+wrap the same laws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import cos, sin
+from math import cos, exp, pi, sin, tanh
 
-from .dynamics import GeneralizedState, _jerk_coeffs, lean_accel
+from .dynamics import GeneralizedState, _require_open_lean, lean_accel
 from .kinematics import ContactPoint, LineGeometry, PolarView, line_geometry, polar_view
 from .lyapunov import balance_value
 from .params import RobotParams
-from .switching import hard_sign, hard_step, smooth_sign, smooth_step
+from .switching import hard_sign
 
 __all__ = [
     "SingularSteeringError",
@@ -154,6 +159,8 @@ def _balance_law(gains: BalanceGains, sign0: float, params: RobotParams):
     """Balance law over plain floats, gains, sign0 and (Gm, Im, Jm) bound.
 
     Returns law(beta, alpha_dot, beta_dot, gamma_dot, beta_ddot, V) -> (u5, u6).
+    The jerk coefficients (h1, h2, h3) of beta_jerk_coeffs are computed in
+    place, with the same open-lean check.
     """
     k2 = gains.k2
     c0, c1 = 2.0 + gains.k1, 3.0 + 2.0 * gains.k1
@@ -162,7 +169,12 @@ def _balance_law(gains: BalanceGains, sign0: float, params: RobotParams):
     def law(beta, alpha_dot, beta_dot, gamma_dot, beta_ddot, V):
         x = beta - _HALF_PI
         u5 = -(alpha_dot - sign0 * (k2 * V) ** 0.25)
-        h1, h2, h3 = _jerk_coeffs(beta, alpha_dot, gamma_dot, Gm, Im, Jm)
+        if not 0.0 < beta < pi:
+            _require_open_lean(beta)
+        sb, cb = sin(beta), cos(beta)
+        h1 = Gm * sb - Im * cos(2.0 * beta) * alpha_dot**2 - Jm * cb * alpha_dot * gamma_dot
+        h2 = -Im * sin(2.0 * beta) * alpha_dot - Jm * sb * gamma_dot
+        h3 = -Jm * sb * alpha_dot
         if h3 == 0.0:
             raise SingularSteeringError(
                 "steering rate is zero: rolling-channel gain h3 vanished"
@@ -197,35 +209,27 @@ def balance_control(
     )
 
 
-def _drive_floor(k3: float, params: RobotParams):
-    """Minimum drive magnitude u_k that keeps the lean certificate decreasing.
-
-    Dominates the worst-case gravity and centrifugal push f1 plus a margin
-    proportional to the lean error. Divides by sin(beta), positive on the
-    open lean domain. Returns drive_floor(s_lean, beta) with k3 and
-    (Gm, Im, Jm) bound.
-    """
-    Gm, Im, Jm = params.Gm, params.Im, params.Jm
-
-    def drive_floor(s_lean, beta):
-        sb, cb = sin(beta), cos(beta)
-        f1 = abs(Gm * cb + Im * cb * sb * k3 * k3)
-        return (2.0 * abs(s_lean) + f1) / (Jm * sb * k3)
-
-    return drive_floor
-
-
 def _position_law(gains: PositionGains, params: RobotParams):
-    """Point-to-point law over plain floats: law(beta, beta_dot, e, psi) -> (u_alpha, u_gamma)."""
+    """Point-to-point law over plain floats: law(beta, beta_dot, e, psi) -> (u_alpha, u_gamma).
+
+    u_k is the drive floor: the minimum drive magnitude that keeps the lean
+    certificate decreasing. It dominates the worst-case gravity and
+    centrifugal push f1 plus a margin proportional to the lean error, and
+    divides by sin(beta), positive on the open lean domain.
+    """
     k3, k4 = gains.k3, gains.k4
-    k6 = None if gains.smoothing is None else gains.smoothing.k6
-    drive_floor = _drive_floor(k3, params)
+    hk6 = None if gains.smoothing is None else 0.5 * gains.smoothing.k6
+    Gm, Im, Jm = params.Gm, params.Im, params.Jm
 
     def law(beta, beta_dot, e, psi):
         s_lean = (beta - _HALF_PI) + beta_dot
-        side = hard_sign(cos(psi))
-        u_k = drive_floor(s_lean, beta)
-        lean = hard_sign(s_lean) if k6 is None else smooth_sign(s_lean, k6)
+        side = 1.0 if cos(psi) >= 0.0 else -1.0
+        sb, cb = sin(beta), cos(beta)
+        u_k = (2.0 * abs(s_lean) + abs(Gm * cb + Im * cb * sb * k3 * k3)) / (Jm * sb * k3)
+        if hk6 is None:
+            lean = 1.0 if s_lean >= 0.0 else -1.0
+        else:
+            lean = tanh(hk6 * s_lean)
         u_alpha = -k3 * side * lean
         u_gamma = -(k4 * e + u_k) * side
         return (u_alpha, u_gamma)
@@ -248,25 +252,32 @@ def position_control(
 
 
 def _line_law(gains: LineGains, params: RobotParams):
-    """Line-tracking law over plain floats.
+    """Line-tracking law over plain floats, with the drive floor u_k of _position_law.
 
     Returns law(alpha, beta, beta_dot, theta, phi, p) -> (u_alpha, u_gamma).
     """
     k3, k5 = gains.k3, gains.k5
-    k6 = k7 = None
+    hk6 = k7 = None
     if gains.smoothing is not None:
-        k6, k7 = gains.smoothing.k6, gains.smoothing.k7
-    drive_floor = _drive_floor(k3, params)
+        hk6, k7 = 0.5 * gains.smoothing.k6, gains.smoothing.k7
+    Gm, Im, Jm = params.Gm, params.Im, params.Jm
 
     def law(alpha, beta, beta_dot, theta, phi, p):
         s_lean = (beta - _HALF_PI) + beta_dot
-        s = hard_sign(sin(phi - alpha) * sin(phi - theta))
-        u_k = drive_floor(s_lean, beta)
+        s = 1.0 if sin(phi - alpha) * sin(phi - theta) >= 0.0 else -1.0
+        sb, cb = sin(beta), cos(beta)
+        u_k = (2.0 * abs(s_lean) + abs(Gm * cb + Im * cb * sb * k3 * k3)) / (Jm * sb * k3)
         if k7 is None:
-            f2 = k5 * hard_step(p * s)
+            f2 = k5 * (1.0 if p * s >= 0.0 else 0.0)
+            lean = 1.0 if s_lean >= 0.0 else -1.0
         else:
-            f2 = k5 * smooth_step(p * s, k7)
-        lean = hard_sign(s_lean) if k6 is None else smooth_sign(s_lean, k6)
+            kx = k7 * (p * s)  # smooth_step(p * s, k7)
+            if kx >= 0.0:
+                f2 = k5 * (1.0 / (1.0 + exp(-kx)))
+            else:
+                ex = exp(kx)
+                f2 = k5 * (ex / (1.0 + ex))
+            lean = tanh(hk6 * s_lean)
         u_alpha = -k3 * s * lean
         u_gamma = -(f2 + u_k) * s
         return (u_alpha, u_gamma)

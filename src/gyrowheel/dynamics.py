@@ -186,16 +186,11 @@ def beta_jerk_coeffs(
     alpha_dot, gamma_dot. h3 vanishes with the steering rate, which is why
     the balance law needs alpha_dot bounded away from zero.
     """
-    return _jerk_coeffs(state.beta, state.alpha_dot, state.gamma_dot, *params.reduced())
-
-
-def _jerk_coeffs(
-    beta: float, ad: float, gd: float, Gm: float, Im: float, Jm: float
-) -> tuple[float, float, float]:
-    """beta_jerk_coeffs over plain floats, with (Gm, Im, Jm) passed in."""
-    _require_open_lean(beta)
-    sb, cb = math.sin(beta), math.cos(beta)
-    s2b, c2b = math.sin(2.0 * beta), math.cos(2.0 * beta)
+    _require_open_lean(state.beta)
+    Gm, Im, Jm = params.reduced()
+    sb, cb = math.sin(state.beta), math.cos(state.beta)
+    s2b, c2b = math.sin(2.0 * state.beta), math.cos(2.0 * state.beta)
+    ad, gd = state.alpha_dot, state.gamma_dot
     h1 = Gm * sb - Im * c2b * ad**2 - Jm * cb * ad * gd
     h2 = -Im * s2b * ad - Jm * sb * gd
     h3 = -Jm * sb * ad

@@ -15,17 +15,22 @@ Two modes, four right-hand sides:
 
 The kernel is single-pass and builds no object per row. Each right-hand
 side has one RK4 stepper, unrolled over plain floats with the run's
-constants bound once, and rk4_step wraps the same steppers. The controller
-binds its gains and (Gm, Im, Jm) at construction; the polar chart binds the
-target once per run and each line chart binds its segment's length and
-bearing once, when the corridor first reaches it. run_closed_loop keeps the
-state in local floats and computes each per-row quantity once: the lean
-acceleration (also the first RK4 stage of the next step), the balance
-certificate (also the balance law's input), and the chart's coordinates
-(shared by the segment advance, the command, the certificate and the
-convergence test). It calls the controller's command once per row, with
-plain floats. Rows go straight into the trajectory columns. The loop and
-detect_events fire events through the same predicate functions.
+constants bound once, and rk4_step wraps the same steppers; each stepper
+tests its own result for finiteness, and the friction stepper solves the
+inertia entries, forces and accelerations of a stage in one function. The
+controller binds its gains and (Gm, Im, Jm) at construction; the polar
+chart binds the target once per run and each line chart binds its
+segment's length and bearing once, when the corridor first reaches it.
+run_closed_loop keeps the state in local floats and computes each per-row
+quantity once: the lean acceleration (also the first RK4 stage of the next
+step), the balance certificate (also the balance law's input), and the
+chart's coordinates (shared by the segment advance, the command, the
+certificate and the convergence test). It calls the controller's command
+once per row, with plain floats, and no other function of the package but
+the chart and the stepper. Rows go straight into the trajectory columns.
+The loop compares against the event thresholds, bound once per run, and
+calls the predicate functions that detect_events uses only once a
+condition holds, to build the event.
 
 Commands are held constant across each RK4 step (zero-order hold), computed
 from the state at the step start. Every step boundary emits one trajectory
@@ -64,7 +69,7 @@ from .dynamics import DegenerateLeanError, GeneralizedState, _require_open_lean,
 from .kinematics import (
     EPS_DISTANCE, ContactPoint, line_chart, line_geometry, polar_chart, polar_view,
 )
-from .lyapunov import balance_value, lean_tracking_value
+from .lyapunov import lean_tracking_value
 from .params import FrictionParams, RobotParams
 
 __all__ = [
@@ -329,11 +334,8 @@ def _nonfinite() -> NonFiniteStateError:
     return NonFiniteStateError("an RK4 stage produced a NaN or an infinity")
 
 
-def _checked(out: tuple) -> tuple:
-    # the sum is finite unless some value is not, or the sum overflowed
-    if isfinite(sum(out)) or all(map(isfinite, out)):
-        return out
-    raise _nonfinite()
+# Each stepper ends with the same finiteness test of its result tuple: the
+# sum is finite unless some value is not, or the sum overflowed.
 
 
 def _torque_stepper(params: RobotParams, dt: float):
@@ -344,18 +346,20 @@ def _torque_stepper(params: RobotParams, dt: float):
     def step(a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6):
         # bdd: lean acceleration at the step start, the first stage's
         try:
+            nGm = -Gm
             a2, b2 = a + h2 * ad, b + h2 * bd
             ad2, bd2, gd2 = ad + h2 * u5, bd + h2 * bdd, gd + h2 * u6
+            sq2 = ad2**2
             sb, cb = sin(b2), cos(b2)
-            l2 = -Gm * cb - Im * cb * sb * ad2**2 - Jm * sb * ad2 * gd2
+            l2 = nGm * cb - Im * cb * sb * sq2 - Jm * sb * ad2 * gd2
             # held u5, u6 make the third stage's rates equal the second's
             a3, b3, bd3 = a + h2 * ad2, b + h2 * bd2, bd + h2 * l2
             sb, cb = sin(b3), cos(b3)
-            l3 = -Gm * cb - Im * cb * sb * ad2**2 - Jm * sb * ad2 * gd2
+            l3 = nGm * cb - Im * cb * sb * sq2 - Jm * sb * ad2 * gd2
             a4, b4 = a + dt * ad2, b + dt * bd3
             ad4, bd4, gd4 = ad + dt * u5, bd + dt * l3, gd + dt * u6
             sb, cb = sin(b4), cos(b4)
-            l4 = -Gm * cb - Im * cb * sb * ad4**2 - Jm * sb * ad4 * gd4
+            l4 = nGm * cb - Im * cb * sb * ad4**2 - Jm * sb * ad4 * gd4
             x1, y1 = R * gd * cos(a), R * gd * sin(a)
             x2, y2 = R * gd2 * cos(a2), R * gd2 * sin(a2)
             x3, y3 = R * gd2 * cos(a3), R * gd2 * sin(a3)
@@ -364,19 +368,22 @@ def _torque_stepper(params: RobotParams, dt: float):
             ad_n = ad + h6 * (u5 + 2.0 * u5 + 2.0 * u5 + u5)
             gd_n = gd + h6 * (u6 + 2.0 * u6 + 2.0 * u6 + u6)
             sb, cb = sin(b_n), cos(b_n)
-            return _checked((
+            out = (
                 a + h6 * (ad + 2.0 * ad2 + 2.0 * ad2 + ad4),
                 b_n,
                 g + h6 * (gd + 2.0 * gd2 + 2.0 * gd2 + gd4),
                 ad_n,
                 bd + h6 * (bdd + 2.0 * l2 + 2.0 * l3 + l4),
                 gd_n,
-                -Gm * cb - Im * cb * sb * ad_n**2 - Jm * sb * ad_n * gd_n,
+                nGm * cb - Im * cb * sb * ad_n**2 - Jm * sb * ad_n * gd_n,
                 xa + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
                 ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
-            ))
+            )
         except (ValueError, OverflowError):  # sin/cos of inf, or ** overflow
             raise _nonfinite() from None
+        if isfinite(sum(out)) or all(map(isfinite, out)):
+            return out
+        raise _nonfinite()
 
     return step
 
@@ -392,9 +399,10 @@ def _friction_stepper(params: RobotParams, friction: FrictionParams, dt: float):
     """Motor torques held, full inertia/force equations, joint friction.
 
     The decoupled command is converted to motor torques once, at the step
-    start (cancel_and_decouple); each stage then solves the full equations
-    (inertia_matrix, nonlinear_terms, full_accel) with friction_torque
-    subtracted on the steering and rolling axes. The returned lean
+    start (cancel_and_decouple), from the step-start inertia entries and
+    forces; each stage then solves the full equations (inertia_matrix,
+    nonlinear_terms, full_accel) with friction_torque subtracted on the
+    steering and rolling axes, all in one stage function. The returned lean
     acceleration is the reduced one (lean_accel), as the balance law reads.
     """
     R, M22, Gm, Im, Jm = params.R, params.M22, params.Gm, params.Im, params.Jm
@@ -405,53 +413,49 @@ def _friction_stepper(params: RobotParams, friction: FrictionParams, dt: float):
     mv_a, _, mv_g = friction.mu_v
     md_a, _, md_g = friction.mu_d
     ms_a, _, ms_g = friction.mu_s
+    dm_a, dm_g = ms_a - md_a, ms_g - md_g
     D = friction.D
     h2, h6 = 0.5 * dt, dt / 6.0
 
-    def forces(b, ad, bd, gd):
-        # inertia entries (M11, M13, M_rho; M33 = big) and forces (n1, n2, n3)
+    def stage(b, ad, bd, gd, u1, u2, decouple=False):
+        # (alpha_ddot, beta_ddot, gamma_ddot) under motor torques (u1, u2) less
+        # friction, and (u1, u2); at the step start the held (u5, u6) come in
+        # as (u1, u2) and are decoupled here, from the same inertia and forces
         if not 0.0 < b < pi:
             _lean_exit(b)
-        sb, cb, s2b = sin(b), cos(b), sin(2.0 * b)
+        sb, cb = sin(b), cos(b)
         M11 = Ix * sb**2 + big * cb**2
         M13 = big * cb
-        return (
-            M11, M13, M11 * big - M13**2,
-            disk * s2b * ad * bd + ix2 * sb * bd * gd,
-            mgr * cb - big * sb * ad * gd - disk * cb * sb * ad**2,
-            disk2 * sb * ad * bd,
-        )
-
-    def accel(f, ad, gd, u1, u2):
-        # (alpha_ddot, beta_ddot, gamma_ddot) under motor torques less friction
-        M11, M13, M_rho, n1, n2, n3 = f
+        n1 = disk * sin(2.0 * b) * ad * bd + ix2 * sb * bd * gd
+        n3 = disk2 * sb * ad * bd
+        if decouple:
+            u1, u2 = (M11 * u1 + M13 * u2) - n1, (M13 * u1 + big * u2) - n3
         s = 1.0 if ad > 0.0 else -1.0 if ad < 0.0 else 0.0
-        rhs1 = n1 + (u1 - (mv_a * ad + (md_a + (ms_a - md_a) * exp(-abs(ad) / D)) * s))
+        rhs1 = n1 + (u1 - (mv_a * ad + (md_a + dm_a * exp(-abs(ad) / D)) * s))
         s = 1.0 if gd > 0.0 else -1.0 if gd < 0.0 else 0.0
-        rhs3 = n3 + (u2 - (mv_g * gd + (md_g + (ms_g - md_g) * exp(-abs(gd) / D)) * s))
+        rhs3 = n3 + (u2 - (mv_g * gd + (md_g + dm_g * exp(-abs(gd) / D)) * s))
+        M_rho = M11 * big - M13**2
         return (
             (big * rhs1 - M13 * rhs3) / M_rho,
-            n2 / M22,
+            (mgr * cb - big * sb * ad * gd - disk * cb * sb * ad**2) / M22,
             (-M13 * rhs1 + M11 * rhs3) / M_rho,
+            u1,
+            u2,
         )
 
     def step(a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6):
         # bdd is unused: the first stage solves the full equations
         try:
-            f = forces(b, ad, bd, gd)
-            M11, M13, _, n1, _, n3 = f
-            u1 = (M11 * u5 + M13 * u6) - n1
-            u2 = (M13 * u5 + big * u6) - n3
-            add1, bdd1, gdd1 = accel(f, ad, gd, u1, u2)
+            add1, bdd1, gdd1, u1, u2 = stage(b, ad, bd, gd, u5, u6, True)
             a2, b2 = a + h2 * ad, b + h2 * bd
             ad2, bd2, gd2 = ad + h2 * add1, bd + h2 * bdd1, gd + h2 * gdd1
-            add2, bdd2, gdd2 = accel(forces(b2, ad2, bd2, gd2), ad2, gd2, u1, u2)
+            add2, bdd2, gdd2, _, _ = stage(b2, ad2, bd2, gd2, u1, u2)
             a3, b3 = a + h2 * ad2, b + h2 * bd2
             ad3, bd3, gd3 = ad + h2 * add2, bd + h2 * bdd2, gd + h2 * gdd2
-            add3, bdd3, gdd3 = accel(forces(b3, ad3, bd3, gd3), ad3, gd3, u1, u2)
+            add3, bdd3, gdd3, _, _ = stage(b3, ad3, bd3, gd3, u1, u2)
             a4, b4 = a + dt * ad3, b + dt * bd3
             ad4, bd4, gd4 = ad + dt * add3, bd + dt * bdd3, gd + dt * gdd3
-            add4, bdd4, gdd4 = accel(forces(b4, ad4, bd4, gd4), ad4, gd4, u1, u2)
+            add4, bdd4, gdd4, _, _ = stage(b4, ad4, bd4, gd4, u1, u2)
             x1, y1 = R * gd * cos(a), R * gd * sin(a)
             x2, y2 = R * gd2 * cos(a2), R * gd2 * sin(a2)
             x3, y3 = R * gd3 * cos(a3), R * gd3 * sin(a3)
@@ -460,7 +464,7 @@ def _friction_stepper(params: RobotParams, friction: FrictionParams, dt: float):
             ad_n = ad + h6 * (add1 + 2.0 * add2 + 2.0 * add3 + add4)
             gd_n = gd + h6 * (gdd1 + 2.0 * gdd2 + 2.0 * gdd3 + gdd4)
             sb, cb = sin(b_n), cos(b_n)
-            return _checked((
+            out = (
                 a + h6 * (ad + 2.0 * ad2 + 2.0 * ad3 + ad4),
                 b_n,
                 g + h6 * (gd + 2.0 * gd2 + 2.0 * gd3 + gd4),
@@ -470,11 +474,14 @@ def _friction_stepper(params: RobotParams, friction: FrictionParams, dt: float):
                 -Gm * cb - Im * cb * sb * ad_n**2 - Jm * sb * ad_n * gd_n,
                 xa + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
                 ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
-            ))
+            )
         except DegenerateLeanError:
             raise
         except (ValueError, OverflowError, ZeroDivisionError):  # M_rho can underflow to 0
             raise _nonfinite() from None
+        if isfinite(sum(out)) or all(map(isfinite, out)):
+            return out
+        raise _nonfinite()
 
     return step
 
@@ -488,17 +495,18 @@ def _velocity_stepper(params: RobotParams, dt: float):
         # ad, gd: the rates in effect, replaced by the command at once;
         # bdd: lean acceleration at the step start under (ua, ug)
         try:
+            nGm, sq = -Gm, ua**2
             a2, b2, bd2 = a + h2 * ua, b + h2 * bd, bd + h2 * bdd
             sb, cb = sin(b2), cos(b2)
-            l2 = -Gm * cb - Im * cb * sb * ua**2 - Jm * sb * ua * ug
+            l2 = nGm * cb - Im * cb * sb * sq - Jm * sb * ua * ug
             b3, bd3 = b + h2 * bd2, bd + h2 * l2
             sb, cb = sin(b3), cos(b3)
-            l3 = -Gm * cb - Im * cb * sb * ua**2 - Jm * sb * ua * ug
+            l3 = nGm * cb - Im * cb * sb * sq - Jm * sb * ua * ug
             a4, b4, bd4 = a + dt * ua, b + dt * bd3, bd + dt * l3
             sb, cb = sin(b4), cos(b4)
-            l4 = -Gm * cb - Im * cb * sb * ua**2 - Jm * sb * ua * ug
+            l4 = nGm * cb - Im * cb * sb * sq - Jm * sb * ua * ug
             x2, y2 = R * ug * cos(a2), R * ug * sin(a2)  # stage 3 shares a2
-            return _checked((
+            out = (
                 a + h6 * (ua + 2.0 * ua + 2.0 * ua + ua),
                 b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4),
                 g + h6 * (ug + 2.0 * ug + 2.0 * ug + ug),
@@ -507,9 +515,12 @@ def _velocity_stepper(params: RobotParams, dt: float):
                 ya + h6 * (R * ug * sin(a) + 2.0 * y2 + 2.0 * y2 + R * ug * sin(a4)),
                 ua,
                 ug,
-            ))
+            )
         except (ValueError, OverflowError):
             raise _nonfinite() from None
+        if isfinite(sum(out)) or all(map(isfinite, out)):
+            return out
+        raise _nonfinite()
 
     return step
 
@@ -523,27 +534,28 @@ def _lag_stepper(params: RobotParams, dt: float, tau: float):
         # (za, zg): the lag filter, which is the rates in effect;
         # bdd: lean acceleration at the step start under (za, zg)
         try:
+            nGm = -Gm
             fa1, fg1 = (ua - za) / tau, (ug - zg) / tau
             a2, b2, bd2 = a + h2 * za, b + h2 * bd, bd + h2 * bdd
             za2, zg2 = za + h2 * fa1, zg + h2 * fg1
             sb, cb = sin(b2), cos(b2)
-            l2 = -Gm * cb - Im * cb * sb * za2**2 - Jm * sb * za2 * zg2
+            l2 = nGm * cb - Im * cb * sb * za2**2 - Jm * sb * za2 * zg2
             fa2, fg2 = (ua - za2) / tau, (ug - zg2) / tau
             a3, b3, bd3 = a + h2 * za2, b + h2 * bd2, bd + h2 * l2
             za3, zg3 = za + h2 * fa2, zg + h2 * fg2
             sb, cb = sin(b3), cos(b3)
-            l3 = -Gm * cb - Im * cb * sb * za3**2 - Jm * sb * za3 * zg3
+            l3 = nGm * cb - Im * cb * sb * za3**2 - Jm * sb * za3 * zg3
             fa3, fg3 = (ua - za3) / tau, (ug - zg3) / tau
             a4, b4, bd4 = a + dt * za3, b + dt * bd3, bd + dt * l3
             za4, zg4 = za + dt * fa3, zg + dt * fg3
             sb, cb = sin(b4), cos(b4)
-            l4 = -Gm * cb - Im * cb * sb * za4**2 - Jm * sb * za4 * zg4
+            l4 = nGm * cb - Im * cb * sb * za4**2 - Jm * sb * za4 * zg4
             fa4, fg4 = (ua - za4) / tau, (ug - zg4) / tau
             x1, y1 = R * zg * cos(a), R * zg * sin(a)
             x2, y2 = R * zg2 * cos(a2), R * zg2 * sin(a2)
             x3, y3 = R * zg3 * cos(a3), R * zg3 * sin(a3)
             x4, y4 = R * zg4 * cos(a4), R * zg4 * sin(a4)
-            return _checked((
+            out = (
                 a + h6 * (za + 2.0 * za2 + 2.0 * za3 + za4),
                 b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4),
                 g + h6 * (zg + 2.0 * zg2 + 2.0 * zg3 + zg4),
@@ -552,9 +564,12 @@ def _lag_stepper(params: RobotParams, dt: float, tau: float):
                 ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
                 za + h6 * (fa1 + 2.0 * fa2 + 2.0 * fa3 + fa4),
                 zg + h6 * (fg1 + 2.0 * fg2 + 2.0 * fg3 + fg4),
-            ))
+            )
         except (ValueError, OverflowError):
             raise _nonfinite() from None
+        if isfinite(sum(out)) or all(map(isfinite, out)):
+            return out
+        raise _nonfinite()
 
     return step
 
@@ -652,8 +667,9 @@ def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) ->
         x0, y0 = cfg.waypoints[0]
         r0 = math.hypot(st.x_a - x0, st.y_a - y0)
         if r0 > thr.start_radius:
+            shown = f"{r0:.4f}" if r0 < 1e6 else f"{r0:.4e}"  # bounded length at any size
             return (
-                f"initial distance {r0:.4f} m from the segment start exceeds "
+                f"initial distance {shown} m from the segment start exceeds "
                 f"the admissible radius {thr.start_radius} m"
             )
     if abs(st.beta - math.pi / 2.0) > thr.start_lean:
@@ -763,11 +779,16 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
     balance, p2p = kind == "balance", kind == "point_to_point"
     torque, lag = cfg.mode == "torque", cfg.actuator_lag > 0.0
     Gm, Im, Jm = params.Gm, params.Im, params.Jm
-    k1 = cfg.gains.k1 if balance else 0.0
+    k1p = 1.0 + cfg.gains.k1 if balance else 0.0
     waypoints = getattr(controller, "waypoints", ())
     last_segment = len(waypoints) - 2
-    advance_radius = thr.advance_radius
-    nan = math.nan
+    nan, half_pi = math.nan, math.pi / 2.0
+    # the event thresholds, bound once; an event's predicate function runs
+    # only once its condition holds, to build the event
+    lo, hi = thr.topple_margin, math.pi - thr.topple_margin
+    floor = thr.alpha_dot_floor if torque else 0.0  # |alpha_dot| < 0 never holds
+    lean, lean_rate, steer_rate, roll_rate = thr.lean, thr.lean_rate, thr.steer_rate, thr.roll_rate
+    distance, line_offset, advance_radius = thr.distance, thr.line_offset, thr.advance_radius
 
     traj = Trajectory(kind, cfg.mode)
     events = traj.events
@@ -801,11 +822,17 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
     converged_seen = False
     for i in range(n + 1):
         t = i * dt
-        stop = _topple_event(t, b, thr)
-        if stop is None and torque:
+        if not lo < b < hi:
+            stop = _topple_event(t, b, thr)
+        elif abs(ad) < floor:
             stop = _singular_event(t, ad, thr)
-        if balance:
-            V = balance_value(b, bd, bdd, k1)
+        else:
+            stop = None
+        if balance:  # balance_value, whose x is also the convergence test's lean offset
+            x = b - half_pi
+            z2 = bd + x
+            z3 = bdd + k1p * z2
+            V = 0.5 * (x * x + z2 * z2 + z3 * z3)
         elif p2p:
             e, theta, psi = chart(xa, ya, a)
         else:
@@ -832,8 +859,10 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
             if not torque:  # lean acceleration under the rates in effect for this row
                 sb, cb = sin(b), cos(b)
                 bdd = -Gm * cb - Im * cb * sb * ad**2 - Jm * sb * ad * gd
-            if not balance:
-                v1 = lean_tracking_value(b, bd)
+            if not balance:  # lean_tracking_value
+                x = b - half_pi
+                z2 = x + bd
+                v1 = 0.5 * (x * x + z2 * z2)
                 V = v1 + 0.5 * e**2 if p2p else v1 + 0.5 * (e**2 + d**2)
         except OverflowError:  # a finite rate or distance whose square is not
             events.append(Event("NonFinite", t, "a value of this row is beyond the float range"))
@@ -865,18 +894,18 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
         if stop is not None:
             events.append(stop)
             break
-        if not converged_seen:
-            if balance:
-                detail = _balance_converged(thr, b, bd, ad, gd)
-            elif p2p:
-                detail = _target_converged(thr, e)
-            else:
-                detail = _line_converged(thr, d, e) if segment == last_segment else None
-            if detail is not None:
-                converged_seen = True
-                events.append(Event("Converged", t, detail))
-                if cfg.stop_on_converged:
-                    break
+        if not converged_seen and (
+            (abs(x) <= lean and abs(bd) <= lean_rate and abs(ad) <= steer_rate
+             and abs(gd) <= roll_rate) if balance
+            else e < distance if p2p
+            else segment == last_segment and d < distance and e < line_offset
+        ):
+            converged_seen = True
+            detail = (_balance_converged(thr, b, bd, ad, gd) if balance
+                      else _target_converged(thr, e) if p2p else _line_converged(thr, d, e))
+            events.append(Event("Converged", t, detail))
+            if cfg.stop_on_converged:
+                break
         if i == n:
             break
         try:

@@ -136,6 +136,31 @@ def test_run_inadmissible_exit(inadmissible_case, tmp_path):
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("x0, shown", [
+    (1.7e308, "1.7000e+308"),  # a 309-digit integer part under :.4f
+    (1e6, "1.0000e+06"),
+    (999999.0, "999999.0000"),  # below 1e6 m the fixed-point text is kept
+])
+def test_inadmissible_distance_message_stays_short(x0, shown, tmp_path, capsys):
+    path = tmp_path / "far.yaml"
+    path.write_text(
+        "name: far\n"
+        "kind: line\n"
+        "t_end: 1.0\n"
+        "initial: {x_a: 0.0, y_a: 0.0, alpha: 0.0, beta: 1.5707963267948966}\n"
+        f"waypoints: [[{x0!r}, 0.0], [0.0, 0.0]]\n"
+    )
+    expected = (f"initial distance {shown} m from the segment start exceeds "
+                "the admissible radius 0.5 m")
+    assert main(["validate", str(path)]) == 3
+    message = capsys.readouterr().err.strip()
+    assert message == f"inadmissible initial state: {expected}" and len(message) < 200
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["events"][0]["detail"] == expected
+
+
 def test_run_config_error_exits(tmp_path, capsys):
     bad = tmp_path / "broken.yaml"
     bad.write_text("kind: [unclosed\n")

@@ -1,9 +1,12 @@
 """Smoke test of the studies in scripts/: each runs at its smallest setting.
 
 Each script is started as a user starts it, in a fresh interpreter, and
-must exit 0 and print its header line and one row per setting.
+must exit 0 and print its header line and one row per setting. A reader
+that closes the pipe after the header, as `| head -1` does, must not make
+a script end in a traceback.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +45,23 @@ def test_study_runs_at_its_smallest_setting(script):
     lines = done.stdout.splitlines()
     assert lines[0] == header
     assert len(lines) == 1 + rows
+
+
+@pytest.mark.parametrize("script", sorted(STUDIES))
+def test_study_stops_quietly_when_stdout_closes_early(script):
+    args, header, _ = STUDIES[script]
+    # unbuffered, so the header reaches the pipe before the first row is computed
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, str(SCRIPTS / script), *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        assert proc.stdout.readline().rstrip("\n") == header
+        proc.stdout.close()  # the next row is written into a closed pipe
+        err = proc.stderr.read()
+        proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
