@@ -28,19 +28,14 @@ from .dynamics import (
     inertia_matrix,
     lean_accel,
     nonlinear_terms,
-    recover_decoupled,
 )
 from .kinematics import (
     ContactPoint,
     DegenerateLineError,
     LineGeometry,
     PolarView,
-    contact_point,
-    contact_velocity,
     line_geometry,
-    polar_rates,
     polar_view,
-    rolling_velocity,
     wrap_to_pi,
 )
 from .switching import hard_sign, hard_step, smooth_sign, smooth_step
@@ -52,9 +47,6 @@ from .lyapunov import (
     closed_form_beta_rates,
     decay_monitor,
     lean_tracking_value,
-    line_value,
-    position_value,
-    steer_value,
 )
 from .controllers import (
     BalanceController,

@@ -265,8 +265,10 @@ def _threshold_checks(sc: Scenario, traj: Trajectory) -> dict:
     final = traj.final_state
     out = {}
 
-    def entry(value, limit):
-        return {"value": value, "limit": limit, "pass": bool(value <= limit)}
+    def entry(value, limit, strict=False):
+        # strict for the distances, as the run's Converged test is
+        ok = value < limit if strict else value <= limit
+        return {"value": value, "limit": limit, "pass": bool(ok)}
 
     if cfg.kind == "balance":
         out["lean"] = entry(abs(final.beta - math.pi / 2.0), thr.lean)
@@ -275,12 +277,12 @@ def _threshold_checks(sc: Scenario, traj: Trajectory) -> dict:
         out["roll_rate"] = entry(abs(final.gamma_dot), thr.roll_rate)
     elif cfg.kind == "point_to_point":
         e = traj.channels["e"][-1] if traj.row_count else math.nan
-        out["distance"] = entry(e, thr.distance)
+        out["distance"] = entry(e, thr.distance, strict=True)
     else:
         d = traj.channels["d"][-1] if traj.row_count else math.nan
         e = traj.channels["e"][-1] if traj.row_count else math.nan
-        out["distance"] = entry(d, thr.distance)
-        out["line_offset"] = entry(e, thr.line_offset)
+        out["distance"] = entry(d, thr.distance, strict=True)
+        out["line_offset"] = entry(e, thr.line_offset, strict=True)
     return out
 
 

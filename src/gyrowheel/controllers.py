@@ -55,7 +55,6 @@ __all__ = [
     "PositionGains",
     "LineGains",
     "sigma",
-    "balance_value",
     "balance_control",
     "position_control",
     "line_control",
@@ -387,10 +386,6 @@ class LineController:
         self.params = params
         self.waypoints = tuple((float(x), float(y)) for x, y in waypoints)
         self._law = _line_law(gains, params)
-
-    @property
-    def segment_count(self) -> int:
-        return len(self.waypoints) - 1
 
     def geometry(self, state: GeneralizedState, contact: ContactPoint, segment: int) -> LineGeometry:
         return line_geometry(

@@ -11,6 +11,10 @@ lean, rolling. The model exists in three equivalent layers:
 * decoupled form: commanded accelerations (u5, u6) with alpha_ddot = u5 and
   gamma_ddot = u6 exactly.
 
+cancel_and_decouple maps the decoupled layer down to motor torques; its
+inverse is the steering and rolling rows of full_accel, so no separate
+recovery map exists.
+
 The lean equation is the same in all layers because lean is unactuated:
 
     beta_ddot = -Gm*cos(beta) - Im*cos(beta)*sin(beta)*alpha_dot**2
@@ -19,6 +23,12 @@ The lean equation is the same in all layers because lean is unactuated:
 with the reduced coefficients (Gm, Im, Jm) from RobotParams. This is a
 second-order nonholonomic constraint: it restricts accelerations and cannot
 be integrated into a configuration constraint.
+
+The simulation loop calls only lean_accel from here: simulate's friction
+stepper writes the same inertia entries, forces, friction and solve over
+plain floats, and the balance law computes beta_jerk_coeffs in place. The
+functions below are the same model over a GeneralizedState, for library use
+and as the reference the test suite checks the steppers against.
 """
 
 from __future__ import annotations
@@ -35,10 +45,8 @@ __all__ = [
     "inertia_matrix",
     "nonlinear_terms",
     "cancel_and_decouple",
-    "recover_decoupled",
     "lean_accel",
     "beta_jerk_coeffs",
-    "beta_jerk_coeffs_variant",
     "friction_torque",
     "full_accel",
 ]
@@ -145,20 +153,6 @@ def cancel_and_decouple(
     return (u3 - n1, u4 - n3)
 
 
-def recover_decoupled(
-    u1: float, u2: float, state: GeneralizedState, params: RobotParams
-) -> tuple[float, float]:
-    """Inverse of cancel_and_decouple at the same state."""
-    ent = inertia_matrix(state, params)
-    n1, _, n3 = nonlinear_terms(state, params)
-    u3 = u1 + n1
-    u4 = u2 + n3
-    return (
-        (ent.M33 * u3 - ent.M13 * u4) / ent.M_rho,
-        (-ent.M13 * u3 + ent.M11 * u4) / ent.M_rho,
-    )
-
-
 def lean_accel(
     beta: float, alpha_dot: float, gamma_dot: float, params: RobotParams
 ) -> float:
@@ -194,28 +188,6 @@ def beta_jerk_coeffs(
     h1 = Gm * sb - Im * c2b * ad**2 - Jm * cb * ad * gd
     h2 = -Im * s2b * ad - Jm * sb * gd
     h3 = -Jm * sb * ad
-    return (h1, h2, h3)
-
-
-def beta_jerk_coeffs_variant(
-    state: GeneralizedState, params: RobotParams
-) -> tuple[float, float, float]:
-    """Deliberately wrong jerk coefficients kept as a negative control.
-
-    Relative to beta_jerk_coeffs this drops the gyroscopic term from h1 and
-    squares the steering rate in h3. The finite-difference validation in
-    the test suite must reject these coefficients while accepting the
-    correct ones; a validation too loose to tell them apart would be
-    meaningless.
-    """
-    _require_open_lean(state.beta)
-    Gm, Im, Jm = params.reduced()
-    sb = math.sin(state.beta)
-    s2b, c2b = math.sin(2.0 * state.beta), math.cos(2.0 * state.beta)
-    ad, gd = state.alpha_dot, state.gamma_dot
-    h1 = Gm * sb - Im * c2b * ad**2
-    h2 = -Im * s2b * ad - Jm * sb * gd
-    h3 = -Jm * sb * ad**2
     return (h1, h2, h3)
 
 

@@ -1,4 +1,4 @@
-"""Rolling kinematics, contact-point geometry, and tracking coordinates.
+"""Contact-point geometry and tracking coordinates.
 
 The wheel rolls without slipping, so the velocity of its center projection
 (X, Y) is tied to the angle rates. The ground contact point A = (x_a, y_a)
@@ -8,16 +8,18 @@ pure heading motion,
     x_a_dot = R * gamma_dot * cos(alpha)
     y_a_dot = R * gamma_dot * sin(alpha)
 
-which is what makes A the natural point for all tracking geometry. The
-error-polar chart (e, theta, psi) expresses A relative to a target point;
-the line chart expresses A relative to a directed segment.
+which is what makes A the natural point for all tracking geometry. These
+two rates are the x_a and y_a rows of every stepper in simulate; the test
+suite derives them from the rolling constraints. The error-polar chart
+(e, theta, psi) expresses A relative to a target point; the line chart
+expresses A relative to a directed segment.
 
 Each chart is written once, over plain floats: polar_chart binds its target
 and line_chart binds its segment, with the segment's length ell and bearing
 phi computed once, and each returns a function of (x_a, y_a, alpha). The
 simulation loop builds one polar chart per run and one line chart per
-segment it reaches. polar_view and line_geometry wrap the same charts and
-return the PolarView and LineGeometry records.
+segment it reaches, and detect_events reads the same charts. polar_view and
+line_geometry wrap them and return the PolarView and LineGeometry records.
 """
 
 from __future__ import annotations
@@ -26,21 +28,14 @@ import math
 from dataclasses import dataclass
 from math import atan2, cos, hypot, sin
 
-from .dynamics import GeneralizedState
-from .params import RobotParams
-
 __all__ = [
     "DegenerateLineError",
     "ContactPoint",
     "PolarView",
     "LineGeometry",
     "wrap_to_pi",
-    "rolling_velocity",
-    "contact_point",
-    "contact_velocity",
     "polar_chart",
     "polar_view",
-    "polar_rates",
     "line_chart",
     "line_geometry",
 ]
@@ -111,48 +106,6 @@ def wrap_to_pi(angle: float) -> float:
     return math.pi - (math.pi - angle) % (2.0 * math.pi)
 
 
-def rolling_velocity(
-    state: GeneralizedState, params: RobotParams
-) -> tuple[float, float]:
-    """Ground velocity (X_dot, Y_dot) of the wheel-center projection.
-
-    These are the first-order rolling constraints: linear in the rates,
-    mixing the rolling, steering, and lean motions.
-    """
-    R = params.R
-    sa, ca = math.sin(state.alpha), math.cos(state.alpha)
-    sb, cb = math.sin(state.beta), math.cos(state.beta)
-    ad, bd, gd = state.alpha_dot, state.beta_dot, state.gamma_dot
-    x_dot = R * (gd * ca + ad * ca * cb - bd * sa * sb)
-    y_dot = R * (gd * sa + ad * sa * cb + bd * ca * sb)
-    return (x_dot, y_dot)
-
-
-def contact_point(
-    X: float, Y: float, alpha: float, beta: float, params: RobotParams
-) -> ContactPoint:
-    """Contact point beneath the wheel given the center projection.
-
-    The offsets are R*cos(beta) resolved along the heading normal; the two
-    components carry opposite signs so that differentiating this map under
-    the rolling constraints collapses to the pure-heading contact velocity.
-    An upright wheel (beta = pi/2) has its contact directly under the center.
-    """
-    R = params.R
-    cb = math.cos(beta)
-    x_a = X - R * math.sin(alpha) * cb
-    y_a = Y + R * math.cos(alpha) * cb
-    return ContactPoint(x_a=x_a, y_a=y_a)
-
-
-def contact_velocity(
-    alpha: float, gamma_dot: float, params: RobotParams
-) -> tuple[float, float]:
-    """Velocity of the contact point: speed R*|gamma_dot| along the heading."""
-    v = params.R * gamma_dot
-    return (v * math.cos(alpha), v * math.sin(alpha))
-
-
 def polar_chart(target: tuple[float, float] = (0.0, 0.0)):
     """Error-polar chart about a target: chart(x_a, y_a, alpha) -> (e, theta, psi)."""
     tx, ty = target[0], target[1]
@@ -174,22 +127,6 @@ def polar_view(
 ) -> PolarView:
     """Error-polar chart of the contact point about a target point."""
     return PolarView(*polar_chart(target)(a.x_a, a.y_a, alpha))
-
-
-def polar_rates(
-    pv: PolarView, u_alpha: float, u_gamma: float, params: RobotParams
-) -> tuple[float, float]:
-    """Time derivatives (e_dot, psi_dot) under rates (u_alpha, u_gamma).
-
-    e_dot = R*u_gamma*cos(psi); psi_dot = -u_alpha - R*u_gamma*sin(psi)/e.
-    At the chart floor the 1/e term is dropped per the e = 0 convention.
-    """
-    R = params.R
-    e_dot = R * u_gamma * math.cos(pv.psi)
-    if pv.e < EPS_DISTANCE:
-        return (e_dot, -u_alpha)
-    psi_dot = -u_alpha - R * u_gamma * math.sin(pv.psi) / pv.e
-    return (e_dot, psi_dot)
 
 
 def line_chart(origin: tuple[float, float], end: tuple[float, float]):

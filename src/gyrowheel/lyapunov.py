@@ -11,11 +11,13 @@ Certificates:
 * balance_value: half sum of squares of the chained lean errors
   (x, x + x_dot, x_ddot + (1+k1)(x + x_dot)) with x = beta - pi/2. At the
   nominal k1 = 1 the closed loop satisfies V_dot = -2V exactly.
-* steer_value: sqrt(k2 V)/4 + alpha_dot**2/2, certifying steering-rate
-  decay on top of a balance certificate V.
-* lean_tracking_value: the two-error lean certificate used by the tracking
-  controllers.
-* position_value / line_value: lean certificate plus e**2/2 (plus d**2/2).
+* lean_tracking_value: the two-error lean certificate V1 used by the
+  tracking controllers.
+
+run_closed_loop computes both in place, with the same float expressions,
+and records them as the V (balance) and V1 (tracking) channels. A tracking
+run's V channel adds e**2/2 (point to point) or (e**2 + d**2)/2 (line) to
+V1; the run writes that sum itself, and the trajectory is where to read it.
 """
 
 from __future__ import annotations
@@ -29,10 +31,7 @@ from typing import Sequence
 __all__ = [
     "DecayReport",
     "balance_value",
-    "steer_value",
     "lean_tracking_value",
-    "position_value",
-    "line_value",
     "closed_form_beta",
     "closed_form_beta_rates",
     "closed_form_alpha_dot",
@@ -50,26 +49,11 @@ def balance_value(
     return 0.5 * (x * x + z2 * z2 + z3 * z3)
 
 
-def steer_value(V: float, alpha_dot: float, k2: float = 1.0) -> float:
-    """Steering certificate layered on a balance certificate value V."""
-    return math.sqrt(k2 * V) / 4.0 + 0.5 * alpha_dot * alpha_dot
-
-
 def lean_tracking_value(beta: float, beta_dot: float) -> float:
     """Two-error lean certificate used by the tracking controllers."""
     x = beta - math.pi / 2.0
     s = x + beta_dot
     return 0.5 * (x * x + s * s)
-
-
-def position_value(beta: float, beta_dot: float, e: float) -> float:
-    """Point-to-point certificate: lean certificate plus half squared distance."""
-    return lean_tracking_value(beta, beta_dot) + 0.5 * e * e
-
-
-def line_value(beta: float, beta_dot: float, e: float, d: float) -> float:
-    """Line certificate: lean certificate plus half squared line and end distances."""
-    return lean_tracking_value(beta, beta_dot) + 0.5 * (e * e + d * d)
 
 
 def closed_form_beta(a: float, b: float, c: float, t: float) -> float:

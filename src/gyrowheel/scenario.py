@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import yaml
@@ -61,13 +61,10 @@ _TOP_KEYS = (
     "initial", "gains", "target", "waypoints", "friction", "thresholds",
     "actuator_lag", "rate_limits", "plot_channels",
 )
-_PARAM_KEYS = ("m", "R", "Ix", "g", "M22")
-_FRICTION_KEYS = ("mu_v", "mu_d", "mu_s", "D")
-_THRESHOLD_KEYS = (
-    "topple_margin", "alpha_dot_floor", "lean", "lean_rate", "steer_rate",
-    "roll_rate", "distance", "line_offset", "advance_radius", "start_radius",
-    "start_lean",
-)
+# the keys of these blocks are the dataclasses' fields (RobotParams' derived Gm, Im, Jm excluded)
+_PARAM_KEYS = tuple(f.name for f in fields(RobotParams) if f.init)
+_FRICTION_KEYS = tuple(f.name for f in fields(FrictionParams))
+_THRESHOLD_KEYS = tuple(f.name for f in fields(Thresholds))
 _BALANCE_LEAN_KEYS = ("lean_offset", "lean_rate", "lean_accel")
 _BALANCE_RAW_KEYS = ("beta", "beta_dot", "gamma_dot")
 _BALANCE_COMMON_KEYS = ("alpha", "gamma", "alpha_dot", "x_a", "y_a")
@@ -185,11 +182,9 @@ def _parse_friction(data: dict) -> FrictionParams | None:
     block = _require_mapping(data["friction"], "friction")
     _check_keys(block, _FRICTION_KEYS, "friction")
     kwargs = {}
-    for key in ("mu_v", "mu_d", "mu_s"):
+    for key in _FRICTION_KEYS:
         if key in block:
-            kwargs[key] = _triple(block, key, "friction")
-    if "D" in block:
-        kwargs["D"] = _num(block, "D", "friction")
+            kwargs[key] = (_num if key == "D" else _triple)(block, key, "friction")
     return _build(FrictionParams, "friction: ", **kwargs)
 
 
@@ -476,7 +471,7 @@ def scenario_to_mapping(sc: Scenario) -> dict:
     out: dict = {"name": sc.name, "kind": cfg.kind, "dt": cfg.dt, "t_end": cfg.t_end,
                  "stop_on_converged": cfg.stop_on_converged}
     p = cfg.params
-    out["params"] = {"m": p.m, "R": p.R, "Ix": p.Ix, "g": p.g, "M22": p.M22}
+    out["params"] = {key: getattr(p, key) for key in _PARAM_KEYS}
     if cfg.kind == "balance":
         out["initial"] = {
             "alpha": st.alpha, "gamma": st.gamma, "alpha_dot": st.alpha_dot,

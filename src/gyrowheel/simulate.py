@@ -52,7 +52,7 @@ written (regrouping a product or hoisting a common factor changes bytes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import cos, exp, isfinite, pi, sin
 
 from .controllers import (
@@ -66,9 +66,7 @@ from .controllers import (
     sigma,
 )
 from .dynamics import DegenerateLeanError, GeneralizedState, _require_open_lean, lean_accel
-from .kinematics import (
-    EPS_DISTANCE, ContactPoint, line_chart, line_geometry, polar_chart, polar_view,
-)
+from .kinematics import EPS_DISTANCE, line_chart, polar_chart
 from .lyapunov import lean_tracking_value
 from .params import FrictionParams, RobotParams
 
@@ -164,9 +162,6 @@ class WheelState(GeneralizedState):
     x_a: float = 0.0
     y_a: float = 0.0
 
-    def contact(self) -> ContactPoint:
-        return ContactPoint(x_a=self.x_a, y_a=self.y_a)
-
 
 @dataclass(frozen=True)
 class ControlCommand:
@@ -198,13 +193,9 @@ class Thresholds:
     start_lean: float = 0.3
 
     def __post_init__(self) -> None:
-        for name in (
-            "topple_margin", "alpha_dot_floor", "lean", "lean_rate", "steer_rate",
-            "roll_rate", "distance", "line_offset", "advance_radius", "start_radius",
-            "start_lean",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"threshold {name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0.0:
+                raise ValueError(f"threshold {f.name} must be positive")
         if self.topple_margin >= math.pi / 2:
             raise ValueError("topple_margin must be below pi/2")
 
@@ -621,6 +612,11 @@ def _build_controller(cfg: SimConfig):
     return LineController(cfg.gains, cfg.params, cfg.waypoints)
 
 
+def _shown(x: float, digits: int) -> str:
+    """x to `digits` decimals, in e notation from 1e6 in magnitude: short text at any size."""
+    return f"{x:.{digits}f}" if abs(x) < 1e6 else f"{x:.{digits}e}"
+
+
 def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) -> str | None:
     """Name the violated domain predicate at `state`, or None if admissible.
 
@@ -632,7 +628,7 @@ def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) ->
     thr = cfg.thresholds
     if _topple_event(0.0, st.beta, thr) is not None:
         return (
-            f"initial lean {st.beta:.6f} rad outside the topple margin window "
+            f"initial lean {_shown(st.beta, 6)} rad outside the topple margin window "
             f"({thr.topple_margin}, pi - {thr.topple_margin})"
         )
     if cfg.kind == "balance":
@@ -642,8 +638,8 @@ def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) ->
         s = sigma(a, b, c)
         if s >= math.pi / 2.0:
             return (
-                f"sigma(a, b, c) = {s:.6f} >= pi/2 for initial lean data "
-                f"({a:.6f}, {b:.6f}, {c:.6f})"
+                f"sigma(a, b, c) = {_shown(s, 6)} >= pi/2 for initial lean data "
+                f"({_shown(a, 6)}, {_shown(b, 6)}, {_shown(c, 6)})"
             )
         if abs(st.alpha_dot) < thr.alpha_dot_floor:
             return (
@@ -659,7 +655,7 @@ def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) ->
         if math.sqrt(v1) >= math.pi / 2.0:
             return (
                 f"initial lean data outside the tracking domain: "
-                f"sqrt(V1) = {math.sqrt(v1):.6f} >= pi/2"
+                f"sqrt(V1) = {_shown(math.sqrt(v1), 6)} >= pi/2"
             )
         return None
     # line / corridor
@@ -667,14 +663,13 @@ def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) ->
         x0, y0 = cfg.waypoints[0]
         r0 = math.hypot(st.x_a - x0, st.y_a - y0)
         if r0 > thr.start_radius:
-            shown = f"{r0:.4f}" if r0 < 1e6 else f"{r0:.4e}"  # bounded length at any size
             return (
-                f"initial distance {shown} m from the segment start exceeds "
+                f"initial distance {_shown(r0, 4)} m from the segment start exceeds "
                 f"the admissible radius {thr.start_radius} m"
             )
     if abs(st.beta - math.pi / 2.0) > thr.start_lean:
         return (
-            f"initial lean offset {abs(st.beta - math.pi / 2.0):.4f} rad exceeds "
+            f"initial lean offset {_shown(abs(st.beta - math.pi / 2.0), 4)} rad exceeds "
             f"the admissible lean {thr.start_lean} rad"
         )
     return None
@@ -726,9 +721,10 @@ def _line_converged(thr: Thresholds, d: float, e: float) -> str | None:
 def detect_events(state: WheelState, cfg: SimConfig, t: float = 0.0, segment: int = 0) -> list[Event]:
     """Evaluate all event predicates at one state. Pure and idempotent.
 
-    Uses the predicates run_closed_loop fires its events with, so at the
-    final state of a run this reports the events the run recorded at its
-    final time (DomainExit aside, which the run does not record).
+    Uses the charts and the predicates run_closed_loop fires its events
+    with, so at the final state of a run this reports the events the run
+    recorded at its final time (DomainExit aside, which the run does not
+    record).
     """
     thr = cfg.thresholds
     events = [_topple_event(t, state.beta, thr)]
@@ -737,13 +733,12 @@ def detect_events(state: WheelState, cfg: SimConfig, t: float = 0.0, segment: in
             thr, state.beta, state.beta_dot, state.alpha_dot, state.gamma_dot
         )
     elif cfg.kind == "point_to_point":
-        detail = _target_converged(
-            thr, polar_view(state.contact(), state.alpha, cfg.target).e
-        )
+        e, _, _ = polar_chart(cfg.target)(state.x_a, state.y_a, state.alpha)
+        detail = _target_converged(thr, e)
     elif segment == len(cfg.waypoints) - 2:
-        lg = line_geometry(state.contact(), state.alpha, cfg.waypoints[segment + 1],
-                           origin=cfg.waypoints[segment])
-        detail = _line_converged(thr, lg.d, lg.e)
+        chart = line_chart(cfg.waypoints[segment], cfg.waypoints[segment + 1])
+        _, e, d, _, _, _, _ = chart(state.x_a, state.y_a, state.alpha)
+        detail = _line_converged(thr, d, e)
     else:
         detail = None
     if detail is not None:

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from gyrowheel import (
     UnknownChannelError,
     bundled_scenario_path,
     decay_monitor,
+    parse_scenario,
     run_closed_loop,
     scenario_from_mapping,
 )
@@ -136,22 +138,37 @@ def test_run_inadmissible_exit(inadmissible_case, tmp_path):
     assert not (out / "trajectory.csv").exists()
 
 
-@pytest.mark.parametrize("x0, shown", [
-    (1.7e308, "1.7000e+308"),  # a 309-digit integer part under :.4f
-    (1e6, "1.0000e+06"),
-    (999999.0, "999999.0000"),  # below 1e6 m the fixed-point text is kept
-])
-def test_inadmissible_distance_message_stays_short(x0, shown, tmp_path, capsys):
-    path = tmp_path / "far.yaml"
-    path.write_text(
-        "name: far\n"
+def _far_line(x0):
+    return (
         "kind: line\n"
-        "t_end: 1.0\n"
         "initial: {x_a: 0.0, y_a: 0.0, alpha: 0.0, beta: 1.5707963267948966}\n"
         f"waypoints: [[{x0!r}, 0.0], [0.0, 0.0]]\n"
     )
-    expected = (f"initial distance {shown} m from the segment start exceeds "
-                "the admissible radius 0.5 m")
+
+
+_FAR_LINE = ("initial distance {} m from the segment start exceeds "
+             "the admissible radius 0.5 m")
+_P2P = "kind: point_to_point\ntarget: {x: 0.0, y: 0.0}\ninitial: {x_a: 3.0, y_a: 4.0, alpha: 0.0, "
+
+
+# every number in an inadmissible-start text is fixed-point below 1e6 and in
+# e notation from there, so the text stays short whatever the file holds
+@pytest.mark.parametrize("body, expected", [
+    (_far_line(1.7e308), _FAR_LINE.format("1.7000e+308")),  # 309 digits under :.4f
+    (_far_line(1e6), _FAR_LINE.format("1.0000e+06")),
+    (_far_line(999999.0), _FAR_LINE.format("999999.0000")),  # below 1e6 m: fixed point
+    ("kind: balance\ninitial: {beta: 1.0e+200, alpha_dot: 1.0}\n",
+     "initial lean 1.000000e+200 rad outside the topple margin window (0.01, pi - 0.01)"),
+    ("kind: balance\ninitial: {lean_offset: 0.05, lean_rate: 1.0e+150, alpha_dot: 1.0}\n",
+     "sigma(a, b, c) = 2.707107e+150 >= pi/2 for initial lean data "
+     "(0.050000, 1.000000e+150, 0.000000)"),
+    (_P2P + "beta: 1.5, beta_dot: 1.0e+100}\n",
+     "initial lean data outside the tracking domain: sqrt(V1) = 7.071068e+99 >= pi/2"),
+], ids=["1.7e+308-1.7000e+308", "1000000.0-1.0000e+06", "999999.0-999999.0000",
+        "balance-beta-1e200", "balance-lean_rate-1e150", "p2p-beta_dot-1e100"])
+def test_inadmissible_distance_message_stays_short(body, expected, tmp_path, capsys):
+    path = tmp_path / "far.yaml"
+    path.write_text("name: far\nt_end: 1.0\n" + body)
     assert main(["validate", str(path)]) == 3
     message = capsys.readouterr().err.strip()
     assert message == f"inadmissible initial state: {expected}" and len(message) < 200
@@ -159,6 +176,36 @@ def test_inadmissible_distance_message_stays_short(x0, shown, tmp_path, capsys):
     assert main(["run", str(path), "--out", str(out)]) == 3
     report = json.loads((out / "report.json").read_text())
     assert report["events"][0]["detail"] == expected
+
+
+@pytest.mark.parametrize("name, nudge", [
+    ("p2p_default", {"distance": 0}),
+    ("p2p_default", {"distance": 1}),
+    ("line_5m", {"distance": 0, "line_offset": 1}),
+    ("line_5m", {"distance": 1, "line_offset": 0}),
+    ("line_5m", {"distance": 1, "line_offset": 1}),
+], ids=["p2p-e_at_distance", "p2p-e_below_distance", "line-d_at_distance",
+        "line-e_at_line_offset", "line-both_below"])
+def test_report_threshold_checks_agree_with_the_converged_event(name, nudge, tmp_path):
+    # one step, each threshold set to the value the run reached (0) or one
+    # ulp above it (1): the run converges on a strict e < distance (and
+    # d < distance, e < line_offset), and the report passes by the same test
+    sc = parse_scenario(bundled_scenario_path(name))
+    cfg = replace(sc.config, t_end=sc.config.dt)
+    reached = run_closed_loop(cfg).channels
+    source = {"distance": "d" if "d" in reached else "e", "line_offset": "e"}
+    limits = {key: reached[source[key]][-1] for key in nudge}
+    limits = {key: math.nextafter(v, math.inf) if nudge[key] else v
+              for key, v in limits.items()}
+    cfg = replace(cfg, thresholds=replace(cfg.thresholds, **limits))
+    code, report = cli.run_scenario(replace(sc, config=cfg), tmp_path)
+    converged = all(nudge.values())
+    assert code == (0 if converged else 1)
+    assert report["status"] == ("converged" if converged else "horizon")
+    assert [ev["kind"] for ev in report["events"]] == (["Converged"] if converged else [])
+    checks = report["thresholds"]
+    assert {key: checks[key]["pass"] for key in nudge} == {k: bool(v) for k, v in nudge.items()}
+    assert {key: checks[key]["limit"] for key in nudge} == limits
 
 
 def test_run_config_error_exits(tmp_path, capsys):

@@ -326,7 +326,7 @@ class TestControllerWrappers:
         ctl = LineController(
             LineGains(), params, waypoints=((0.0, 0.0), (2.0, 0.0), (2.0, 3.0))
         )
-        assert ctl.segment_count == 2
+        assert ctl.waypoints == ((0.0, 0.0), (2.0, 0.0), (2.0, 3.0))
         st = GeneralizedState(beta=math.pi / 2, alpha=0.0)
         first = ctl.geometry(st, ContactPoint(x_a=1.0, y_a=0.0), 0)
         second = ctl.geometry(st, ContactPoint(x_a=1.0, y_a=0.0), 1)

@@ -7,17 +7,56 @@ from hypothesis import strategies as st
 
 from gyrowheel import (
     ContactPoint,
+    ControlCommand,
     DegenerateLineError,
-    GeneralizedState,
     RobotParams,
-    contact_point,
-    contact_velocity,
+    WheelState,
     line_geometry,
-    polar_rates,
     polar_view,
-    rolling_velocity,
+    rk4_step,
     wrap_to_pi,
 )
+
+from oracles import polar_rates
+
+# The first-order rolling constraints and the contact map. The package
+# integrates only what they imply for the contact point, the pure heading
+# motion R*gamma_dot*(cos(alpha), sin(alpha)) that is the x_a/y_a row of
+# every stepper; the tests below derive that row from them.
+
+
+def rolling_velocity(state, params):
+    """Ground velocity (X_dot, Y_dot) of the wheel-center projection."""
+    R = params.R
+    sa, ca = math.sin(state.alpha), math.cos(state.alpha)
+    sb, cb = math.sin(state.beta), math.cos(state.beta)
+    ad, bd, gd = state.alpha_dot, state.beta_dot, state.gamma_dot
+    x_dot = R * (gd * ca + ad * ca * cb - bd * sa * sb)
+    y_dot = R * (gd * sa + ad * sa * cb + bd * ca * sb)
+    return (x_dot, y_dot)
+
+
+def contact_point(X, Y, alpha, beta, params):
+    """Contact point (x_a, y_a) beneath the wheel given the center projection.
+
+    The offsets are R*cos(beta) resolved along the heading normal; the two
+    components carry opposite signs so that differentiating this map under
+    the rolling constraints collapses to the pure-heading contact velocity.
+    """
+    cb = math.cos(beta)
+    return (X - params.R * math.sin(alpha) * cb, Y + params.R * math.cos(alpha) * cb)
+
+
+def stepper_contact_velocity(state, params, h=1e-5):
+    """The torque stepper's x_a/y_a row at `state`, by a central difference of
+    one RK4 step forward and one back from a contact point at the origin."""
+    st0 = WheelState(
+        alpha=state.alpha, beta=state.beta, alpha_dot=state.alpha_dot,
+        beta_dot=state.beta_dot, gamma_dot=state.gamma_dot,
+    )
+    cmd = ControlCommand("torque", 0.0, 0.0)
+    fwd, back = rk4_step(st0, cmd, params, h), rk4_step(st0, cmd, params, -h)
+    return ((fwd.x_a - back.x_a) / (2 * h), (fwd.y_a - back.y_a) / (2 * h))
 
 
 def test_wrap_boundary_convention():
@@ -39,31 +78,32 @@ def test_wrap_lands_in_half_open_interval(angle):
 
 
 def test_rolling_velocity_upright_matches_contact_velocity(params):
-    st_ = GeneralizedState(alpha=0.7, beta=math.pi / 2, alpha_dot=0.4, gamma_dot=1.3)
+    st_ = WheelState(alpha=0.7, beta=math.pi / 2, alpha_dot=0.4, gamma_dot=1.3)
     assert rolling_velocity(st_, params) == pytest.approx(
-        contact_velocity(0.7, 1.3, params), abs=1e-12
+        stepper_contact_velocity(st_, params), abs=1e-9
     )
 
 
 def test_contact_point_upright_is_under_center(params):
-    a = contact_point(2.0, -1.0, 0.3, math.pi / 2, params)
-    assert (a.x_a, a.y_a) == pytest.approx((2.0, -1.0), abs=1e-12)
+    assert contact_point(2.0, -1.0, 0.3, math.pi / 2, params) == pytest.approx(
+        (2.0, -1.0), abs=1e-12
+    )
 
 
 def test_contact_point_lean_offset(params):
     # leaning with heading along +x shifts the contact along -y by R*cos(beta)
-    a = contact_point(0.0, 0.0, 0.0, math.pi / 3, params)
-    assert a.x_a == pytest.approx(0.0, abs=1e-12)
-    assert a.y_a == pytest.approx(params.R * 0.5, abs=1e-12)
+    x_a, y_a = contact_point(0.0, 0.0, 0.0, math.pi / 3, params)
+    assert x_a == pytest.approx(0.0, abs=1e-12)
+    assert y_a == pytest.approx(params.R * 0.5, abs=1e-12)
 
 
 def test_contact_velocity_collapses_to_heading(params):
     # differentiate the contact map along the rolling flow: the lean and
-    # steering contributions cancel, leaving pure heading motion
+    # steering contributions cancel, leaving the stepper's pure heading motion
     rng = random.Random(5)
     h = 1e-6
     for _ in range(30):
-        st_ = GeneralizedState(
+        st_ = WheelState(
             alpha=rng.uniform(-3, 3),
             beta=rng.uniform(0.4, math.pi - 0.4),
             alpha_dot=rng.uniform(-2, 2),
@@ -80,15 +120,19 @@ def test_contact_velocity_collapses_to_heading(params):
             X - h * xd, Y - h * yd,
             st_.alpha - h * st_.alpha_dot, st_.beta - h * st_.beta_dot, params,
         )
-        fd = ((plus.x_a - minus.x_a) / (2 * h), (plus.y_a - minus.y_a) / (2 * h))
-        exact = contact_velocity(st_.alpha, st_.gamma_dot, params)
-        assert fd == pytest.approx(exact, abs=1e-6)
+        fd = ((plus[0] - minus[0]) / (2 * h), (plus[1] - minus[1]) / (2 * h))
+        assert fd == pytest.approx(stepper_contact_velocity(st_, params), abs=1e-6)
 
 
 def test_contact_speed_is_rolling_speed(params):
+    # a held rolling rate with the heading held moves the contact point
+    # R*|gamma_dot| per second
+    dt = 0.5
     for gd in (-2.5, -0.1, 0.0, 0.7, 3.0):
-        vx, vy = contact_velocity(1.1, gd, params)
-        assert math.hypot(vx, vy) == pytest.approx(params.R * abs(gd), abs=1e-12)
+        st_ = rk4_step(WheelState(alpha=1.1), ControlCommand("velocity", 0.0, gd), params, dt)
+        assert math.hypot(st_.x_a, st_.y_a) / dt == pytest.approx(
+            params.R * abs(gd), abs=1e-12
+        )
 
 
 def test_polar_view_at_target_is_floored():
@@ -238,7 +282,7 @@ def test_line_geometry_rejects_degenerate_segment():
         line_geometry(ContactPoint(x_a=1.0, y_a=1.0), 0.0, (2.0, 3.0), (2.0, 3.0))
 
 
-def test_default_params_radius_used(params):
+def test_default_params_radius_used():
     big = RobotParams(m=1.0, R=2.0, Ix=0.5)
-    vx, vy = contact_velocity(0.0, 1.0, big)
-    assert (vx, vy) == pytest.approx((2.0, 0.0), abs=1e-12)
+    st_ = rk4_step(WheelState(alpha=0.0), ControlCommand("velocity", 0.0, 1.0), big, 0.25)
+    assert (st_.x_a / 0.25, st_.y_a / 0.25) == pytest.approx((2.0, 0.0), abs=1e-12)

@@ -12,10 +12,7 @@ from gyrowheel import (
     closed_form_beta_rates,
     decay_monitor,
     lean_tracking_value,
-    line_value,
-    position_value,
     sigma,
-    steer_value,
 )
 
 
@@ -27,21 +24,32 @@ def test_balance_value_worked_example():
     assert balance_value(math.pi / 2 + 0.1, 0.0, 0.0) == pytest.approx(0.03, abs=1e-12)
 
 
-def test_position_value_worked_example():
-    assert position_value(math.pi / 2, 0.0, 5.0) == pytest.approx(12.5, abs=1e-12)
+def test_position_value_worked_example(p2p_traj):
+    # the point-to-point certificate is V1 + e**2/2, V1 the lean certificate;
+    # the run starts 5 m from the target, leaning 0.02 rad at rest
+    ch = p2p_traj.channels
+    assert ch["V"][0] == pytest.approx(12.5004, abs=1e-12)
+    for i in range(p2p_traj.row_count):
+        assert ch["V1"][i] == lean_tracking_value(ch["beta"][i], ch["beta_dot"][i])
+        assert ch["V"][i] == ch["V1"][i] + 0.5 * ch["e"][i] ** 2
 
 
-def test_steer_value_formula():
-    assert steer_value(0.04, 3.0, k2=4.0) == pytest.approx(
-        math.sqrt(0.16) / 4.0 + 4.5, abs=1e-12
-    )
+def test_steer_value_formula(balance_traj_20s):
+    # the steering certificate sqrt(k2*V)/4 + alpha_dot**2/2 (k2 = 1) falls at
+    # every step of the nominal balance run
+    ch = balance_traj_20s.channels
+    w = [math.sqrt(v) / 4.0 + 0.5 * ad * ad for v, ad in zip(ch["V"], ch["alpha_dot"])]
+    assert all(b < a for a, b in zip(w, w[1:]))
+    assert w[-1] < 1e-6 * w[0]
 
 
-def test_line_value_sums_distances():
-    base = lean_tracking_value(1.6, -0.2)
-    assert line_value(1.6, -0.2, 3.0, 4.0) == pytest.approx(
-        base + 12.5, abs=1e-12
-    )
+def test_line_value_sums_distances(line_traj, corridor_traj):
+    # the line certificate is V1 + (e**2 + d**2)/2 on every segment
+    for traj in (line_traj, corridor_traj):
+        ch = traj.channels
+        for i in range(traj.row_count):
+            assert ch["V1"][i] == lean_tracking_value(ch["beta"][i], ch["beta_dot"][i])
+            assert ch["V"][i] == ch["V1"][i] + 0.5 * (ch["e"][i] ** 2 + ch["d"][i] ** 2)
 
 
 @given(
@@ -165,9 +173,8 @@ def test_certificates_vanish_only_at_goal():
         assert v >= 0.0
         if v == 0.0:
             assert x == xd == xdd == 0.0
-    assert position_value(math.pi / 2, 0.0, 0.0) == 0.0
-    assert position_value(math.pi / 2, 0.0, 1e-3) > 0.0
-    assert line_value(math.pi / 2, 0.0, 0.0, 0.0) == 0.0
+    assert lean_tracking_value(math.pi / 2, 0.0) == 0.0
+    assert lean_tracking_value(math.pi / 2, 1e-3) > 0.0
 
 
 def test_decay_monitor_rejects_bad_input():

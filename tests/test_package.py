@@ -1,5 +1,6 @@
-"""The package surface: each submodule is reachable by its name, and every
-name a module exports in __all__ exists."""
+"""The package surface: each submodule is reachable by its name, every
+name a module exports in __all__ exists, and no name is in two modules'
+__all__."""
 
 import importlib
 import pkgutil
@@ -23,3 +24,12 @@ def test_module_surface(name):
     namespace: dict = {}
     exec(f"from gyrowheel.{name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_each_public_name_has_one_home():
+    # a name in two modules' __all__ is one fact exported twice
+    homes: dict = {}
+    for name in MODULES:
+        for attr in getattr(importlib.import_module(f"gyrowheel.{name}"), "__all__", []):
+            homes.setdefault(attr, []).append(name)
+    assert {attr: mods for attr, mods in homes.items() if len(mods) > 1} == {}
