@@ -42,6 +42,7 @@ from .simulate import (
     InadmissibleStateError,
     Trajectory,
     UnknownChannelError,
+    _convergence,
     run_closed_loop,
 )
 
@@ -260,30 +261,15 @@ def _status_and_exit(traj: Trajectory) -> tuple[str, int]:
 
 
 def _threshold_checks(sc: Scenario, traj: Trajectory) -> dict:
-    cfg = sc.config
-    thr = cfg.thresholds
-    final = traj.final_state
-    out = {}
+    """The run's convergence test at its last row, one entry per threshold."""
+    channels = traj.channels
 
-    def entry(value, limit, strict=False):
-        # strict for the distances, as the run's Converged test is
-        ok = value < limit if strict else value <= limit
-        return {"value": value, "limit": limit, "pass": bool(ok)}
+    def last(name):
+        return channels[name][-1] if traj.row_count and name in channels else math.nan
 
-    if cfg.kind == "balance":
-        out["lean"] = entry(abs(final.beta - math.pi / 2.0), thr.lean)
-        out["lean_rate"] = entry(abs(final.beta_dot), thr.lean_rate)
-        out["steer_rate"] = entry(abs(final.alpha_dot), thr.steer_rate)
-        out["roll_rate"] = entry(abs(final.gamma_dot), thr.roll_rate)
-    elif cfg.kind == "point_to_point":
-        e = traj.channels["e"][-1] if traj.row_count else math.nan
-        out["distance"] = entry(e, thr.distance, strict=True)
-    else:
-        d = traj.channels["d"][-1] if traj.row_count else math.nan
-        e = traj.channels["e"][-1] if traj.row_count else math.nan
-        out["distance"] = entry(d, thr.distance, strict=True)
-        out["line_offset"] = entry(e, thr.line_offset, strict=True)
-    return out
+    checks = _convergence(sc.config, traj.final_state, last("e"), last("d"), last("segment"))
+    return {key: {"value": value, "limit": limit, "pass": passed}
+            for key, (value, limit, passed) in checks.items()}
 
 
 def _decay_summary(traj: Trajectory) -> dict | None:

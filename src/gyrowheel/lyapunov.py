@@ -63,11 +63,7 @@ def closed_form_beta(a: float, b: float, c: float, t: float) -> float:
     x''' = -(3x + 5x' + 3x'') from initial data (a, b, c). The decaying
     modes sit at -1 and -1 +/- i*sqrt(2).
     """
-    A = (3.0 * a + 2.0 * b + c) / 2.0
-    B = (a + b) / math.sqrt(2.0)
-    C = -(a + 2.0 * b + c) / 2.0
-    w = math.sqrt(2.0) * t
-    return math.exp(-t) * (A + B * math.sin(w) + C * math.cos(w))
+    return closed_form_beta_rates(a, b, c, t)[0]
 
 
 def closed_form_beta_rates(

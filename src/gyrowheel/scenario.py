@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import re
+import reprlib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -97,10 +98,20 @@ class Scenario:
     rate_limits: tuple[float, float] | None = None
 
 
+# A schema error echoes a value it refuses through _echo: a number keeps its
+# full text, anything else is cut to a bounded length and nesting depth.
+_BOUNDED = reprlib.Repr()
+_BOUNDED.maxstring = _BOUNDED.maxother = 60
+
+
+def _echo(value) -> str:
+    return repr(value) if isinstance(value, (int, float)) else _BOUNDED.repr(value)
+
+
 def _check_keys(block: dict, allowed, where: str) -> None:
     for key in block:
         if key not in allowed:
-            raise ScenarioError(f"{where or 'scenario'}: unknown key {key!r}")
+            raise ScenarioError(f"{where or 'scenario'}: unknown key {_echo(key)}")
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -112,7 +123,7 @@ def _require_mapping(value, where: str) -> dict:
 def _number(value, where: str) -> float:
     """The float of a YAML number; a non-number or a non-finite one fails at `where`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}: expected a number, got {value!r}")
+        raise ScenarioError(f"{where}: expected a number, got {_echo(value)}")
     try:
         out = float(value)
     except OverflowError:  # an integer beyond the float range
@@ -129,16 +140,13 @@ def _num(block: dict, key: str, where: str, default=None) -> float:
         return default
     return _number(block[key], f"{where}.{key}")
 
-def _opt_num(block: dict, key: str, where: str, default: float = 0.0) -> float:
-    return _num(block, key, where, default=default)
-
 
 def _bool(block: dict, key: str, where: str, default: bool) -> bool:
     if key not in block:
         return default
     value = block[key]
     if not isinstance(value, bool):
-        raise ScenarioError(f"{where}.{key}: expected true/false, got {value!r}")
+        raise ScenarioError(f"{where}.{key}: expected true/false, got {_echo(value)}")
     return value
 
 
@@ -166,33 +174,17 @@ def _build(cls, where: str, **kwargs):
         raise ScenarioError(f"{where}{exc}") from None
 
 
-def _parse_params(data: dict) -> RobotParams:
-    block = _require_mapping(data.get("params", {}), "params")
-    _check_keys(block, _PARAM_KEYS, "params")
-    kwargs = {}
-    for key in _PARAM_KEYS:
-        if key in block:
-            kwargs[key] = _num(block, key, "params")
-    return _build(RobotParams, "params: ", **kwargs)
+def _parse_block(data: dict, key: str, cls, keys: tuple):
+    """cls from the block at `key`, whose keys are cls's fields; an absent block is empty.
 
-
-def _parse_friction(data: dict) -> FrictionParams | None:
-    if "friction" not in data:
-        return None
-    block = _require_mapping(data["friction"], "friction")
-    _check_keys(block, _FRICTION_KEYS, "friction")
-    kwargs = {}
-    for key in _FRICTION_KEYS:
-        if key in block:
-            kwargs[key] = (_num if key == "D" else _triple)(block, key, "friction")
-    return _build(FrictionParams, "friction: ", **kwargs)
-
-
-def _parse_thresholds(data: dict) -> Thresholds:
-    block = _require_mapping(data.get("thresholds", {}), "thresholds")
-    _check_keys(block, _THRESHOLD_KEYS, "thresholds")
-    kwargs = {key: _num(block, key, "thresholds") for key in block}
-    return _build(Thresholds, "thresholds: ", **kwargs)
+    Values are read in the order of keys; a field whose default is a tuple
+    takes a list of three numbers.
+    """
+    block = _require_mapping(data.get(key, {}), key)
+    _check_keys(block, keys, key)
+    kwargs = {k: (_triple if isinstance(getattr(cls, k), tuple) else _num)(block, k, key)
+              for k in keys if k in block}
+    return _build(cls, f"{key}: ", **kwargs)
 
 
 def _parse_smoothing(block: dict, where: str) -> Smoothing | None:
@@ -201,8 +193,8 @@ def _parse_smoothing(block: dict, where: str) -> Smoothing | None:
         if "k6" in block or "k7" in block:
             raise ScenarioError(f"{where}: hard_switching excludes k6/k7")
         return None
-    k6 = _opt_num(block, "k6", where, 20.0)
-    k7 = _opt_num(block, "k7", where, 20.0)
+    k6 = _num(block, "k6", where, 20.0)
+    k7 = _num(block, "k7", where, 20.0)
     return _build(Smoothing, f"{where}.", k6=k6, k7=k7)
 
 
@@ -210,15 +202,15 @@ def _parse_gains(data: dict, kind: str):
     block = _require_mapping(data.get("gains", {}), "gains")
     _check_keys(block, _GAIN_KEYS[kind], "gains")
     if kind == "balance":
-        k1 = _opt_num(block, "k1", "gains", 1.0)
-        k2 = _opt_num(block, "k2", "gains", 1.0)
+        k1 = _num(block, "k1", "gains", 1.0)
+        k2 = _num(block, "k2", "gains", 1.0)
         return _build(BalanceGains, "gains.", k2=k2, k1=k1)
     smoothing = _parse_smoothing(block, "gains")
-    k3 = _opt_num(block, "k3", "gains", 3.0)
+    k3 = _num(block, "k3", "gains", 3.0)
     if kind == "point_to_point":
-        k4 = _opt_num(block, "k4", "gains", 1.0)
+        k4 = _num(block, "k4", "gains", 1.0)
         return _build(PositionGains, "gains.", k3=k3, k4=k4, smoothing=smoothing)
-    k5 = _opt_num(block, "k5", "gains", 1.0)
+    k5 = _num(block, "k5", "gains", 1.0)
     return _build(LineGains, "gains.", k3=k3, k5=k5, smoothing=smoothing)
 
 
@@ -234,14 +226,14 @@ def _parse_initial(data: dict, kind: str, params: RobotParams) -> WheelState:
         allowed = _BALANCE_COMMON_KEYS + (_BALANCE_RAW_KEYS if raw else _BALANCE_LEAN_KEYS)
         _check_keys(block, allowed, "initial")
         alpha_dot = _num(block, "alpha_dot", "initial")
-        alpha = _opt_num(block, "alpha", "initial")
-        gamma = _opt_num(block, "gamma", "initial")
-        x_a = _opt_num(block, "x_a", "initial")
-        y_a = _opt_num(block, "y_a", "initial")
+        alpha = _num(block, "alpha", "initial", 0.0)
+        gamma = _num(block, "gamma", "initial", 0.0)
+        x_a = _num(block, "x_a", "initial", 0.0)
+        y_a = _num(block, "y_a", "initial", 0.0)
         if raw:
             beta = _num(block, "beta", "initial")
-            beta_dot = _opt_num(block, "beta_dot", "initial")
-            gamma_dot = _opt_num(block, "gamma_dot", "initial")
+            beta_dot = _num(block, "beta_dot", "initial", 0.0)
+            gamma_dot = _num(block, "gamma_dot", "initial", 0.0)
             try:
                 alpha_dot**2  # the lean dynamics square the steering rate
             except OverflowError:
@@ -250,9 +242,9 @@ def _parse_initial(data: dict, kind: str, params: RobotParams) -> WheelState:
                     "acceleration squares it beyond the float range"
                 ) from None
         else:
-            a = _opt_num(block, "lean_offset", "initial")
-            b = _opt_num(block, "lean_rate", "initial")
-            c = _opt_num(block, "lean_accel", "initial")
+            a = _num(block, "lean_offset", "initial", 0.0)
+            b = _num(block, "lean_rate", "initial", 0.0)
+            c = _num(block, "lean_accel", "initial", 0.0)
             beta = math.pi / 2.0 + a
             beta_dot = b
             # invert the lean dynamics for the rolling rate that realizes c
@@ -281,10 +273,10 @@ def _parse_initial(data: dict, kind: str, params: RobotParams) -> WheelState:
     _check_keys(block, _TRACKING_INITIAL_KEYS, "initial")
     return WheelState(
         alpha=_num(block, "alpha", "initial"),
-        beta=_opt_num(block, "beta", "initial", math.pi / 2.0),
-        gamma=_opt_num(block, "gamma", "initial"),
+        beta=_num(block, "beta", "initial", math.pi / 2.0),
+        gamma=_num(block, "gamma", "initial", 0.0),
         alpha_dot=0.0,
-        beta_dot=_opt_num(block, "beta_dot", "initial"),
+        beta_dot=_num(block, "beta_dot", "initial", 0.0),
         gamma_dot=0.0,
         x_a=_num(block, "x_a", "initial"),
         y_a=_num(block, "y_a", "initial"),
@@ -336,10 +328,10 @@ def _parse_plot_channels(data: dict, kind: str) -> tuple[str, ...]:
     out = []
     for item in value:
         if not isinstance(item, str):
-            raise ScenarioError(f"plot_channels: expected a name, got {item!r}")
+            raise ScenarioError(f"plot_channels: expected a name, got {_echo(item)}")
         if item not in valid:
             raise ScenarioError(
-                f"plot_channels: unknown channel {item!r} for kind {kind!r}; "
+                f"plot_channels: unknown channel {_echo(item)} for kind {kind!r}; "
                 f"valid channels: {', '.join(valid)}"
             )
         out.append(item)
@@ -353,22 +345,22 @@ def scenario_from_mapping(data: dict, default_name: str = "scenario") -> Scenari
 
     name = data.get("name", default_name)
     if not isinstance(name, str) or not name:
-        raise ScenarioError(f"name: expected a non-empty string, got {name!r}")
+        raise ScenarioError(f"name: expected a non-empty string, got {_echo(name)}")
 
     kind = data.get("kind")
     if kind not in KINDS:
-        raise ScenarioError(f"kind: expected one of {', '.join(KINDS)}, got {kind!r}")
+        raise ScenarioError(f"kind: expected one of {', '.join(KINDS)}, got {_echo(kind)}")
 
     required_mode = _KIND_MODE[kind]
     mode = data.get("mode", required_mode)
     if mode != required_mode:
         raise ScenarioError(
-            f"mode: kind {kind!r} runs in {required_mode!r} mode, got {mode!r}"
+            f"mode: kind {kind!r} runs in {required_mode!r} mode, got {_echo(mode)}"
         )
 
     dt = _num(data, "dt", "scenario", default=1e-3)
     t_end = _num(data, "t_end", "scenario")
-    params = _parse_params(data)
+    params = _parse_block(data, "params", RobotParams, _PARAM_KEYS)
     gains = _parse_gains(data, kind)
     if "initial" not in data:
         raise ScenarioError("scenario: missing required key 'initial'")
@@ -395,8 +387,9 @@ def scenario_from_mapping(data: dict, default_name: str = "scenario") -> Scenari
     elif "waypoints" in data:
         raise ScenarioError(f"waypoints: not used by kind {kind!r}")
 
-    friction = _parse_friction(data)
-    thresholds = _parse_thresholds(data)
+    friction = (_parse_block(data, "friction", FrictionParams, _FRICTION_KEYS)
+                if "friction" in data else None)
+    thresholds = _parse_block(data, "thresholds", Thresholds, _THRESHOLD_KEYS)
     stop_on_converged = _bool(data, "stop_on_converged", "scenario", default=True)
     actuator_lag = _num(data, "actuator_lag", "scenario", default=0.0)
     rate_limits = _parse_rate_limits(data, kind, gains, initial, target)
@@ -451,11 +444,13 @@ def parse_scenario(path) -> Scenario:
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8 text
         raise ScenarioError(f"cannot read scenario file {p}: {exc}") from None
     try:
         data = _load(text)
-    except yaml.YAMLError as exc:
+    # ValueError: an integer past Python's int-string limit; RecursionError:
+    # nesting deeper than the pure-Python loader's recursion reaches
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ScenarioError(f"{p}: malformed scenario file: {exc}") from None
     if data is None:
         raise ScenarioError(f"{p}: empty scenario file")
@@ -464,55 +459,34 @@ def parse_scenario(path) -> Scenario:
     return scenario_from_mapping(data, default_name=p.stem)
 
 
+def _fields(obj, keys) -> dict:
+    return {key: getattr(obj, key) for key in keys}
+
+
 def scenario_to_mapping(sc: Scenario) -> dict:
     """Canonical mapping form; parse(serialize) round-trips exactly."""
     cfg = sc.config
-    st = cfg.initial
     out: dict = {"name": sc.name, "kind": cfg.kind, "dt": cfg.dt, "t_end": cfg.t_end,
                  "stop_on_converged": cfg.stop_on_converged}
-    p = cfg.params
-    out["params"] = {key: getattr(p, key) for key in _PARAM_KEYS}
-    if cfg.kind == "balance":
-        out["initial"] = {
-            "alpha": st.alpha, "gamma": st.gamma, "alpha_dot": st.alpha_dot,
-            "x_a": st.x_a, "y_a": st.y_a,
-            "beta": st.beta, "beta_dot": st.beta_dot, "gamma_dot": st.gamma_dot,
-        }
-        out["gains"] = {"k1": cfg.gains.k1, "k2": cfg.gains.k2}
-    else:
-        out["initial"] = {
-            "x_a": st.x_a, "y_a": st.y_a, "alpha": st.alpha,
-            "beta": st.beta, "beta_dot": st.beta_dot, "gamma": st.gamma,
-        }
-        g = cfg.gains
-        gains: dict = {"k3": g.k3}
-        if cfg.kind == "point_to_point":
-            gains["k4"] = g.k4
-        else:
-            gains["k5"] = g.k5
-        if g.smoothing is None:
-            gains["hard_switching"] = True
-        else:
-            gains["k6"] = g.smoothing.k6
-            gains["k7"] = g.smoothing.k7
-        out["gains"] = gains
+    out["params"] = _fields(cfg.params, _PARAM_KEYS)
+    out["initial"] = _fields(cfg.initial, _BALANCE_COMMON_KEYS + _BALANCE_RAW_KEYS
+                             if cfg.kind == "balance" else _TRACKING_INITIAL_KEYS)
+    # a tracking law's smoothing gains stand beside k3; hard switching is their absence
+    smoothing = getattr(cfg.gains, "smoothing", None)
+    gains = {**vars(cfg.gains), **(vars(smoothing) if smoothing else {"hard_switching": True})}
+    out["gains"] = {key: gains[key] for key in _GAIN_KEYS[cfg.kind] if key in gains}
     if cfg.kind == "point_to_point":
         out["target"] = {"x": cfg.target[0], "y": cfg.target[1]}
     if cfg.kind in ("line", "corridor"):
         out["waypoints"] = [[x, y] for x, y in cfg.waypoints]
     if cfg.friction is not None:
-        f = cfg.friction
-        out["friction"] = {
-            "mu_v": list(f.mu_v), "mu_d": list(f.mu_d), "mu_s": list(f.mu_s), "D": f.D,
-        }
-    thr = cfg.thresholds
-    out["thresholds"] = {key: getattr(thr, key) for key in _THRESHOLD_KEYS}
+        out["friction"] = {k: list(v) if isinstance(v, tuple) else v
+                           for k, v in _fields(cfg.friction, _FRICTION_KEYS).items()}
+    out["thresholds"] = _fields(cfg.thresholds, _THRESHOLD_KEYS)
     if cfg.actuator_lag > 0.0:
         out["actuator_lag"] = cfg.actuator_lag
     if sc.rate_limits is not None:
-        out["rate_limits"] = {
-            "alpha_dot_max": sc.rate_limits[0], "gamma_dot_max": sc.rate_limits[1],
-        }
+        out["rate_limits"] = dict(zip(_RATE_LIMIT_KEYS, sc.rate_limits))
     out["plot_channels"] = list(sc.plot_channels)
     return out
 

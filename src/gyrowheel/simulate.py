@@ -29,8 +29,8 @@ certificate and the convergence test). It calls the controller's command
 once per row, with plain floats, and no other function of the package but
 the chart and the stepper. Rows go straight into the trajectory columns.
 The loop compares against the event thresholds, bound once per run, and
-calls the predicate functions that detect_events uses only once a
-condition holds, to build the event.
+calls the predicate functions and the convergence table that detect_events
+uses only once a condition holds, to build the event.
 
 Commands are held constant across each RK4 step (zero-order hold), computed
 from the state at the step start. Every step boundary emits one trajectory
@@ -675,7 +675,7 @@ def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) ->
     return None
 
 
-# Event predicates, shared by run_closed_loop and detect_events.
+# Event predicates and the convergence table, shared by run_closed_loop and detect_events.
 
 
 def _topple_event(t: float, beta: float, thr: Thresholds) -> Event | None:
@@ -694,55 +694,57 @@ def _singular_event(t: float, alpha_dot: float, thr: Thresholds) -> Event | None
     )
 
 
-def _balance_converged(thr: Thresholds, beta, beta_dot, alpha_dot, gamma_dot) -> str | None:
-    if (
-        abs(beta - math.pi / 2.0) <= thr.lean
-        and abs(beta_dot) <= thr.lean_rate
-        and abs(alpha_dot) <= thr.steer_rate
-        and abs(gamma_dot) <= thr.roll_rate
-    ):
+def _convergence(cfg: SimConfig, state: WheelState, e: float, d: float, segment: float) -> dict:
+    """The Converged test: one (value, limit, passed) entry per threshold, in the report's order.
+
+    The run converges where every entry passes. e and d are the chart's
+    distances at the state (a balance run reads neither, a point-to-point
+    run only e); a line run's distance passes only on its last segment.
+    """
+    thr = cfg.thresholds
+    if cfg.kind == "balance":
+        values = (abs(state.beta - math.pi / 2.0), abs(state.beta_dot),
+                  abs(state.alpha_dot), abs(state.gamma_dot))
+        limits = (thr.lean, thr.lean_rate, thr.steer_rate, thr.roll_rate)
+        return {key: (v, lim, v <= lim) for key, v, lim in
+                zip(("lean", "lean_rate", "steer_rate", "roll_rate"), values, limits)}
+    if cfg.kind == "point_to_point":
+        return {"distance": (e, thr.distance, e < thr.distance)}
+    last = segment == len(cfg.waypoints) - 2
+    return {"distance": (d, thr.distance, last and d < thr.distance),
+            "line_offset": (e, thr.line_offset, e < thr.line_offset)}
+
+
+def _converged_detail(kind: str, checks: dict) -> str:
+    """The Converged event's text, from the entries of _convergence."""
+    if kind == "balance":
         return "lean, lean rate, steering rate, rolling rate all within thresholds"
-    return None
-
-
-def _target_converged(thr: Thresholds, e: float) -> str | None:
-    if e < thr.distance:
-        return f"e = {e:.4f} m < {thr.distance} m"
-    return None
-
-
-def _line_converged(thr: Thresholds, d: float, e: float) -> str | None:
-    """Only the last segment can converge the run; callers check the segment."""
-    if d < thr.distance and e < thr.line_offset:
-        return f"d = {d:.4f} m and line distance e = {e:.4f} m within thresholds"
-    return None
+    if kind == "point_to_point":
+        e, limit, _ = checks["distance"]
+        return f"e = {e:.4f} m < {limit} m"
+    d, e = checks["distance"][0], checks["line_offset"][0]
+    return f"d = {d:.4f} m and line distance e = {e:.4f} m within thresholds"
 
 
 def detect_events(state: WheelState, cfg: SimConfig, t: float = 0.0, segment: int = 0) -> list[Event]:
     """Evaluate all event predicates at one state. Pure and idempotent.
 
-    Uses the charts and the predicates run_closed_loop fires its events
-    with, so at the final state of a run this reports the events the run
-    recorded at its final time (DomainExit aside, which the run does not
-    record).
+    Uses the charts, the predicates and the convergence test run_closed_loop
+    fires its events with, so at the final state of a run this reports the
+    events the run recorded at its final time (DomainExit aside, which the
+    run does not record).
     """
     thr = cfg.thresholds
     events = [_topple_event(t, state.beta, thr)]
-    if cfg.kind == "balance":
-        detail = _balance_converged(
-            thr, state.beta, state.beta_dot, state.alpha_dot, state.gamma_dot
-        )
-    elif cfg.kind == "point_to_point":
+    e = d = math.nan
+    if cfg.kind == "point_to_point":
         e, _, _ = polar_chart(cfg.target)(state.x_a, state.y_a, state.alpha)
-        detail = _target_converged(thr, e)
-    elif segment == len(cfg.waypoints) - 2:
+    elif cfg.kind != "balance" and 0 <= segment < len(cfg.waypoints) - 1:
         chart = line_chart(cfg.waypoints[segment], cfg.waypoints[segment + 1])
         _, e, d, _, _, _, _ = chart(state.x_a, state.y_a, state.alpha)
-        detail = _line_converged(thr, d, e)
-    else:
-        detail = None
-    if detail is not None:
-        events.append(Event("Converged", t, detail))
+    checks = _convergence(cfg, state, e, d, segment)
+    if all(passed for _, _, passed in checks.values()):
+        events.append(Event("Converged", t, _converged_detail(cfg.kind, checks)))
     if cfg.mode == "torque":
         events.append(_singular_event(t, state.alpha_dot, thr))
     violated = _admissibility_violation(cfg, state)
@@ -778,8 +780,8 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
     waypoints = getattr(controller, "waypoints", ())
     last_segment = len(waypoints) - 2
     nan, half_pi = math.nan, math.pi / 2.0
-    # the event thresholds, bound once; an event's predicate function runs
-    # only once its condition holds, to build the event
+    # the event thresholds, bound once; an event's predicate function, or
+    # the convergence table, runs only once its condition holds, to build the event
     lo, hi = thr.topple_margin, math.pi - thr.topple_margin
     floor = thr.alpha_dot_floor if torque else 0.0  # |alpha_dot| < 0 never holds
     lean, lean_rate, steer_rate, roll_rate = thr.lean, thr.lean_rate, thr.steer_rate, thr.roll_rate
@@ -814,6 +816,7 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
         chart = polar_chart(controller.target)
     elif not balance:  # one line chart per segment reached
         chart = line_chart(waypoints[0], waypoints[1])
+    e = d = nan  # the chart distances; a balance run has none, a point-to-point run no d
     converged_seen = False
     for i in range(n + 1):
         t = i * dt
@@ -896,9 +899,8 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
             else segment == last_segment and d < distance and e < line_offset
         ):
             converged_seen = True
-            detail = (_balance_converged(thr, b, bd, ad, gd) if balance
-                      else _target_converged(thr, e) if p2p else _line_converged(thr, d, e))
-            events.append(Event("Converged", t, detail))
+            checks = _convergence(cfg, WheelState(a, b, g, ad, bd, gd, bdd, xa, ya), e, d, segment)
+            events.append(Event("Converged", t, _converged_detail(kind, checks)))
             if cfg.stop_on_converged:
                 break
         if i == n:

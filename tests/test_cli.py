@@ -178,34 +178,61 @@ def test_inadmissible_distance_message_stays_short(body, expected, tmp_path, cap
     assert report["events"][0]["detail"] == expected
 
 
-@pytest.mark.parametrize("name, nudge", [
-    ("p2p_default", {"distance": 0}),
-    ("p2p_default", {"distance": 1}),
-    ("line_5m", {"distance": 0, "line_offset": 1}),
-    ("line_5m", {"distance": 1, "line_offset": 0}),
-    ("line_5m", {"distance": 1, "line_offset": 1}),
+@pytest.mark.parametrize("name, nudge, t_end", [
+    ("p2p_default", {"distance": 0}, None),
+    ("p2p_default", {"distance": 1}, None),
+    ("line_5m", {"distance": 0, "line_offset": 1}, None),
+    ("line_5m", {"distance": 1, "line_offset": 0}, None),
+    ("line_5m", {"distance": 1, "line_offset": 1}, None),
+    ("corridor_demo", {"distance": 10.0, "line_offset": 1.0}, 1.0),
 ], ids=["p2p-e_at_distance", "p2p-e_below_distance", "line-d_at_distance",
-        "line-e_at_line_offset", "line-both_below"])
-def test_report_threshold_checks_agree_with_the_converged_event(name, nudge, tmp_path):
+        "line-e_at_line_offset", "line-both_below", "corridor-segment_0_of_2"])
+def test_report_threshold_checks_agree_with_the_converged_event(name, nudge, t_end, tmp_path):
     # one step, each threshold set to the value the run reached (0) or one
     # ulp above it (1): the run converges on a strict e < distance (and
-    # d < distance, e < line_offset), and the report passes by the same test
+    # d < distance, e < line_offset), and the report passes by the same test.
+    # With a t_end, the thresholds are the given limits; a corridor still on
+    # its first segment then has both distances below them, but only the
+    # last segment converges the run, so its distance check fails
     sc = parse_scenario(bundled_scenario_path(name))
-    cfg = replace(sc.config, t_end=sc.config.dt)
+    cfg = replace(sc.config, t_end=t_end or sc.config.dt)
     reached = run_closed_loop(cfg).channels
     source = {"distance": "d" if "d" in reached else "e", "line_offset": "e"}
-    limits = {key: reached[source[key]][-1] for key in nudge}
-    limits = {key: math.nextafter(v, math.inf) if nudge[key] else v
-              for key, v in limits.items()}
+    if t_end is None:
+        limits = {key: reached[source[key]][-1] for key in nudge}
+        limits = {key: math.nextafter(v, math.inf) if nudge[key] else v
+                  for key, v in limits.items()}
+        passes = {key: bool(v) for key, v in nudge.items()}
+    else:
+        limits = nudge
+        assert reached["segment"][-1] == 0.0
+        assert all(reached[source[key]][-1] < limit for key, limit in limits.items())
+        passes = {"distance": False, "line_offset": True}
     cfg = replace(cfg, thresholds=replace(cfg.thresholds, **limits))
     code, report = cli.run_scenario(replace(sc, config=cfg), tmp_path)
-    converged = all(nudge.values())
+    converged = all(passes.values())
     assert code == (0 if converged else 1)
     assert report["status"] == ("converged" if converged else "horizon")
     assert [ev["kind"] for ev in report["events"]] == (["Converged"] if converged else [])
     checks = report["thresholds"]
-    assert {key: checks[key]["pass"] for key in nudge} == {k: bool(v) for k, v in nudge.items()}
+    assert {key: checks[key]["pass"] for key in nudge} == passes
     assert {key: checks[key]["limit"] for key in nudge} == limits
+
+
+@pytest.mark.parametrize("name", ["balance_default", "p2p_default", "line_5m", "corridor_demo"])
+def test_report_passes_every_threshold_exactly_when_converged(name, tmp_path):
+    # the bundled run as shipped converges; a horizon at half its converged
+    # time, and one a step short of it, end it first
+    sc = parse_scenario(bundled_scenario_path(name))
+    code, report = cli.run_scenario(sc, tmp_path / "full")
+    assert report["status"] == "converged" and code == 0
+    assert all(check["pass"] for check in report["thresholds"].values())
+    t_converged = report["final_time"]
+    for i, t_end in enumerate((t_converged / 2, t_converged - sc.config.dt)):
+        cut = replace(sc, config=replace(sc.config, t_end=t_end))
+        code, report = cli.run_scenario(cut, tmp_path / f"cut{i}")
+        assert report["status"] == "horizon" and code == 1
+        assert not all(check["pass"] for check in report["thresholds"].values())
 
 
 def test_run_config_error_exits(tmp_path, capsys):
@@ -467,6 +494,84 @@ def test_numbers_beyond_the_float_range_are_config_errors(tmp_path, capsys, comm
     assert main(argv) == 4
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+_UNREADABLE_FILES = {
+    # a byte that is not UTF-8: once a UnicodeDecodeError from reading the file
+    "non_utf8": (
+        b"name: x\nkind: bal\xffance\n", "cannot read scenario file {path}: 'utf-8' codec",
+    ),
+    # an integer past Python's 4,300-digit int-string limit: once a ValueError in the loader
+    "int_past_str_limit": (
+        b"kind: balance\nt_end: 1" + b"0" * 4400 + b"\ninitial: {beta: 1.6, alpha_dot: 1.0}\n",
+        "{path}: malformed scenario file: Exceeds the limit (4300 digits)",
+    ),
+    # nesting deeper than the pure-Python loader (a tag sends the text there) can recurse
+    "nested_past_recursion": (
+        b"kind: !!seq " + b"[" * 1000 + b"]" * 1000 + b"\nt_end: 1\n",
+        "{path}: malformed scenario file: maximum recursion depth exceeded",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNREADABLE_FILES))
+@pytest.mark.parametrize("command", ["run", "validate", "batch"])
+def test_unreadable_scenario_text_is_a_config_error(quick_balance, tmp_path, capsys, command, name):
+    data, message = _UNREADABLE_FILES[name]
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    path = suite / f"a_{name}.yaml"
+    path.write_bytes(data)
+    out = tmp_path / "out"
+    if command == "batch":  # the batch reports the file and goes on to the next
+        shutil.copy(quick_balance, suite / "b_quick.yaml")
+        assert main(["batch", str(suite), "--out", str(out)]) == 4
+        printed = capsys.readouterr().out
+        assert f"{path.name}: config error: " + message.format(path=path) in printed
+        assert "balance_test: converged" in printed
+        assert (out / "b_quick" / "report.json").exists()
+        assert not (out / path.stem).exists()
+        return
+    argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert message.format(path=path) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+_B = "kind: balance\nt_end: 1\ninitial: {beta: 1.6, alpha_dot: 1.0}\n"
+_LONG = "{}...{}".format("y" * 27, "y" * 28)
+
+
+# a value a schema error echoes is cut to a bounded length and depth; numbers keep their text
+@pytest.mark.parametrize("body, expected", [
+    ("kind: " + "[" * 1000 + "]" * 1000 + "\nt_end: 1\n",
+     "kind: expected one of balance, point_to_point, line, corridor, got [[[[[[[...]]]]]]]"),
+    ("kind: " + "[" * 500 + "]" * 500 + "\nt_end: 1\n",
+     "kind: expected one of balance, point_to_point, line, corridor, got [[[[[[[...]]]]]]]"),
+    ("name: " + "{a: " * 500 + "1" + "}" * 500 + "\n" + _B,
+     "name: expected a non-empty string, got {'a': {'a': {'a': {'a': {'a': {'a': {...}}}}}}}"),
+    (_B + "mode: " + "y" * 5000 + "\n",
+     f"mode: kind 'balance' runs in 'torque' mode, got '{_LONG}'"),
+    (_B + "stop_on_converged: [" + ", ".join(map(str, range(1000))) + "]\n",
+     "scenario.stop_on_converged: expected true/false, got [0, 1, 2, 3, 4, 5, ...]"),
+    (_B + "stop_on_converged: 1" + "0" * 400 + "\n",
+     "scenario.stop_on_converged: expected true/false, got 1" + "0" * 400),
+    (_B + "plot_channels: [" + "[" * 300 + "]" * 300 + "]\n",
+     "plot_channels: expected a name, got [[[[[[[...]]]]]]]"),
+    (_B + "plot_channels: [" + "y" * 5000 + "]\n",
+     f"plot_channels: unknown channel '{_LONG}' for kind 'balance'; valid channels: "
+     "t, alpha, beta, gamma, alpha_dot, beta_dot, gamma_dot, beta_ddot, x_a, y_a, "
+     "u_steer, u_drive, V"),
+    ("kind: balance\nt_end: " + "y" * 5000 + "\n",
+     f"scenario.t_end: expected a number, got '{_LONG}'"),
+], ids=["kind-nested-1000", "kind-nested-500", "name-nested", "mode-long", "bool-list",
+        "bool-integer", "plot_channels-nested", "plot_channels-long", "number-long"])
+def test_schema_errors_echo_bounded_values(body, expected, tmp_path, capsys):
+    path = tmp_path / "echo.yaml"
+    path.write_text(body)
+    assert main(["validate", str(path)]) == 4
+    assert capsys.readouterr().err == f"invalid: {expected}\n"
 
 
 @pytest.mark.parametrize("override, message", [

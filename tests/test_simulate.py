@@ -252,6 +252,18 @@ def test_detect_events_nothing_at_nominal_state():
     assert detect_events(cfg.initial, cfg) == []
 
 
+def test_detect_events_converges_a_corridor_only_on_its_last_segment():
+    # at each segment's end, heading along it: d = e = 0 on that segment's chart
+    cfg = parse_scenario(bundled_scenario_path("corridor_demo")).config
+    last = len(cfg.waypoints) - 2
+    assert last > 0
+    for segment in range(last + 1):
+        (x0, y0), (x1, y1) = cfg.waypoints[segment], cfg.waypoints[segment + 1]
+        end = WheelState(alpha=math.atan2(y1 - y0, x1 - x0), x_a=x1, y_a=y1)
+        kinds = [ev.kind for ev in detect_events(end, cfg, t=1.0, segment=segment)]
+        assert kinds == (["Converged"] if segment == last else [])
+
+
 def test_corridor_advances_segments(corridor_traj):
     seg = corridor_traj.channel("segment")
     assert seg[0] == 0.0
