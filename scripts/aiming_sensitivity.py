@@ -16,30 +16,15 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
-from gyrowheel import RobotParams, run_closed_loop, scenario_from_mapping
-
-# bundled heading for the (3, 4) -> origin task, a hair off the sight line
-AIMED_ALPHA = 0.9492952180016122
+from gyrowheel import RobotParams, bundled_scenario_path, parse_scenario, run_closed_loop
 
 
-def p2p_mapping(heading_offset: float) -> dict:
-    return {
-        "name": f"aim_{heading_offset:+.3f}",
-        "kind": "point_to_point",
-        "dt": 1e-3,
-        "t_end": 60.0,
-        "stop_on_converged": True,
-        "initial": {
-            "x_a": 3.0,
-            "y_a": 4.0,
-            "alpha": AIMED_ALPHA + heading_offset,
-            # slight lean so the steering loop has a signal to work with
-            "beta": math.pi / 2 + 0.02,
-        },
-        "target": {"x": 0.0, "y": 0.0},
-        "gains": {"k3": 3.0, "k4": 1.0, "k6": 20.0, "k7": 20.0},
-    }
+def p2p_config(heading_offset: float):
+    # the bundled (3, 4) -> origin task, its heading a hair off the sight line
+    cfg = parse_scenario(bundled_scenario_path("p2p_default")).config
+    return replace(cfg, initial=replace(cfg.initial, alpha=cfg.initial.alpha + heading_offset))
 
 
 def path_length(traj, wheel_radius: float, dt: float) -> float:
@@ -59,7 +44,7 @@ def main() -> int:
     print(f"{'offset [rad]':>12}  {'converged':>9}  {'time [s]':>9}  "
           f"{'min e [m]':>10}  {'5sin|o|':>8}  {'path [m]':>9}")
     for offset in args.offsets:
-        cfg = scenario_from_mapping(p2p_mapping(offset)).config
+        cfg = p2p_config(offset)
         traj = run_closed_loop(cfg)
         rolled = path_length(traj, radius, cfg.dt)
         closest = min(traj.channel("e"))

@@ -15,35 +15,18 @@ Usage:
 """
 
 import argparse
-import math
 import os
 import sys
+from dataclasses import replace
 
-from gyrowheel import run_closed_loop, scenario_from_mapping
+from gyrowheel import Smoothing, bundled_scenario_path, parse_scenario, run_closed_loop
 
 
-def line_mapping(sharpness: float | None) -> dict:
-    mapping = {
-        "name": "chatter_hard" if sharpness is None else f"chatter_k{sharpness:g}",
-        "kind": "line",
-        "dt": 1e-3,
-        "t_end": 60.0,
-        "stop_on_converged": True,
-        "initial": {
-            "x_a": 0.0,
-            "y_a": 0.0,
-            "alpha": math.pi,
-            "beta": math.pi / 2 + 0.05,
-        },
-        "waypoints": [[0.0, 0.0], [5.0, 0.0]],
-        "gains": {"k3": 3.0, "k5": 1.5},
-    }
-    if sharpness is None:
-        mapping["gains"]["hard_switching"] = True
-    else:
-        mapping["gains"]["k6"] = sharpness
-        mapping["gains"]["k7"] = sharpness
-    return mapping
+def line_config(sharpness: float | None):
+    # the bundled 5 m task; no sharpness is the fully discontinuous law
+    cfg = parse_scenario(bundled_scenario_path("line_5m")).config
+    smoothing = None if sharpness is None else Smoothing(sharpness, sharpness)
+    return replace(cfg, gains=replace(cfg.gains, smoothing=smoothing))
 
 
 def chatter_metrics(traj) -> tuple[int, float]:
@@ -65,7 +48,7 @@ def main() -> int:
           f"{'sign flips':>10}  {'variation':>10}  {'final d':>9}  "
           f"{'final e':>9}")
     for label, sharpness in cases:
-        cfg = scenario_from_mapping(line_mapping(sharpness)).config
+        cfg = line_config(sharpness)
         traj = run_closed_loop(cfg)
         flips, variation = chatter_metrics(traj)
         print(f"{label:>10}  {str(traj.converged):>9}  {traj.times[-1]:9.3f}  "

@@ -13,25 +13,17 @@ Usage:
 import argparse
 import os
 import sys
+from dataclasses import replace
 
-from gyrowheel import decay_monitor, run_closed_loop, scenario_from_mapping
+from gyrowheel import bundled_scenario_path, decay_monitor, parse_scenario, run_closed_loop
 
 
-def balance_mapping(k1: float, t_end: float) -> dict:
-    return {
-        "name": f"decay_k1_{k1:g}",
-        "kind": "balance",
-        "dt": 1e-3,
-        "t_end": t_end,
-        "initial": {
-            "lean_offset": 0.1,
-            "lean_rate": 0.0,
-            "lean_accel": 0.0,
-            "alpha_dot": 1.0,
-        },
-        "gains": {"k1": k1, "k2": 1.0},
-        "thresholds": {"alpha_dot_floor": 1e-12},
-    }
+def balance_config(k1: float, t_end: float):
+    # the bundled balance task, its singularity floor lowered further so the
+    # steering rate can decay over any horizon
+    cfg = parse_scenario(bundled_scenario_path("balance_default")).config
+    return replace(cfg, t_end=t_end, gains=replace(cfg.gains, k1=k1),
+                   thresholds=replace(cfg.thresholds, alpha_dot_floor=1e-12))
 
 
 def main() -> int:
@@ -44,7 +36,7 @@ def main() -> int:
     print(f"{'k1':>5}  {'fitted rate':>12}  {'predicted':>10}  "
           f"{'max step increase':>18}")
     for k1 in args.k1:
-        cfg = scenario_from_mapping(balance_mapping(k1, args.t_end)).config
+        cfg = balance_config(k1, args.t_end)
         traj = run_closed_loop(cfg)
         report = decay_monitor(traj.times, traj.channel("V"))
         predicted = -2.0 * min(1.0, (1.0 + k1) / 2.0)

@@ -29,7 +29,7 @@ import math
 import sys
 import time
 from contextlib import ExitStack
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import compress, repeat
 from operator import is_
 from pathlib import Path
@@ -42,6 +42,7 @@ from .simulate import (
     InadmissibleStateError,
     Trajectory,
     UnknownChannelError,
+    WheelState,
     _convergence,
     run_closed_loop,
 )
@@ -72,17 +73,12 @@ def _header_cell(name: str) -> str:
     return f"{name} [{unit}]"
 
 
+# the report's state record: WheelState's fields but the cached lean acceleration
+_STATE_KEYS = tuple(f.name for f in fields(WheelState) if f.name != "beta_ddot")
+
+
 def _state_dict(state) -> dict:
-    return {
-        "alpha": state.alpha,
-        "beta": state.beta,
-        "gamma": state.gamma,
-        "alpha_dot": state.alpha_dot,
-        "beta_dot": state.beta_dot,
-        "gamma_dot": state.gamma_dot,
-        "x_a": state.x_a,
-        "y_a": state.y_a,
-    }
+    return {key: getattr(state, key) for key in _STATE_KEYS}
 
 
 def _event_dict(ev: Event) -> dict:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+__all__ = ["RobotParams", "FrictionParams"]
+
 
 @dataclass(frozen=True)
 class RobotParams:
@@ -80,10 +82,11 @@ class FrictionParams:
     D: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.D <= 0.0:
+        # written so that NaN fails each test
+        if not self.D > 0.0:
             raise ValueError(f"D must be positive, got {self.D}")
         for v, d, s in zip(self.mu_v, self.mu_d, self.mu_s):
-            if v < 0.0 or d < 0.0:
+            if not (v >= 0.0 and d >= 0.0):
                 raise ValueError("friction coefficients must be non-negative")
-            if s < d:
+            if not s >= d:
                 raise ValueError("static level must be at least the dynamic level")

@@ -380,10 +380,6 @@ def scenario_from_mapping(data: dict, default_name: str = "scenario") -> Scenari
         if not isinstance(wp, (list, tuple)) or len(wp) < 2:
             raise ScenarioError("waypoints: expected a list of at least two [x, y] points")
         waypoints = tuple(_point(item, f"waypoints[{i}]") for i, item in enumerate(wp))
-        for i in range(len(waypoints) - 1):
-            a, b = waypoints[i], waypoints[i + 1]
-            if math.hypot(b[0] - a[0], b[1] - a[1]) <= 1e-9:
-                raise ScenarioError(f"waypoints[{i + 1}]: coincides with waypoints[{i}]")
     elif "waypoints" in data:
         raise ScenarioError(f"waypoints: not used by kind {kind!r}")
 

@@ -66,7 +66,7 @@ from .controllers import (
     sigma,
 )
 from .dynamics import DegenerateLeanError, GeneralizedState, _require_open_lean, lean_accel
-from .kinematics import EPS_DISTANCE, line_chart, polar_chart
+from .kinematics import EPS_DISTANCE, EPS_RADIUS, DegenerateLineError, line_chart, polar_chart
 from .lyapunov import lean_tracking_value
 from .params import FrictionParams, RobotParams
 
@@ -193,10 +193,11 @@ class Thresholds:
     start_lean: float = 0.3
 
     def __post_init__(self) -> None:
+        # written so that NaN fails each test
         for f in fields(self):
-            if getattr(self, f.name) <= 0.0:
+            if not getattr(self, f.name) > 0.0:
                 raise ValueError(f"threshold {f.name} must be positive")
-        if self.topple_margin >= math.pi / 2:
+        if not self.topple_margin < math.pi / 2:
             raise ValueError("topple_margin must be below pi/2")
 
 
@@ -255,6 +256,10 @@ class SimConfig:
             )
         if self.kind in ("line", "corridor") and len(self.waypoints) < 2:
             raise ValueError("line and corridor runs need at least two waypoints")
+        for i in range(len(self.waypoints) - 1):
+            (x0, y0), (x1, y1) = self.waypoints[i], self.waypoints[i + 1]
+            if math.hypot(x1 - x0, y1 - y0) <= EPS_RADIUS:
+                raise DegenerateLineError(f"waypoints[{i + 1}]: coincides with waypoints[{i}]")
         if self.friction is not None and self.mode != "torque":
             raise ValueError(
                 "friction: joint friction applies in torque mode (balance runs) only"
@@ -620,15 +625,15 @@ def _shown(x: float, digits: int) -> str:
 def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) -> str | None:
     """Name the violated domain predicate at `state`, or None if admissible.
 
-    Without a state this is the initial-state check. The distance from the
-    first waypoint is a fact about the start only, so a given state is not
-    tested against it.
+    Without a state this is the initial-state check, and the text says
+    "initial". The distance from the first waypoint is a fact about the
+    start only, so a given state is not tested against it.
     """
-    st = cfg.initial if state is None else state
+    st, at = (cfg.initial, "initial ") if state is None else (state, "")
     thr = cfg.thresholds
     if _topple_event(0.0, st.beta, thr) is not None:
         return (
-            f"initial lean {_shown(st.beta, 6)} rad outside the topple margin window "
+            f"{at}lean {_shown(st.beta, 6)} rad outside the topple margin window "
             f"({thr.topple_margin}, pi - {thr.topple_margin})"
         )
     if cfg.kind == "balance":
@@ -638,23 +643,23 @@ def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) ->
         s = sigma(a, b, c)
         if s >= math.pi / 2.0:
             return (
-                f"sigma(a, b, c) = {_shown(s, 6)} >= pi/2 for initial lean data "
+                f"sigma(a, b, c) = {_shown(s, 6)} >= pi/2 for {at}lean data "
                 f"({_shown(a, 6)}, {_shown(b, 6)}, {_shown(c, 6)})"
             )
         if abs(st.alpha_dot) < thr.alpha_dot_floor:
             return (
-                f"initial |alpha_dot| = {abs(st.alpha_dot):.3e} below the "
+                f"{at}|alpha_dot| = {abs(st.alpha_dot):.3e} below the "
                 f"singularity floor {thr.alpha_dot_floor:.3e}"
             )
         return None
     if cfg.kind == "point_to_point":
         e0 = math.hypot(st.x_a - cfg.target[0], st.y_a - cfg.target[1])
         if e0 <= EPS_DISTANCE:
-            return f"initial target distance e = {e0:.3e} is not positive"
+            return f"{at}target distance e = {e0:.3e} is not positive"
         v1 = lean_tracking_value(st.beta, st.beta_dot)
         if math.sqrt(v1) >= math.pi / 2.0:
             return (
-                f"initial lean data outside the tracking domain: "
+                f"{at}lean data outside the tracking domain: "
                 f"sqrt(V1) = {_shown(math.sqrt(v1), 6)} >= pi/2"
             )
         return None
@@ -669,7 +674,7 @@ def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) ->
             )
     if abs(st.beta - math.pi / 2.0) > thr.start_lean:
         return (
-            f"initial lean offset {_shown(abs(st.beta - math.pi / 2.0), 4)} rad exceeds "
+            f"{at}lean offset {_shown(abs(st.beta - math.pi / 2.0), 4)} rad exceeds "
             f"the admissible lean {thr.start_lean} rad"
         )
     return None

@@ -40,7 +40,6 @@ from gyrowheel import (
     parse_scenario,
     polar_view,
     position_control,
-    run_closed_loop,
     smooth_sign,
     smooth_step,
     wrap_to_pi,
@@ -216,11 +215,8 @@ def test_coincident_endpoints_raise():
         line_geometry(ContactPoint(0.5, 0.0), 0.0, (1.0, 0.0), (1.0, 0.0))
 
 
-def test_run_raises_on_reaching_a_degenerate_segment():
+def test_config_refuses_a_degenerate_segment():
+    # refused when the config is built, not when the run reaches the segment
     cfg = parse_scenario(bundled_scenario_path("corridor_demo")).config
-    cfg = replace(cfg, t_end=1.0, waypoints=((0.0, 0.0), (0.3, 0.0), (0.3, 0.0), (2.0, 0.5)),
-                  thresholds=replace(cfg.thresholds, advance_radius=0.05))
-    # the corridor reaches the second segment at 0.4 s; before that the run is fine
-    assert run_closed_loop(replace(cfg, t_end=0.3)).row_count == 301
-    with pytest.raises(DegenerateLineError):
-        run_closed_loop(cfg)
+    with pytest.raises(DegenerateLineError, match=r"^waypoints\[2\]: coincides with waypoints\[1\]$"):
+        replace(cfg, waypoints=((0.0, 0.0), (0.3, 0.0), (0.3, 0.0), (2.0, 0.5)))

@@ -628,4 +628,5 @@ def test_nan_lean_is_refused_as_detect_events_reports():
     assert events[0].detail == "beta = nan rad"
     with pytest.raises(InadmissibleStateError) as exc:
         run_closed_loop(cfg)
-    assert str(exc.value) == events[1].detail
+    # the same text, which says "initial" where it refuses a start
+    assert str(exc.value) == "initial " + events[1].detail

@@ -47,6 +47,18 @@ def test_friction_rate_scale_must_be_positive():
         FrictionParams(D=0.0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("mu_v", (math.nan, 0.15, 0.09), "non-negative"),
+    ("mu_d", (0.1, math.nan, 0.07), "non-negative"),
+    ("mu_s", (0.3, 0.25, math.nan), "static level"),
+    ("D", math.nan, "D must be positive"),
+])
+def test_nan_friction_coefficient_rejected(field, value, message):
+    # a NaN rate scale would end the first friction step NonFinite
+    with pytest.raises(ValueError, match=message):
+        FrictionParams(**{field: value})
+
+
 def test_params_are_immutable():
     p = RobotParams()
     with pytest.raises(AttributeError):

@@ -208,7 +208,7 @@ class TestRejection:
 
     def test_coincident_waypoints_rejected(self):
         m = _line_mapping(waypoints=[[0.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match=r"^waypoints\[1\]: coincides with waypoints\[0\]$"):
             scenario_from_mapping(m)
 
     def test_friction_only_in_torque_mode(self):

@@ -1,9 +1,9 @@
 """Smoke test of the studies in scripts/: each runs at its smallest setting.
 
 Each script is started as a user starts it, in a fresh interpreter, and
-must exit 0 and print its header line and one row per setting. A reader
-that closes the pipe after the header, as `| head -1` does, must not make
-a script end in a traceback.
+must exit 0 and print exactly the stdout pinned below: the header and the
+figures of every row. A reader that closes the pipe after the header, as
+`| head -1` does, must not make a script end in a traceback.
 """
 
 import os
@@ -15,41 +15,42 @@ import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
+# script -> (arguments of its smallest setting, its whole stdout there)
 STUDIES = {
     "decay_rate_study.py": (
         ["--t-end", "1", "--k1", "1.0"],
-        "   k1   fitted rate   predicted   max step increase",
-        1,
+        "   k1   fitted rate   predicted   max step increase\n"
+        " 1.00       -2.0017       -2.00          -8.121e-06\n",
     ),
     "aiming_sensitivity.py": (
         ["--offsets", "0.005"],
-        "offset [rad]  converged   time [s]   min e [m]   5sin|o|   path [m]",
-        1,
+        "offset [rad]  converged   time [s]   min e [m]   5sin|o|   path [m]\n"
+        "       0.005       True      4.520      0.0500    0.0250      4.963\n",
     ),
     "chatter_comparison.py": (
         ["--sharpness", "20"],
-        " switching  converged   time [s]  sign flips   variation    final d    final e",
-        2,  # the hard law, then k = 20
+        " switching  converged   time [s]  sign flips   variation    final d    final e\n"
+        "      hard      False     60.000        2237    13422.00     4.9732     0.0007\n"
+        "      k=20       True      6.767        6657      681.06     0.0499     0.0000\n",
     ),
 }
 
 
 @pytest.mark.parametrize("script", sorted(STUDIES))
 def test_study_runs_at_its_smallest_setting(script):
-    args, header, rows = STUDIES[script]
+    args, stdout = STUDIES[script]
     done = subprocess.run(
         [sys.executable, str(SCRIPTS / script), *args],
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert lines[0] == header
-    assert len(lines) == 1 + rows
+    assert done.stdout == stdout
 
 
 @pytest.mark.parametrize("script", sorted(STUDIES))
 def test_study_stops_quietly_when_stdout_closes_early(script):
-    args, header, _ = STUDIES[script]
+    args, stdout = STUDIES[script]
+    header = stdout.splitlines()[0]
     # unbuffered, so the header reaches the pipe before the first row is computed
     env = dict(os.environ, PYTHONUNBUFFERED="1")
     proc = subprocess.Popen(

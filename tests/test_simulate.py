@@ -1,11 +1,12 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from gyrowheel import (
     ControlCommand,
+    Event,
     InadmissibleStateError,
     LineGains,
     NonFiniteStateError,
@@ -37,6 +38,13 @@ def test_thresholds_must_be_positive():
         Thresholds(topple_margin=0.0)
     with pytest.raises(ValueError):
         Thresholds(distance=-0.1)
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(Thresholds)])
+def test_nan_threshold_rejected(field):
+    # a NaN threshold would never let a run converge, or never let it topple
+    with pytest.raises(ValueError, match=f"threshold {field} must be positive"):
+        Thresholds(**{field: math.nan})
 
 
 def test_torque_equilibrium_is_fixed_point(params):
@@ -231,6 +239,26 @@ def test_detect_events_toppled_example():
     assert events[0].time == 2.0
     # pure function: a second call sees the same state and reports the same
     assert detect_events(flat, cfg, t=2.0) == events
+
+
+def test_detect_events_words_a_domain_exit_at_its_state():
+    # the refusal of a start says "initial"; an exit at a later state does not
+    cfg = make_balance_config(t_end=1.0)
+    flat = WheelState(beta=0.001, alpha_dot=1.0)
+    margin = cfg.thresholds.topple_margin
+    assert detect_events(flat, cfg, t=2.5)[-1] == Event(
+        "DomainExit", 2.5,
+        f"lean 0.001000 rad outside the topple margin window ({margin}, pi - {margin})",
+    )
+    with pytest.raises(InadmissibleStateError, match=r"^initial lean 0\.001000 rad outside"):
+        run_closed_loop(replace(cfg, initial=flat))
+    cfg = parse_scenario(bundled_scenario_path("line_5m")).config
+    leaning = replace(cfg.initial, beta=math.pi / 2 + 0.5)
+    assert detect_events(leaning, cfg, t=2.5)[-1] == Event(
+        "DomainExit", 2.5, "lean offset 0.5000 rad exceeds the admissible lean 0.3 rad",
+    )
+    with pytest.raises(InadmissibleStateError, match=r"^initial lean offset 0\.5000 rad exceeds"):
+        run_closed_loop(replace(cfg, initial=leaning))
 
 
 def test_detect_events_singular_steering_example():
