@@ -27,8 +27,7 @@ be integrated into a configuration constraint.
 The simulation loop calls only lean_accel from here: simulate's friction
 stepper writes the same inertia entries, forces, friction and solve over
 plain floats, and the balance law computes beta_jerk_coeffs in place. The
-functions below are the same model over a GeneralizedState, for library use
-and as the reference the test suite checks the steppers against.
+functions below are the same model over a GeneralizedState, for library use.
 """
 
 from __future__ import annotations

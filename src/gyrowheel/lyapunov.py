@@ -109,13 +109,13 @@ def closed_form_alpha_dot(
 class DecayReport:
     """Summary of a certificate series along one trajectory.
 
-    fitted_rate is the least-squares slope of log V over the window where
-    V exceeds rate_floor (None when fewer than two points qualify).
-    Violations are the times where a single step increased V by more than
-    the tolerance.
+    samples is the length of the series. fitted_rate is the least-squares
+    slope of log V over the window where V exceeds rate_floor (None when
+    fewer than two points qualify). Violations are the times where a
+    single step increased V by more than the tolerance.
     """
 
-    values: tuple[float, ...]
+    samples: int
     max_step_increase: float
     fitted_rate: float | None
     violation_times: tuple[float, ...]
@@ -128,7 +128,7 @@ class DecayReport:
 
     def summary(self) -> dict:
         return {
-            "samples": len(self.values),
+            "samples": self.samples,
             "max_step_increase": self.max_step_increase,
             "fitted_rate": self.fitted_rate,
             "violations": len(self.violation_times),
@@ -170,7 +170,7 @@ def decay_monitor(
         ts, logs = list(compress(times, above)), list(map(math.log, compress(values, above)))
     fitted = _slope(ts, logs) if len(ts) >= 2 else None
     return DecayReport(
-        values=tuple(values),
+        samples=len(values),
         max_step_increase=max_inc,
         fitted_rate=fitted,
         violation_times=tuple(violations),

@@ -28,6 +28,7 @@ class RobotParams:
             Only the ratios Gm, Im, Jm depend on it.
         Gm, Im, Jm: the reduced lean-dynamics coefficients (gravity in 1/s^2,
             centrifugal, gyroscopic coupling), derived once at construction.
+            All must be finite, and Jm positive.
     """
 
     m: float = 1.0
@@ -59,6 +60,11 @@ class RobotParams:
                 f"the lean inertia M22 and the reduced coefficients Gm, Im, Jm must be "
                 f"finite; m = {self.m}, R = {self.R}, Ix = {self.Ix}, g = {self.g} "
                 f"give {self.M22}, {self.Gm}, {self.Im}, {self.Jm}"
+            )
+        if self.Jm <= 0.0:  # underflowed: the balance law and the drive floor divide by it
+            raise ValueError(
+                f"the reduced coefficient Jm must be positive; m = {self.m}, R = {self.R}, "
+                f"Ix = {self.Ix}, M22 = {self.M22} give Jm = {self.Jm}"
             )
 
     def reduced(self) -> tuple[float, float, float]:

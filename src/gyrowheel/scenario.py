@@ -4,8 +4,8 @@ The schema is deliberately rigid. Unknown keys are rejected at every level
 and gain constraints fail at parse time, so a typo'd experiment dies with a
 diagnostic instead of silently running something else. Every number must
 be finite: .inf, .nan and integers beyond the float range fail at parse time
-with the key named. parse and serialize round-trip exactly: every number
-passes through untouched.
+with the key named. A number reaches the configuration as the float of its
+YAML value, unrounded.
 
 Top-level keys::
 
@@ -53,8 +53,6 @@ __all__ = [
     "Scenario",
     "parse_scenario",
     "scenario_from_mapping",
-    "scenario_to_mapping",
-    "serialize_scenario",
 ]
 
 _TOP_KEYS = (
@@ -454,39 +452,3 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioError(f"{p}: top level must be a mapping")
     return scenario_from_mapping(data, default_name=p.stem)
 
-
-def _fields(obj, keys) -> dict:
-    return {key: getattr(obj, key) for key in keys}
-
-
-def scenario_to_mapping(sc: Scenario) -> dict:
-    """Canonical mapping form; parse(serialize) round-trips exactly."""
-    cfg = sc.config
-    out: dict = {"name": sc.name, "kind": cfg.kind, "dt": cfg.dt, "t_end": cfg.t_end,
-                 "stop_on_converged": cfg.stop_on_converged}
-    out["params"] = _fields(cfg.params, _PARAM_KEYS)
-    out["initial"] = _fields(cfg.initial, _BALANCE_COMMON_KEYS + _BALANCE_RAW_KEYS
-                             if cfg.kind == "balance" else _TRACKING_INITIAL_KEYS)
-    # a tracking law's smoothing gains stand beside k3; hard switching is their absence
-    smoothing = getattr(cfg.gains, "smoothing", None)
-    gains = {**vars(cfg.gains), **(vars(smoothing) if smoothing else {"hard_switching": True})}
-    out["gains"] = {key: gains[key] for key in _GAIN_KEYS[cfg.kind] if key in gains}
-    if cfg.kind == "point_to_point":
-        out["target"] = {"x": cfg.target[0], "y": cfg.target[1]}
-    if cfg.kind in ("line", "corridor"):
-        out["waypoints"] = [[x, y] for x, y in cfg.waypoints]
-    if cfg.friction is not None:
-        out["friction"] = {k: list(v) if isinstance(v, tuple) else v
-                           for k, v in _fields(cfg.friction, _FRICTION_KEYS).items()}
-    out["thresholds"] = _fields(cfg.thresholds, _THRESHOLD_KEYS)
-    if cfg.actuator_lag > 0.0:
-        out["actuator_lag"] = cfg.actuator_lag
-    if sc.rate_limits is not None:
-        out["rate_limits"] = dict(zip(_RATE_LIMIT_KEYS, sc.rate_limits))
-    out["plot_channels"] = list(sc.plot_channels)
-    return out
-
-
-def serialize_scenario(sc: Scenario) -> str:
-    """YAML text whose parse equals sc."""
-    return yaml.safe_dump(scenario_to_mapping(sc), sort_keys=False)

@@ -38,7 +38,9 @@ row; terminal events truncate the run at the row where they fire, so the
 last row's time is the event time. A step whose stages or result are not
 finite ends the run with a NonFinite event at the time of its first row; a
 friction step whose stage lean leaves (0, pi) ends it with a Toppled event
-the same way.
+the same way. A row with a value beyond the float range, or whose command
+divides by a value that underflowed to 0, ends the run with a NonFinite
+event at its time, without the row.
 
 Runs are bitwise deterministic: there is no randomness, no wall-clock
 coupling, and no platform-dependent branching in the numeric path. The
@@ -63,6 +65,7 @@ from .controllers import (
     LineGains,
     PositionController,
     PositionGains,
+    SingularSteeringError,
     sigma,
 )
 from .dynamics import DegenerateLeanError, GeneralizedState, _require_open_lean, lean_accel
@@ -847,18 +850,18 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
                 chart = line_chart(waypoints[segment], waypoints[segment + 1])
                 r, e, d, theta, phi, p, ell = chart(xa, ya, a)
 
-        if stop is not None:
-            us = ud = nan
-        elif balance:
-            us, ud = command(b, ad, bd, gd, bdd, V)
-        else:
-            if p2p:
-                us, ud = command(b, bd, e, psi)
-            else:
-                us, ud = command(a, b, bd, theta, phi, p)
-            if not lag:  # the commanded rates act at once
-                ad, gd = us, ud
         try:
+            if stop is not None:
+                us = ud = nan
+            elif balance:
+                us, ud = command(b, ad, bd, gd, bdd, V)
+            else:
+                if p2p:
+                    us, ud = command(b, bd, e, psi)
+                else:
+                    us, ud = command(a, b, bd, theta, phi, p)
+                if not lag:  # the commanded rates act at once
+                    ad, gd = us, ud
             if not torque:  # lean acceleration under the rates in effect for this row
                 sb, cb = sin(b), cos(b)
                 bdd = -Gm * cb - Im * cb * sb * ad**2 - Jm * sb * ad * gd
@@ -869,6 +872,9 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
                 V = v1 + 0.5 * e**2 if p2p else v1 + 0.5 * (e**2 + d**2)
         except OverflowError:  # a finite rate or distance whose square is not
             events.append(Event("NonFinite", t, "a value of this row is beyond the float range"))
+            break
+        except (ZeroDivisionError, SingularSteeringError) as exc:  # drive floor, or balance h3
+            events.append(Event("NonFinite", t, f"the command's divisor underflowed to 0: {exc}"))
             break
 
         put_t(t)

@@ -1,4 +1,4 @@
-"""Switching functions used by the controllers.
+"""The switching functions of the tracking laws, for library use.
 
 Two hard switches and their saturating replacements:
 
@@ -11,7 +11,10 @@ The smooth forms converge pointwise to the hard forms as k grows (for
 x != 0) and exist because hard switching chatters under fixed-step
 discretization. Note both hard functions return their upper value at
 exactly 0; the friction model's sign convention (0 at 0) is different and
-lives with the friction code.
+lives with the friction code. The laws in controllers compute these
+switches in place, with the same float expressions; the one call from the
+package is BalanceController's, which latches the sign of the initial
+steering rate with hard_sign.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from gyrowheel import (
     ControlCommand,
     FrictionParams,
     GeneralizedState,
-    PolarView,
     RobotParams,
     WheelState,
     beta_jerk_coeffs,
@@ -134,7 +133,7 @@ def test_criterion_05_jerk_coefficients_match_finite_differences():
         rel = abs(fd3 - predicted) / abs(predicted)
         derived_max = max(derived_max, rel)
 
-        v1, v2, v3 = beta_jerk_coeffs_variant(st, PARAMS)
+        v1, v2, v3 = beta_jerk_coeffs_variant(beta, ad, gd, PARAMS)
         alt = v1 * bd + v2 * u5 + v3 * u6
         if abs(fd3 - alt) / abs(alt) >= 1e-3:
             variant_failures += 1
@@ -221,10 +220,8 @@ def test_criterion_08_kinematic_consistency(
         if es[i] <= 0.1 or es[i + 1] <= 0.1:
             continue
         ua, ug = steers[i], drives[i]
-        now = polar_rates(PolarView(e=es[i], theta=0.0, psi=psis[i]), ua, ug, PARAMS)
-        nxt = polar_rates(
-            PolarView(e=es[i + 1], theta=0.0, psi=psis[i + 1]), ua, ug, PARAMS
-        )
+        now = polar_rates(es[i], psis[i], ua, ug, PARAMS)
+        nxt = polar_rates(es[i + 1], psis[i + 1], ua, ug, PARAMS)
         fd_e = (es[i + 1] - es[i]) / dt
         fd_psi = wrap_to_pi(psis[i + 1] - psis[i]) / dt
         for fd, pred in (

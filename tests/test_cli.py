@@ -603,6 +603,44 @@ def test_distance_whose_square_overflows_ends_non_finite(tmp_path):
     }
 
 
+# schema-valid files whose parameters underflow a divisor of a law to 0
+_UNDERFLOWS = {
+    "jm": ("kind: point_to_point\nt_end: 0.1\n"
+           "params: {M22: 1.0e+300, Ix: 1.0e-300, m: 1.0e-300}\n"
+           "initial: {x_a: 1, y_a: 0, alpha: 0}\ntarget: {x: 0, y: 0}\n", None),
+    "h3": ("kind: balance\nt_end: 0.1\nparams: {M22: 1.0e+300}\n"
+           "initial: {beta: 1.5707963267948966, beta_dot: 0, gamma_dot: 0, alpha_dot: 1.0e-318}\n"
+           "thresholds: {alpha_dot_floor: 1.0e-320}\n",
+           "steering rate is zero: rolling-channel gain h3 vanished"),
+    "drive_floor": ("kind: point_to_point\nt_end: 0.1\nparams: {M22: 1.0e+300}\n"
+                    "initial: {x_a: 1, y_a: 0, alpha: 0, beta: 1.0e-30, "
+                    "beta_dot: 1.5707963267948966}\n"
+                    "target: {x: 0, y: 0}\nthresholds: {topple_margin: 1.0e-31}\n",
+                    "float division by zero"),
+}
+
+
+@pytest.mark.parametrize("name", _UNDERFLOWS)
+def test_underflowed_divisor_is_refused_or_ends_non_finite(tmp_path, capsys, name):
+    text, error = _UNDERFLOWS[name]
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    code = main(["run", str(path), "--out", str(out)])
+    if error is None:  # Jm = 0 is refused with the parameters
+        assert code == 4 and main(["validate", str(path)]) == 4
+        assert "params: the reduced coefficient Jm must be positive" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert code == 1 and main(["validate", str(path)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "non_finite" and report["rows"] == 0
+    assert report["terminal_event"] == {
+        "kind": "NonFinite", "time": 0.0,
+        "detail": f"the command's divisor underflowed to 0: {error}",
+    }
+
+
 # ------------------------------------------- exit-code contract, property form
 
 

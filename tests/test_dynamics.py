@@ -239,7 +239,7 @@ def test_jerk_coefficients_are_lean_accel_partials(params):
 
 def test_variant_jerk_coefficients_differ(params):
     st_ = GeneralizedState(beta=1.2, alpha_dot=1.1, beta_dot=0.4, gamma_dot=-0.8)
-    assert beta_jerk_coeffs(st_, params) != beta_jerk_coeffs_variant(st_, params)
+    assert beta_jerk_coeffs(st_, params) != beta_jerk_coeffs_variant(1.2, 1.1, -0.8, params)
 
 
 def test_friction_torque_unit_rates():

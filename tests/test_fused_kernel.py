@@ -1,14 +1,16 @@
-"""Differential tests of the fused control step, and its events at their thresholds.
+"""Differential tests of the control step and the RK4 steppers, and the loop's events at their thresholds.
 
-The float laws compute the jerk coefficients, the drive floor and the
-switches in place, and each RK4 stepper tests its own result for
-finiteness; the friction stepper solves each stage in one function. The
-``_ref_*`` functions below are the laws and steppers as written before that
-fusion, kept here as the reference: every fused law and stepper must give
-the same bits, or raise the same error with the same message, on the
-edges the fusion touches (a lean switch at exactly 0, an overshoot
-product p*s of 0, friction rates of exactly 0, a stage lean at 0 or pi,
-NaN and infinite stages).
+tests/oracles.py writes each equation of the model once. Every subject
+here must give the oracle's bits, or raise the same exception type with
+the same message: the laws, charts and steppers the run loop calls (the
+closures, which compute their switches, drive floor, jerk coefficients
+and inertia solve in place), the state-object wrappers balance_control,
+position_control, line_control, polar_view and line_geometry, and the
+controllers' command, view, geometry and certificate methods. The
+strategies reach the edges where the in-place forms could part from the
+equations: a lean switch at exactly 0, an overshoot product p*s of 0,
+friction rates of exactly 0, a stage lean at 0 or pi, NaN and infinite
+values, and the charts' floors (e < EPS_DISTANCE, r <= EPS_RADIUS).
 
 The run loop compares against threshold floats bound once per run and
 builds an event only when its condition holds. The event tests put a
@@ -17,22 +19,33 @@ it: the run must record what detect_events reports at that state, and the
 events pinned here are those the loop recorded before the fusion.
 """
 
+import ast
+import importlib
 import math
 import struct
-from dataclasses import replace
-from math import cos, exp, isfinite, pi, sin
+from dataclasses import astuple, is_dataclass, replace
+from math import pi
+from pathlib import Path
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gyrowheel import (
+    BalanceController,
     BalanceGains,
+    ContactPoint,
     DegenerateLeanError,
+    DegenerateLineError,
     FrictionParams,
+    GeneralizedState,
     InadmissibleStateError,
+    LineController,
     LineGains,
-    NonFiniteStateError,
+    LineGeometry,
+    PolarView,
+    PositionController,
     PositionGains,
     RobotParams,
     SimConfig,
@@ -40,15 +53,20 @@ from gyrowheel import (
     Smoothing,
     Thresholds,
     WheelState,
+    balance_control,
+    beta_jerk_coeffs,
+    bundled_scenario_path,
     detect_events,
-    hard_sign,
-    hard_step,
+    lean_accel,
+    line_control,
+    line_geometry,
+    parse_scenario,
+    polar_view,
+    position_control,
     run_closed_loop,
-    smooth_sign,
-    smooth_step,
 )
 from gyrowheel.controllers import _balance_law, _line_law, _position_law
-from gyrowheel.dynamics import _require_open_lean
+from gyrowheel.kinematics import EPS_DISTANCE, EPS_RADIUS, line_chart, polar_chart
 from gyrowheel.simulate import (
     _friction_stepper,
     _lag_stepper,
@@ -60,308 +78,52 @@ PARAMS = RobotParams()
 _HALF_PI = pi / 2.0
 
 
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
 def _outcome(fn, *args):
     """The bits of fn's result, or the type and message of what it raised."""
     try:
         out = fn(*args)
     except (ArithmeticError, ValueError, RuntimeError) as exc:
         return (type(exc).__name__, str(exc))
-    return [struct.pack("<d", v) for v in out]
+    return _bits(out)
 
 
-# ------------------------------------------------------------------ reference
-
-
-def _ref_jerk_coeffs(beta, ad, gd, Gm, Im, Jm):
-    _require_open_lean(beta)
-    sb, cb = math.sin(beta), math.cos(beta)
-    s2b, c2b = math.sin(2.0 * beta), math.cos(2.0 * beta)
-    h1 = Gm * sb - Im * c2b * ad**2 - Jm * cb * ad * gd
-    h2 = -Im * s2b * ad - Jm * sb * gd
-    h3 = -Jm * sb * ad
-    return (h1, h2, h3)
-
-
-def _ref_balance_law(gains, sign0, params):
-    k2 = gains.k2
-    c0, c1 = 2.0 + gains.k1, 3.0 + 2.0 * gains.k1
-    Gm, Im, Jm = params.Gm, params.Im, params.Jm
-
-    def law(beta, alpha_dot, beta_dot, gamma_dot, beta_ddot, V):
-        x = beta - _HALF_PI
-        u5 = -(alpha_dot - sign0 * (k2 * V) ** 0.25)
-        h1, h2, h3 = _ref_jerk_coeffs(beta, alpha_dot, gamma_dot, Gm, Im, Jm)
-        if h3 == 0.0:
-            raise SingularSteeringError(
-                "steering rate is zero: rolling-channel gain h3 vanished"
-            )
-        target_jerk = c0 * x + c1 * beta_dot + c0 * beta_ddot
-        u6 = -(target_jerk + h1 * beta_dot + h2 * u5) / h3
-        return (u5, u6)
-
-    return law
-
-
-def _ref_drive_floor(k3, params):
-    Gm, Im, Jm = params.Gm, params.Im, params.Jm
-
-    def drive_floor(s_lean, beta):
-        sb, cb = sin(beta), cos(beta)
-        f1 = abs(Gm * cb + Im * cb * sb * k3 * k3)
-        return (2.0 * abs(s_lean) + f1) / (Jm * sb * k3)
-
-    return drive_floor
-
-
-def _ref_position_law(gains, params):
-    k3, k4 = gains.k3, gains.k4
-    k6 = None if gains.smoothing is None else gains.smoothing.k6
-    drive_floor = _ref_drive_floor(k3, params)
-
-    def law(beta, beta_dot, e, psi):
-        s_lean = (beta - _HALF_PI) + beta_dot
-        side = hard_sign(cos(psi))
-        u_k = drive_floor(s_lean, beta)
-        lean = hard_sign(s_lean) if k6 is None else smooth_sign(s_lean, k6)
-        return (-k3 * side * lean, -(k4 * e + u_k) * side)
-
-    return law
-
-
-def _ref_line_law(gains, params):
-    k3, k5 = gains.k3, gains.k5
-    k6 = k7 = None
-    if gains.smoothing is not None:
-        k6, k7 = gains.smoothing.k6, gains.smoothing.k7
-    drive_floor = _ref_drive_floor(k3, params)
-
-    def law(alpha, beta, beta_dot, theta, phi, p):
-        s_lean = (beta - _HALF_PI) + beta_dot
-        s = hard_sign(sin(phi - alpha) * sin(phi - theta))
-        u_k = drive_floor(s_lean, beta)
-        if k7 is None:
-            f2 = k5 * hard_step(p * s)
-        else:
-            f2 = k5 * smooth_step(p * s, k7)
-        lean = hard_sign(s_lean) if k6 is None else smooth_sign(s_lean, k6)
-        return (-k3 * s * lean, -(f2 + u_k) * s)
-
-    return law
-
-
-def _ref_nonfinite():
-    return NonFiniteStateError("an RK4 stage produced a NaN or an infinity")
-
-
-def _ref_checked(out):
-    if isfinite(sum(out)) or all(map(isfinite, out)):
-        return out
-    raise _ref_nonfinite()
-
-
-def _ref_torque_stepper(params, dt):
-    R, Gm, Im, Jm = params.R, params.Gm, params.Im, params.Jm
-    h2, h6 = 0.5 * dt, dt / 6.0
-
-    def step(a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6):
-        try:
-            a2, b2 = a + h2 * ad, b + h2 * bd
-            ad2, bd2, gd2 = ad + h2 * u5, bd + h2 * bdd, gd + h2 * u6
-            sb, cb = sin(b2), cos(b2)
-            l2 = -Gm * cb - Im * cb * sb * ad2**2 - Jm * sb * ad2 * gd2
-            a3, b3, bd3 = a + h2 * ad2, b + h2 * bd2, bd + h2 * l2
-            sb, cb = sin(b3), cos(b3)
-            l3 = -Gm * cb - Im * cb * sb * ad2**2 - Jm * sb * ad2 * gd2
-            a4, b4 = a + dt * ad2, b + dt * bd3
-            ad4, bd4, gd4 = ad + dt * u5, bd + dt * l3, gd + dt * u6
-            sb, cb = sin(b4), cos(b4)
-            l4 = -Gm * cb - Im * cb * sb * ad4**2 - Jm * sb * ad4 * gd4
-            x1, y1 = R * gd * cos(a), R * gd * sin(a)
-            x2, y2 = R * gd2 * cos(a2), R * gd2 * sin(a2)
-            x3, y3 = R * gd2 * cos(a3), R * gd2 * sin(a3)
-            x4, y4 = R * gd4 * cos(a4), R * gd4 * sin(a4)
-            b_n = b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4)
-            ad_n = ad + h6 * (u5 + 2.0 * u5 + 2.0 * u5 + u5)
-            gd_n = gd + h6 * (u6 + 2.0 * u6 + 2.0 * u6 + u6)
-            sb, cb = sin(b_n), cos(b_n)
-            return _ref_checked((
-                a + h6 * (ad + 2.0 * ad2 + 2.0 * ad2 + ad4),
-                b_n,
-                g + h6 * (gd + 2.0 * gd2 + 2.0 * gd2 + gd4),
-                ad_n,
-                bd + h6 * (bdd + 2.0 * l2 + 2.0 * l3 + l4),
-                gd_n,
-                -Gm * cb - Im * cb * sb * ad_n**2 - Jm * sb * ad_n * gd_n,
-                xa + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
-                ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
-            ))
-        except (ValueError, OverflowError):
-            raise _ref_nonfinite() from None
-
-    return step
-
-
-def _ref_lean_exit(beta):
-    if not isfinite(beta):
-        raise _ref_nonfinite()
-    _require_open_lean(beta)
-
-
-def _ref_friction_stepper(params, friction, dt):
-    R, M22, Gm, Im, Jm = params.R, params.M22, params.Gm, params.Im, params.Jm
-    m, Ix = params.m, params.Ix
-    big = 2.0 * Ix + m * R**2
-    disk = Ix + m * R**2
-    ix2, disk2, mgr = 2.0 * Ix, 2.0 * disk, -m * params.g * R
-    mv_a, _, mv_g = friction.mu_v
-    md_a, _, md_g = friction.mu_d
-    ms_a, _, ms_g = friction.mu_s
-    D = friction.D
-    h2, h6 = 0.5 * dt, dt / 6.0
-
-    def forces(b, ad, bd, gd):
-        if not 0.0 < b < pi:
-            _ref_lean_exit(b)
-        sb, cb, s2b = sin(b), cos(b), sin(2.0 * b)
-        M11 = Ix * sb**2 + big * cb**2
-        M13 = big * cb
-        return (
-            M11, M13, M11 * big - M13**2,
-            disk * s2b * ad * bd + ix2 * sb * bd * gd,
-            mgr * cb - big * sb * ad * gd - disk * cb * sb * ad**2,
-            disk2 * sb * ad * bd,
-        )
-
-    def accel(f, ad, gd, u1, u2):
-        M11, M13, M_rho, n1, n2, n3 = f
-        s = 1.0 if ad > 0.0 else -1.0 if ad < 0.0 else 0.0
-        rhs1 = n1 + (u1 - (mv_a * ad + (md_a + (ms_a - md_a) * exp(-abs(ad) / D)) * s))
-        s = 1.0 if gd > 0.0 else -1.0 if gd < 0.0 else 0.0
-        rhs3 = n3 + (u2 - (mv_g * gd + (md_g + (ms_g - md_g) * exp(-abs(gd) / D)) * s))
-        return (
-            (big * rhs1 - M13 * rhs3) / M_rho,
-            n2 / M22,
-            (-M13 * rhs1 + M11 * rhs3) / M_rho,
-        )
-
-    def step(a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6):
-        try:
-            f = forces(b, ad, bd, gd)
-            M11, M13, _, n1, _, n3 = f
-            u1 = (M11 * u5 + M13 * u6) - n1
-            u2 = (M13 * u5 + big * u6) - n3
-            add1, bdd1, gdd1 = accel(f, ad, gd, u1, u2)
-            a2, b2 = a + h2 * ad, b + h2 * bd
-            ad2, bd2, gd2 = ad + h2 * add1, bd + h2 * bdd1, gd + h2 * gdd1
-            add2, bdd2, gdd2 = accel(forces(b2, ad2, bd2, gd2), ad2, gd2, u1, u2)
-            a3, b3 = a + h2 * ad2, b + h2 * bd2
-            ad3, bd3, gd3 = ad + h2 * add2, bd + h2 * bdd2, gd + h2 * gdd2
-            add3, bdd3, gdd3 = accel(forces(b3, ad3, bd3, gd3), ad3, gd3, u1, u2)
-            a4, b4 = a + dt * ad3, b + dt * bd3
-            ad4, bd4, gd4 = ad + dt * add3, bd + dt * bdd3, gd + dt * gdd3
-            add4, bdd4, gdd4 = accel(forces(b4, ad4, bd4, gd4), ad4, gd4, u1, u2)
-            x1, y1 = R * gd * cos(a), R * gd * sin(a)
-            x2, y2 = R * gd2 * cos(a2), R * gd2 * sin(a2)
-            x3, y3 = R * gd3 * cos(a3), R * gd3 * sin(a3)
-            x4, y4 = R * gd4 * cos(a4), R * gd4 * sin(a4)
-            b_n = b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4)
-            ad_n = ad + h6 * (add1 + 2.0 * add2 + 2.0 * add3 + add4)
-            gd_n = gd + h6 * (gdd1 + 2.0 * gdd2 + 2.0 * gdd3 + gdd4)
-            sb, cb = sin(b_n), cos(b_n)
-            return _ref_checked((
-                a + h6 * (ad + 2.0 * ad2 + 2.0 * ad3 + ad4),
-                b_n,
-                g + h6 * (gd + 2.0 * gd2 + 2.0 * gd3 + gd4),
-                ad_n,
-                bd + h6 * (bdd1 + 2.0 * bdd2 + 2.0 * bdd3 + bdd4),
-                gd_n,
-                -Gm * cb - Im * cb * sb * ad_n**2 - Jm * sb * ad_n * gd_n,
-                xa + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
-                ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
-            ))
-        except DegenerateLeanError:
-            raise
-        except (ValueError, OverflowError, ZeroDivisionError):
-            raise _ref_nonfinite() from None
-
-    return step
-
-
-def _ref_velocity_stepper(params, dt):
-    R, Gm, Im, Jm = params.R, params.Gm, params.Im, params.Jm
-    h2, h6 = 0.5 * dt, dt / 6.0
-
-    def step(a, b, g, bd, xa, ya, ad, gd, bdd, ua, ug):
-        try:
-            a2, b2, bd2 = a + h2 * ua, b + h2 * bd, bd + h2 * bdd
-            sb, cb = sin(b2), cos(b2)
-            l2 = -Gm * cb - Im * cb * sb * ua**2 - Jm * sb * ua * ug
-            b3, bd3 = b + h2 * bd2, bd + h2 * l2
-            sb, cb = sin(b3), cos(b3)
-            l3 = -Gm * cb - Im * cb * sb * ua**2 - Jm * sb * ua * ug
-            a4, b4, bd4 = a + dt * ua, b + dt * bd3, bd + dt * l3
-            sb, cb = sin(b4), cos(b4)
-            l4 = -Gm * cb - Im * cb * sb * ua**2 - Jm * sb * ua * ug
-            x2, y2 = R * ug * cos(a2), R * ug * sin(a2)
-            return _ref_checked((
-                a + h6 * (ua + 2.0 * ua + 2.0 * ua + ua),
-                b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4),
-                g + h6 * (ug + 2.0 * ug + 2.0 * ug + ug),
-                bd + h6 * (bdd + 2.0 * l2 + 2.0 * l3 + l4),
-                xa + h6 * (R * ug * cos(a) + 2.0 * x2 + 2.0 * x2 + R * ug * cos(a4)),
-                ya + h6 * (R * ug * sin(a) + 2.0 * y2 + 2.0 * y2 + R * ug * sin(a4)),
-                ua,
-                ug,
-            ))
-        except (ValueError, OverflowError):
-            raise _ref_nonfinite() from None
-
-    return step
-
-
-def _ref_lag_stepper(params, dt, tau):
-    R, Gm, Im, Jm = params.R, params.Gm, params.Im, params.Jm
-    h2, h6 = 0.5 * dt, dt / 6.0
-
-    def step(a, b, g, bd, xa, ya, za, zg, bdd, ua, ug):
-        try:
-            fa1, fg1 = (ua - za) / tau, (ug - zg) / tau
-            a2, b2, bd2 = a + h2 * za, b + h2 * bd, bd + h2 * bdd
-            za2, zg2 = za + h2 * fa1, zg + h2 * fg1
-            sb, cb = sin(b2), cos(b2)
-            l2 = -Gm * cb - Im * cb * sb * za2**2 - Jm * sb * za2 * zg2
-            fa2, fg2 = (ua - za2) / tau, (ug - zg2) / tau
-            a3, b3, bd3 = a + h2 * za2, b + h2 * bd2, bd + h2 * l2
-            za3, zg3 = za + h2 * fa2, zg + h2 * fg2
-            sb, cb = sin(b3), cos(b3)
-            l3 = -Gm * cb - Im * cb * sb * za3**2 - Jm * sb * za3 * zg3
-            fa3, fg3 = (ua - za3) / tau, (ug - zg3) / tau
-            a4, b4, bd4 = a + dt * za3, b + dt * bd3, bd + dt * l3
-            za4, zg4 = za + dt * fa3, zg + dt * fg3
-            sb, cb = sin(b4), cos(b4)
-            l4 = -Gm * cb - Im * cb * sb * za4**2 - Jm * sb * za4 * zg4
-            fa4, fg4 = (ua - za4) / tau, (ug - zg4) / tau
-            x1, y1 = R * zg * cos(a), R * zg * sin(a)
-            x2, y2 = R * zg2 * cos(a2), R * zg2 * sin(a2)
-            x3, y3 = R * zg3 * cos(a3), R * zg3 * sin(a3)
-            x4, y4 = R * zg4 * cos(a4), R * zg4 * sin(a4)
-            return _ref_checked((
-                a + h6 * (za + 2.0 * za2 + 2.0 * za3 + za4),
-                b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4),
-                g + h6 * (zg + 2.0 * zg2 + 2.0 * zg3 + zg4),
-                bd + h6 * (bdd + 2.0 * l2 + 2.0 * l3 + l4),
-                xa + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
-                ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
-                za + h6 * (fa1 + 2.0 * fa2 + 2.0 * fa3 + fa4),
-                zg + h6 * (fg1 + 2.0 * fg2 + 2.0 * fg3 + fg4),
-            ))
-        except (ValueError, OverflowError):
-            raise _ref_nonfinite() from None
-
-    return step
+def test_the_oracle_stands_alone():
+    # a reference that calls the law it checks cannot catch that law's faults
+    tests = Path(__file__).parent
+    imported = {}
+    for node in ast.walk(ast.parse((tests / "oracles.py").read_text())):
+        if isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "gyrowheel" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "gyrowheel":
+            module = importlib.import_module(node.module)
+            imported.update((a.name, getattr(module, a.name)) for a in node.names)
+    # records, parameters and errors are classes, constants are not callable
+    assert imported and [name for name, obj in imported.items()
+                         if callable(obj) and not (is_dataclass(obj) or (
+                             isinstance(obj, type) and issubclass(obj, Exception)))] == []
+    copies = [f"{path.name}:{node.name}" for path in tests.rglob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("_ref_")]
+    assert copies == []
 
 
 # ----------------------------------------------------------------- strategies
+
+# ordinary values, for the controllers through their charts
+open_leans = st.floats(0.05, pi - 0.05)
+plain_rates = st.floats(-5.0, 5.0)
+coords = st.floats(-10.0, 10.0)
+# offsets of the contact point from a chart's base point, down to its floor
+offsets = st.one_of(st.just(0.0), st.floats(-2e-9, 2e-9), st.floats(-2e-6, 2e-6),
+                    st.floats(-5.0, 5.0))
+steer_rates = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(1e-3, 5.0)).map(
+    lambda p: p[0] * p[1])
+smoothings = st.one_of(st.none(), st.builds(Smoothing, k6=st.floats(0.5, 50.0),
+                                            k7=st.floats(0.5, 50.0)))
 
 SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e200, -1e200)
 
@@ -372,14 +134,13 @@ def _values(lo, hi):
                      st.sampled_from(SPECIAL))
 
 
-leans = st.one_of(st.floats(0.05, pi - 0.05), st.floats(0.05, pi - 0.05),
+# the same with the edges, for the laws and the steppers
+leans = st.one_of(open_leans, open_leans,
                   st.sampled_from((0.0, pi, -0.0, 1e-300, math.nan, math.inf, 4.0)))
 rates = _values(-5.0, 5.0)
 angles = _values(-10.0, 10.0)
 # step commands and lean rates large enough to throw a stage lean out of (0, pi)
 pushes = st.one_of(_values(-5.0, 5.0), st.floats(-400.0, 400.0))
-smoothings = st.one_of(st.none(), st.builds(Smoothing, k6=st.floats(0.5, 50.0),
-                                            k7=st.floats(0.5, 50.0)))
 steps = st.sampled_from((1e-3, 0.01, 0.1, -1e-3))
 frictions = st.builds(
     lambda v, dyn, extra, D: FrictionParams(mu_v=v, mu_d=dyn,
@@ -417,8 +178,14 @@ def test_balance_law_matches_reference(lean, alpha_dot, gamma_dot, beta_ddot, V,
     beta, beta_dot = lean
     gains = BalanceGains(k1=k1, k2=k2)
     args = (beta, alpha_dot, beta_dot, gamma_dot, beta_ddot, V)
-    assert _outcome(_balance_law(gains, sign0, PARAMS), *args) == _outcome(
-        _ref_balance_law(gains, sign0, PARAMS), *args)
+    expected = _outcome(oracles.balance_law, *args, gains, sign0, PARAMS)
+    assert _outcome(_balance_law(gains, sign0, PARAMS), *args) == expected
+    state = GeneralizedState(beta=beta, alpha_dot=alpha_dot, beta_dot=beta_dot,
+                             gamma_dot=gamma_dot, beta_ddot=beta_ddot)
+    assert _outcome(balance_control, state, gains, V, sign0, PARAMS) == expected
+    # a zero floor leaves the steering-rate test to the run loop
+    ctl = BalanceController(gains, PARAMS, sign0, alpha_dot_floor=0.0)
+    assert _outcome(ctl.command, *args) == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -428,8 +195,11 @@ def test_position_law_matches_reference(lean, e, psi, k3, k4_share, smoothing):
     beta, beta_dot = lean
     gains = PositionGains(k3=k3, k4=k4_share * (k3 - 1.0), smoothing=smoothing)
     args = (beta, beta_dot, e, psi)
-    assert _outcome(_position_law(gains, PARAMS), *args) == _outcome(
-        _ref_position_law(gains, PARAMS), *args)
+    expected = _outcome(oracles.position_law, *args, gains, PARAMS)
+    assert _outcome(_position_law(gains, PARAMS), *args) == expected
+    state = GeneralizedState(beta=beta, beta_dot=beta_dot)
+    assert _outcome(position_control, state, PolarView(e, 0.0, psi), gains, PARAMS) == expected
+    assert _outcome(PositionController(gains, PARAMS).command, *args) == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -440,19 +210,130 @@ def test_line_law_matches_reference(lean, alpha, theta, phi, p, k3, k5, smoothin
     beta, beta_dot = lean
     gains = LineGains(k3=k3, k5=k5, smoothing=smoothing)
     args = (alpha, beta, beta_dot, theta, phi, p)
-    assert _outcome(_line_law(gains, PARAMS), *args) == _outcome(
-        _ref_line_law(gains, PARAMS), *args)
+    expected = _outcome(oracles.line_law, *args, gains, PARAMS)
+    assert _outcome(_line_law(gains, PARAMS), *args) == expected
+    state = GeneralizedState(alpha=alpha, beta=beta, beta_dot=beta_dot)
+    lg = LineGeometry(r=math.nan, e=math.nan, d=math.nan, theta=theta, phi=phi, p=p,
+                      ell=math.nan)
+    assert _outcome(line_control, state, lg, gains, PARAMS) == expected
+    ctl = LineController(gains, PARAMS, waypoints=((0.0, 0.0), (1.0, 0.0)))
+    assert _outcome(ctl.command, *args) == expected
 
 
 def test_law_edges_are_reached():
     # the strategies above reach these; pin one point on each
     assert _outcome(_line_law(LineGains(), PARAMS), 0.3, _HALF_PI, -0.0, 1.0, 0.0, 0.0) == \
-        _outcome(_ref_line_law(LineGains(), PARAMS), 0.3, _HALF_PI, -0.0, 1.0, 0.0, 0.0)
+        _outcome(oracles.line_law, 0.3, _HALF_PI, -0.0, 1.0, 0.0, 0.0, LineGains(), PARAMS)
     law = _balance_law(BalanceGains(), 1.0, PARAMS)
     with pytest.raises(DegenerateLeanError, match="outside"):
         law(pi, 1.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(SingularSteeringError, match="h3 vanished"):
         law(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+# --------------------------------------------------- controllers and charts
+
+
+@settings(max_examples=300, deadline=None)
+@given(beta=open_leans, alpha_dot=steer_rates, beta_dot=plain_rates,
+       gamma_dot=plain_rates, k1=st.floats(0.0, 3.0),
+       k2=st.floats(0.1, 3.0), alpha_dot0=steer_rates, cached=st.booleans())
+def test_balance_command_matches_state_law(beta, alpha_dot, beta_dot, gamma_dot, k1, k2,
+                                           alpha_dot0, cached):
+    gains = BalanceGains(k1=k1, k2=k2)
+    ctl = BalanceController(gains, PARAMS, alpha_dot0, alpha_dot_floor=1e-4)
+    sign0 = 1.0 if alpha_dot0 >= 0.0 else -1.0
+    assert ctl.sign0 == sign0
+    bdd = oracles.lean_accel(beta, alpha_dot, gamma_dot, PARAMS)
+    assert _outcome(lambda: (lean_accel(beta, alpha_dot, gamma_dot, PARAMS),)) == _bits((bdd,))
+    state = GeneralizedState(beta=beta, alpha_dot=alpha_dot, beta_dot=beta_dot,
+                             gamma_dot=gamma_dot, beta_ddot=bdd if cached else None)
+    assert _outcome(beta_jerk_coeffs, state, PARAMS) == _outcome(
+        oracles.jerk_coeffs, beta, alpha_dot, gamma_dot, PARAMS)
+    V = oracles.balance_certificate(beta, beta_dot, bdd, k1)
+    assert _outcome(lambda: (ctl.certificate(state),)) == _bits((V,))
+    args = (beta, alpha_dot, beta_dot, gamma_dot, bdd, V)
+    expected = _outcome(oracles.balance_law, *args, gains, sign0, PARAMS)
+    assert _outcome(ctl.command, *args) == expected
+    assert _outcome(balance_control, state, gains, V, sign0, PARAMS) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(beta=open_leans, beta_dot=plain_rates, alpha=coords, tx=coords,
+       ty=coords, dx=offsets, dy=offsets, k3=st.floats(2.1, 6.0),
+       k4_share=st.floats(0.01, 0.99), smoothing=smoothings)
+def test_position_command_matches_state_law(beta, beta_dot, alpha, tx, ty, dx, dy, k3,
+                                            k4_share, smoothing):
+    gains = PositionGains(k3=k3, k4=k4_share * (k3 - 1.0), smoothing=smoothing)
+    ctl = PositionController(gains, PARAMS, target=(tx, ty))
+    x_a, y_a = tx + dx, ty + dy
+    chart = oracles.polar_chart(x_a, y_a, alpha, ctl.target)
+    state = GeneralizedState(alpha=alpha, beta=beta, beta_dot=beta_dot)
+    contact = ContactPoint(x_a, y_a)
+    assert _outcome(polar_chart(ctl.target), x_a, y_a, alpha) == _bits(chart)
+    assert _bits(astuple(polar_view(contact, alpha, ctl.target))) == _bits(chart)
+    assert _bits(astuple(ctl.view(state, contact))) == _bits(chart)
+    e, theta, psi = chart
+    expected = _outcome(oracles.position_law, beta, beta_dot, e, psi, gains, PARAMS)
+    assert _outcome(ctl.command, beta, beta_dot, e, psi) == expected
+    assert _outcome(position_control, state, PolarView(*chart), gains, PARAMS) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(beta=open_leans, beta_dot=plain_rates, alpha=coords, ox=coords,
+       oy=coords, sx=coords, sy=coords, dx=offsets, dy=offsets, k3=st.floats(2.1, 6.0),
+       k5=st.floats(0.1, 3.0), smoothing=smoothings)
+def test_line_command_matches_state_law(beta, beta_dot, alpha, ox, oy, sx, sy, dx, dy, k3,
+                                        k5, smoothing):
+    if math.hypot(sx - ox, sy - oy) < 1e-3:
+        sx += 1.0
+    gains = LineGains(k3=k3, k5=k5, smoothing=smoothing)
+    ctl = LineController(gains, PARAMS, waypoints=((ox, oy), (sx, sy)))
+    x_a, y_a = ox + dx, oy + dy
+    chart = oracles.line_chart(x_a, y_a, alpha, *ctl.waypoints)
+    state = GeneralizedState(alpha=alpha, beta=beta, beta_dot=beta_dot)
+    contact = ContactPoint(x_a, y_a)
+    assert _outcome(line_chart(*ctl.waypoints), x_a, y_a, alpha) == _bits(chart)
+    assert _bits(astuple(line_geometry(contact, alpha, (sx, sy), (ox, oy)))) == _bits(chart)
+    assert _bits(astuple(ctl.geometry(state, contact, 0))) == _bits(chart)
+    r, e, d, theta, phi, p, ell = chart
+    expected = _outcome(oracles.line_law, alpha, beta, beta_dot, theta, phi, p, gains, PARAMS)
+    assert _outcome(ctl.command, alpha, beta, beta_dot, theta, phi, p) == expected
+    assert _outcome(line_control, state, LineGeometry(*chart), gains, PARAMS) == expected
+
+
+def test_chart_floors_are_reached():
+    # the strategies above reach both floors; pin one point on each
+    e, _, psi = polar_chart((1.0, 2.0))(1.0 + 1e-7, 2.0, 0.5)
+    assert (e, psi) == (0.0, 0.0)
+    assert polar_chart((1.0, 2.0))(1.0 + 1e-7, 2.0, 0.5) == oracles.polar_chart(
+        1.0 + 1e-7, 2.0, 0.5, (1.0, 2.0))
+    r, _, _, theta, phi, _, _ = line_chart((1.0, 2.0), (4.0, 6.0))(1.0, 2.0 + 1e-10, 0.3)
+    assert r <= EPS_RADIUS and theta == phi == math.atan2(4.0, 3.0)
+    # one point exactly on each floor's edge: e = EPS_DISTANCE is off its floor, r = EPS_RADIUS on
+    assert polar_chart((0.0, 0.0))(EPS_DISTANCE, 0.0, 0.5) == oracles.polar_chart(
+        EPS_DISTANCE, 0.0, 0.5, (0.0, 0.0)) == (EPS_DISTANCE, 0.0, -0.5)
+    chart = line_chart((0.0, 0.0), (3.0, 4.0))(EPS_RADIUS, 0.0, 0.3)
+    assert chart == oracles.line_chart(EPS_RADIUS, 0.0, 0.3, (0.0, 0.0), (3.0, 4.0))
+    assert chart[0] == EPS_RADIUS and chart[3] == chart[4] == math.atan2(4.0, 3.0)
+
+
+def test_coincident_endpoints_raise():
+    expected = _outcome(oracles.line_chart, 0.5, 0.0, 0.0, (1.0, 0.0), (1.0, 0.0))
+    assert expected[0] == "DegenerateLineError"
+    with pytest.raises(DegenerateLineError):
+        line_chart((2.0, 3.0), (2.0, 3.0))
+    ctl = LineController(LineGains(), PARAMS, waypoints=((0.0, 0.0), (1.0, 0.0), (1.0, 0.0)))
+    assert _outcome(ctl.geometry, GeneralizedState(), ContactPoint(0.5, 0.0), 1) == expected
+    assert _outcome(line_geometry, ContactPoint(0.5, 0.0), 0.0, (1.0, 0.0), (1.0, 0.0)) == \
+        expected
+
+
+def test_config_refuses_a_degenerate_segment():
+    # refused when the config is built, not when the run reaches the segment
+    cfg = parse_scenario(bundled_scenario_path("corridor_demo")).config
+    with pytest.raises(DegenerateLineError, match=r"^waypoints\[2\]: coincides with waypoints\[1\]$"):
+        replace(cfg, waypoints=((0.0, 0.0), (0.3, 0.0), (0.3, 0.0), (2.0, 0.5)))
 
 
 # ------------------------------------------------------------------ steppers
@@ -464,7 +345,7 @@ def test_law_edges_are_reached():
 def test_torque_stepper_matches_reference(a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6, dt):
     args = (a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6)
     assert _outcome(_torque_stepper(PARAMS, dt), *args) == _outcome(
-        _ref_torque_stepper(PARAMS, dt), *args)
+        oracles.torque_step, *args, PARAMS, dt)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -474,7 +355,7 @@ def test_friction_stepper_matches_reference(a, b, g, ad, bd, gd, xa, ya, u5, u6,
                                             friction):
     args = (a, b, g, ad, bd, gd, 0.0, xa, ya, u5, u6)
     assert _outcome(_friction_stepper(PARAMS, friction, dt), *args) == _outcome(
-        _ref_friction_stepper(PARAMS, friction, dt), *args)
+        oracles.friction_step, *args, PARAMS, friction, dt)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -483,7 +364,7 @@ def test_friction_stepper_matches_reference(a, b, g, ad, bd, gd, xa, ya, u5, u6,
 def test_velocity_stepper_matches_reference(a, b, g, bd, xa, ya, bdd, ua, ug, dt):
     args = (a, b, g, bd, xa, ya, ua, ug, bdd, ua, ug)
     assert _outcome(_velocity_stepper(PARAMS, dt), *args) == _outcome(
-        _ref_velocity_stepper(PARAMS, dt), *args)
+        oracles.velocity_step, *args, PARAMS, dt)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -492,7 +373,7 @@ def test_velocity_stepper_matches_reference(a, b, g, bd, xa, ya, bdd, ua, ug, dt
 def test_lag_stepper_matches_reference(a, b, g, bd, xa, ya, za, zg, bdd, ua, ug, dt, tau):
     args = (a, b, g, bd, xa, ya, za, zg, bdd, ua, ug)
     assert _outcome(_lag_stepper(PARAMS, dt, tau), *args) == _outcome(
-        _ref_lag_stepper(PARAMS, dt, tau), *args)
+        oracles.lag_step, *args, PARAMS, dt, tau)
 
 
 @pytest.mark.parametrize("b, bd, expected", [
@@ -506,8 +387,16 @@ def test_friction_stage_lean_edges(b, bd, expected):
     fp = FrictionParams()
     args = (0.0, b, 0.0, 0.0, bd, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)  # rates of exactly 0
     got = _outcome(_friction_stepper(PARAMS, fp, 0.01), *args)
-    assert got == _outcome(_ref_friction_stepper(PARAMS, fp, 0.01), *args)
+    assert got == _outcome(oracles.friction_step, *args, PARAMS, fp, 0.01)
     assert got[0] == expected
+
+
+def test_friction_stage_lean_is_read_before_the_heading():
+    # the heading enters only the contact point, formed after the four stages
+    args = (math.inf, 1.0, 0.0, 0.0, -400.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+    got = _outcome(_friction_stepper(PARAMS, FrictionParams(), 0.01), *args)
+    assert got == _outcome(oracles.friction_step, *args, PARAMS, FrictionParams(), 0.01)
+    assert got[0] == "DegenerateLeanError"
 
 
 # ------------------------------------------------------------- event bounds

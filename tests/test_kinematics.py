@@ -178,14 +178,14 @@ def test_polar_rates_match_finite_differences(params):
         plus, minus = view_at(h), view_at(-h)
         e_dot_fd = (plus.e - minus.e) / (2 * h)
         psi_dot_fd = wrap_to_pi(plus.psi - minus.psi) / (2 * h)
-        e_dot, psi_dot = polar_rates(pv, ua, ug, params)
+        e_dot, psi_dot = polar_rates(pv.e, pv.psi, ua, ug, params)
         assert e_dot_fd == pytest.approx(e_dot, rel=1e-3, abs=1e-6)
         assert psi_dot_fd == pytest.approx(psi_dot, rel=1e-3, abs=1e-6)
 
 
 def test_polar_rates_at_floor_drop_singular_term(params):
     pv = polar_view(ContactPoint(x_a=0.0, y_a=0.0), alpha=0.4)
-    e_dot, psi_dot = polar_rates(pv, 0.7, 1.0, params)
+    e_dot, psi_dot = polar_rates(pv.e, pv.psi, 0.7, 1.0, params)
     assert e_dot == pytest.approx(params.R * 1.0, abs=1e-12)
     assert psi_dot == pytest.approx(-0.7, abs=1e-12)
 

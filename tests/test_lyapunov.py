@@ -253,7 +253,7 @@ def _loop_decay_monitor(times, values, tolerance=1e-6, rate_floor=1e-12):
             raise ValueError("cannot fit a rate to a single time point")
         sxy = sum((x - mx) * (y - my) for x, y in zip(ts, logs))
         fitted = sxy / sxx
-    return (repr(max_inc), repr(fitted), repr(tuple(violations)), repr(tuple(values)))
+    return (repr(max_inc), repr(fitted), repr(tuple(violations)), len(values))
 
 
 def _decay_outcome(monitor, times, values, **limits):
@@ -264,7 +264,7 @@ def _decay_outcome(monitor, times, values, **limits):
     if isinstance(r, tuple):
         return r
     return (repr(r.max_step_increase), repr(r.fitted_rate), repr(r.violation_times),
-            repr(r.values))
+            r.samples)
 
 
 _certificate_values = st.one_of(

@@ -11,13 +11,10 @@ from hypothesis import strategies as st
 from gyrowheel import scenario as scenario_module
 
 from gyrowheel import (
-    Scenario,
     ScenarioError,
     bundled_scenario_path,
     parse_scenario,
     scenario_from_mapping,
-    scenario_to_mapping,
-    serialize_scenario,
 )
 
 from conftest import make_balance_mapping
@@ -133,13 +130,7 @@ class TestParsing:
         path = tmp_path / "wobble_case.yaml"
         m = make_balance_mapping()
         del m["name"]
-        path.write_text(serialize_scenario(scenario_from_mapping(m)))
-        # serialization reinstates the parsed name; write a nameless file
-        import yaml
-
-        raw = yaml.safe_load(path.read_text())
-        raw.pop("name", None)
-        path.write_text(yaml.safe_dump(raw))
+        path.write_text(yaml.safe_dump(m))
         assert parse_scenario(path).name == "wobble_case"
 
 
@@ -342,40 +333,27 @@ class TestFiles:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("name", BUNDLED)
-    def test_bundled_round_trip(self, name):
-        sc = parse_scenario(bundled_scenario_path(name))
-        again = scenario_from_mapping(scenario_to_mapping(sc))
-        assert again == sc
-
+    # a mapping dumped to YAML text parses to the Scenario the mapping builds
     def test_serialize_parse_round_trip(self, tmp_path):
-        sc = scenario_from_mapping(
-            _line_mapping(
-                thresholds={"advance_radius": 0.4},
-                rate_limits={"alpha_dot_max": 4.0, "gamma_dot_max": 9.0},
-                actuator_lag=0.02,
-                plot_channels=["beta", "d"],
-            )
+        m = _line_mapping(
+            thresholds={"advance_radius": 0.4},
+            rate_limits={"alpha_dot_max": 4.0, "gamma_dot_max": 9.0},
+            actuator_lag=0.02,
+            plot_channels=["beta", "d"],
         )
         path = tmp_path / "line_case.yaml"
-        path.write_text(serialize_scenario(sc))
-        assert parse_scenario(path) == sc
+        path.write_text(yaml.safe_dump(m))
+        assert parse_scenario(path) == scenario_from_mapping(m)
 
     def test_round_trip_preserves_raw_balance_numbers(self, tmp_path):
-        sc = scenario_from_mapping(make_balance_mapping())
+        m = make_balance_mapping()
+        m["initial"] = {"beta": math.pi / 2 + 0.1, "beta_dot": 0.1 + 0.2,
+                        "gamma_dot": 0.566514955703829, "alpha_dot": 1.0 / 3.0}
         path = tmp_path / "balance_test.yaml"
-        path.write_text(serialize_scenario(sc))
+        path.write_text(yaml.safe_dump(m))
         again = parse_scenario(path)
-        assert again.config.initial.gamma_dot == sc.config.initial.gamma_dot
-        assert again == sc
-
-    def test_mapping_is_canonical(self):
-        sc = scenario_from_mapping(_p2p_mapping())
-        mapped = scenario_to_mapping(sc)
-        keys = list(mapped)
-        assert keys.index("kind") < keys.index("initial") < keys.index("gains")
-        assert "waypoints" not in mapped
-        assert isinstance(sc, Scenario)
+        assert {k: getattr(again.config.initial, k) for k in m["initial"]} == m["initial"]
+        assert again == scenario_from_mapping(m)
 
 
 # ------------------------------------------- libyaml against the pure loader
