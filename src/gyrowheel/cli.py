@@ -14,10 +14,11 @@ Outputs per run: ``trajectory.csv`` (or ``.json``), ``report.json``, and one
 are bitwise deterministic for a given scenario. Every float in them is its
 shortest ``repr``, and ``trajectory.json`` is exactly
 ``json.dumps(doc, indent=2, allow_nan=True)`` (non-finite values as the
-``NaN``/``Infinity``/``-Infinity`` literals). One output pass writes the
-trajectory and plot files of a run together, formatting each distinct value
-once (a column holding an earlier column's float objects reuses its text)
-and streaming the rows in fixed-size chunks. Scenario files are read with
+``NaN``/``Infinity``/``-Infinity`` literals). One output pass, the run
+loop's sink, writes the trajectory and plot files of a run from the chunks
+of rows the loop hands it, formatting each distinct value once (a column
+holding an earlier column's float objects reuses its text); the run keeps
+only t, its certificate and its last row. Scenario files are read with
 libyaml when it is present; every error text is the pure-Python loader's.
 """
 
@@ -43,7 +44,9 @@ from .simulate import (
     Trajectory,
     UnknownChannelError,
     WheelState,
+    _CHUNK_ROWS,
     _convergence,
+    _KIND_CHANNELS,
     run_closed_loop,
 )
 
@@ -87,47 +90,24 @@ def _event_dict(ev: Event) -> dict:
 
 # ------------------------------------------------------------- output pass
 #
-# One pass writes a run's trajectory file and its plot files. Each distinct
-# value is formatted once, by _repr, and every file that shows it is written
-# from that one string: a column chunk holding the same float objects as an
-# earlier column's chunk reuses that column's strings (identity, not ==,
-# because -0.0 == 0.0 but their reprs differ), and a chunk whose values are
-# all one object is formatted once. Rows are joined in C and written
-# _CHUNK_ROWS at a time, so the strings held at once are one chunk's.
-# trajectory.json is laid out channel by channel, so there what a later
-# column shows is held for the whole pass: t's strings when there are plot
-# files (every plot file pairs them with its channel), and the joined text of
-# a chunk that a later column aliases (its strings too if that column has a
-# plot file).
+# One pass, the run loop's sink, writes a run's trajectory file and its plot
+# files from the chunks of _CHUNK_ROWS rows the loop hands it, so the rows
+# held at once are one chunk's. Each distinct value is formatted once, by
+# _repr, and every file that shows it is written from that one string: a
+# column chunk holding the same float objects as an earlier column's chunk
+# reuses that column's strings (identity, not ==, because -0.0 == 0.0 but
+# their reprs differ), and a chunk whose values are all one object is
+# formatted once. CSV and plot rows are joined in C and written as each
+# chunk arrives. trajectory.json is laid out channel by channel, so there
+# each column's chunk text is formatted at once (an aliasing column holds
+# the same text) and held until the run ends. The files are opened at the
+# first chunk, or at the end of a run of no row, so a refused run writes
+# none. For the report the pass keeps t and the certificate, whose decay
+# fit reads every sample, and the last row: about 64 bytes per row.
 
-_CHUNK_ROWS = 1024
 _repr = repr  # the one formatting step: a float's shortest round-trip text
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_ITEM = ",\n      "  # between the items of a channel array in trajectory.json
-
-
-def _write_outputs(traj: Trajectory, trajectory, fmt: str, plot_channels, out_dir) -> list[Path]:
-    """Write ``trajectory`` (a path, or None for none) and plot_<channel>.csv files.
-
-    Raises UnknownChannelError, listing the valid names, before any file is
-    opened if a plot channel does not exist in this trajectory. Returns the
-    plot file paths in the requested order.
-    """
-    plot_channels = tuple(plot_channels)
-    for name in plot_channels:
-        traj.channel(name)
-    paths = [Path(out_dir) / f"plot_{name}.csv" for name in plot_channels]
-    with ExitStack() as stack:
-        out = stack.enter_context(open(trajectory, "w")) if trajectory is not None else None
-        plot_files = {}
-        for name, path in dict(zip(plot_channels, paths)).items():  # one file per channel
-            f = plot_files[name] = stack.enter_context(open(path, "w"))
-            f.write(f"{_header_cell('t')},{_header_cell(name)}\n")
-        if fmt == "json" and out is not None:
-            _json_pass(traj, out, plot_files)
-        else:
-            _csv_pass(traj, out, plot_files)
-    return paths
 
 
 def _write_rows(f, cols) -> None:
@@ -152,86 +132,121 @@ def _format(chunk: list) -> list[str]:
     return list(map(_repr, chunk))
 
 
-def _csv_pass(traj: Trajectory, out, plot_files: dict) -> None:
-    # "t" comes first in traj.names, and so in the formatted columns
-    names = traj.names if out is not None else tuple(dict.fromkeys(("t", *plot_files)))
-    cols = [traj.channels[n] for n in names]
-    pairs = [(f, names.index(n)) for n, f in plot_files.items()]
-    if out is not None:
-        out.write(",".join(map(_header_cell, names)) + "\n")
-    for start in range(0, traj.row_count, _CHUNK_ROWS):
-        chunks = [col[start:start + _CHUNK_ROWS] for col in cols]
-        strs = []
-        for k, chunk in enumerate(chunks):
-            j = _alias(chunks, k)
-            strs.append(strs[j] if j < k else _format(chunk))
-        if out is not None:
-            _write_rows(out, strs)
-        for f, i in pairs:
-            _write_rows(f, (strs[0], strs[i]))
+class _OutputPass(ExitStack):
+    """The sink that writes ``trajectory`` (a path, or None for none) and plot_<channel>.csv files.
 
+    Raises UnknownChannelError, listing the valid names, before any file is
+    opened if a plot channel is not one of ``names``. Used as a context
+    manager, which closes the files; finish(traj) completes them once the
+    run has ended. ``paths`` holds the plot file paths in the requested order.
+    """
 
-def _json_pass(traj: Trajectory, out, plot_files: dict) -> None:
-    # byte for byte json.dumps(doc, indent=2, allow_nan=True): the small
-    # members go through json.dumps, the channel arrays are spliced in
-    head = json.dumps({
-        "kind": traj.kind,
-        "mode": traj.mode,
-        "names": list(traj.names),
-        "units": {n: CHANNEL_INFO[n][0] for n in traj.names},
-    }, indent=2, allow_nan=True)
-    tail = json.dumps({
-        "events": [_event_dict(ev) for ev in traj.events],
-        "final_state": _state_dict(traj.final_state) if traj.final_state else None,
-    }, indent=2, allow_nan=True)
-    cols = [traj.channels[n] for n in traj.names]
-    starts = range(0, traj.row_count, _CHUNK_ROWS)
-    # aliases[c][k]: the column whose text column k shows in chunk c
-    aliases = []
-    for start in starts:
-        chunks = [col[start:start + _CHUNK_ROWS] for col in cols]
-        aliases.append([_alias(chunks, k) for k in range(len(chunks))])
-    # (j, c) -> whether a later column that shows chunk c of column j has a plot file
-    shown = {}
-    for c, row in enumerate(aliases):
-        for k, j in enumerate(row):
-            if j < k:
-                shown[j, c] = shown.get((j, c), False) or traj.names[k] in plot_files
-    held = {}  # (j, c) -> (text, the strings if a plot file needs them)
-    times = []  # t's strings per chunk, when there are plot files
-    out.write(head[:-2] + ',\n  "channels": {')
-    for k, name in enumerate(traj.names):
-        out.write(("," if k else "") + "\n    " + json.dumps(name) + ": [")
-        col = cols[k]
-        f = plot_files.get(name)
-        for c, start in enumerate(starts):
-            j = aliases[c][k]
-            if j < k:
-                text, strs = held[j, c]
-            else:
-                strs = _format(col[start:start + _CHUNK_ROWS])
-                text = _JSON_ITEM.join(strs)
+    def __init__(self, names: tuple[str, ...], trajectory, fmt: str, plot_channels, out_dir):
+        super().__init__()
+        plot_channels = tuple(plot_channels)
+        for name in plot_channels:
+            if name not in names:
+                raise UnknownChannelError(name, names)
+        self.names, self.trajectory = names, trajectory
+        self.paths = [Path(out_dir) / f"plot_{name}.csv" for name in plot_channels]
+        self.plots = dict(zip(plot_channels, self.paths))  # one file per channel
+        # the formatted columns: all with a trajectory file, else t (first in names) and the plotted
+        shown = names if trajectory is not None else tuple(dict.fromkeys(("t", *self.plots)))
+        self.picked = [names.index(n) for n in shown]
+        self.pairs = [shown.index(n) for n in self.plots]  # each plot file's column
+        self.texts = [[] for _ in shown] if fmt == "json" and trajectory is not None else None
+        self.cert = names.index("V1" if "V1" in names else "V")  # the channel the decay fit reads
+        self.times, self.values, self.last = [], [], []  # what the report reads
+        self.out = self.plot_files = None  # until opened
+
+    def open_files(self) -> None:
+        enter = self.enter_context
+        if self.trajectory is not None:
+            self.out = enter(open(self.trajectory, "w"))
+        self.plot_files = []
+        for name, path in self.plots.items():
+            f = enter(open(path, "w"))
+            f.write(f"{_header_cell('t')},{_header_cell(name)}\n")
+            self.plot_files.append(f)
+        if self.out is not None and self.texts is None:
+            self.out.write(",".join(map(_header_cell, self.names)) + "\n")
+
+    def __call__(self, columns: list) -> None:
+        if self.plot_files is None:
+            self.open_files()
+        self.times.extend(columns[0])
+        self.values.extend(columns[self.cert])
+        self.last = [col[-1:] for col in columns]
+        chunks = [columns[i] for i in self.picked]
+        aliases = [_alias(chunks, k) for k in range(len(chunks))]
+        plotted = [aliases[i] for i in self.pairs]  # the column each plot file's strings come from
+        if self.texts is None:  # every column's strings make the rows
+            strs = []
+            for k, j in enumerate(aliases):
+                strs.append(strs[j] if j < k else _format(chunks[k]))
+            if self.out is not None:
+                _write_rows(self.out, strs)
+        else:  # a column at a time; its strings kept only for a plot file
+            strs, texts = {}, self.texts
+            for k, j in enumerate(aliases):
+                if j < k:
+                    texts[k].append(texts[j][-1])
+                    continue
+                column = _format(chunks[k])
+                text = _JSON_ITEM.join(column)
                 if "n" in text:  # nan, inf or -inf; no finite number's repr has an n
-                    text = _JSON_ITEM.join([_JSON_NONFINITE.get(s, s) for s in strs])
-                if (k, c) in shown:
-                    held[k, c] = (text, strs if shown[k, c] else None)
-            if k == 0 and plot_files:  # "t" comes first in traj.names
-                times.append(strs)
-            out.write((_JSON_ITEM if start else "\n      ") + text)
-            if f is not None:
-                _write_rows(f, (times[c], strs))
-        out.write("\n    ]" if starts else "]")
-    out.write("\n  }," + tail[1:] + "\n")
+                    text = _JSON_ITEM.join([_JSON_NONFINITE.get(s, s) for s in column])
+                texts[k].append(text)
+                if k == 0 or k in plotted:
+                    strs[k] = column
+        for f, j in zip(self.plot_files, plotted):
+            _write_rows(f, (strs[0], strs[j]))
+
+    def finish(self, traj: Trajectory) -> None:
+        if self.plot_files is None:
+            self.open_files()
+        if self.texts is None:
+            return
+        # byte for byte json.dumps(doc, indent=2, allow_nan=True): the small
+        # members go through json.dumps, the channel arrays are spliced in
+        head = json.dumps({
+            "kind": traj.kind,
+            "mode": traj.mode,
+            "names": list(traj.names),
+            "units": {n: CHANNEL_INFO[n][0] for n in traj.names},
+        }, indent=2, allow_nan=True)
+        tail = json.dumps({
+            "events": [_event_dict(ev) for ev in traj.events],
+            "final_state": _state_dict(traj.final_state) if traj.final_state else None,
+        }, indent=2, allow_nan=True)
+        out = self.out
+        out.write(head[:-2] + ',\n  "channels": {')
+        for k, name in enumerate(traj.names):
+            out.write(("," if k else "") + "\n    " + json.dumps(name) + ": [")
+            texts = self.texts[k]
+            for c, text in enumerate(texts):
+                out.write((_JSON_ITEM if c else "\n      ") + text)
+            out.write("\n    ]" if texts else "]")
+        out.write("\n  }," + tail[1:] + "\n")
+
+
+def _write_held(traj: Trajectory, trajectory, fmt: str, plot_channels, out_dir) -> list[Path]:
+    """Feed a held Trajectory to the output pass a chunk at a time; returns the plot paths."""
+    with _OutputPass(traj.names, trajectory, fmt, plot_channels, out_dir) as write:
+        for start in range(0, traj.row_count, _CHUNK_ROWS):
+            write([col[start:start + _CHUNK_ROWS] for col in traj.channels.values()])
+        write.finish(traj)
+    return write.paths
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     """Plain columnar text; floats via repr so repeat runs are bitwise identical."""
-    _write_outputs(traj, path, "csv", (), None)
+    _write_held(traj, path, "csv", (), None)
 
 
 def write_trajectory_json(traj: Trajectory, path: Path) -> None:
     """Exactly json.dumps(doc, indent=2, allow_nan=True) of the trajectory document."""
-    _write_outputs(traj, path, "json", (), None)
+    _write_held(traj, path, "json", (), None)
 
 
 def emit_plot_data(traj: Trajectory, channels, out_dir: Path) -> list[Path]:
@@ -240,7 +255,7 @@ def emit_plot_data(traj: Trajectory, channels, out_dir: Path) -> list[Path]:
     Raises UnknownChannelError, listing the valid names, if a channel does
     not exist in this trajectory; no file is written then.
     """
-    return _write_outputs(traj, None, "csv", channels, out_dir)
+    return _write_held(traj, None, "csv", channels, out_dir)
 
 
 def _status_and_exit(traj: Trajectory) -> tuple[str, int]:
@@ -326,12 +341,20 @@ def build_report(
 
 
 def run_scenario(sc: Scenario, out_dir, fmt: str = "csv") -> tuple[int, dict]:
-    """Run one scenario, write trajectory/report/plot files, return (exit code, report)."""
+    """Run one scenario, write trajectory/report/plot files, return (exit code, report).
+
+    The output pass is the loop's sink, so the report's wall_time_s covers
+    the loop and the trajectory and plot files, in either format.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    cfg = sc.config
+    path = out_dir / ("trajectory.json" if fmt == "json" else "trajectory.csv")
     start = time.perf_counter()
     try:
-        traj = run_closed_loop(sc.config)
+        with _OutputPass(_KIND_CHANNELS[cfg.kind], path, fmt, sc.plot_channels, out_dir) as write:
+            traj = run_closed_loop(cfg, write)
+            write.finish(traj)
     except InadmissibleStateError as exc:
         wall = time.perf_counter() - start
         report = build_report(sc, None, "inadmissible", EXIT_INADMISSIBLE, wall, str(exc))
@@ -339,9 +362,9 @@ def run_scenario(sc: Scenario, out_dir, fmt: str = "csv") -> tuple[int, dict]:
         return EXIT_INADMISSIBLE, report
     wall = time.perf_counter() - start
 
-    name = "trajectory.json" if fmt == "json" else "trajectory.csv"
-    _write_outputs(traj, out_dir / name, fmt, sc.plot_channels, out_dir)
-
+    # the record the report reads: t and the certificate in full, the last row of the rest
+    traj.channels.update(zip(traj.names, write.last))
+    traj.channels.update({"t": write.times, traj.names[write.cert]: write.values})
     status, exit_code = _status_and_exit(traj)
     report = build_report(sc, traj, status, exit_code, wall)
     _write_report(report, out_dir)

@@ -27,7 +27,10 @@ step), the balance certificate (also the balance law's input), and the
 chart's coordinates (shared by the segment advance, the command, the
 certificate and the convergence test). It calls the controller's command
 once per row, with plain floats, and no other function of the package but
-the chart and the stepper. Rows go straight into the trajectory columns.
+the chart and the stepper. Each row is one extend of its tuple into a flat
+buffer; every _CHUNK_ROWS rows, and once at the end, the buffer's strided
+slices (the columns, holding the rows' own float objects) go to the run's
+sink, and the buffer is cleared.
 The loop compares against the event thresholds, bound once per run, and
 calls the predicate functions and the convergence table that detect_events
 uses only once a condition holds, to build the event.
@@ -282,10 +285,14 @@ class SimConfig:
         return int(math.floor(self.t_end / self.dt + 1e-9))
 
 
+_CHUNK_ROWS = 1024  # rows per chunk handed to a run's sink
+
+
 class Trajectory:
     """Columnar record of one run: channel arrays, events, final state.
 
-    Built by run_closed_loop and treated as immutable afterwards.
+    Built by run_closed_loop and treated as immutable afterwards. A run
+    given a sink leaves the channels empty: its rows went to the sink.
     """
 
     def __init__(self, kind: str, mode: str):
@@ -764,7 +771,7 @@ def detect_events(state: WheelState, cfg: SimConfig, t: float = 0.0, segment: in
 # -------------------------------------------------------------------- loop
 
 
-def run_closed_loop(cfg: SimConfig) -> Trajectory:
+def run_closed_loop(cfg: SimConfig, sink=None) -> Trajectory:
     """Integrate the configured closed loop and record every step.
 
     Raises InadmissibleStateError before any integration if the initial
@@ -772,6 +779,11 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
     (Toppled, SingularSteering, NonFinite, and Converged when
     stop_on_converged is set) truncate the run; otherwise it ends at the
     horizon.
+
+    The rows go to ``sink(columns)`` _CHUNK_ROWS at a time (the last chunk
+    shorter; none for a run of no row), one list per channel in
+    Trajectory.names order. Without a sink they extend the returned
+    Trajectory's channels; with one, it holds the events and final state.
     """
     violated = _admissibility_violation(cfg)
     if violated is not None:
@@ -797,12 +809,15 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
 
     traj = Trajectory(kind, cfg.mode)
     events = traj.events
-    put = {name: col.append for name, col in traj.channels.items()}
-    (put_t, put_a, put_b, put_g, put_ad, put_bd, put_gd, put_bdd, put_xa, put_ya,
-     put_us, put_ud, put_V) = (put[name] for name in _BASE_CHANNELS)
-    put_V1, put_e, put_psi, put_d, put_p, put_segment = (
-        put.get(name) for name in ("V1", "e", "psi", "d", "p", "segment")
-    )
+    if sink is None:  # a library run keeps every row
+        def sink(chunk, columns=tuple(traj.channels.values())):
+            for col, values in zip(columns, chunk):
+                col.extend(values)
+
+    width = len(traj.names)
+    full = _CHUNK_ROWS * width
+    rows = []  # the chunk being filled, row after row
+    emit = rows.extend
 
     st = cfg.initial
     a, b, g, ad, bd, gd = st.alpha, st.beta, st.gamma, st.alpha_dot, st.beta_dot, st.gamma_dot
@@ -877,28 +892,15 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
             events.append(Event("NonFinite", t, f"the command's divisor underflowed to 0: {exc}"))
             break
 
-        put_t(t)
-        put_a(a)
-        put_b(b)
-        put_g(g)
-        put_ad(ad)
-        put_bd(bd)
-        put_gd(gd)
-        put_bdd(bdd)
-        put_xa(xa)
-        put_ya(ya)
-        put_us(us)
-        put_ud(ud)
-        put_V(V)
-        if not balance:
-            put_V1(v1)
-            put_e(e)
-            if p2p:
-                put_psi(psi)
-            else:
-                put_d(d)
-                put_p(p)
-                put_segment(segment_value)
+        if balance:
+            emit((t, a, b, g, ad, bd, gd, bdd, xa, ya, us, ud, V))
+        elif p2p:
+            emit((t, a, b, g, ad, bd, gd, bdd, xa, ya, us, ud, V, v1, e, psi))
+        else:
+            emit((t, a, b, g, ad, bd, gd, bdd, xa, ya, us, ud, V, v1, e, d, p, segment_value))
+        if len(rows) == full:
+            sink([rows[k::width] for k in range(width)])
+            rows.clear()
 
         if stop is not None:
             events.append(stop)
@@ -928,6 +930,8 @@ def run_closed_loop(cfg: SimConfig) -> Trajectory:
             events.append(Event("Toppled", t, str(exc)))
             break
 
+    if rows:
+        sink([rows[k::width] for k in range(width)])
     traj.final_state = WheelState(a, b, g, ad, bd, gd, bdd, xa, ya)
     return traj
 

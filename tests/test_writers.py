@@ -4,7 +4,10 @@ The oracles below are the earlier writers, kept verbatim: a row-wise CSV
 writer, json.dumps(doc, indent=2, allow_nan=True) for trajectory.json and a
 row-wise plot writer. The output pass must give their bytes for runs longer
 than two chunks whose length is not a multiple of the chunk size, with
-nan, inf and -inf in a channel, and for a 1-row non-finite run.
+nan, inf and -inf in a channel, and for a 1-row non-finite run. It is the
+run loop's sink, so the real loop streams into it: a run_scenario run must
+give the oracles' bytes for the Trajectory that run_closed_loop returns
+without a sink, at and across chunk edges and for a run of no row.
 """
 
 import json
@@ -17,7 +20,7 @@ import pytest
 
 from gyrowheel import bundled_scenario_path, parse_scenario, run_closed_loop
 from gyrowheel import cli
-from gyrowheel.simulate import CHANNEL_INFO
+from gyrowheel.simulate import CHANNEL_INFO, Trajectory
 
 CHUNK = cli._CHUNK_ROWS
 ROWS = 2 * CHUNK + 37
@@ -84,16 +87,17 @@ def written_files(out_dir):
 # ------------------------------------------------------------- fixtures
 
 
-def _long_scenario(name):
+def _rows_scenario(name, rows=ROWS):
+    """A bundled scenario run to exactly `rows` rows."""
     sc = parse_scenario(bundled_scenario_path(name))
-    cfg = replace(sc.config, t_end=(ROWS - 1) * sc.config.dt, stop_on_converged=False)
+    cfg = replace(sc.config, t_end=(rows - 1) * sc.config.dt, stop_on_converged=False)
     return replace(sc, config=cfg)
 
 
 @pytest.fixture(scope="module", params=["balance_default", "line_5m"])
 def long_run(request):
     """A run of ROWS rows with nan, inf and -inf in a plot channel, across chunks."""
-    sc = _long_scenario(request.param)
+    sc = _rows_scenario(request.param)
     traj = run_closed_loop(sc.config)
     assert traj.row_count == ROWS and ROWS > 2 * CHUNK and ROWS % CHUNK
     col = traj.channels[sc.plot_channels[-1]]
@@ -105,7 +109,17 @@ def long_run(request):
 
 
 def _run_with(monkeypatch, sc, traj, out_dir, fmt):
-    monkeypatch.setattr(cli, "run_closed_loop", lambda cfg: traj)
+    """run_scenario with a loop that hands the held trajectory to its sink in chunks."""
+
+    def loop(cfg, sink):
+        cols = [traj.channels[n] for n in traj.names]
+        for start in range(0, traj.row_count, CHUNK):
+            sink([col[start:start + CHUNK] for col in cols])
+        ran = Trajectory(traj.kind, traj.mode)  # as the loop returns it: no row kept
+        ran.events, ran.final_state = list(traj.events), traj.final_state
+        return ran
+
+    monkeypatch.setattr(cli, "run_closed_loop", loop)
     return cli.run_scenario(sc, out_dir, fmt)
 
 
@@ -153,7 +167,7 @@ def test_each_value_is_formatted_once(fmt, tmp_path, monkeypatch):
         calls.append(value)
         return repr(value)
 
-    sc = _long_scenario("p2p_default")
+    sc = _rows_scenario("p2p_default")
     traj = run_closed_loop(sc.config)
     assert len(sc.plot_channels) >= 2
     # velocity mode without lag: the commanded rates act at once, so
@@ -170,7 +184,7 @@ def test_each_value_is_formatted_once(fmt, tmp_path, monkeypatch):
     assert len(calls) == traj.row_count * 4  # t, beta, V, alpha_dot = u_steer
 
     # a line run has one segment: its float object is formatted once per chunk
-    sc = _long_scenario("line_5m")
+    sc = _rows_scenario("line_5m")
     traj = run_closed_loop(sc.config)
     assert set(map(id, traj.channels["segment"])) == {id(traj.channels["segment"][0])}
     calls.clear()
@@ -196,7 +210,7 @@ def _toppled_velocity_run():
 
 def _truncated_long_velocity_run():
     """A long point-to-point run cut after row CHUNK + 10 as a topple cuts it."""
-    sc = _long_scenario("p2p_default")
+    sc = _rows_scenario("p2p_default")
     traj = run_closed_loop(sc.config)
     for col in traj.channels.values():
         del col[CHUNK + 11:]
@@ -206,7 +220,7 @@ def _truncated_long_velocity_run():
 
 def _signed_zeros_run():
     """Columns that hold equal but differently signed zeros, or one shared zero."""
-    sc = _long_scenario("p2p_default")
+    sc = _rows_scenario("p2p_default")
     traj = run_closed_loop(sc.config)
     ch = traj.channels
     ch["alpha_dot"][5], ch["u_steer"][5] = 0.0, -0.0  # equal, not the same object
@@ -234,7 +248,7 @@ def _corridor_advancing_mid_chunk():
 
 def _constant_chunks_at_edges():
     """segment changes on the last row of a chunk and on the first of the next."""
-    sc = _long_scenario("line_5m")
+    sc = _rows_scenario("line_5m")
     traj = run_closed_loop(sc.config)
     one, two = 1.0, 2.0
     seg = traj.channels["segment"]
@@ -267,6 +281,54 @@ def test_shared_objects_match_the_row_wise_writers(case, fmt, tmp_path, monkeypa
     assert written_files(tmp_path) == oracle_files(traj, fmt, sc.plot_channels)
 
 
+# ------------------------------------------------ the real loop streaming
+
+
+def _converging_on_a_chunk_end():
+    """A point-to-point run whose Converged event fires on the last row of the first chunk."""
+    sc = _rows_scenario("p2p_default", 2 * CHUNK)
+    e = run_closed_loop(sc.config).channels["e"]
+    assert all(map(float.__gt__, e[:CHUNK], e[1:CHUNK]))  # e falls over the chunk
+    thresholds = replace(sc.config.thresholds, distance=math.nextafter(e[CHUNK - 1], math.inf))
+    return replace(sc, config=replace(sc.config, stop_on_converged=True, thresholds=thresholds))
+
+
+def _no_row(tmp_path):
+    """A run whose first row overflows: e**2 is beyond the float range."""
+    path = tmp_path / "far.yaml"
+    path.write_text(
+        "kind: point_to_point\nt_end: 0.1\nplot_channels: [e, V]\n"
+        "initial: {x_a: 0.0, y_a: -1.0e+300, alpha: 0.0}\ntarget: {x: 0.0, y: 0.0}\n"
+    )
+    return parse_scenario(path)
+
+
+_STREAMED_CASES = {
+    "two_chunks_and_37": (lambda tmp: _rows_scenario("line_5m"), ROWS, None),
+    "one_chunk": (lambda tmp: _rows_scenario("balance_default", CHUNK), CHUNK, None),
+    "one_chunk_and_1": (lambda tmp: _rows_scenario("p2p_default", CHUNK + 1), CHUNK + 1, None),
+    "converged_on_a_chunk_end": (lambda tmp: _converging_on_a_chunk_end(), CHUNK, "Converged"),
+    "no_row": (_no_row, 0, "NonFinite"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(_STREAMED_CASES))
+def test_the_loop_streams_the_row_wise_writers_bytes(case, fmt, tmp_path):
+    make, rows, terminal = _STREAMED_CASES[case]
+    sc = make(tmp_path)
+    traj = run_closed_loop(sc.config)  # no sink: every row kept, for the oracles
+    assert traj.row_count == rows
+    assert (traj.terminal_event.kind if traj.terminal_event else None) == terminal
+    out = tmp_path / "out"
+    code, report = cli.run_scenario(sc, out, fmt)
+    assert written_files(out) == oracle_files(traj, fmt, sc.plot_channels)
+    assert report["rows"] == rows
+    # the report read from what the pass keeps equals the one from the whole trajectory
+    expected = cli.build_report(sc, traj, *cli._status_and_exit(traj), report["wall_time_s"])
+    assert (code, json.dumps(report)) == (expected["exit_code"], json.dumps(expected))
+
+
 def _peak_bytes(write):
     tracemalloc.start()
     try:
@@ -287,3 +349,10 @@ def test_csv_memory_is_bounded_by_a_chunk(tmp_path):
         for traj in (short, long)
     ]
     assert peaks[1] < 1.5 * peaks[0]
+
+    # a whole gyrowheel run keeps t and the certificate only: 64 B a row, and
+    # the decay fit's temporaries, within 100 B for each row past the shorter run
+    runs = [_rows_scenario("balance_default", chunks * CHUNK) for chunks in (2, 16)]
+    cli.run_scenario(runs[0], tmp_path, "csv")  # first-call allocations out of the peaks
+    peaks = [_peak_bytes(lambda: cli.run_scenario(run, tmp_path, "csv")) for run in runs]
+    assert peaks[1] - peaks[0] <= 100 * 14 * CHUNK
