@@ -20,6 +20,8 @@ of rows the loop hands it, formatting each distinct value once (a column
 holding an earlier column's float objects reuses its text); the run keeps
 only t, its certificate and its last row. Scenario files are read with
 libyaml when it is present; every error text is the pure-Python loader's.
+PyYAML is imported by the first scenario file parsed (run, batch,
+validate), so list-channels never loads it.
 """
 
 from __future__ import annotations

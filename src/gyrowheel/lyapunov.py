@@ -111,8 +111,9 @@ class DecayReport:
 
     samples is the length of the series. fitted_rate is the least-squares
     slope of log V over the window where V exceeds rate_floor (None when
-    fewer than two points qualify). Violations are the times where a
-    single step increased V by more than the tolerance.
+    fewer than two points qualify, or when their times' squared spread sums
+    to 0). Violations are the times where a single step increased V by more
+    than the tolerance.
     """
 
     samples: int
@@ -149,7 +150,10 @@ def decay_monitor(
 
     Reports the largest single-step increase, the timestamps of increases
     beyond `tolerance`, and the exponential rate fitted on the early window
-    where the values are safely above the floating-point floor.
+    where the values are safely above the floating-point floor. The rate is
+    None when fewer than two values qualify, and when the squares of the
+    qualifying times' spread about their mean sum to 0: times that are all
+    equal, or so close (dt = 1e-300, say) that each square underflows.
     """
     if len(times) != len(values):
         raise ValueError("times and values must have equal length")
@@ -179,13 +183,14 @@ def decay_monitor(
     )
 
 
-def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+def _slope(xs: Sequence[float], ys: Sequence[float]) -> float | None:
+    """The least-squares slope of ys over xs; None when the xs' squared spread is 0."""
     n = float(len(xs))
     mx = sum(xs) / n
     my = sum(ys) / n
     dx = list(map(sub, xs, repeat(mx)))  # x - mx
     sxx = sum(map(pow, dx, repeat(2.0)))  # (x - mx) ** 2, which is pow(x - mx, 2.0) too
     if sxx == 0.0:
-        raise ValueError("cannot fit a rate to a single time point")
+        return None
     sxy = sum(map(mul, dx, map(sub, ys, repeat(my))))  # (x - mx) * (y - my)
     return sxy / sxx

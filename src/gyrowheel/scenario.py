@@ -42,8 +42,6 @@ import reprlib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import yaml
-
 from .controllers import BalanceGains, LineGains, PositionGains, Smoothing
 from .params import FrictionParams, RobotParams
 from .simulate import _KIND_CHANNELS, _KIND_MODE, KINDS, SimConfig, Thresholds, WheelState
@@ -410,7 +408,6 @@ def scenario_from_mapping(data: dict, default_name: str = "scenario") -> Scenari
     )
 
 
-_FAST_LOADER = getattr(yaml, "CSafeLoader", None)  # libyaml, when PyYAML was built with it
 # libyaml accepts some text that PyYAML's pure-Python scanner refuses, or
 # reads it differently: a tab after a value, an empty "!" node, a block
 # scalar header followed by "#", a "?" inside a flow-style key. No scenario
@@ -425,16 +422,21 @@ def _load(text: str):
     libyaml words its errors differently, so text it refuses is parsed again
     by the pure-Python loader, which raises the error yaml.safe_load would.
     """
-    if _FAST_LOADER is not None and not _PURE_ONLY.search(text):
+    import yaml
+
+    fast = getattr(yaml, "CSafeLoader", None)  # libyaml, when PyYAML was built with it
+    if fast is not None and not _PURE_ONLY.search(text):
         try:
-            return yaml.load(text, Loader=_FAST_LOADER)
+            return yaml.load(text, Loader=fast)
         except yaml.YAMLError:
             pass
     return yaml.safe_load(text)
 
 
 def parse_scenario(path) -> Scenario:
-    """Load and validate one scenario file."""
+    """Load and validate one scenario file; the first call imports PyYAML."""
+    import yaml
+
     p = Path(path)
     try:
         text = p.read_text()
@@ -451,4 +453,3 @@ def parse_scenario(path) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError(f"{p}: top level must be a mapping")
     return scenario_from_mapping(data, default_name=p.stem)
-

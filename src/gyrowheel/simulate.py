@@ -782,8 +782,9 @@ def run_closed_loop(cfg: SimConfig, sink=None) -> Trajectory:
 
     The rows go to ``sink(columns)`` _CHUNK_ROWS at a time (the last chunk
     shorter; none for a run of no row), one list per channel in
-    Trajectory.names order. Without a sink they extend the returned
-    Trajectory's channels; with one, it holds the events and final state.
+    Trajectory.names order. Without a sink the first chunk's columns become
+    the returned Trajectory's channels and each later chunk extends them;
+    with one, it holds the events and final state.
     """
     violated = _admissibility_violation(cfg)
     if violated is not None:
@@ -810,9 +811,12 @@ def run_closed_loop(cfg: SimConfig, sink=None) -> Trajectory:
     traj = Trajectory(kind, cfg.mode)
     events = traj.events
     if sink is None:  # a library run keeps every row
-        def sink(chunk, columns=tuple(traj.channels.values())):
-            for col, values in zip(columns, chunk):
-                col.extend(values)
+        def sink(chunk, channels=traj.channels, names=traj.names):
+            if channels["t"]:
+                for col, values in zip(channels.values(), chunk):
+                    col.extend(values)
+            else:  # the first chunk's columns become the channels, uncopied
+                channels.update(zip(names, chunk))
 
     width = len(traj.names)
     full = _CHUNK_ROWS * width

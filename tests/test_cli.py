@@ -265,6 +265,19 @@ def test_run_dt_override(quick_balance, tmp_path):
     assert report["dt"] == 0.01
 
 
+def test_run_with_underflowing_times_fits_no_rate(tmp_path):
+    # the squares of the times' spread (about 1e-600) underflow to 0, so the
+    # decay fit has no rate; the run still ends with its exit code and report
+    out = tmp_path / "tiny"
+    code = main(["run", str(bundled_scenario_path("balance_default")), "--out", str(out),
+                 "--dt", "1e-300", "--t-end", "1e-299"])
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["exit_code"] == 1
+    assert report["rows"] == 11
+    assert report["certificate_decay"]["fitted_rate"] is None
+
+
 def test_validate_accepts_bundled(capsys):
     for name in ("balance_default", "p2p_default", "line_5m", "corridor_demo"):
         assert main(["validate", str(bundled_scenario_path(name))]) == 0

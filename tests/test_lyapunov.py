@@ -249,10 +249,9 @@ def _loop_decay_monitor(times, values, tolerance=1e-6, rate_floor=1e-12):
         mx = sum(ts) / n
         my = sum(logs) / n
         sxx = sum((x - mx) ** 2 for x in ts)
-        if sxx == 0.0:
-            raise ValueError("cannot fit a rate to a single time point")
-        sxy = sum((x - mx) * (y - my) for x, y in zip(ts, logs))
-        fitted = sxy / sxx
+        if sxx != 0.0:  # squared spreads that sum to 0 fit no rate
+            sxy = sum((x - mx) * (y - my) for x, y in zip(ts, logs))
+            fitted = sxy / sxx
     return (repr(max_inc), repr(fitted), repr(tuple(violations)), len(values))
 
 

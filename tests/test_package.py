@@ -1,8 +1,10 @@
 """The package surface: each submodule is reachable by its name, every
 name a module exports in __all__ exists, no name is in two modules'
-__all__, and the package exports every name of the modules it imports."""
+__all__, the package exports every name of the modules it imports, and
+PyYAML is imported only to parse scenario text."""
 
 import importlib
+import json
 import pkgutil
 import subprocess
 import sys
@@ -56,3 +58,37 @@ def test_package_import_leaves_the_cli_out():
                           timeout=60, cwd=Path(gyrowheel.__file__).parents[1])
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+_IMPORT_SURFACE = """
+import contextlib, io, json, sys
+preloaded = "yaml" in sys.modules  # site may import PyYAML before any gyrowheel code runs
+import gyrowheel, gyrowheel.cli
+from gyrowheel import bundled_scenario_path, parse_scenario, run_closed_loop, scenario_from_mapping
+mapping = {"kind": "balance", "t_end": 0.01, "initial": {"lean_offset": 0.05, "alpha_dot": 3.0}}
+rows = run_closed_loop(scenario_from_mapping(mapping).config).row_count
+with contextlib.redirect_stdout(io.StringIO()):
+    listed = gyrowheel.cli.main(["list-channels"])
+unparsed = "yaml" in sys.modules
+path = bundled_scenario_path("balance_default")
+parsed = parse_scenario(path)
+loaded = "yaml" in sys.modules
+import yaml
+same = parsed == scenario_from_mapping(yaml.safe_load(path.read_text()), default_name=path.stem)
+print(json.dumps([preloaded, rows, listed, unparsed, loaded, same]))
+"""
+
+
+def test_pyyaml_is_imported_only_to_parse_scenario_text():
+    done = subprocess.run([sys.executable, "-c", _IMPORT_SURFACE], capture_output=True,
+                          text=True, timeout=60, cwd=Path(gyrowheel.__file__).parents[1])
+    assert done.returncode == 0, done.stderr
+    preloaded, rows, listed, unparsed, loaded, same = json.loads(done.stdout)
+    if preloaded:
+        pytest.skip("the interpreter's site imported PyYAML before gyrowheel")
+    assert (rows, listed) == (11, 0)
+    # the package, the CLI module, a mapping's scenario, its run and list-channels read no YAML
+    assert unparsed is False
+    # one parse of scenario text loads it, and reads the text as yaml.safe_load does
+    assert loaded is True
+    assert same is True
