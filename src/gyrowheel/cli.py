@@ -37,6 +37,7 @@ from itertools import compress, repeat
 from operator import is_
 from pathlib import Path
 
+from .dynamics import WheelState
 from .lyapunov import decay_monitor
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .simulate import (
@@ -45,10 +46,9 @@ from .simulate import (
     InadmissibleStateError,
     Trajectory,
     UnknownChannelError,
-    WheelState,
     _CHUNK_ROWS,
     _convergence,
-    _KIND_CHANNELS,
+    _KINDS,
     run_closed_loop,
 )
 
@@ -135,16 +135,17 @@ def _format(chunk: list) -> list[str]:
 
 
 class _OutputPass(ExitStack):
-    """The sink that writes ``trajectory`` (a path, or None for none) and plot_<channel>.csv files.
+    """The sink of a ``kind`` run that writes ``trajectory`` (a path, or None) and plot files.
 
     Raises UnknownChannelError, listing the valid names, before any file is
-    opened if a plot channel is not one of ``names``. Used as a context
+    opened if a plot channel is not a channel of the kind. Used as a context
     manager, which closes the files; finish(traj) completes them once the
     run has ended. ``paths`` holds the plot file paths in the requested order.
     """
 
-    def __init__(self, names: tuple[str, ...], trajectory, fmt: str, plot_channels, out_dir):
+    def __init__(self, kind: str, trajectory, fmt: str, plot_channels, out_dir):
         super().__init__()
+        names = _KINDS[kind].channels
         plot_channels = tuple(plot_channels)
         for name in plot_channels:
             if name not in names:
@@ -157,7 +158,7 @@ class _OutputPass(ExitStack):
         self.picked = [names.index(n) for n in shown]
         self.pairs = [shown.index(n) for n in self.plots]  # each plot file's column
         self.texts = [[] for _ in shown] if fmt == "json" and trajectory is not None else None
-        self.cert = names.index("V1" if "V1" in names else "V")  # the channel the decay fit reads
+        self.cert = names.index(_KINDS[kind].cert)  # the channel the decay fit reads
         self.times, self.values, self.last = [], [], []  # what the report reads
         self.out = self.plot_files = None  # until opened
 
@@ -234,7 +235,7 @@ class _OutputPass(ExitStack):
 
 def _write_held(traj: Trajectory, trajectory, fmt: str, plot_channels, out_dir) -> list[Path]:
     """Feed a held Trajectory to the output pass a chunk at a time; returns the plot paths."""
-    with _OutputPass(traj.names, trajectory, fmt, plot_channels, out_dir) as write:
+    with _OutputPass(traj.kind, trajectory, fmt, plot_channels, out_dir) as write:
         for start in range(0, traj.row_count, _CHUNK_ROWS):
             write([col[start:start + _CHUNK_ROWS] for col in traj.channels.values()])
         write.finish(traj)
@@ -286,7 +287,7 @@ def _threshold_checks(sc: Scenario, traj: Trajectory) -> dict:
 
 
 def _decay_summary(traj: Trajectory) -> dict | None:
-    name = "V" if traj.kind == "balance" else "V1"
+    name = _KINDS[traj.kind].cert
     values = traj.channels.get(name)
     if not values:
         return None
@@ -354,7 +355,7 @@ def run_scenario(sc: Scenario, out_dir, fmt: str = "csv") -> tuple[int, dict]:
     path = out_dir / ("trajectory.json" if fmt == "json" else "trajectory.csv")
     start = time.perf_counter()
     try:
-        with _OutputPass(_KIND_CHANNELS[cfg.kind], path, fmt, sc.plot_channels, out_dir) as write:
+        with _OutputPass(cfg.kind, path, fmt, sc.plot_channels, out_dir) as write:
             traj = run_closed_loop(cfg, write)
             write.finish(traj)
     except InadmissibleStateError as exc:

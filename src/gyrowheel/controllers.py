@@ -32,8 +32,9 @@ each with the same float expressions, so a command makes one call below
 the controller. A controller builds its law at construction, so its
 command method takes only the floats the law reads and returns (steer,
 drive); the simulation loop calls it once per row. balance_control,
-position_control and line_control keep their state-object signatures and
-wrap the same laws.
+position_control and line_control wrap the same laws for library use: they
+take a WheelState and, for tracking, the tuple of the target's polar chart
+or the segment's line chart (see kinematics.polar_chart and line_chart).
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ import math
 from dataclasses import dataclass
 from math import cos, exp, pi, sin, tanh
 
-from .dynamics import GeneralizedState, _require_open_lean, lean_accel
-from .kinematics import ContactPoint, LineGeometry, PolarView, line_geometry, polar_view
+from .dynamics import WheelState, _require_open_lean, lean_accel
+from .kinematics import line_geometry, polar_view
 from .lyapunov import balance_value
 from .params import RobotParams
 from .switching import hard_sign
@@ -186,7 +187,7 @@ def _balance_law(gains: BalanceGains, sign0: float, params: RobotParams):
 
 
 def balance_control(
-    state: GeneralizedState,
+    state: WheelState,
     gains: BalanceGains,
     V: float,
     sign0: float,
@@ -237,9 +238,9 @@ def _position_law(gains: PositionGains, params: RobotParams):
 
 
 def position_control(
-    state: GeneralizedState, pv: PolarView, gains: PositionGains, params: RobotParams
+    state: WheelState, polar: tuple, gains: PositionGains, params: RobotParams
 ) -> tuple[float, float]:
-    """Point-to-point law at the velocity level.
+    """Point-to-point law at the velocity level; polar is the target's (e, theta, psi).
 
     The heading switch cos(psi) decides whether the target lies ahead or
     behind; the lean switch steers; the drive combines the distance term
@@ -247,7 +248,8 @@ def position_control(
     feedback once psi settles, so scenario authoring must aim the initial
     transient (see the aiming study script).
     """
-    return _position_law(gains, params)(state.beta, state.beta_dot, pv.e, pv.psi)
+    e, _, psi = polar
+    return _position_law(gains, params)(state.beta, state.beta_dot, e, psi)
 
 
 def _line_law(gains: LineGains, params: RobotParams):
@@ -285,24 +287,21 @@ def _line_law(gains: LineGains, params: RobotParams):
 
 
 def line_control(
-    state: GeneralizedState, lg: LineGeometry, gains: LineGains, params: RobotParams
+    state: WheelState, line: tuple, gains: LineGains, params: RobotParams
 ) -> tuple[float, float]:
-    """Line-tracking law at the velocity level.
+    """Line-tracking law at the velocity level; line is the segment's line chart tuple.
 
     The side switch s flips with the line-crossing product
     sin(phi - alpha) * sin(phi - theta), holding the wheel in a discrete
     sliding regime along the line; the drive adds k5 through a step in the
     overshoot projection p so the wheel brakes once past the segment end.
     """
-    return _line_law(gains, params)(
-        state.alpha, state.beta, state.beta_dot, lg.theta, lg.phi, lg.p
-    )
+    _, _, _, theta, phi, p, _ = line
+    return _line_law(gains, params)(state.alpha, state.beta, state.beta_dot, theta, phi, p)
 
 
 class BalanceController:
     """Balance controller: gains, the latched steering sign and the floor bound once."""
-
-    kind = "balance"
 
     def __init__(
         self,
@@ -317,7 +316,7 @@ class BalanceController:
         self.alpha_dot_floor = alpha_dot_floor
         self._law = _balance_law(gains, self.sign0, params)
 
-    def certificate(self, state: GeneralizedState) -> float:
+    def certificate(self, state: WheelState) -> float:
         bdd = state.beta_ddot
         if bdd is None:
             bdd = lean_accel(state.beta, state.alpha_dot, state.gamma_dot, self.params)
@@ -344,8 +343,6 @@ class BalanceController:
 class PositionController:
     """Point-to-point controller bound to a fixed target point."""
 
-    kind = "point_to_point"
-
     def __init__(
         self,
         gains: PositionGains,
@@ -357,8 +354,8 @@ class PositionController:
         self.target = (float(target[0]), float(target[1]))
         self._law = _position_law(gains, params)
 
-    def view(self, state: GeneralizedState, contact: ContactPoint) -> PolarView:
-        return polar_view(contact, state.alpha, self.target)
+    def view(self, state: WheelState) -> tuple:
+        return polar_view(state, self.target)
 
     def command(self, beta: float, beta_dot: float, e: float, psi: float) -> tuple[float, float]:
         """Rate command (u_alpha, u_gamma); e, psi come from the target's polar chart."""
@@ -371,8 +368,6 @@ class LineController:
     The active segment index is owned by the simulation loop, keeping this
     object immutable and the geometry global-frame throughout.
     """
-
-    kind = "line"
 
     def __init__(
         self,
@@ -387,13 +382,8 @@ class LineController:
         self.waypoints = tuple((float(x), float(y)) for x, y in waypoints)
         self._law = _line_law(gains, params)
 
-    def geometry(self, state: GeneralizedState, contact: ContactPoint, segment: int) -> LineGeometry:
-        return line_geometry(
-            contact,
-            state.alpha,
-            self.waypoints[segment + 1],
-            origin=self.waypoints[segment],
-        )
+    def geometry(self, state: WheelState, segment: int) -> tuple:
+        return line_geometry(state, self.waypoints[segment + 1], self.waypoints[segment])
 
     def command(
         self, alpha: float, beta: float, beta_dot: float, theta: float, phi: float, p: float

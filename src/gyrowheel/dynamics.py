@@ -27,7 +27,8 @@ be integrated into a configuration constraint.
 The simulation loop calls only lean_accel from here: simulate's friction
 stepper writes the same inertia entries, forces, friction and solve over
 plain floats, and the balance law computes beta_jerk_coeffs in place. The
-functions below are the same model over a GeneralizedState, for library use.
+functions below are the same model over a WheelState, the package's one
+state record, for library use.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from .params import FrictionParams, RobotParams
 
 __all__ = [
     "DegenerateLeanError",
-    "GeneralizedState",
-    "InertiaEntries",
+    "WheelState",
     "inertia_matrix",
     "nonlinear_terms",
     "cancel_and_decouple",
@@ -60,12 +60,14 @@ class DegenerateLeanError(ValueError):
 
 
 @dataclass(frozen=True)
-class GeneralizedState:
-    """Angles, rates, and the cached lean acceleration.
+class WheelState:
+    """Angles, rates, the cached lean acceleration and the ground contact point.
 
     beta_ddot is not an independent coordinate: whenever present it must
     equal lean_accel(beta, alpha_dot, gamma_dot, params). It is cached
     because the balance law and the balance certificate both consume it.
+    (x_a, y_a) is the contact point in metres. In velocity mode alpha_dot
+    and gamma_dot hold the rate commands in effect from this sample onward.
     """
 
     alpha: float = 0.0
@@ -75,21 +77,8 @@ class GeneralizedState:
     beta_dot: float = 0.0
     gamma_dot: float = 0.0
     beta_ddot: float | None = None
-
-
-@dataclass(frozen=True)
-class InertiaEntries:
-    """Nonzero entries of the symmetric inertia matrix plus its key minor.
-
-    M_rho = M11*M33 - M13**2 is the determinant of the steering/rolling
-    block; it must stay positive for the decoupling maps to exist.
-    """
-
-    M11: float
-    M13: float
-    M22: float
-    M33: float
-    M_rho: float
+    x_a: float = 0.0
+    y_a: float = 0.0
 
 
 def _require_open_lean(beta: float) -> None:
@@ -99,10 +88,13 @@ def _require_open_lean(beta: float) -> None:
         )
 
 
-def inertia_matrix(state: GeneralizedState, params: RobotParams) -> InertiaEntries:
-    """Evaluate the inertia entries at the state's lean angle.
+def inertia_matrix(state: WheelState, params: RobotParams) -> tuple:
+    """Nonzero inertia entries at the state's lean, plus their key minor.
 
-    Only beta enters. M31 equals M13 by symmetry and is not stored.
+    Returns (M11, M13, M22, M33, M_rho). Only beta enters. M31 equals M13
+    by symmetry and is not returned. M_rho = M11*M33 - M13**2 is the
+    determinant of the steering/rolling block; it must stay positive for
+    the decoupling maps to exist.
     """
     _require_open_lean(state.beta)
     m, R, Ix = params.m, params.R, params.Ix
@@ -112,11 +104,11 @@ def inertia_matrix(state: GeneralizedState, params: RobotParams) -> InertiaEntri
     M13 = big * cb
     M33 = big
     M_rho = M11 * M33 - M13**2
-    return InertiaEntries(M11=M11, M13=M13, M22=params.M22, M33=M33, M_rho=M_rho)
+    return (M11, M13, params.M22, M33, M_rho)
 
 
 def nonlinear_terms(
-    state: GeneralizedState, params: RobotParams
+    state: WheelState, params: RobotParams
 ) -> tuple[float, float, float]:
     """Generalized forces on the right-hand side of M q_ddot = N + B u.
 
@@ -138,17 +130,17 @@ def nonlinear_terms(
 
 
 def cancel_and_decouple(
-    u5: float, u6: float, state: GeneralizedState, params: RobotParams
+    u5: float, u6: float, state: WheelState, params: RobotParams
 ) -> tuple[float, float]:
     """Map commanded accelerations (u5, u6) to motor torques (u1, u2).
 
     Applying the result through full_accel at the same state reproduces
     alpha_ddot = u5 and gamma_ddot = u6 exactly.
     """
-    ent = inertia_matrix(state, params)
+    M11, M13, _, M33, _ = inertia_matrix(state, params)
     n1, _, n3 = nonlinear_terms(state, params)
-    u3 = ent.M11 * u5 + ent.M13 * u6
-    u4 = ent.M13 * u5 + ent.M33 * u6
+    u3 = M11 * u5 + M13 * u6
+    u4 = M13 * u5 + M33 * u6
     return (u3 - n1, u4 - n3)
 
 
@@ -166,7 +158,7 @@ def lean_accel(
 
 
 def beta_jerk_coeffs(
-    state: GeneralizedState, params: RobotParams
+    state: WheelState, params: RobotParams
 ) -> tuple[float, float, float]:
     """Coefficients (h1, h2, h3) of the lean jerk.
 
@@ -214,7 +206,7 @@ def friction_torque(
 
 
 def full_accel(
-    state: GeneralizedState,
+    state: WheelState,
     u1: float,
     u2: float,
     params: RobotParams,
@@ -226,7 +218,7 @@ def full_accel(
     when given, is subtracted from those two motor torques only: it models
     the actuated joints, and the unactuated lean axis has no joint to rub.
     """
-    ent = inertia_matrix(state, params)
+    M11, M13, M22, M33, M_rho = inertia_matrix(state, params)
     n1, n2, n3 = nonlinear_terms(state, params)
     if friction is not None:
         f = friction_torque((state.alpha_dot, state.beta_dot, state.gamma_dot), friction)
@@ -234,7 +226,7 @@ def full_accel(
         u2 = u2 - f[2]
     rhs1 = n1 + u1
     rhs3 = n3 + u2
-    alpha_ddot = (ent.M33 * rhs1 - ent.M13 * rhs3) / ent.M_rho
-    gamma_ddot = (-ent.M13 * rhs1 + ent.M11 * rhs3) / ent.M_rho
-    beta_ddot = n2 / ent.M22
+    alpha_ddot = (M33 * rhs1 - M13 * rhs3) / M_rho
+    gamma_ddot = (-M13 * rhs1 + M11 * rhs3) / M_rho
+    beta_ddot = n2 / M22
     return (alpha_ddot, beta_ddot, gamma_ddot)

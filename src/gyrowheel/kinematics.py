@@ -19,20 +19,18 @@ and line_chart binds its segment, with the segment's length ell and bearing
 phi computed once, and each returns a function of (x_a, y_a, alpha). The
 simulation loop builds one polar chart per run and one line chart per
 segment it reaches, and detect_events reads the same charts. polar_view and
-line_geometry wrap them and return the PolarView and LineGeometry records.
+line_geometry evaluate them at a WheelState's contact point and heading.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import atan2, cos, hypot, sin
+
+from .dynamics import WheelState
 
 __all__ = [
     "DegenerateLineError",
-    "ContactPoint",
-    "PolarView",
-    "LineGeometry",
     "wrap_to_pi",
     "polar_chart",
     "polar_view",
@@ -53,61 +51,21 @@ class DegenerateLineError(ValueError):
     """Raised when a tracking segment has coincident endpoints."""
 
 
-@dataclass(frozen=True)
-class ContactPoint:
-    """Ground coordinates of the wheel's contact point (m)."""
-
-    x_a: float
-    y_a: float
-
-
-@dataclass(frozen=True)
-class PolarView:
-    """Error-polar coordinates of the contact point relative to a target.
-
-    e: distance from contact point to target, >= 0.
-    theta: inertial bearing of the contact point as seen from the target.
-    psi: theta - alpha, wrapped to (-pi, pi]. psi = 0 means the wheel points
-        straight away from the target, so backward rolling approaches it.
-    At e = 0 the chart is replaced by the convention theta = alpha, psi = 0.
-    """
-
-    e: float
-    theta: float
-    psi: float
-
-
-@dataclass(frozen=True)
-class LineGeometry:
-    """Geometry of the contact point relative to a directed segment.
-
-    r: distance from segment start to the contact point.
-    e: unsigned distance to the infinite line carrying the segment (e <= r).
-    d: distance from the contact point to the segment end.
-    theta: bearing of the contact point from the segment start.
-    phi: bearing of the segment end from the segment start.
-    p: heading-projection overshoot, r*cos(theta - alpha) -
-       ell*cos(phi - alpha): how far the contact point sits past the
-       segment end when both are projected onto the current heading.
-    ell: segment length.
-    """
-
-    r: float
-    e: float
-    d: float
-    theta: float
-    phi: float
-    p: float
-    ell: float
-
-
 def wrap_to_pi(angle: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     return math.pi - (math.pi - angle) % (2.0 * math.pi)
 
 
 def polar_chart(target: tuple[float, float] = (0.0, 0.0)):
-    """Error-polar chart about a target: chart(x_a, y_a, alpha) -> (e, theta, psi)."""
+    """Error-polar chart about a target: chart(x_a, y_a, alpha) -> (e, theta, psi).
+
+    e: distance from the contact point to the target, >= 0.
+    theta: inertial bearing of the contact point as seen from the target.
+    psi: theta - alpha, wrapped to (-pi, pi]. psi = 0 means the wheel points
+        straight away from the target, so backward rolling approaches it.
+    Below EPS_DISTANCE the chart is replaced by the convention
+    (0, wrap_to_pi(alpha), 0).
+    """
     tx, ty = target[0], target[1]
 
     def chart(x_a, y_a, alpha):
@@ -122,19 +80,29 @@ def polar_chart(target: tuple[float, float] = (0.0, 0.0)):
     return chart
 
 
-def polar_view(
-    a: ContactPoint, alpha: float, target: tuple[float, float] = (0.0, 0.0)
-) -> PolarView:
-    """Error-polar chart of the contact point about a target point."""
-    return PolarView(*polar_chart(target)(a.x_a, a.y_a, alpha))
+def polar_view(state: WheelState, target: tuple[float, float] = (0.0, 0.0)) -> tuple:
+    """polar_chart's (e, theta, psi) at the state's contact point and heading."""
+    return polar_chart(target)(state.x_a, state.y_a, state.alpha)
 
 
 def line_chart(origin: tuple[float, float], end: tuple[float, float]):
     """Line chart of the directed segment origin -> end.
 
-    Returns chart(x_a, y_a, alpha) -> (r, e, d, theta, phi, p, ell), the
-    LineGeometry fields in order. Raises DegenerateLineError when the
-    endpoints coincide.
+    Returns chart(x_a, y_a, alpha) -> (r, e, d, theta, phi, p, ell):
+
+    r: distance from the segment start to the contact point.
+    e: unsigned distance to the infinite line carrying the segment (e <= r).
+    d: distance from the contact point to the segment end.
+    theta: bearing of the contact point from the segment start.
+    phi: bearing of the segment end from the segment start.
+    p: heading-projection overshoot, r*cos(theta - alpha) -
+       ell*cos(phi - alpha): how far the contact point sits past the
+       segment end when both are projected onto the current heading.
+    ell: segment length.
+
+    All quantities are in the global frame; chained segments pass a
+    different origin rather than re-basing coordinates. Raises
+    DegenerateLineError when the endpoints coincide.
     """
     ox, oy = origin[0], origin[1]
     sx, sy = end[0], end[1]
@@ -159,15 +127,7 @@ def line_chart(origin: tuple[float, float], end: tuple[float, float]):
 
 
 def line_geometry(
-    a: ContactPoint,
-    alpha: float,
-    second_point: tuple[float, float],
-    origin: tuple[float, float] = (0.0, 0.0),
-) -> LineGeometry:
-    """Geometry of the contact point relative to the segment origin -> second_point.
-
-    All quantities are evaluated in the global frame; chained segments just
-    pass a different origin rather than re-basing coordinates. Raises
-    DegenerateLineError when the segment endpoints coincide.
-    """
-    return LineGeometry(*line_chart(origin, second_point)(a.x_a, a.y_a, alpha))
+    state: WheelState, end: tuple[float, float], origin: tuple[float, float] = (0.0, 0.0)
+) -> tuple:
+    """line_chart's (r, e, d, theta, phi, p, ell) of the segment origin -> end at the state."""
+    return line_chart(origin, end)(state.x_a, state.y_a, state.alpha)

@@ -38,6 +38,8 @@ __all__ = [
     "decay_monitor",
 ]
 
+_EPS = math.ulp(1.0)  # machine epsilon: rounding moves a float by at most this, relatively
+
 
 def balance_value(
     beta: float, beta_dot: float, beta_ddot: float, k1: float = 1.0
@@ -111,8 +113,9 @@ class DecayReport:
 
     samples is the length of the series. fitted_rate is the least-squares
     slope of log V over the window where V exceeds rate_floor (None when
-    fewer than two points qualify, or when their times' squared spread sums
-    to 0). Violations are the times where a single step increased V by more
+    fewer than two points qualify, when their times' squared spread sums
+    to 0, or when the slope is within what rounding of the logs can make
+    it). Violations are the times where a single step increased V by more
     than the tolerance.
     """
 
@@ -153,7 +156,10 @@ def decay_monitor(
     where the values are safely above the floating-point floor. The rate is
     None when fewer than two values qualify, and when the squares of the
     qualifying times' spread about their mean sum to 0: times that are all
-    equal, or so close (dt = 1e-300, say) that each square underflows.
+    equal, or so close (dt = 1e-300, say) that each square underflows. It is
+    None too when no larger than the bound rounding of the logs puts on it,
+    sum|t_i - t_mean| * eps * max|log V_i| / (that sum of squares): times so
+    close (dt = 1e-155, say) that log V cannot change, or a flat series.
     """
     if len(times) != len(values):
         raise ValueError("times and values must have equal length")
@@ -184,7 +190,8 @@ def decay_monitor(
 
 
 def _slope(xs: Sequence[float], ys: Sequence[float]) -> float | None:
-    """The least-squares slope of ys over xs; None when the xs' squared spread is 0."""
+    """The least-squares slope of ys over xs; None when the xs' squared spread is 0,
+    or when rounding each y by eps * |y| could account for the whole slope."""
     n = float(len(xs))
     mx = sum(xs) / n
     my = sum(ys) / n
@@ -193,4 +200,7 @@ def _slope(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     if sxx == 0.0:
         return None
     sxy = sum(map(mul, dx, map(sub, ys, repeat(my))))  # (x - mx) * (y - my)
-    return sxy / sxx
+    slope = sxy / sxx
+    if abs(slope) <= sum(map(abs, dx)) * _EPS * max(map(abs, ys)) / sxx:
+        return None
+    return slope

@@ -42,9 +42,10 @@ import reprlib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .controllers import BalanceGains, LineGains, PositionGains, Smoothing
+from .controllers import Smoothing
+from .dynamics import WheelState
 from .params import FrictionParams, RobotParams
-from .simulate import _KIND_CHANNELS, _KIND_MODE, KINDS, SimConfig, Thresholds, WheelState
+from .simulate import _KINDS, KINDS, SimConfig, Thresholds
 
 __all__ = [
     "ScenarioError",
@@ -62,16 +63,12 @@ _TOP_KEYS = (
 _PARAM_KEYS = tuple(f.name for f in fields(RobotParams) if f.init)
 _FRICTION_KEYS = tuple(f.name for f in fields(FrictionParams))
 _THRESHOLD_KEYS = tuple(f.name for f in fields(Thresholds))
+# a tracking gains block holds Smoothing's fields flat, beside hard_switching
+_SMOOTHING_KEYS = tuple(f.name for f in fields(Smoothing))
 _BALANCE_LEAN_KEYS = ("lean_offset", "lean_rate", "lean_accel")
 _BALANCE_RAW_KEYS = ("beta", "beta_dot", "gamma_dot")
 _BALANCE_COMMON_KEYS = ("alpha", "gamma", "alpha_dot", "x_a", "y_a")
 _TRACKING_INITIAL_KEYS = ("x_a", "y_a", "alpha", "beta", "beta_dot", "gamma")
-_GAIN_KEYS = {
-    "balance": ("k1", "k2"),
-    "point_to_point": ("k3", "k4", "k6", "k7", "hard_switching"),
-    "line": ("k3", "k5", "k6", "k7", "hard_switching"),
-    "corridor": ("k3", "k5", "k6", "k7", "hard_switching"),
-}
 _RATE_LIMIT_KEYS = ("alpha_dot_max", "gamma_dot_max")
 
 _DEFAULT_PLOTS = {
@@ -189,25 +186,27 @@ def _parse_smoothing(block: dict, where: str) -> Smoothing | None:
         if "k6" in block or "k7" in block:
             raise ScenarioError(f"{where}: hard_switching excludes k6/k7")
         return None
-    k6 = _num(block, "k6", where, 20.0)
-    k7 = _num(block, "k7", where, 20.0)
-    return _build(Smoothing, f"{where}.", k6=k6, k7=k7)
+    kwargs = {k: _num(block, k, where) for k in _SMOOTHING_KEYS if k in block}
+    return _build(Smoothing, f"{where}.", **kwargs)
 
 
 def _parse_gains(data: dict, kind: str):
+    """The kind's gains from the gains block, keyed by the class's fields.
+
+    An absent key keeps the class default. Smoothing's flat keys are read
+    first, then the others in name order, k1 before k2."""
+    cls = _KINDS[kind].gains
+    names = [f.name for f in fields(cls)]
+    keys = tuple(sorted(k for k in names if k != "smoothing"))
     block = _require_mapping(data.get("gains", {}), "gains")
-    _check_keys(block, _GAIN_KEYS[kind], "gains")
-    if kind == "balance":
-        k1 = _num(block, "k1", "gains", 1.0)
-        k2 = _num(block, "k2", "gains", 1.0)
-        return _build(BalanceGains, "gains.", k2=k2, k1=k1)
-    smoothing = _parse_smoothing(block, "gains")
-    k3 = _num(block, "k3", "gains", 3.0)
-    if kind == "point_to_point":
-        k4 = _num(block, "k4", "gains", 1.0)
-        return _build(PositionGains, "gains.", k3=k3, k4=k4, smoothing=smoothing)
-    k5 = _num(block, "k5", "gains", 1.0)
-    return _build(LineGains, "gains.", k3=k3, k5=k5, smoothing=smoothing)
+    kwargs = {}
+    if "smoothing" in names:
+        _check_keys(block, keys + _SMOOTHING_KEYS + ("hard_switching",), "gains")
+        kwargs["smoothing"] = _parse_smoothing(block, "gains")
+    else:
+        _check_keys(block, keys, "gains")
+    kwargs.update((k, _num(block, k, "gains")) for k in keys if k in block)
+    return _build(cls, "gains.", **kwargs)
 
 
 def _parse_initial(data: dict, kind: str, params: RobotParams) -> WheelState:
@@ -320,7 +319,7 @@ def _parse_plot_channels(data: dict, kind: str) -> tuple[str, ...]:
     value = data["plot_channels"]
     if not isinstance(value, (list, tuple)) or not value:
         raise ScenarioError("plot_channels: expected a non-empty list of channel names")
-    valid = _KIND_CHANNELS[kind]
+    valid = _KINDS[kind].channels
     out = []
     for item in value:
         if not isinstance(item, str):
@@ -347,7 +346,7 @@ def scenario_from_mapping(data: dict, default_name: str = "scenario") -> Scenari
     if kind not in KINDS:
         raise ScenarioError(f"kind: expected one of {', '.join(KINDS)}, got {_echo(kind)}")
 
-    required_mode = _KIND_MODE[kind]
+    required_mode = _KINDS[kind].mode
     mode = data.get("mode", required_mode)
     if mode != required_mode:
         raise ScenarioError(

@@ -15,7 +15,7 @@ Two modes, four right-hand sides:
 
 The kernel is single-pass and builds no object per row. Each right-hand
 side has one RK4 stepper, unrolled over plain floats with the run's
-constants bound once, and rk4_step wraps the same steppers; each stepper
+constants bound once; rk4_step runs them on one WheelState. Each stepper
 tests its own result for finiteness, and the friction stepper solves the
 inertia entries, forces and accelerations of a stage in one function. The
 controller binds its gains and (Gm, Im, Jm) at construction; the polar
@@ -57,6 +57,7 @@ written (regrouping a product or hoisting a common factor changes bytes).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from math import cos, exp, isfinite, pi, sin
 
@@ -71,7 +72,7 @@ from .controllers import (
     SingularSteeringError,
     sigma,
 )
-from .dynamics import DegenerateLeanError, GeneralizedState, _require_open_lean, lean_accel
+from .dynamics import DegenerateLeanError, WheelState, _require_open_lean, lean_accel
 from .kinematics import EPS_DISTANCE, EPS_RADIUS, DegenerateLineError, line_chart, polar_chart
 from .lyapunov import lean_tracking_value
 from .params import FrictionParams, RobotParams
@@ -80,8 +81,6 @@ __all__ = [
     "InadmissibleStateError",
     "NonFiniteStateError",
     "UnknownChannelError",
-    "WheelState",
-    "ControlCommand",
     "Thresholds",
     "SimConfig",
     "Event",
@@ -95,10 +94,6 @@ __all__ = [
     "MODES",
 ]
 
-# kind -> mode: balance works at the torque layer, the tracking controllers command rates
-_KIND_MODE = {"balance": "torque", "point_to_point": "velocity", "line": "velocity",
-              "corridor": "velocity"}
-KINDS = tuple(_KIND_MODE)
 MODES = ("torque", "velocity")
 
 # Channel registry: name -> (unit, description). Which channels a run emits
@@ -129,12 +124,19 @@ _BASE_CHANNELS = (
     "t", "alpha", "beta", "gamma", "alpha_dot", "beta_dot", "gamma_dot",
     "beta_ddot", "x_a", "y_a", "u_steer", "u_drive", "V",
 )
-_KIND_CHANNELS = {
-    "balance": _BASE_CHANNELS,
-    "point_to_point": _BASE_CHANNELS + ("V1", "e", "psi"),
-    "line": _BASE_CHANNELS + ("V1", "e", "d", "p", "segment"),
-    "corridor": _BASE_CHANNELS + ("V1", "e", "d", "p", "segment"),
+_LINE_CHANNELS = _BASE_CHANNELS + ("V1", "e", "d", "p", "segment")
+
+# kind -> its actuation mode (balance works at the torque layer, the tracking
+# controllers command rates), its gains class, the channels a run emits, in
+# order, and cert, the certificate channel whose decay the report fits
+_Kind = namedtuple("_Kind", "mode gains channels cert")
+_KINDS = {
+    "balance": _Kind("torque", BalanceGains, _BASE_CHANNELS, "V"),
+    "point_to_point": _Kind("velocity", PositionGains, _BASE_CHANNELS + ("V1", "e", "psi"), "V1"),
+    "line": _Kind("velocity", LineGains, _LINE_CHANNELS, "V1"),
+    "corridor": _Kind("velocity", LineGains, _LINE_CHANNELS, "V1"),
 }
+KINDS = tuple(_KINDS)
 
 
 class InadmissibleStateError(ValueError):
@@ -155,31 +157,6 @@ class UnknownChannelError(KeyError):
 
     def __str__(self) -> str:
         return f"unknown channel {self.name!r}; valid channels: {', '.join(self.valid)}"
-
-
-@dataclass(frozen=True)
-class WheelState(GeneralizedState):
-    """Generalized state plus the ground contact point.
-
-    In velocity mode alpha_dot and gamma_dot hold the rate commands in
-    effect from this sample onward.
-    """
-
-    x_a: float = 0.0
-    y_a: float = 0.0
-
-
-@dataclass(frozen=True)
-class ControlCommand:
-    """A held command: (u5, u6) in torque mode, (u_alpha, u_gamma) in velocity mode."""
-
-    mode: str
-    steer: float
-    drive: float
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -249,12 +226,7 @@ class SimConfig:
             raise ValueError(
                 f"t_end: t_end / dt = {self.t_end} / {self.dt} is beyond the float range"
             )
-        expected_gains = {
-            "balance": BalanceGains,
-            "point_to_point": PositionGains,
-            "line": LineGains,
-            "corridor": LineGains,
-        }[self.kind]
+        expected_gains = _KINDS[self.kind].gains
         if not isinstance(self.gains, expected_gains):
             raise ValueError(
                 f"kind {self.kind!r} needs {expected_gains.__name__}, "
@@ -277,7 +249,7 @@ class SimConfig:
 
     @property
     def mode(self) -> str:
-        return _KIND_MODE[self.kind]
+        return _KINDS[self.kind].mode
 
     @property
     def n_steps(self) -> int:
@@ -298,7 +270,7 @@ class Trajectory:
     def __init__(self, kind: str, mode: str):
         self.kind = kind
         self.mode = mode
-        self.names: tuple[str, ...] = _KIND_CHANNELS[kind]
+        self.names: tuple[str, ...] = _KINDS[kind].channels
         self.channels: dict[str, list[float]] = {n: [] for n in self.names}
         self.events: list[Event] = []
         self.final_state: WheelState | None = None
@@ -582,19 +554,25 @@ def _lag_stepper(params: RobotParams, dt: float, tau: float):
 
 def rk4_step(
     state: WheelState,
-    command: ControlCommand,
+    mode: str,
+    steer: float,
+    drive: float,
     params: RobotParams,
     dt: float,
     friction: FrictionParams | None = None,
 ) -> WheelState:
-    """Advance one RK4 step with the command held constant.
+    """Advance one RK4 step with the command (steer, drive) held constant.
 
-    Runs the same stepper as run_closed_loop. dt may be negative (backward
-    integration, used by finite-difference oracles). Raises
-    NonFiniteStateError if the step produces a NaN or infinity.
+    The command is (u5, u6) in torque mode and (u_alpha, u_gamma) in
+    velocity mode. Runs the same stepper as run_closed_loop. dt may be
+    negative (backward integration, used by finite-difference oracles).
+    Raises ValueError for a mode not in MODES, and NonFiniteStateError if
+    the step produces a NaN or infinity.
     """
-    st, u1, u2 = state, command.steer, command.drive
-    if command.mode == "torque":
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    st = state
+    if mode == "torque":
         if friction is None:
             step_ = _torque_stepper(params, dt)
             bdd = lean_accel(st.beta, st.alpha_dot, st.gamma_dot, params)
@@ -602,12 +580,12 @@ def rk4_step(
             step_, bdd = _friction_stepper(params, friction, dt), None
         a, b, g, ad, bd, gd, bdd, xa, ya = step_(
             st.alpha, st.beta, st.gamma, st.alpha_dot, st.beta_dot, st.gamma_dot,
-            bdd, st.x_a, st.y_a, u1, u2,
+            bdd, st.x_a, st.y_a, steer, drive,
         )
     else:
         a, b, g, bd, xa, ya, ad, gd = _velocity_stepper(params, dt)(
-            st.alpha, st.beta, st.gamma, st.beta_dot, st.x_a, st.y_a, u1, u2,
-            lean_accel(st.beta, u1, u2, params), u1, u2,
+            st.alpha, st.beta, st.gamma, st.beta_dot, st.x_a, st.y_a, steer, drive,
+            lean_accel(st.beta, steer, drive, params), steer, drive,
         )
         bdd = lean_accel(b, ad, gd, params)
     return WheelState(a, b, g, ad, bd, gd, bdd, xa, ya)

@@ -278,6 +278,20 @@ def test_run_with_underflowing_times_fits_no_rate(tmp_path):
     assert report["certificate_decay"]["fitted_rate"] is None
 
 
+@pytest.mark.parametrize("dt, t_end", [("1e-155", "1e-154"), ("1e-158", "1e-157"),
+                                       ("1e-150", "1e-149")])
+def test_run_with_times_too_close_for_log_v_to_change_fits_no_rate(tmp_path, dt, t_end):
+    # log V moves by no more than its rounding across these spans, so any
+    # slope fitted to it (2e123, -2e126 and 0.0 here) is noise: no rate
+    out = tmp_path / "tiny"
+    code = main(["run", str(bundled_scenario_path("balance_default")), "--out", str(out),
+                 "--dt", dt, "--t-end", t_end])
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["rows"] == 11
+    assert report["certificate_decay"]["fitted_rate"] is None
+
+
 def test_validate_accepts_bundled(capsys):
     for name in ("balance_default", "p2p_default", "line_5m", "corridor_demo"):
         assert main(["validate", str(bundled_scenario_path(name))]) == 0

@@ -6,17 +6,14 @@ import pytest
 from gyrowheel import (
     BalanceController,
     BalanceGains,
-    ContactPoint,
-    GeneralizedState,
     LineController,
     LineGains,
-    LineGeometry,
-    PolarView,
     PositionController,
     PositionGains,
     RobotParams,
     SingularSteeringError,
     Smoothing,
+    WheelState,
     balance_control,
     balance_value,
     beta_jerk_coeffs,
@@ -33,7 +30,7 @@ def test_sigma_zero_at_rest():
 
 
 def _upright(alpha_dot=1.0, **kw):
-    return GeneralizedState(beta=math.pi / 2, alpha_dot=alpha_dot, **kw)
+    return WheelState(beta=math.pi / 2, alpha_dot=alpha_dot, **kw)
 
 
 def _balance_command(ctl, st):
@@ -57,7 +54,7 @@ class TestBalanceControl:
         assert bdd == pytest.approx(0.7515796541568082, abs=1e-12)
         V = balance_value(beta, 0.0, bdd)
         assert V == pytest.approx(0.4627519191025955, abs=1e-12)
-        st = GeneralizedState(beta=beta, alpha_dot=1.0, beta_ddot=bdd)
+        st = WheelState(beta=beta, alpha_dot=1.0, beta_ddot=bdd)
         u5, u6 = balance_control(st, BalanceGains(), V, +1.0, params)
         assert u5 == pytest.approx(-0.1752220208866403, abs=1e-12)
         assert u6 == pytest.approx(1.8994350542262772, abs=1e-12)
@@ -73,7 +70,7 @@ class TestBalanceControl:
         for k1 in (0.0, 1.0, 2.5):
             gains = BalanceGains(k1=k1)
             for _ in range(50):
-                st = GeneralizedState(
+                st = WheelState(
                     beta=rng.uniform(0.5, math.pi - 0.5),
                     alpha_dot=rng.uniform(0.2, 2.0) * rng.choice((-1, 1)),
                     beta_dot=rng.uniform(-1, 1),
@@ -91,7 +88,7 @@ class TestBalanceControl:
                 assert jerk == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_zero_steering_rate_is_singular(self, params):
-        st = GeneralizedState(beta=math.pi / 2, alpha_dot=0.0, beta_ddot=0.0)
+        st = WheelState(beta=math.pi / 2, alpha_dot=0.0, beta_ddot=0.0)
         with pytest.raises(SingularSteeringError):
             balance_control(st, BalanceGains(), 0.0, 1.0, params)
 
@@ -112,7 +109,7 @@ class TestBalanceController:
         u5_pos, _ = _balance_command(ctl_pos, _upright(alpha_dot=1.0, beta_ddot=0.0))
         assert u5_pos == pytest.approx(-1.0, abs=1e-12)
         # with a nonzero certificate the branches separate
-        st = GeneralizedState(beta=math.pi / 2 + 0.05, alpha_dot=1.0)
+        st = WheelState(beta=math.pi / 2 + 0.05, alpha_dot=1.0)
         assert _balance_command(ctl, st)[0] < _balance_command(ctl_pos, st)[0]
 
     def test_floor_guard(self, params):
@@ -127,7 +124,7 @@ class TestBalanceController:
 
     def test_certificate_fills_missing_lean_accel(self, params):
         ctl = BalanceController(BalanceGains(), params, alpha_dot0=1.0)
-        st = GeneralizedState(beta=math.pi / 2 + 0.1, alpha_dot=1.0)
+        st = WheelState(beta=math.pi / 2 + 0.1, alpha_dot=1.0)
         bdd = lean_accel(st.beta, 1.0, 0.0, params)
         assert ctl.certificate(st) == pytest.approx(
             balance_value(st.beta, 0.0, bdd), abs=1e-12
@@ -136,16 +133,16 @@ class TestBalanceController:
 
 class TestPositionControl:
     def test_worked_example_hard_switching(self, params):
-        st = GeneralizedState(beta=math.pi / 2, beta_dot=0.1)
-        pv = PolarView(e=2.0, theta=0.0, psi=math.pi / 3)
+        st = WheelState(beta=math.pi / 2, beta_dot=0.1)
+        pv = (2.0, 0.0, math.pi / 3)
         gains = PositionGains(k3=3.0, k4=1.0, smoothing=None)
         u_alpha, u_gamma = position_control(st, pv, gains, params)
         assert u_alpha == pytest.approx(-3.0, abs=1e-12)
         assert u_gamma == pytest.approx(-2.05, abs=1e-12)
 
     def test_quiescent_at_goal(self, params):
-        st = GeneralizedState(beta=math.pi / 2)
-        pv = PolarView(e=0.0, theta=0.0, psi=0.0)
+        st = WheelState(beta=math.pi / 2)
+        pv = (0.0, 0.0, 0.0)
         gains = PositionGains(smoothing=None)
         _, u_gamma = position_control(st, pv, gains, params)
         assert u_gamma == pytest.approx(0.0, abs=1e-12)
@@ -155,13 +152,11 @@ class TestPositionControl:
         hard = PositionGains(k3=3.0, k4=1.0, smoothing=None)
         soft = PositionGains(k3=3.0, k4=1.0, smoothing=Smoothing())
         for _ in range(100):
-            st = GeneralizedState(
+            st = WheelState(
                 beta=rng.uniform(0.6, math.pi - 0.6),
                 beta_dot=rng.uniform(-1, 1),
             )
-            pv = PolarView(
-                e=rng.uniform(0, 6), theta=rng.uniform(-3, 3), psi=rng.uniform(-3, 3)
-            )
+            pv = (rng.uniform(0, 6), rng.uniform(-3, 3), rng.uniform(-3, 3))
             ua_hard, _ = position_control(st, pv, hard, params)
             ua_soft, _ = position_control(st, pv, soft, params)
             assert abs(ua_hard) == pytest.approx(3.0, abs=1e-12)
@@ -177,8 +172,8 @@ class TestPositionControl:
             s_lean = rng.uniform(-1, 1)
             if abs(s_lean) <= 5.0 / k6:
                 continue
-            st = GeneralizedState(beta=math.pi / 2 + s_lean, beta_dot=0.0)
-            pv = PolarView(e=1.0, theta=0.0, psi=rng.uniform(-1.2, 1.2))
+            st = WheelState(beta=math.pi / 2 + s_lean, beta_dot=0.0)
+            pv = (1.0, 0.0, rng.uniform(-1.2, 1.2))
             ua_hard, _ = position_control(st, pv, hard, params)
             ua_soft, _ = position_control(st, pv, soft, params)
             assert math.copysign(1, ua_hard) == math.copysign(1, ua_soft)
@@ -191,13 +186,11 @@ class TestPositionControl:
         rng = random.Random(43)
         gains = PositionGains(k3=3.0, k4=1.0, smoothing=None)
         for _ in range(1000):
-            st = GeneralizedState(
+            st = WheelState(
                 beta=rng.uniform(math.pi / 2 - 0.5, math.pi / 2 + 0.5),
                 beta_dot=rng.uniform(-0.5, 0.5),
             )
-            pv = PolarView(
-                e=rng.uniform(0, 6), theta=rng.uniform(-3, 3), psi=rng.uniform(-3, 3)
-            )
+            pv = (rng.uniform(0, 6), rng.uniform(-3, 3), rng.uniform(-3, 3))
             u_alpha, u_gamma = position_control(st, pv, gains, params)
             bdd = lean_accel(st.beta, u_alpha, u_gamma, params)
             s = (st.beta - math.pi / 2) + st.beta_dot
@@ -211,16 +204,15 @@ class TestPositionControl:
             tx, ty = rng.uniform(-2, 2), rng.uniform(-2, 2)
             alpha = rng.uniform(-3, 3)
             rot = rng.uniform(-3, 3)
-            st = GeneralizedState(
+            st = WheelState(
                 beta=rng.uniform(1.2, 2.0), beta_dot=rng.uniform(-0.5, 0.5),
                 alpha=alpha,
             )
-            pv = polar_view(ContactPoint(x_a=x, y_a=y), alpha, (tx, ty))
+            pv = polar_view(WheelState(x_a=x, y_a=y, alpha=alpha), (tx, ty))
             base = position_control(st, pv, gains, params)
             c, s_ = math.cos(rot), math.sin(rot)
             pv_rot = polar_view(
-                ContactPoint(x_a=c * x - s_ * y, y_a=s_ * x + c * y),
-                alpha + rot,
+                WheelState(x_a=c * x - s_ * y, y_a=s_ * x + c * y, alpha=alpha + rot),
                 (c * tx - s_ * ty, s_ * tx + c * ty),
             )
             spun = position_control(st, pv_rot, gains, params)
@@ -236,14 +228,14 @@ class TestPositionControl:
 
 
 def _synthetic_line(p, *, phi=0.0, theta=-0.4, alpha=-0.3, d=1.0):
-    return LineGeometry(r=1.0, e=0.3, d=d, theta=theta, phi=phi, p=p, ell=5.0)
+    return (1.0, 0.3, d, theta, phi, p, 5.0)  # (r, e, d, theta, phi, p, ell)
 
 
 class TestLineControl:
     def test_worked_example_full_drive(self, params):
         # both geometric products positive, projection overshoot ahead:
         # full drive magnitude k5, steering pegged at k3 via Sgn(0) = +1
-        st = GeneralizedState(beta=math.pi / 2, alpha=-0.3)
+        st = WheelState(beta=math.pi / 2, alpha=-0.3)
         lg = _synthetic_line(p=2.0)
         gains = LineGains(k3=3.0, k5=1.0, smoothing=None)
         u_alpha, u_gamma = line_control(st, lg, gains, params)
@@ -251,7 +243,7 @@ class TestLineControl:
         assert u_alpha == pytest.approx(-3.0, abs=1e-12)
 
     def test_drive_halts_past_projection(self, params):
-        st = GeneralizedState(beta=math.pi / 2, beta_dot=0.2, alpha=-0.3)
+        st = WheelState(beta=math.pi / 2, beta_dot=0.2, alpha=-0.3)
         lg = _synthetic_line(p=-2.0)
         gains = LineGains(k3=3.0, k5=1.0, smoothing=None)
         _, u_gamma = line_control(st, lg, gains, params)
@@ -260,7 +252,7 @@ class TestLineControl:
         assert u_gamma == pytest.approx(-u_k, abs=1e-12)
 
     def test_quiescent_just_past_goal(self, params):
-        st = GeneralizedState(beta=math.pi / 2, alpha=-0.3)
+        st = WheelState(beta=math.pi / 2, alpha=-0.3)
         lg = _synthetic_line(p=-1e-9, d=0.0)
         _, u_gamma = line_control(st, lg, LineGains(smoothing=None), params)
         assert u_gamma == pytest.approx(0.0, abs=1e-12)
@@ -270,10 +262,10 @@ class TestLineControl:
         # the whole command pair
         from gyrowheel import line_geometry
 
-        st = GeneralizedState(beta=math.pi / 2 + 0.2, alpha=2.8)
+        st = WheelState(beta=math.pi / 2 + 0.2, alpha=2.8)
         gains = LineGains(k3=3.0, k5=1.0, smoothing=None)
-        above = line_geometry(ContactPoint(x_a=2.0, y_a=0.5), 2.8, (5.0, 0.0))
-        below = line_geometry(ContactPoint(x_a=2.0, y_a=-0.5), 2.8, (5.0, 0.0))
+        above = line_geometry(WheelState(x_a=2.0, y_a=0.5, alpha=2.8), (5.0, 0.0))
+        below = line_geometry(WheelState(x_a=2.0, y_a=-0.5, alpha=2.8), (5.0, 0.0))
         ua_above, ug_above = line_control(st, above, gains, params)
         ua_below, ug_below = line_control(st, below, gains, params)
         assert ua_above == pytest.approx(-ua_below, abs=1e-12)
@@ -282,7 +274,7 @@ class TestLineControl:
         assert math.copysign(1, ug_above) == -math.copysign(1, ug_below)
 
     def test_output_ignores_endpoint_distance_field(self, params):
-        st = GeneralizedState(beta=math.pi / 2 + 0.1, alpha=-0.3)
+        st = WheelState(beta=math.pi / 2 + 0.1, alpha=-0.3)
         gains = LineGains(k3=3.0, k5=1.5, smoothing=Smoothing())
         near = line_control(st, _synthetic_line(2.0, d=0.2), gains, params)
         far = line_control(st, _synthetic_line(2.0, d=4.0), gains, params)
@@ -293,7 +285,7 @@ class TestLineControl:
         hard = LineGains(k3=3.0, k5=1.0, smoothing=None)
         soft = LineGains(k3=3.0, k5=1.0, smoothing=Smoothing())
         for _ in range(100):
-            st = GeneralizedState(
+            st = WheelState(
                 beta=rng.uniform(0.6, math.pi - 0.6),
                 beta_dot=rng.uniform(-1, 1),
                 alpha=rng.uniform(-3, 3),
@@ -316,23 +308,24 @@ class TestLineControl:
 class TestControllerWrappers:
     def test_position_controller_binds_target(self, params):
         ctl = PositionController(PositionGains(), params, target=(3.0, 4.0))
-        st = GeneralizedState(beta=math.pi / 2, alpha=0.0)
-        pv = ctl.view(st, ContactPoint(x_a=3.0, y_a=0.0))
-        assert pv.e == pytest.approx(4.0, abs=1e-12)
+        st = WheelState(beta=math.pi / 2, alpha=0.0, x_a=3.0, y_a=0.0)
+        pv = ctl.view(st)
+        e, _, psi = pv
+        assert e == pytest.approx(4.0, abs=1e-12)
         direct = position_control(st, pv, ctl.gains, params)
-        assert ctl.command(st.beta, st.beta_dot, pv.e, pv.psi) == direct
+        assert ctl.command(st.beta, st.beta_dot, e, psi) == direct
 
     def test_line_controller_segments(self, params):
         ctl = LineController(
             LineGains(), params, waypoints=((0.0, 0.0), (2.0, 0.0), (2.0, 3.0))
         )
         assert ctl.waypoints == ((0.0, 0.0), (2.0, 0.0), (2.0, 3.0))
-        st = GeneralizedState(beta=math.pi / 2, alpha=0.0)
-        first = ctl.geometry(st, ContactPoint(x_a=1.0, y_a=0.0), 0)
-        second = ctl.geometry(st, ContactPoint(x_a=1.0, y_a=0.0), 1)
-        assert first.phi == pytest.approx(0.0, abs=1e-12)
-        assert second.phi == pytest.approx(math.pi / 2, abs=1e-12)
-        assert second.ell == pytest.approx(3.0, abs=1e-12)
+        st = WheelState(beta=math.pi / 2, alpha=0.0, x_a=1.0, y_a=0.0)
+        *_, first_phi, _, _ = ctl.geometry(st, 0)
+        *_, second_phi, _, second_ell = ctl.geometry(st, 1)
+        assert first_phi == pytest.approx(0.0, abs=1e-12)
+        assert second_phi == pytest.approx(math.pi / 2, abs=1e-12)
+        assert second_ell == pytest.approx(3.0, abs=1e-12)
 
     def test_line_controller_needs_two_waypoints(self, params):
         with pytest.raises(ValueError):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from gyrowheel import (
     DegenerateLeanError,
     FrictionParams,
-    GeneralizedState,
     RobotParams,
+    WheelState,
     beta_jerk_coeffs,
     cancel_and_decouple,
     friction_torque,
@@ -23,37 +23,37 @@ from oracles import beta_jerk_coeffs_variant
 
 
 def test_inertia_entries_upright(params):
-    ent = inertia_matrix(GeneralizedState(beta=math.pi / 2), params)
-    assert ent.M11 == pytest.approx(0.5, abs=1e-12)
-    assert ent.M13 == pytest.approx(0.0, abs=1e-12)
-    assert ent.M33 == pytest.approx(2.0, abs=1e-12)
-    assert ent.M_rho == pytest.approx(1.0, abs=1e-12)
+    M11, M13, _, M33, M_rho = inertia_matrix(WheelState(beta=math.pi / 2), params)
+    assert M11 == pytest.approx(0.5, abs=1e-12)
+    assert M13 == pytest.approx(0.0, abs=1e-12)
+    assert M33 == pytest.approx(2.0, abs=1e-12)
+    assert M_rho == pytest.approx(1.0, abs=1e-12)
 
 
 def test_inertia_entries_at_sixty_degrees(params):
-    ent = inertia_matrix(GeneralizedState(beta=math.pi / 3), params)
-    assert ent.M11 == pytest.approx(0.875, abs=1e-12)
-    assert ent.M13 == pytest.approx(1.0, abs=1e-12)
-    assert ent.M33 == pytest.approx(2.0, abs=1e-12)
-    assert ent.M_rho == pytest.approx(0.75, abs=1e-12)
+    M11, M13, _, M33, M_rho = inertia_matrix(WheelState(beta=math.pi / 3), params)
+    assert M11 == pytest.approx(0.875, abs=1e-12)
+    assert M13 == pytest.approx(1.0, abs=1e-12)
+    assert M33 == pytest.approx(2.0, abs=1e-12)
+    assert M_rho == pytest.approx(0.75, abs=1e-12)
 
 
 def test_inertia_determinant_positive_sweep(params):
     n = 10_000
     for i in range(1, n):
         beta = math.pi * i / n
-        ent = inertia_matrix(GeneralizedState(beta=beta), params)
-        assert ent.M_rho > 0.0
+        _, _, _, _, M_rho = inertia_matrix(WheelState(beta=beta), params)
+        assert M_rho > 0.0
 
 
 def test_inertia_rejects_flat_wheel(params):
     for beta in (0.0, math.pi, -0.2, math.pi + 0.2):
         with pytest.raises(DegenerateLeanError):
-            inertia_matrix(GeneralizedState(beta=beta), params)
+            inertia_matrix(WheelState(beta=beta), params)
 
 
 def test_nonlinear_terms_upright_spinning(params):
-    st_ = GeneralizedState(beta=math.pi / 2, alpha_dot=1.0, beta_dot=0.0, gamma_dot=2.0)
+    st_ = WheelState(beta=math.pi / 2, alpha_dot=1.0, beta_dot=0.0, gamma_dot=2.0)
     n1, n2, n3 = nonlinear_terms(st_, params)
     assert n1 == pytest.approx(0.0, abs=1e-12)
     assert n2 == pytest.approx(-4.0, abs=1e-12)
@@ -73,13 +73,13 @@ def test_reduced_accel_upright_spinning(params):
 
 
 def test_cancel_and_decouple_upright_steer(params):
-    u1, u2 = cancel_and_decouple(1.0, 0.0, GeneralizedState(beta=math.pi / 2), params)
+    u1, u2 = cancel_and_decouple(1.0, 0.0, WheelState(beta=math.pi / 2), params)
     assert u1 == pytest.approx(0.5, abs=1e-12)
     assert u2 == pytest.approx(0.0, abs=1e-12)
 
 
 def _random_state(rng):
-    return GeneralizedState(
+    return WheelState(
         alpha=rng.uniform(-math.pi, math.pi),
         beta=rng.uniform(0.3, math.pi - 0.3),
         gamma=rng.uniform(-math.pi, math.pi),
@@ -108,10 +108,10 @@ def test_torque_layer_completion_is_consistent(params):
     for _ in range(50):
         st_ = _random_state(rng)
         u1, u2 = cancel_and_decouple(1.3, -0.4, st_, params)
-        ent = inertia_matrix(st_, params)
+        M11, M13, _, M33, _ = inertia_matrix(st_, params)
         n1, _, n3 = nonlinear_terms(st_, params)
-        assert u1 + n1 == pytest.approx(ent.M11 * 1.3 + ent.M13 * -0.4, abs=1e-10)
-        assert u2 + n3 == pytest.approx(ent.M13 * 1.3 + ent.M33 * -0.4, abs=1e-10)
+        assert u1 + n1 == pytest.approx(M11 * 1.3 + M13 * -0.4, abs=1e-10)
+        assert u2 + n3 == pytest.approx(M13 * 1.3 + M33 * -0.4, abs=1e-10)
         u5, _, u6 = full_accel(st_, u1, u2, params)
         assert (u5, u6) == (pytest.approx(1.3, abs=1e-10), pytest.approx(-0.4, abs=1e-10))
 
@@ -134,7 +134,7 @@ def test_decoupled_commands_realize_requested_accelerations(params):
 
 def _rk4_free(y, params, friction, dt):
     def f(yy):
-        st_ = GeneralizedState(
+        st_ = WheelState(
             alpha=yy[0], beta=yy[1], gamma=yy[2],
             alpha_dot=yy[3], beta_dot=yy[4], gamma_dot=yy[5],
         )
@@ -156,9 +156,9 @@ def _rk4_free(y, params, friction, dt):
 
 def _energy(y, params):
     _, beta, _, ad, bd, gd = y
-    ent = inertia_matrix(GeneralizedState(beta=beta), params)
+    M11, M13, M22, M33, _ = inertia_matrix(WheelState(beta=beta), params)
     kinetic = 0.5 * (
-        ent.M11 * ad**2 + ent.M22 * bd**2 + ent.M33 * gd**2 + 2.0 * ent.M13 * ad * gd
+        M11 * ad**2 + M22 * bd**2 + M33 * gd**2 + 2.0 * M13 * ad * gd
     )
     return kinetic + params.m * params.g * params.R * math.sin(beta)
 
@@ -203,7 +203,7 @@ def test_pure_lean_dynamics_conserve_pendulum_energy(params):
 
 
 def test_jerk_coefficients_upright_no_roll(params):
-    st_ = GeneralizedState(beta=math.pi / 2, alpha_dot=1.0, gamma_dot=0.0)
+    st_ = WheelState(beta=math.pi / 2, alpha_dot=1.0, gamma_dot=0.0)
     h1, h2, h3 = beta_jerk_coeffs(st_, params)
     assert h1 == pytest.approx(6.533333333333333 + 1.0, rel=1e-12)
     assert h2 == pytest.approx(0.0, abs=1e-12)
@@ -220,7 +220,7 @@ def test_jerk_coefficients_are_lean_accel_partials(params):
         bd = rng.uniform(-1.0, 1.0)
         gd = rng.uniform(-2.0, 2.0)
         u5, u6 = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
-        st_ = GeneralizedState(beta=beta, alpha_dot=ad, beta_dot=bd, gamma_dot=gd)
+        st_ = WheelState(beta=beta, alpha_dot=ad, beta_dot=bd, gamma_dot=gd)
         h1, h2, h3 = beta_jerk_coeffs(st_, params)
         eps = 1e-6
         d_beta = (
@@ -238,7 +238,7 @@ def test_jerk_coefficients_are_lean_accel_partials(params):
 
 
 def test_variant_jerk_coefficients_differ(params):
-    st_ = GeneralizedState(beta=1.2, alpha_dot=1.1, beta_dot=0.4, gamma_dot=-0.8)
+    st_ = WheelState(beta=1.2, alpha_dot=1.1, beta_dot=0.4, gamma_dot=-0.8)
     assert beta_jerk_coeffs(st_, params) != beta_jerk_coeffs_variant(1.2, 1.1, -0.8, params)
 
 
@@ -277,7 +277,7 @@ def test_friction_torque_is_odd(v):
 )
 @settings(max_examples=200, deadline=None)
 def test_inertia_positive_definite_random(beta, ad, gd):
-    ent = inertia_matrix(GeneralizedState(beta=beta), RobotParams())
-    assert ent.M_rho > 0.0
-    quad = ent.M11 * ad**2 + 2.0 * ent.M13 * ad * gd + ent.M33 * gd**2
+    M11, M13, _, M33, M_rho = inertia_matrix(WheelState(beta=beta), RobotParams())
+    assert M_rho > 0.0
+    quad = M11 * ad**2 + 2.0 * M13 * ad * gd + M33 * gd**2
     assert quad >= -1e-12

@@ -23,7 +23,7 @@ import ast
 import importlib
 import math
 import struct
-from dataclasses import astuple, is_dataclass, replace
+from dataclasses import is_dataclass, replace
 from math import pi
 from pathlib import Path
 
@@ -35,16 +35,12 @@ from hypothesis import strategies as st
 from gyrowheel import (
     BalanceController,
     BalanceGains,
-    ContactPoint,
     DegenerateLeanError,
     DegenerateLineError,
     FrictionParams,
-    GeneralizedState,
     InadmissibleStateError,
     LineController,
     LineGains,
-    LineGeometry,
-    PolarView,
     PositionController,
     PositionGains,
     RobotParams,
@@ -180,8 +176,8 @@ def test_balance_law_matches_reference(lean, alpha_dot, gamma_dot, beta_ddot, V,
     args = (beta, alpha_dot, beta_dot, gamma_dot, beta_ddot, V)
     expected = _outcome(oracles.balance_law, *args, gains, sign0, PARAMS)
     assert _outcome(_balance_law(gains, sign0, PARAMS), *args) == expected
-    state = GeneralizedState(beta=beta, alpha_dot=alpha_dot, beta_dot=beta_dot,
-                             gamma_dot=gamma_dot, beta_ddot=beta_ddot)
+    state = WheelState(beta=beta, alpha_dot=alpha_dot, beta_dot=beta_dot,
+                       gamma_dot=gamma_dot, beta_ddot=beta_ddot)
     assert _outcome(balance_control, state, gains, V, sign0, PARAMS) == expected
     # a zero floor leaves the steering-rate test to the run loop
     ctl = BalanceController(gains, PARAMS, sign0, alpha_dot_floor=0.0)
@@ -197,8 +193,8 @@ def test_position_law_matches_reference(lean, e, psi, k3, k4_share, smoothing):
     args = (beta, beta_dot, e, psi)
     expected = _outcome(oracles.position_law, *args, gains, PARAMS)
     assert _outcome(_position_law(gains, PARAMS), *args) == expected
-    state = GeneralizedState(beta=beta, beta_dot=beta_dot)
-    assert _outcome(position_control, state, PolarView(e, 0.0, psi), gains, PARAMS) == expected
+    state = WheelState(beta=beta, beta_dot=beta_dot)
+    assert _outcome(position_control, state, (e, 0.0, psi), gains, PARAMS) == expected
     assert _outcome(PositionController(gains, PARAMS).command, *args) == expected
 
 
@@ -212,10 +208,9 @@ def test_line_law_matches_reference(lean, alpha, theta, phi, p, k3, k5, smoothin
     args = (alpha, beta, beta_dot, theta, phi, p)
     expected = _outcome(oracles.line_law, *args, gains, PARAMS)
     assert _outcome(_line_law(gains, PARAMS), *args) == expected
-    state = GeneralizedState(alpha=alpha, beta=beta, beta_dot=beta_dot)
-    lg = LineGeometry(r=math.nan, e=math.nan, d=math.nan, theta=theta, phi=phi, p=p,
-                      ell=math.nan)
-    assert _outcome(line_control, state, lg, gains, PARAMS) == expected
+    state = WheelState(alpha=alpha, beta=beta, beta_dot=beta_dot)
+    line = (math.nan, math.nan, math.nan, theta, phi, p, math.nan)
+    assert _outcome(line_control, state, line, gains, PARAMS) == expected
     ctl = LineController(gains, PARAMS, waypoints=((0.0, 0.0), (1.0, 0.0)))
     assert _outcome(ctl.command, *args) == expected
 
@@ -246,8 +241,8 @@ def test_balance_command_matches_state_law(beta, alpha_dot, beta_dot, gamma_dot,
     assert ctl.sign0 == sign0
     bdd = oracles.lean_accel(beta, alpha_dot, gamma_dot, PARAMS)
     assert _outcome(lambda: (lean_accel(beta, alpha_dot, gamma_dot, PARAMS),)) == _bits((bdd,))
-    state = GeneralizedState(beta=beta, alpha_dot=alpha_dot, beta_dot=beta_dot,
-                             gamma_dot=gamma_dot, beta_ddot=bdd if cached else None)
+    state = WheelState(beta=beta, alpha_dot=alpha_dot, beta_dot=beta_dot,
+                       gamma_dot=gamma_dot, beta_ddot=bdd if cached else None)
     assert _outcome(beta_jerk_coeffs, state, PARAMS) == _outcome(
         oracles.jerk_coeffs, beta, alpha_dot, gamma_dot, PARAMS)
     V = oracles.balance_certificate(beta, beta_dot, bdd, k1)
@@ -268,15 +263,14 @@ def test_position_command_matches_state_law(beta, beta_dot, alpha, tx, ty, dx, d
     ctl = PositionController(gains, PARAMS, target=(tx, ty))
     x_a, y_a = tx + dx, ty + dy
     chart = oracles.polar_chart(x_a, y_a, alpha, ctl.target)
-    state = GeneralizedState(alpha=alpha, beta=beta, beta_dot=beta_dot)
-    contact = ContactPoint(x_a, y_a)
+    state = WheelState(alpha=alpha, beta=beta, beta_dot=beta_dot, x_a=x_a, y_a=y_a)
     assert _outcome(polar_chart(ctl.target), x_a, y_a, alpha) == _bits(chart)
-    assert _bits(astuple(polar_view(contact, alpha, ctl.target))) == _bits(chart)
-    assert _bits(astuple(ctl.view(state, contact))) == _bits(chart)
+    assert _bits(polar_view(state, ctl.target)) == _bits(chart)
+    assert _bits(ctl.view(state)) == _bits(chart)
     e, theta, psi = chart
     expected = _outcome(oracles.position_law, beta, beta_dot, e, psi, gains, PARAMS)
     assert _outcome(ctl.command, beta, beta_dot, e, psi) == expected
-    assert _outcome(position_control, state, PolarView(*chart), gains, PARAMS) == expected
+    assert _outcome(position_control, state, chart, gains, PARAMS) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -291,15 +285,14 @@ def test_line_command_matches_state_law(beta, beta_dot, alpha, ox, oy, sx, sy, d
     ctl = LineController(gains, PARAMS, waypoints=((ox, oy), (sx, sy)))
     x_a, y_a = ox + dx, oy + dy
     chart = oracles.line_chart(x_a, y_a, alpha, *ctl.waypoints)
-    state = GeneralizedState(alpha=alpha, beta=beta, beta_dot=beta_dot)
-    contact = ContactPoint(x_a, y_a)
+    state = WheelState(alpha=alpha, beta=beta, beta_dot=beta_dot, x_a=x_a, y_a=y_a)
     assert _outcome(line_chart(*ctl.waypoints), x_a, y_a, alpha) == _bits(chart)
-    assert _bits(astuple(line_geometry(contact, alpha, (sx, sy), (ox, oy)))) == _bits(chart)
-    assert _bits(astuple(ctl.geometry(state, contact, 0))) == _bits(chart)
+    assert _bits(line_geometry(state, (sx, sy), (ox, oy))) == _bits(chart)
+    assert _bits(ctl.geometry(state, 0)) == _bits(chart)
     r, e, d, theta, phi, p, ell = chart
     expected = _outcome(oracles.line_law, alpha, beta, beta_dot, theta, phi, p, gains, PARAMS)
     assert _outcome(ctl.command, alpha, beta, beta_dot, theta, phi, p) == expected
-    assert _outcome(line_control, state, LineGeometry(*chart), gains, PARAMS) == expected
+    assert _outcome(line_control, state, chart, gains, PARAMS) == expected
 
 
 def test_chart_floors_are_reached():
@@ -324,9 +317,8 @@ def test_coincident_endpoints_raise():
     with pytest.raises(DegenerateLineError):
         line_chart((2.0, 3.0), (2.0, 3.0))
     ctl = LineController(LineGains(), PARAMS, waypoints=((0.0, 0.0), (1.0, 0.0), (1.0, 0.0)))
-    assert _outcome(ctl.geometry, GeneralizedState(), ContactPoint(0.5, 0.0), 1) == expected
-    assert _outcome(line_geometry, ContactPoint(0.5, 0.0), 0.0, (1.0, 0.0), (1.0, 0.0)) == \
-        expected
+    assert _outcome(ctl.geometry, WheelState(x_a=0.5), 1) == expected
+    assert _outcome(line_geometry, WheelState(x_a=0.5), (1.0, 0.0), (1.0, 0.0)) == expected
 
 
 def test_config_refuses_a_degenerate_segment():

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gyrowheel import (
-    ContactPoint,
-    ControlCommand,
     DegenerateLineError,
     RobotParams,
     WheelState,
@@ -54,8 +52,8 @@ def stepper_contact_velocity(state, params, h=1e-5):
         alpha=state.alpha, beta=state.beta, alpha_dot=state.alpha_dot,
         beta_dot=state.beta_dot, gamma_dot=state.gamma_dot,
     )
-    cmd = ControlCommand("torque", 0.0, 0.0)
-    fwd, back = rk4_step(st0, cmd, params, h), rk4_step(st0, cmd, params, -h)
+    fwd = rk4_step(st0, "torque", 0.0, 0.0, params, h)
+    back = rk4_step(st0, "torque", 0.0, 0.0, params, -h)
     return ((fwd.x_a - back.x_a) / (2 * h), (fwd.y_a - back.y_a) / (2 * h))
 
 
@@ -129,30 +127,30 @@ def test_contact_speed_is_rolling_speed(params):
     # R*|gamma_dot| per second
     dt = 0.5
     for gd in (-2.5, -0.1, 0.0, 0.7, 3.0):
-        st_ = rk4_step(WheelState(alpha=1.1), ControlCommand("velocity", 0.0, gd), params, dt)
+        st_ = rk4_step(WheelState(alpha=1.1), "velocity", 0.0, gd, params, dt)
         assert math.hypot(st_.x_a, st_.y_a) / dt == pytest.approx(
             params.R * abs(gd), abs=1e-12
         )
 
 
 def test_polar_view_at_target_is_floored():
-    pv = polar_view(ContactPoint(x_a=1e-9, y_a=-1e-9), alpha=0.4, target=(0.0, 0.0))
-    assert pv.e == 0.0
-    assert pv.psi == 0.0
+    e, _, psi = polar_view(WheelState(x_a=1e-9, y_a=-1e-9, alpha=0.4), target=(0.0, 0.0))
+    assert e == 0.0
+    assert psi == 0.0
 
 
 def test_polar_view_aligned_heading():
     alpha = math.atan2(4.0, 3.0)
-    pv = polar_view(ContactPoint(x_a=3.0, y_a=4.0), alpha=alpha)
-    assert pv.e == pytest.approx(5.0, abs=1e-12)
-    assert pv.theta == pytest.approx(alpha, abs=1e-12)
-    assert pv.psi == pytest.approx(0.0, abs=1e-12)
+    e, theta, psi = polar_view(WheelState(x_a=3.0, y_a=4.0, alpha=alpha))
+    assert e == pytest.approx(5.0, abs=1e-12)
+    assert theta == pytest.approx(alpha, abs=1e-12)
+    assert psi == pytest.approx(0.0, abs=1e-12)
 
 
 def test_polar_view_respects_target_shift():
-    pv = polar_view(ContactPoint(x_a=3.0, y_a=4.0), alpha=0.0, target=(3.0, 3.0))
-    assert pv.e == pytest.approx(1.0, abs=1e-12)
-    assert pv.theta == pytest.approx(math.pi / 2, abs=1e-12)
+    e, theta, _ = polar_view(WheelState(x_a=3.0, y_a=4.0, alpha=0.0), target=(3.0, 3.0))
+    assert e == pytest.approx(1.0, abs=1e-12)
+    assert theta == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_polar_rates_match_finite_differences(params):
@@ -172,56 +170,57 @@ def test_polar_rates_match_finite_differences(params):
             alpha_t = a0 + ua * t
             x_t = x0 + params.R * ug / ua * (math.sin(alpha_t) - math.sin(a0))
             y_t = y0 - params.R * ug / ua * (math.cos(alpha_t) - math.cos(a0))
-            return polar_view(ContactPoint(x_a=x_t, y_a=y_t), alpha_t)
+            e, _, psi = polar_view(WheelState(x_a=x_t, y_a=y_t, alpha=alpha_t))
+            return e, psi
 
-        pv = view_at(0.0)
-        plus, minus = view_at(h), view_at(-h)
-        e_dot_fd = (plus.e - minus.e) / (2 * h)
-        psi_dot_fd = wrap_to_pi(plus.psi - minus.psi) / (2 * h)
-        e_dot, psi_dot = polar_rates(pv.e, pv.psi, ua, ug, params)
+        e, psi = view_at(0.0)
+        (e_plus, psi_plus), (e_minus, psi_minus) = view_at(h), view_at(-h)
+        e_dot_fd = (e_plus - e_minus) / (2 * h)
+        psi_dot_fd = wrap_to_pi(psi_plus - psi_minus) / (2 * h)
+        e_dot, psi_dot = polar_rates(e, psi, ua, ug, params)
         assert e_dot_fd == pytest.approx(e_dot, rel=1e-3, abs=1e-6)
         assert psi_dot_fd == pytest.approx(psi_dot, rel=1e-3, abs=1e-6)
 
 
 def test_polar_rates_at_floor_drop_singular_term(params):
-    pv = polar_view(ContactPoint(x_a=0.0, y_a=0.0), alpha=0.4)
-    e_dot, psi_dot = polar_rates(pv.e, pv.psi, 0.7, 1.0, params)
+    e, _, psi = polar_view(WheelState(x_a=0.0, y_a=0.0, alpha=0.4))
+    e_dot, psi_dot = polar_rates(e, psi, 0.7, 1.0, params)
     assert e_dot == pytest.approx(params.R * 1.0, abs=1e-12)
     assert psi_dot == pytest.approx(-0.7, abs=1e-12)
 
 
 def test_line_geometry_point_on_segment():
-    lg = line_geometry(ContactPoint(x_a=2.0, y_a=0.0), 0.0, (5.0, 0.0))
-    assert lg.r == pytest.approx(2.0, abs=1e-12)
-    assert lg.e == pytest.approx(0.0, abs=1e-12)
-    assert lg.d == pytest.approx(3.0, abs=1e-12)
-    assert lg.ell == pytest.approx(5.0, abs=1e-12)
-    assert lg.phi == pytest.approx(0.0, abs=1e-12)
+    r, e, d, _, phi, _, ell = line_geometry(WheelState(x_a=2.0, y_a=0.0, alpha=0.0), (5.0, 0.0))
+    assert r == pytest.approx(2.0, abs=1e-12)
+    assert e == pytest.approx(0.0, abs=1e-12)
+    assert d == pytest.approx(3.0, abs=1e-12)
+    assert ell == pytest.approx(5.0, abs=1e-12)
+    assert phi == pytest.approx(0.0, abs=1e-12)
 
 
 def test_line_geometry_perpendicular_offset():
-    lg = line_geometry(ContactPoint(x_a=2.0, y_a=0.75), 0.0, (5.0, 0.0))
-    assert lg.e == pytest.approx(0.75, abs=1e-12)
-    assert lg.r == pytest.approx(math.hypot(2.0, 0.75), abs=1e-12)
+    r, e, *_ = line_geometry(WheelState(x_a=2.0, y_a=0.75, alpha=0.0), (5.0, 0.0))
+    assert e == pytest.approx(0.75, abs=1e-12)
+    assert r == pytest.approx(math.hypot(2.0, 0.75), abs=1e-12)
 
 
 def test_line_geometry_offset_origin():
-    lg = line_geometry(
-        ContactPoint(x_a=1.0, y_a=2.0), 0.0, second_point=(1.0, 5.0), origin=(1.0, 1.0)
+    r, e, d, _, phi, _, _ = line_geometry(
+        WheelState(x_a=1.0, y_a=2.0, alpha=0.0), end=(1.0, 5.0), origin=(1.0, 1.0)
     )
-    assert lg.phi == pytest.approx(math.pi / 2, abs=1e-12)
-    assert lg.r == pytest.approx(1.0, abs=1e-12)
-    assert lg.e == pytest.approx(0.0, abs=1e-12)
-    assert lg.d == pytest.approx(3.0, abs=1e-12)
+    assert phi == pytest.approx(math.pi / 2, abs=1e-12)
+    assert r == pytest.approx(1.0, abs=1e-12)
+    assert e == pytest.approx(0.0, abs=1e-12)
+    assert d == pytest.approx(3.0, abs=1e-12)
 
 
 def test_line_geometry_drive_gate_sign():
     # heading anti-aligned with the track from its start: the projection
     # overshoot is +ell, so the drive gate opens; aligned heading closes it
-    lg_rev = line_geometry(ContactPoint(x_a=0.0, y_a=0.0), math.pi, (5.0, 0.0))
-    lg_fwd = line_geometry(ContactPoint(x_a=0.0, y_a=0.0), 0.0, (5.0, 0.0))
-    assert lg_rev.p == pytest.approx(5.0, abs=1e-12)
-    assert lg_fwd.p == pytest.approx(-5.0, abs=1e-12)
+    p_rev = line_geometry(WheelState(x_a=0.0, y_a=0.0, alpha=math.pi), (5.0, 0.0))[5]
+    p_fwd = line_geometry(WheelState(x_a=0.0, y_a=0.0, alpha=0.0), (5.0, 0.0))[5]
+    assert p_rev == pytest.approx(5.0, abs=1e-12)
+    assert p_fwd == pytest.approx(-5.0, abs=1e-12)
 
 
 def test_line_geometry_projection_formula():
@@ -232,9 +231,9 @@ def test_line_geometry_projection_formula():
         end = (rng.uniform(-4, 4), rng.uniform(-4, 4))
         if math.hypot(*end) < 1e-3:
             continue
-        lg = line_geometry(ContactPoint(x_a=x, y_a=y), alpha, end)
-        expected = lg.r * math.cos(lg.theta - alpha) - lg.ell * math.cos(lg.phi - alpha)
-        assert lg.p == pytest.approx(expected, abs=1e-12)
+        r, _, _, theta, phi, p, ell = line_geometry(WheelState(x_a=x, y_a=y, alpha=alpha), end)
+        expected = r * math.cos(theta - alpha) - ell * math.cos(phi - alpha)
+        assert p == pytest.approx(expected, abs=1e-12)
 
 
 @given(
@@ -253,36 +252,36 @@ def test_line_geometry_rotation_invariance(seed, rot):
         c, s = math.cos(rot), math.sin(rot)
         return (c * px - s * py, s * px + c * py)
 
-    base = line_geometry(ContactPoint(x_a=x, y_a=y), alpha, end, origin)
+    r, e, d, _, phi, p, ell = line_geometry(WheelState(x_a=x, y_a=y, alpha=alpha), end, origin)
     rx, ry = rotate(x, y)
-    spun = line_geometry(
-        ContactPoint(x_a=rx, y_a=ry), alpha + rot, rotate(*end), rotate(*origin)
+    r2, e2, d2, _, phi2, p2, ell2 = line_geometry(
+        WheelState(x_a=rx, y_a=ry, alpha=alpha + rot), rotate(*end), rotate(*origin)
     )
-    assert spun.r == pytest.approx(base.r, abs=1e-9)
-    assert spun.e == pytest.approx(base.e, abs=1e-9)
-    assert spun.d == pytest.approx(base.d, abs=1e-9)
-    assert spun.ell == pytest.approx(base.ell, abs=1e-9)
-    assert spun.p == pytest.approx(base.p, abs=1e-9)
-    assert wrap_to_pi(spun.phi - base.phi - rot) == pytest.approx(0.0, abs=1e-9)
+    assert r2 == pytest.approx(r, abs=1e-9)
+    assert e2 == pytest.approx(e, abs=1e-9)
+    assert d2 == pytest.approx(d, abs=1e-9)
+    assert ell2 == pytest.approx(ell, abs=1e-9)
+    assert p2 == pytest.approx(p, abs=1e-9)
+    assert wrap_to_pi(phi2 - phi - rot) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_line_geometry_offset_never_exceeds_radius():
     rng = random.Random(13)
     for _ in range(200):
-        lg = line_geometry(
-            ContactPoint(x_a=rng.uniform(-5, 5), y_a=rng.uniform(-5, 5)),
-            rng.uniform(-3, 3),
+        x, y = rng.uniform(-5, 5), rng.uniform(-5, 5)
+        r, e, *_ = line_geometry(
+            WheelState(x_a=x, y_a=y, alpha=rng.uniform(-3, 3)),
             (rng.uniform(1, 5), rng.uniform(-5, 5)),
         )
-        assert lg.e <= lg.r + 1e-12
+        assert e <= r + 1e-12
 
 
 def test_line_geometry_rejects_degenerate_segment():
     with pytest.raises(DegenerateLineError):
-        line_geometry(ContactPoint(x_a=1.0, y_a=1.0), 0.0, (2.0, 3.0), (2.0, 3.0))
+        line_geometry(WheelState(x_a=1.0, y_a=1.0, alpha=0.0), (2.0, 3.0), (2.0, 3.0))
 
 
 def test_default_params_radius_used():
     big = RobotParams(m=1.0, R=2.0, Ix=0.5)
-    st_ = rk4_step(WheelState(alpha=0.0), ControlCommand("velocity", 0.0, 1.0), big, 0.25)
+    st_ = rk4_step(WheelState(alpha=0.0), "velocity", 0.0, 1.0, big, 0.25)
     assert (st_.x_a / 0.25, st_.y_a / 0.25) == pytest.approx((2.0, 0.0), abs=1e-12)

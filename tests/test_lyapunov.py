@@ -252,6 +252,10 @@ def _loop_decay_monitor(times, values, tolerance=1e-6, rate_floor=1e-12):
         if sxx != 0.0:  # squared spreads that sum to 0 fit no rate
             sxy = sum((x - mx) * (y - my) for x, y in zip(ts, logs))
             fitted = sxy / sxx
+            # nor does a slope within what rounding each log by eps * |log| can make it
+            noise = sum(abs(x - mx) for x in ts) * math.ulp(1.0) * max(abs(y) for y in logs)
+            if abs(fitted) <= noise / sxx:
+                fitted = None
     return (repr(max_inc), repr(fitted), repr(tuple(violations)), len(values))
 
 

@@ -5,7 +5,6 @@ from dataclasses import fields, replace
 import pytest
 
 from gyrowheel import (
-    ControlCommand,
     Event,
     InadmissibleStateError,
     LineGains,
@@ -28,9 +27,9 @@ from gyrowheel import (
 from conftest import make_balance_config, make_balance_mapping
 
 
-def test_control_command_validates_mode():
-    with pytest.raises(ValueError):
-        ControlCommand("impulse", 0.0, 0.0)
+def test_control_command_validates_mode(params):
+    with pytest.raises(ValueError, match="mode must be one of"):
+        rk4_step(WheelState(), "impulse", 0.0, 0.0, params, 1e-3)
 
 
 def test_thresholds_must_be_positive():
@@ -49,9 +48,8 @@ def test_nan_threshold_rejected(field):
 
 def test_torque_equilibrium_is_fixed_point(params):
     st = WheelState(beta=math.pi / 2)
-    cmd = ControlCommand("torque", 0.0, 0.0)
     for _ in range(100):
-        st = rk4_step(st, cmd, params, 1e-2)
+        st = rk4_step(st, "torque", 0.0, 0.0, params, 1e-2)
     assert st.beta == pytest.approx(math.pi / 2, abs=1e-12)
     assert st.beta_dot == pytest.approx(0.0, abs=1e-12)
     assert (st.x_a, st.y_a) == pytest.approx((0.0, 0.0), abs=1e-12)
@@ -61,7 +59,7 @@ def test_velocity_step_advances_contact_exactly(params):
     # heading frozen at zero, unit rolling rate: one step moves the contact
     # forward by exactly R*u_gamma*dt
     st = WheelState(beta=math.pi / 2)
-    out = rk4_step(st, ControlCommand("velocity", 0.0, 1.0), params, 0.01)
+    out = rk4_step(st, "velocity", 0.0, 1.0, params, 0.01)
     assert out.x_a == 0.01
     assert out.y_a == pytest.approx(0.0, abs=1e-15)
     assert out.alpha_dot == 0.0
@@ -73,9 +71,9 @@ def test_negative_dt_inverts_a_step(params):
         alpha=0.4, beta=math.pi / 2 + 0.1, gamma=1.0,
         alpha_dot=0.8, beta_dot=-0.2, gamma_dot=1.5, x_a=0.3, y_a=-0.7,
     )
-    for cmd in (ControlCommand("torque", 0.2, -0.4), ControlCommand("velocity", 0.8, 1.5)):
-        fwd = rk4_step(st0, cmd, params, 1e-3)
-        back = rk4_step(fwd, cmd, params, -1e-3)
+    for cmd in (("torque", 0.2, -0.4), ("velocity", 0.8, 1.5)):
+        fwd = rk4_step(st0, *cmd, params, 1e-3)
+        back = rk4_step(fwd, *cmd, params, -1e-3)
         for name in ("alpha", "beta", "gamma", "beta_dot", "x_a", "y_a"):
             assert getattr(back, name) == pytest.approx(
                 getattr(st0, name), abs=1e-10
@@ -87,12 +85,11 @@ def test_integrator_is_fourth_order(params):
     st0 = WheelState(
         beta=math.pi / 2 + 0.15, alpha_dot=0.9, beta_dot=0.2, gamma_dot=1.1
     )
-    cmd = ControlCommand("torque", 0.3, -0.2)
 
     def endpoint(dt):
         st = st0
         for _ in range(round(1.0 / dt)):
-            st = rk4_step(st, cmd, params, dt)
+            st = rk4_step(st, "torque", 0.3, -0.2, params, dt)
         return st
 
     ref = endpoint(1e-4)
@@ -123,10 +120,8 @@ def test_velocity_mode_reduces_torque_lean_dynamics(params):
             beta_dot=rng.uniform(-0.5, 0.5),
             gamma_dot=rng.uniform(-2, 2),
         )
-        tq = rk4_step(st, ControlCommand("torque", 0.0, 0.0), params, 1e-3)
-        vel = rk4_step(
-            st, ControlCommand("velocity", st.alpha_dot, st.gamma_dot), params, 1e-3
-        )
+        tq = rk4_step(st, "torque", 0.0, 0.0, params, 1e-3)
+        vel = rk4_step(st, "velocity", st.alpha_dot, st.gamma_dot, params, 1e-3)
         assert vel.beta == pytest.approx(tq.beta, abs=1e-12)
         assert vel.beta_dot == pytest.approx(tq.beta_dot, abs=1e-12)
         assert vel.x_a == pytest.approx(tq.x_a, abs=1e-12)
@@ -144,7 +139,7 @@ def test_config_mode_follows_kind():
 def test_non_finite_state_raises(params):
     st = WheelState(beta=math.pi / 2, alpha_dot=math.nan, gamma_dot=1.0)
     with pytest.raises(NonFiniteStateError):
-        rk4_step(st, ControlCommand("torque", 0.0, 0.0), params, 1e-3)
+        rk4_step(st, "torque", 0.0, 0.0, params, 1e-3)
 
 
 def test_run_is_bitwise_deterministic():
@@ -424,11 +419,9 @@ def test_stage_overflow_ends_the_run_as_non_finite():
     assert all(math.isfinite(v) for v in traj.channel("beta"))
     assert traj.final_state.beta == traj.channel("beta")[-1]
     # a direct call on the same step still raises
-    cmd = ControlCommand(
-        "torque", traj.channel("u_steer")[-1], traj.channel("u_drive")[-1]
-    )
+    u5, u6 = traj.channel("u_steer")[-1], traj.channel("u_drive")[-1]
     with pytest.raises(NonFiniteStateError):
-        rk4_step(traj.final_state, cmd, RobotParams(), 1e-3)
+        rk4_step(traj.final_state, "torque", u5, u6, RobotParams(), 1e-3)
 
 
 @pytest.mark.parametrize(
