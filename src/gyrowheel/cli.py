@@ -431,8 +431,12 @@ def _cmd_batch(args) -> int:
         return EXIT_CONFIG
     out_root = Path(args.out) if args.out else Path("runs")
     worst = 0
+    taken = {}  # output directory (the file stem) -> the file that runs into it
     for path in files:
         try:
+            if path.stem in taken:
+                raise ScenarioError(f"{taken[path.stem]} already runs into {out_root / path.stem}")
+            taken[path.stem] = path.name
             sc = parse_scenario(path)
         except ScenarioError as exc:
             print(f"{path.name}: config error: {exc}")

@@ -9,7 +9,8 @@ YAML value, unrounded.
 
 Top-level keys::
 
-    name              optional str, defaults to the file stem
+    name              optional file name (no /, \\ or NUL; not . or ..),
+                      defaults to the file stem
     kind              balance | point_to_point | line | corridor
     mode              optional; must match the kind (balance -> torque,
                       tracking kinds -> velocity)
@@ -70,13 +71,6 @@ _BALANCE_RAW_KEYS = ("beta", "beta_dot", "gamma_dot")
 _BALANCE_COMMON_KEYS = ("alpha", "gamma", "alpha_dot", "x_a", "y_a")
 _TRACKING_INITIAL_KEYS = ("x_a", "y_a", "alpha", "beta", "beta_dot", "gamma")
 _RATE_LIMIT_KEYS = ("alpha_dot_max", "gamma_dot_max")
-
-_DEFAULT_PLOTS = {
-    "balance": ("beta", "alpha_dot", "gamma_dot", "V"),
-    "point_to_point": ("e", "psi", "beta", "V1"),
-    "line": ("e", "d", "beta", "segment"),
-    "corridor": ("e", "d", "beta", "segment"),
-}
 
 
 class ScenarioError(ValueError):
@@ -315,7 +309,7 @@ def _parse_rate_limits(data: dict, kind: str, gains, initial: WheelState, target
 
 def _parse_plot_channels(data: dict, kind: str) -> tuple[str, ...]:
     if "plot_channels" not in data:
-        return _DEFAULT_PLOTS[kind]
+        return _KINDS[kind].plots
     value = data["plot_channels"]
     if not isinstance(value, (list, tuple)) or not value:
         raise ScenarioError("plot_channels: expected a non-empty list of channel names")
@@ -341,6 +335,8 @@ def scenario_from_mapping(data: dict, default_name: str = "scenario") -> Scenari
     name = data.get("name", default_name)
     if not isinstance(name, str) or not name:
         raise ScenarioError(f"name: expected a non-empty string, got {_echo(name)}")
+    if name in (".", "..") or any(c in name for c in "/\\\0"):  # run writes to runs/<name>
+        raise ScenarioError(f"name: expected a plain file name, got {_echo(name)}")
 
     kind = data.get("kind")
     if kind not in KINDS:

@@ -15,12 +15,14 @@ Two modes, four right-hand sides:
 
 The kernel is single-pass and builds no object per row. Each right-hand
 side has one RK4 stepper, unrolled over plain floats with the run's
-constants bound once; rk4_step runs them on one WheelState. Each stepper
-tests its own result for finiteness, and the friction stepper solves the
-inertia entries, forces and accelerations of a stage in one function. The
-controller binds its gains and (Gm, Im, Jm) at construction; the polar
-chart binds the target once per run and each line chart binds its
-segment's length and bearing once, when the corridor first reaches it.
+constants bound once; all four take and return the state in WheelState's
+field order, and one selector, _stepper, builds the stepper of a mode for
+both run_closed_loop and rk4_step. Each stepper tests its own result for
+finiteness, and the friction stepper solves the inertia entries, forces
+and accelerations of a stage in one function. The controller binds its
+gains and (Gm, Im, Jm) at construction; the polar chart binds the target
+once per run and each line chart binds its segment's length and bearing
+once, when the corridor first reaches it.
 run_closed_loop keeps the state in local floats and computes each per-row
 quantity once: the lean acceleration (also the first RK4 stage of the next
 step), the balance certificate (also the balance law's input), and the
@@ -128,13 +130,17 @@ _LINE_CHANNELS = _BASE_CHANNELS + ("V1", "e", "d", "p", "segment")
 
 # kind -> its actuation mode (balance works at the torque layer, the tracking
 # controllers command rates), its gains class, the channels a run emits, in
-# order, and cert, the certificate channel whose decay the report fits
-_Kind = namedtuple("_Kind", "mode gains channels cert")
+# order, cert, the certificate channel whose decay the report fits, and plots,
+# the plot_channels of a scenario that names none
+_Kind = namedtuple("_Kind", "mode gains channels cert plots")
+_LINE_KIND = _Kind("velocity", LineGains, _LINE_CHANNELS, "V1", ("e", "d", "beta", "segment"))
 _KINDS = {
-    "balance": _Kind("torque", BalanceGains, _BASE_CHANNELS, "V"),
-    "point_to_point": _Kind("velocity", PositionGains, _BASE_CHANNELS + ("V1", "e", "psi"), "V1"),
-    "line": _Kind("velocity", LineGains, _LINE_CHANNELS, "V1"),
-    "corridor": _Kind("velocity", LineGains, _LINE_CHANNELS, "V1"),
+    "balance": _Kind("torque", BalanceGains, _BASE_CHANNELS, "V",
+                     ("beta", "alpha_dot", "gamma_dot", "V")),
+    "point_to_point": _Kind("velocity", PositionGains, _BASE_CHANNELS + ("V1", "e", "psi"), "V1",
+                            ("e", "psi", "beta", "V1")),
+    "line": _LINE_KIND,
+    "corridor": _LINE_KIND,
 }
 KINDS = tuple(_KINDS)
 
@@ -300,20 +306,19 @@ class Trajectory:
 
 # ---------------------------------------------------------------- steppers
 #
-# One unrolled RK4 stepper per right-hand side. A factory binds a run's
-# constants once; the stepper maps the state at the step start and the held
-# command to the state at the step end, and raises NonFiniteStateError when
-# a stage or the result is not finite. Stage values the right-hand side
-# never reads (gamma, the contact point) are not formed; stage values that
-# coincide exactly are formed once.
+# One unrolled RK4 stepper per right-hand side; _stepper picks a mode's, and
+# its factory binds the run's constants once. Each stepper maps the step-start
+# state, in WheelState's field order, and the held command to the step-end
+# state in the same order; a rate-layer stepper returns the rates in effect
+# and bdd as given. Stage values the right-hand side never reads (gamma, the
+# contact point) are not formed; stage values that coincide exactly are
+# formed once. Each stepper ends with the same finiteness test of its result
+# tuple (the sum is finite unless some value is not, or the sum overflowed)
+# and raises NonFiniteStateError when a stage or the result is not finite.
 
 
 def _nonfinite() -> NonFiniteStateError:
     return NonFiniteStateError("an RK4 stage produced a NaN or an infinity")
-
-
-# Each stepper ends with the same finiteness test of its result tuple: the
-# sum is finite unless some value is not, or the sum overflowed.
 
 
 def _torque_stepper(params: RobotParams, dt: float):
@@ -469,7 +474,7 @@ def _velocity_stepper(params: RobotParams, dt: float):
     R, Gm, Im, Jm = params.R, params.Gm, params.Im, params.Jm
     h2, h6 = 0.5 * dt, dt / 6.0
 
-    def step(a, b, g, bd, xa, ya, ad, gd, bdd, ua, ug):
+    def step(a, b, g, ad, bd, gd, bdd, xa, ya, ua, ug):
         # ad, gd: the rates in effect, replaced by the command at once;
         # bdd: lean acceleration at the step start under (ua, ug)
         try:
@@ -488,11 +493,12 @@ def _velocity_stepper(params: RobotParams, dt: float):
                 a + h6 * (ua + 2.0 * ua + 2.0 * ua + ua),
                 b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4),
                 g + h6 * (ug + 2.0 * ug + 2.0 * ug + ug),
+                ua,
                 bd + h6 * (bdd + 2.0 * l2 + 2.0 * l3 + l4),
+                ug,
+                bdd,
                 xa + h6 * (R * ug * cos(a) + 2.0 * x2 + 2.0 * x2 + R * ug * cos(a4)),
                 ya + h6 * (R * ug * sin(a) + 2.0 * y2 + 2.0 * y2 + R * ug * sin(a4)),
-                ua,
-                ug,
             )
         except (ValueError, OverflowError):
             raise _nonfinite() from None
@@ -508,7 +514,7 @@ def _lag_stepper(params: RobotParams, dt: float, tau: float):
     R, Gm, Im, Jm = params.R, params.Gm, params.Im, params.Jm
     h2, h6 = 0.5 * dt, dt / 6.0
 
-    def step(a, b, g, bd, xa, ya, za, zg, bdd, ua, ug):
+    def step(a, b, g, za, bd, zg, bdd, xa, ya, ua, ug):
         # (za, zg): the lag filter, which is the rates in effect;
         # bdd: lean acceleration at the step start under (za, zg)
         try:
@@ -537,11 +543,12 @@ def _lag_stepper(params: RobotParams, dt: float, tau: float):
                 a + h6 * (za + 2.0 * za2 + 2.0 * za3 + za4),
                 b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4),
                 g + h6 * (zg + 2.0 * zg2 + 2.0 * zg3 + zg4),
+                za + h6 * (fa1 + 2.0 * fa2 + 2.0 * fa3 + fa4),
                 bd + h6 * (bdd + 2.0 * l2 + 2.0 * l3 + l4),
+                zg + h6 * (fg1 + 2.0 * fg2 + 2.0 * fg3 + fg4),
+                bdd,
                 xa + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
                 ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
-                za + h6 * (fa1 + 2.0 * fa2 + 2.0 * fa3 + fa4),
-                zg + h6 * (fg1 + 2.0 * fg2 + 2.0 * fg3 + fg4),
             )
         except (ValueError, OverflowError):
             raise _nonfinite() from None
@@ -550,6 +557,16 @@ def _lag_stepper(params: RobotParams, dt: float, tau: float):
         raise _nonfinite()
 
     return step
+
+
+def _stepper(mode: str, params: RobotParams, dt: float, friction=None, lag: float = 0.0):
+    """The stepper of a mode: torque with or without friction, velocity with or without lag."""
+    if mode == "torque":
+        return (_torque_stepper(params, dt) if friction is None
+                else _friction_stepper(params, friction, dt))
+    if mode == "velocity":
+        return _lag_stepper(params, dt, lag) if lag > 0.0 else _velocity_stepper(params, dt)
+    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 def rk4_step(
@@ -569,24 +586,15 @@ def rk4_step(
     Raises ValueError for a mode not in MODES, and NonFiniteStateError if
     the step produces a NaN or infinity.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    st = state
-    if mode == "torque":
-        if friction is None:
-            step_ = _torque_stepper(params, dt)
-            bdd = lean_accel(st.beta, st.alpha_dot, st.gamma_dot, params)
-        else:
-            step_, bdd = _friction_stepper(params, friction, dt), None
-        a, b, g, ad, bd, gd, bdd, xa, ya = step_(
-            st.alpha, st.beta, st.gamma, st.alpha_dot, st.beta_dot, st.gamma_dot,
-            bdd, st.x_a, st.y_a, steer, drive,
-        )
-    else:
-        a, b, g, bd, xa, ya, ad, gd = _velocity_stepper(params, dt)(
-            st.alpha, st.beta, st.gamma, st.beta_dot, st.x_a, st.y_a, steer, drive,
-            lean_accel(st.beta, steer, drive, params), steer, drive,
-        )
+    step = _stepper(mode, params, dt, friction)
+    st, torque = state, mode == "torque"
+    ad, gd = (st.alpha_dot, st.gamma_dot) if torque else (steer, drive)  # the rates in effect
+    # the friction stepper solves its first stage in full and reads no bdd
+    bdd = None if torque and friction is not None else lean_accel(st.beta, ad, gd, params)
+    a, b, g, ad, bd, gd, bdd, xa, ya = step(
+        st.alpha, st.beta, st.gamma, ad, st.beta_dot, gd, bdd, st.x_a, st.y_a, steer, drive,
+    )
+    if not torque:
         bdd = lean_accel(b, ad, gd, params)
     return WheelState(a, b, g, ad, bd, gd, bdd, xa, ya)
 
@@ -803,17 +811,8 @@ def run_closed_loop(cfg: SimConfig, sink=None) -> Trajectory:
 
     st = cfg.initial
     a, b, g, ad, bd, gd = st.alpha, st.beta, st.gamma, st.alpha_dot, st.beta_dot, st.gamma_dot
-    xa, ya, bdd = st.x_a, st.y_a, st.beta_ddot
-    if torque:
-        bdd = lean_accel(b, ad, gd, params)
-        if cfg.friction is None:
-            advance = _torque_stepper(params, dt)
-        else:
-            advance = _friction_stepper(params, cfg.friction, dt)
-    elif lag:
-        advance = _lag_stepper(params, dt, cfg.actuator_lag)
-    else:
-        advance = _velocity_stepper(params, dt)
+    xa, ya, bdd = st.x_a, st.y_a, lean_accel(b, ad, gd, params) if torque else st.beta_ddot
+    advance = _stepper(cfg.mode, params, dt, cfg.friction, cfg.actuator_lag)
 
     segment = 0
     segment_value = 0.0  # one float object per segment, so the writers format it once
@@ -901,10 +900,7 @@ def run_closed_loop(cfg: SimConfig, sink=None) -> Trajectory:
         if i == n:
             break
         try:
-            if torque:
-                a, b, g, ad, bd, gd, bdd, xa, ya = advance(a, b, g, ad, bd, gd, bdd, xa, ya, us, ud)
-            else:
-                a, b, g, bd, xa, ya, ad, gd = advance(a, b, g, bd, xa, ya, ad, gd, bdd, us, ud)
+            a, b, g, ad, bd, gd, bdd, xa, ya = advance(a, b, g, ad, bd, gd, bdd, xa, ya, us, ud)
         except NonFiniteStateError as exc:
             events.append(Event("NonFinite", t, str(exc)))
             break

@@ -345,8 +345,12 @@ def friction_step(a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6, params, friction, dt
 
 
 @_checked
-def velocity_step(a, b, g, bd, xa, ya, ad, gd, bdd, ua, ug, params, dt):
-    """Rates (ua, ug) held and in effect at once; the rates before, ad and gd, are not read."""
+def velocity_step(a, b, g, ad, bd, gd, bdd, xa, ya, ua, ug, params, dt):
+    """Rates (ua, ug) held and in effect at once; the rates before, ad and gd, are not read.
+
+    Returns (ua, ug) as the rates and bdd as given: the lean acceleration at
+    the step end depends on the next command.
+    """
     def rates(a, b, g, bd, bdd=None):
         if bdd is None:
             bdd = lean_accel(b, ua, ug, params)
@@ -355,12 +359,15 @@ def velocity_step(a, b, g, bd, xa, ya, ad, gd, bdd, ua, ug, params, dt):
     y = (a, b, g, bd)
     (a, b, g, bd), stages = _rk4(rates, y, rates(*y, bdd), dt)
     xa, ya = _contact(xa, ya, [(s[0], ug) for s in stages], params.R, dt)
-    return (a, b, g, bd, xa, ya, ua, ug)
+    return (a, b, g, ua, bd, ug, bdd, xa, ya)
 
 
 @_checked
-def lag_step(a, b, g, bd, xa, ya, za, zg, bdd, ua, ug, params, dt, tau):
-    """The rates in effect (za, zg) relax toward the held (ua, ug): z_dot = (u - z)/tau."""
+def lag_step(a, b, g, za, bd, zg, bdd, xa, ya, ua, ug, params, dt, tau):
+    """The rates in effect (za, zg) relax toward the held (ua, ug): z_dot = (u - z)/tau.
+
+    Returns bdd as given, as velocity_step does.
+    """
     def rates(a, b, g, bd, za, zg, bdd=None):
         if bdd is None:
             bdd = lean_accel(b, za, zg, params)
@@ -369,4 +376,4 @@ def lag_step(a, b, g, bd, xa, ya, za, zg, bdd, ua, ug, params, dt, tau):
     y = (a, b, g, bd, za, zg)
     (a, b, g, bd, za, zg), stages = _rk4(rates, y, rates(*y, bdd), dt)
     xa, ya = _contact(xa, ya, [(s[0], s[5]) for s in stages], params.R, dt)
-    return (a, b, g, bd, xa, ya, za, zg)
+    return (a, b, g, za, bd, zg, bdd, xa, ya)

@@ -7,7 +7,9 @@ here. Each bundled scenario runs through the CLI path at a 0.5 s horizon
 wall time, which carries the certificate decay fit); the friction and
 actuator-lag paths, and the control paths no bundled scenario reaches (hard
 switching, a corridor advancing on consecutive rows, a converged stop,
-k1 != 1), run directly (channel repr bytes, events and final state hashed).
+k1 != 1), run directly (channel repr bytes, events and final state hashed), and so
+do five runs that end on a terminal event (a topple in each of the four
+steppers, and a steering rate below its floor).
 """
 
 import hashlib
@@ -63,6 +65,22 @@ CONTROL_DIGESTS = {
     "line_converged": "8c669566b868f0f142011983c524d9dbed37aa830d7fc0330b266eb58cd107ab",
     "line_hard": "c11c1d20beb287da1c9d03c84725563bb8056709e38b3ec02265e7ca605e1c38",
     "p2p_hard": "a34cfe948a51b9ea6abef60a913d4dfdff390a2fa9839a2f3b0b2ccea8bbb73f",
+}
+
+
+# runs that end on a terminal event: (its kind, its time, the run's digest).
+# The event fires at the first step boundary where its condition holds.
+TERMINAL_DIGESTS = {
+    "balance_singular": ("SingularSteering", 18.065,
+                         "f1f3b5fc2fd1c4036e9ba443b708af3eb1ef329827e1ec499ee106907e15b464"),
+    "balance_topple": ("Toppled", 4.0,
+                       "c24e258142a407e17e7e8e42df81d00e9e0f0a2f999f2bd9810fd88f7333c6dc"),
+    "friction_topple": ("Toppled", 4.8,
+                        "1244c6759bb8410f254b0084a1c7cd97bc3655153bc07d424fd4fd3f74656232"),
+    "lag_topple": ("Toppled", 0.6000000000000001,
+                   "905605aa673ec1525d6e27f1190d08b9da2a7ae0353ace79c662205f06a3f732"),
+    "p2p_topple": ("Toppled", 2.0,
+                   "cd6339508b2105270cb65a2809f48ddedc2f4cb54bc400c0af0fd8af8933f89d"),
 }
 
 
@@ -161,3 +179,26 @@ def test_control_paths_are_byte_identical(name):
         seg = traj.channels["segment"]
         assert [i for i in range(1, len(seg)) if seg[i] != seg[i - 1]] == [401, 402]
     assert _traj_digest(traj) == CONTROL_DIGESTS[name]
+
+
+def _terminal_config(name):
+    if name == "balance_singular":
+        return scenario_from_mapping(make_balance_mapping(alpha_dot_floor=1e-4, t_end=20.0)).config
+    if name == "friction_topple":
+        m = make_balance_mapping(t_end=6.0, lean_offset=0.1)
+        m["friction"] = {"D": 0.05}
+        return replace(scenario_from_mapping(m).config, dt=0.3)
+    if name == "balance_topple":
+        return replace(parse_scenario(bundled_scenario_path("balance_default")).config, dt=1.0)
+    if name == "p2p_topple":
+        return replace(parse_scenario(bundled_scenario_path("p2p_default")).config, dt=0.5)
+    cfg = parse_scenario(bundled_scenario_path("line_5m")).config
+    return replace(cfg, dt=0.2, actuator_lag=0.05)
+
+
+@pytest.mark.parametrize("name", sorted(TERMINAL_DIGESTS))
+def test_terminal_event_runs_are_byte_identical(name):
+    traj = run_closed_loop(_terminal_config(name))
+    kind, time, digest = TERMINAL_DIGESTS[name]
+    assert (traj.terminal_event.kind, traj.terminal_event.time) == (kind, time)
+    assert _traj_digest(traj) == digest

@@ -323,6 +323,39 @@ def test_batch_runs_all_and_returns_worst(quick_balance, topple_case, tmp_path, 
     assert "converged" in printed and "toppled" in printed
 
 
+def test_batch_files_sharing_a_stem_do_not_share_an_output_directory(
+        quick_balance, topple_case, tmp_path, capsys):
+    batch_dir = tmp_path / "suite"
+    batch_dir.mkdir()
+    shutil.copy(topple_case, batch_dir / "a.yaml")
+    shutil.copy(quick_balance, batch_dir / "a.yml")
+    out = tmp_path / "batch_out"
+    assert main(["batch", str(batch_dir), "--out", str(out)]) == 4
+    first, second = capsys.readouterr().out.splitlines()
+    assert first.startswith("balance_test: toppled")
+    assert second == f"a.yml: config error: a.yaml already runs into {out / 'a'}"
+    assert [p.name for p in out.iterdir()] == ["a"]
+    assert json.loads((out / "a" / "report.json").read_text())["status"] == "toppled"
+
+
+@pytest.mark.parametrize("name", ["../escaped", "<absolute>", "a\0b"])
+def test_a_name_that_is_not_a_plain_file_name_is_a_config_error(name, tmp_path, monkeypatch,
+                                                                capsys):
+    # run without --out writes to runs/<name>: a name holding a path must not place files
+    if name == "<absolute>":
+        name = str(tmp_path / "absolute")
+    m = make_balance_mapping(t_end=0.01)
+    m["name"] = name
+    path = _write(tmp_path, "named.yaml", m)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["run", str(path)]) == 4
+    assert main(["validate", str(path)]) == 4
+    assert capsys.readouterr().err.count("name: expected a plain file name, got '") == 2
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["named.yaml", "work"]
+
+
 def test_batch_rejects_missing_dir(tmp_path, capsys):
     assert main(["batch", str(tmp_path / "nowhere")]) == 4
     assert "error" in capsys.readouterr().err

@@ -354,7 +354,7 @@ def test_friction_stepper_matches_reference(a, b, g, ad, bd, gd, xa, ya, u5, u6,
 @given(a=angles, b=leans, g=angles, bd=pushes, xa=angles, ya=angles, bdd=rates, ua=pushes,
        ug=pushes, dt=steps)
 def test_velocity_stepper_matches_reference(a, b, g, bd, xa, ya, bdd, ua, ug, dt):
-    args = (a, b, g, bd, xa, ya, ua, ug, bdd, ua, ug)
+    args = (a, b, g, ua, bd, ug, bdd, xa, ya, ua, ug)  # the loop sets the rates to the command
     assert _outcome(_velocity_stepper(PARAMS, dt), *args) == _outcome(
         oracles.velocity_step, *args, PARAMS, dt)
 
@@ -363,7 +363,7 @@ def test_velocity_stepper_matches_reference(a, b, g, bd, xa, ya, bdd, ua, ug, dt
 @given(a=angles, b=leans, g=angles, bd=pushes, xa=angles, ya=angles, za=rates, zg=rates,
        bdd=rates, ua=pushes, ug=pushes, dt=steps, tau=st.floats(0.01, 0.2))
 def test_lag_stepper_matches_reference(a, b, g, bd, xa, ya, za, zg, bdd, ua, ug, dt, tau):
-    args = (a, b, g, bd, xa, ya, za, zg, bdd, ua, ug)
+    args = (a, b, g, za, bd, zg, bdd, xa, ya, ua, ug)
     assert _outcome(_lag_stepper(PARAMS, dt, tau), *args) == _outcome(
         oracles.lag_step, *args, PARAMS, dt, tau)
 

@@ -127,6 +127,30 @@ def test_velocity_mode_reduces_torque_lean_dynamics(params):
         assert vel.x_a == pytest.approx(tq.x_a, abs=1e-12)
 
 
+def _row_step_config(name):
+    if name == "balance_friction":
+        m = make_balance_mapping(t_end=0.1)
+        m["friction"] = {"D": 0.05}
+        return scenario_from_mapping(m).config
+    return replace(parse_scenario(bundled_scenario_path(name)).config, t_end=0.1)
+
+
+@pytest.mark.parametrize("name", ["balance_default", "balance_friction", "p2p_default", "line_5m"])
+def test_rk4_step_from_a_row_reproduces_the_next_row(name):
+    # rk4_step runs the loop's stepper. In velocity mode the next row's rates,
+    # and so its lean acceleration, are the next command's, which rk4_step does not know.
+    cfg = _row_step_config(name)
+    ch = run_closed_loop(cfg).channels
+    keys = [f.name for f in fields(WheelState)]
+    if cfg.mode == "velocity":
+        keys = ["alpha", "beta", "gamma", "beta_dot", "x_a", "y_a"]
+    for k in (0, 5, 50):
+        row = WheelState(*(ch[f.name][k] for f in fields(WheelState)))
+        nxt = rk4_step(row, cfg.mode, ch["u_steer"][k], ch["u_drive"][k], cfg.params, cfg.dt,
+                       cfg.friction)
+        assert [getattr(nxt, key).hex() for key in keys] == [ch[key][k + 1].hex() for key in keys]
+
+
 def test_config_mode_follows_kind():
     cfg = make_balance_config(t_end=1.0)
     assert cfg.mode == "torque"
