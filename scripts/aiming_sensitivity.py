@@ -16,9 +16,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 
-from gyrowheel import RobotParams, bundled_scenario_path, parse_scenario, run_closed_loop
+from gyrowheel import RobotParams, bundled_scenario_path, parse_scenario, replace, run_closed_loop
 
 
 def p2p_config(heading_offset: float):

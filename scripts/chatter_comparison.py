@@ -17,9 +17,8 @@ Usage:
 import argparse
 import os
 import sys
-from dataclasses import replace
 
-from gyrowheel import Smoothing, bundled_scenario_path, parse_scenario, run_closed_loop
+from gyrowheel import Smoothing, bundled_scenario_path, parse_scenario, replace, run_closed_loop
 
 
 def line_config(sharpness: float | None):

@@ -13,9 +13,8 @@ Usage:
 import argparse
 import os
 import sys
-from dataclasses import replace
 
-from gyrowheel import bundled_scenario_path, decay_monitor, parse_scenario, run_closed_loop
+from gyrowheel import bundled_scenario_path, decay_monitor, parse_scenario, replace, run_closed_loop
 
 
 def balance_config(k1: float, t_end: float):

@@ -32,13 +32,13 @@ import math
 import sys
 import time
 from contextlib import ExitStack
-from dataclasses import fields, replace
 from itertools import compress, repeat
 from operator import is_
 from pathlib import Path
 
 from .dynamics import WheelState
 from .lyapunov import decay_monitor
+from .params import replace
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .simulate import (
     CHANNEL_INFO,
@@ -79,7 +79,7 @@ def _header_cell(name: str) -> str:
 
 
 # the report's state record: WheelState's fields but the cached lean acceleration
-_STATE_KEYS = tuple(f.name for f in fields(WheelState) if f.name != "beta_ddot")
+_STATE_KEYS = tuple(k for k in WheelState._fields if k != "beta_ddot")
 
 
 def _state_dict(state) -> dict:

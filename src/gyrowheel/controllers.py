@@ -40,13 +40,12 @@ or the segment's line chart (see kinematics.polar_chart and line_chart).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import cos, exp, pi, sin, tanh
 
 from .dynamics import WheelState, _require_open_lean, lean_accel
 from .kinematics import line_geometry, polar_view
 from .lyapunov import balance_value
-from .params import RobotParams
+from .params import Record, RobotParams
 from .switching import hard_sign
 
 __all__ = [
@@ -80,8 +79,7 @@ def _require(ok: bool, key: str, constraint: str, value: float) -> None:
         raise ValueError(f"{key}: constraint {constraint} violated (got {value})")
 
 
-@dataclass(frozen=True)
-class BalanceGains:
+class BalanceGains(Record):
     """Gains of the balance law.
 
     k2 scales the quartic-root steering feedback. k1 widens the lean-error
@@ -97,8 +95,7 @@ class BalanceGains:
         _require(self.k2 > 0.0, "k2", "k2 > 0", self.k2)
 
 
-@dataclass(frozen=True)
-class Smoothing:
+class Smoothing(Record):
     """Slopes for the saturating switch replacements (lean switch, drive step)."""
 
     k6: float = 20.0
@@ -109,8 +106,7 @@ class Smoothing:
         _require(self.k7 > 0.0, "k7", "k7 > 0", self.k7)
 
 
-@dataclass(frozen=True)
-class PositionGains:
+class PositionGains(Record):
     """Gains of the point-to-point law.
 
     k3 is the steering-rate magnitude (rad/s) and must exceed 2 so the lean
@@ -127,8 +123,7 @@ class PositionGains:
         _require(0.0 < self.k4 < self.k3 - 1.0, "k4", "0 < k4 < k3 - 1", self.k4)
 
 
-@dataclass(frozen=True)
-class LineGains:
+class LineGains(Record):
     """Gains of the line-tracking law: k3 as above, k5 the drive-rate magnitude."""
 
     k3: float = 3.0

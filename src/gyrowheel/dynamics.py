@@ -34,9 +34,8 @@ state record, for library use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .params import FrictionParams, RobotParams
+from .params import FrictionParams, Record, RobotParams
 
 __all__ = [
     "DegenerateLeanError",
@@ -59,8 +58,7 @@ class DegenerateLeanError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class WheelState:
+class WheelState(Record):
     """Angles, rates, the cached lean acceleration and the ground contact point.
 
     beta_ddot is not an independent coordinate: whenever present it must

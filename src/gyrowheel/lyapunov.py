@@ -23,10 +23,12 @@ V1; the run writes that sum itself, and the trajectory is where to read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, compress, islice, repeat
-from operator import gt, mul, sub
+from operator import add, gt, mul, sub
 from typing import Sequence
+
+from .params import Record
 
 __all__ = [
     "DecayReport",
@@ -107,8 +109,7 @@ def closed_form_alpha_dot(
     ) * quart
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(Record):
     """Summary of a certificate series along one trajectory.
 
     samples is the length of the series. fitted_rate is the least-squares
@@ -189,18 +190,24 @@ def decay_monitor(
     )
 
 
+def _sum(values) -> float:
+    """The floats' sum, added left to right from 0.0, as the built-in sum adds
+    them on Python 3.11; from 3.12 the built-in compensates, which moves bits."""
+    return reduce(add, values, 0.0)
+
+
 def _slope(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     """The least-squares slope of ys over xs; None when the xs' squared spread is 0,
     or when rounding each y by eps * |y| could account for the whole slope."""
     n = float(len(xs))
-    mx = sum(xs) / n
-    my = sum(ys) / n
+    mx = _sum(xs) / n
+    my = _sum(ys) / n
     dx = list(map(sub, xs, repeat(mx)))  # x - mx
-    sxx = sum(map(pow, dx, repeat(2.0)))  # (x - mx) ** 2, which is pow(x - mx, 2.0) too
+    sxx = _sum(map(pow, dx, repeat(2.0)))  # (x - mx) ** 2, which is pow(x - mx, 2.0) too
     if sxx == 0.0:
         return None
-    sxy = sum(map(mul, dx, map(sub, ys, repeat(my))))  # (x - mx) * (y - my)
+    sxy = _sum(map(mul, dx, map(sub, ys, repeat(my))))  # (x - mx) * (y - my)
     slope = sxy / sxx
-    if abs(slope) <= sum(map(abs, dx)) * _EPS * max(map(abs, ys)) / sxx:
+    if abs(slope) <= _sum(map(abs, dx)) * _EPS * max(map(abs, ys)) / sxx:
         return None
     return slope

@@ -3,19 +3,74 @@
 The robot is a rolling disk with an internal spinning flywheel. Three angles
 describe its attitude: the steering angle alpha (heading of the contact line),
 the lean angle beta (pi/2 is upright), and the rolling angle gamma. The
-parameters below feed every dynamics evaluation in the package.
+parameters below feed every dynamics evaluation in the package. Record, the
+base of the package's frozen records, and replace live here too, at the
+bottom of the import graph.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-__all__ = ["RobotParams", "FrictionParams"]
+__all__ = ["RobotParams", "FrictionParams", "replace"]
 
 
-@dataclass(frozen=True)
-class RobotParams:
+class Record:
+    """Base of the package's frozen records.
+
+    A subclass's fields are its own annotations, in order, and a class
+    attribute of the same name is the field's default. A record is built by
+    position or by keyword, and __post_init__ checks it on every build.
+    Fields cannot be assigned to; == and hash compare the class and the
+    field values, and repr reads Name(field=value, ...).
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        given = dict(zip(cls._fields, args))
+        values = {**cls._defaults, **given, **kwargs}
+        if (len(args) > len(cls._fields) or not given.keys().isdisjoint(kwargs)
+                or values.keys() != set(cls._fields)):
+            raise TypeError(
+                f"{cls.__name__}() takes the fields {', '.join(cls._fields)}; got "
+                f"{len(args)} by position and {', '.join(kwargs) or 'none'} by keyword")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to {name!r} of a frozen {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._values()))
+
+    def __repr__(self) -> str:
+        pairs = (f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({', '.join(pairs)})"
+
+
+def replace(record: Record, **changes) -> Record:
+    """A new record of the same class with `changes`, built and checked anew."""
+    return type(record)(**dict(zip(record._fields, record._values()), **changes))
+
+
+class RobotParams(Record):
     """Physical constants of the wheel.
 
     Attributes:
@@ -36,9 +91,6 @@ class RobotParams:
     Ix: float = 0.5
     g: float = 9.8
     M22: float | None = None
-    Gm: float = field(init=False, repr=False, compare=False)
-    Im: float = field(init=False, repr=False, compare=False)
-    Jm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("m", "R", "Ix", "g"):
@@ -72,8 +124,7 @@ class RobotParams:
         return (self.Gm, self.Im, self.Jm)
 
 
-@dataclass(frozen=True)
-class FrictionParams:
+class FrictionParams(Record):
     """Joint friction model coefficients.
 
     Each coefficient is a 3-vector over the (steering, lean, rolling) axes.

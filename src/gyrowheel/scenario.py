@@ -9,8 +9,9 @@ YAML value, unrounded.
 
 Top-level keys::
 
-    name              optional file name (no /, \\ or NUL; not . or ..),
-                      defaults to the file stem
+    name              optional file name (no /, \\, NUL or lone surrogate; not
+                      . or ..; at most 255 UTF-8 bytes), defaults to the
+                      file stem
     kind              balance | point_to_point | line | corridor
     mode              optional; must match the kind (balance -> torque,
                       tracking kinds -> velocity)
@@ -40,12 +41,11 @@ from __future__ import annotations
 import math
 import re
 import reprlib
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .controllers import Smoothing
 from .dynamics import WheelState
-from .params import FrictionParams, RobotParams
+from .params import FrictionParams, Record, RobotParams
 from .simulate import _KINDS, KINDS, SimConfig, Thresholds
 
 __all__ = [
@@ -60,12 +60,12 @@ _TOP_KEYS = (
     "initial", "gains", "target", "waypoints", "friction", "thresholds",
     "actuator_lag", "rate_limits", "plot_channels",
 )
-# the keys of these blocks are the dataclasses' fields (RobotParams' derived Gm, Im, Jm excluded)
-_PARAM_KEYS = tuple(f.name for f in fields(RobotParams) if f.init)
-_FRICTION_KEYS = tuple(f.name for f in fields(FrictionParams))
-_THRESHOLD_KEYS = tuple(f.name for f in fields(Thresholds))
+# the keys of these blocks are the records' fields
+_PARAM_KEYS = RobotParams._fields
+_FRICTION_KEYS = FrictionParams._fields
+_THRESHOLD_KEYS = Thresholds._fields
 # a tracking gains block holds Smoothing's fields flat, beside hard_switching
-_SMOOTHING_KEYS = tuple(f.name for f in fields(Smoothing))
+_SMOOTHING_KEYS = Smoothing._fields
 _BALANCE_LEAN_KEYS = ("lean_offset", "lean_rate", "lean_accel")
 _BALANCE_RAW_KEYS = ("beta", "beta_dot", "gamma_dot")
 _BALANCE_COMMON_KEYS = ("alpha", "gamma", "alpha_dot", "x_a", "y_a")
@@ -77,8 +77,7 @@ class ScenarioError(ValueError):
     """Scenario file is malformed or violates a schema constraint."""
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     name: str
     config: SimConfig
     plot_channels: tuple[str, ...]
@@ -154,7 +153,7 @@ def _point(value, where: str) -> tuple[float, float]:
 
 
 def _build(cls, where: str, **kwargs):
-    """cls(**kwargs); the dataclass's own ValueError becomes a ScenarioError at `where`."""
+    """cls(**kwargs); the record's own ValueError becomes a ScenarioError at `where`."""
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -190,7 +189,7 @@ def _parse_gains(data: dict, kind: str):
     An absent key keeps the class default. Smoothing's flat keys are read
     first, then the others in name order, k1 before k2."""
     cls = _KINDS[kind].gains
-    names = [f.name for f in fields(cls)]
+    names = cls._fields
     keys = tuple(sorted(k for k in names if k != "smoothing"))
     block = _require_mapping(data.get("gains", {}), "gains")
     kwargs = {}
@@ -335,8 +334,14 @@ def scenario_from_mapping(data: dict, default_name: str = "scenario") -> Scenari
     name = data.get("name", default_name)
     if not isinstance(name, str) or not name:
         raise ScenarioError(f"name: expected a non-empty string, got {_echo(name)}")
-    if name in (".", "..") or any(c in name for c in "/\\\0"):  # run writes to runs/<name>
-        raise ScenarioError(f"name: expected a plain file name, got {_echo(name)}")
+    # run writes to runs/<name>; a name absent from the file is the file's stem
+    source = "" if "name" in data else " (no name key: the default taken from the file name)"
+    # a lone surrogate (a YAML "\ud800" escape) has no UTF-8 form for the file system
+    if name in (".", "..") or any(c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in name):
+        raise ScenarioError(f"name: expected a plain file name, got {_echo(name)}{source}")
+    size = len(name.encode())
+    if size > 255:  # the longest file name of common file systems
+        raise ScenarioError(f"name: expected at most 255 UTF-8 bytes, got {size}{source}")
 
     kind = data.get("kind")
     if kind not in KINDS:

@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields
 from math import cos, exp, isfinite, pi, sin
 
 from .controllers import (
@@ -77,7 +76,7 @@ from .controllers import (
 from .dynamics import DegenerateLeanError, WheelState, _require_open_lean, lean_accel
 from .kinematics import EPS_DISTANCE, EPS_RADIUS, DegenerateLineError, line_chart, polar_chart
 from .lyapunov import lean_tracking_value
-from .params import FrictionParams, RobotParams
+from .params import FrictionParams, Record, RobotParams
 
 __all__ = [
     "InadmissibleStateError",
@@ -165,8 +164,7 @@ class UnknownChannelError(KeyError):
         return f"unknown channel {self.name!r}; valid channels: {', '.join(self.valid)}"
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(Record):
     """Event thresholds. All are engineering choices, overridable per scenario."""
 
     topple_margin: float = 0.01
@@ -183,22 +181,20 @@ class Thresholds:
 
     def __post_init__(self) -> None:
         # written so that NaN fails each test
-        for f in fields(self):
-            if not getattr(self, f.name) > 0.0:
-                raise ValueError(f"threshold {f.name} must be positive")
+        for name in self._fields:
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"threshold {name} must be positive")
         if not self.topple_margin < math.pi / 2:
             raise ValueError("topple_margin must be below pi/2")
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Record):
     kind: str
     time: float
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Everything one closed-loop run needs.
 
     kind selects the controller family; mode is the actuation layer the

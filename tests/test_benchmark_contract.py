@@ -11,12 +11,11 @@ controller's command once per row, as the traced command count assumes.
 
 import importlib
 import importlib.util
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from gyrowheel import bundled_scenario_path, parse_scenario, run_closed_loop
+from gyrowheel import bundled_scenario_path, parse_scenario, replace, run_closed_loop
 from gyrowheel.controllers import BalanceController, LineController, PositionController
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

@@ -9,12 +9,12 @@ actuator-lag paths, and the control paths no bundled scenario reaches (hard
 switching, a corridor advancing on consecutive rows, a converged stop,
 k1 != 1), run directly (channel repr bytes, events and final state hashed), and so
 do five runs that end on a terminal event (a topple in each of the four
-steppers, and a steering rate below its floor).
+steppers, and a steering rate below its floor). The reports are checked
+again under a compensated built-in sum, as Python 3.12 and later have.
 """
 
 import hashlib
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -23,9 +23,11 @@ from gyrowheel import (
     PositionGains,
     bundled_scenario_path,
     parse_scenario,
+    replace,
     run_closed_loop,
     scenario_from_mapping,
 )
+from gyrowheel import lyapunov
 from gyrowheel.cli import run_scenario
 
 from conftest import make_balance_mapping
@@ -137,6 +139,26 @@ def test_bundled_scenario_reports_are_byte_identical(name, tmp_path):
     timed = re.compile(rb'\n  "wall_time_s": [^\n]*')
     assert len(timed.findall(data)) == 1
     assert hashlib.sha256(timed.sub(b"", data)).hexdigest() == REPORT_DIGESTS[name]
+
+
+def _neumaier_sum(values, start=0):
+    """The built-in sum of floats from Python 3.12 on: compensated (Neumaier)."""
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_reports_do_not_depend_on_the_builtin_sum(name, tmp_path, monkeypatch):
+    # the decay fit's digits must be the same on every interpreter the package admits
+    monkeypatch.setattr(lyapunov, "sum", _neumaier_sum, raising=False)
+    test_bundled_scenario_reports_are_byte_identical(name, tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(DIRECT_DIGESTS))

@@ -8,7 +8,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,6 +24,7 @@ from gyrowheel import (
     bundled_scenario_path,
     decay_monitor,
     parse_scenario,
+    replace,
     run_closed_loop,
     scenario_from_mapping,
 )
@@ -338,7 +338,7 @@ def test_batch_files_sharing_a_stem_do_not_share_an_output_directory(
     assert json.loads((out / "a" / "report.json").read_text())["status"] == "toppled"
 
 
-@pytest.mark.parametrize("name", ["../escaped", "<absolute>", "a\0b"])
+@pytest.mark.parametrize("name", ["../escaped", "<absolute>", "a\0b", "a\ud800b"])
 def test_a_name_that_is_not_a_plain_file_name_is_a_config_error(name, tmp_path, monkeypatch,
                                                                 capsys):
     # run without --out writes to runs/<name>: a name holding a path must not place files
@@ -354,6 +354,32 @@ def test_a_name_that_is_not_a_plain_file_name_is_a_config_error(name, tmp_path, 
     assert main(["validate", str(path)]) == 4
     assert capsys.readouterr().err.count("name: expected a plain file name, got '") == 2
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["named.yaml", "work"]
+
+
+@pytest.mark.parametrize("name", ["x" * 256, "é" * 128])
+def test_a_name_longer_than_a_file_name_is_a_config_error(name, tmp_path, monkeypatch, capsys):
+    # 256 bytes, in one- and two-byte characters: past the 255-byte file names of common
+    # file systems, so runs/<name> could not be made
+    m = make_balance_mapping(t_end=0.01)
+    m["name"] = name
+    path = _write(tmp_path, "named.yaml", m)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(path)]) == 4
+    assert main(["validate", str(path)]) == 4
+    assert capsys.readouterr().err.count("name: expected at most 255 UTF-8 bytes, got 256") == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["named.yaml"]
+    m["name"] = name[:-1] if name[0] == "x" else name[:-1] + "x"  # 255 bytes
+    assert scenario_from_mapping(m).name == m["name"]
+
+
+def test_a_default_name_that_is_not_a_file_name_says_where_it_came_from(tmp_path, capsys):
+    # a file with no name key is named after its stem, and the stem of "..yaml" is "."
+    m = make_balance_mapping(t_end=0.01)
+    del m["name"]
+    path = _write(tmp_path, "..yaml", m)
+    assert main(["validate", str(path)]) == 4
+    assert ("name: expected a plain file name, got '.' (no name key: the default taken from "
+            "the file name)") in capsys.readouterr().err
 
 
 def test_batch_rejects_missing_dir(tmp_path, capsys):
@@ -814,7 +840,7 @@ def _with_every_numeric_key(m):
     m["params"] = {"m": p.m, "R": p.R, "Ix": p.Ix, "g": p.g, "M22": p.M22}
     defaults = Thresholds()
     m["thresholds"] = {
-        **{k: getattr(defaults, k) for k in defaults.__dataclass_fields__}, **m["thresholds"],
+        **{k: getattr(defaults, k) for k in defaults._fields}, **m["thresholds"],
     }
     m.setdefault("actuator_lag", 0.0)
     for key in ("alpha", "gamma", "x_a", "y_a") if m["kind"] == "balance" else ("gamma",):

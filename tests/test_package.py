@@ -1,7 +1,8 @@
 """The package surface: each submodule is reachable by its name, every
 name a module exports in __all__ exists, no name is in two modules'
-__all__, the package exports every name of the modules it imports, and
-PyYAML is imported only to parse scenario text."""
+__all__, the package exports every name of the modules it imports,
+PyYAML is imported only to parse scenario text, and importing the package
+loads neither dataclasses nor inspect."""
 
 import importlib
 import json
@@ -58,6 +59,18 @@ def test_package_import_leaves_the_cli_out():
                           timeout=60, cwd=Path(gyrowheel.__file__).parents[1])
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize("module", ["gyrowheel", "gyrowheel.cli"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    # dataclasses imports inspect, ast, dis and tokenize: start-up every run, batch and
+    # script would pay
+    code = (f"import sys; before = set(sys.modules); import {module}; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, cwd=Path(gyrowheel.__file__).parents[1])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 _IMPORT_SURFACE = """

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gyrowheel import FrictionParams, RobotParams
+from gyrowheel import FrictionParams, LineGains, PositionGains, RobotParams, replace
 
 
 def test_default_reduced_values():
@@ -63,3 +63,28 @@ def test_params_are_immutable():
     p = RobotParams()
     with pytest.raises(AttributeError):
         p.m = 2.0
+
+
+def test_records_compare_by_class_and_fields():
+    p = RobotParams(2.0, R=0.5)
+    # the derived coefficients are attributes, not fields
+    assert RobotParams._fields == ("m", "R", "Ix", "g", "M22")
+    assert repr(p) == "RobotParams(m=2.0, R=0.5, Ix=0.5, g=9.8, M22=1.0)"
+    assert p == RobotParams(m=2.0, R=0.5, M22=1.0) and hash(p) == hash(RobotParams(2.0, 0.5))
+    assert PositionGains(3.0, 1.0) != LineGains(3.0, 1.0)
+    with pytest.raises(TypeError):
+        iter(p)
+    for build in (lambda: RobotParams(1.0, m=2.0), lambda: RobotParams(Gm=1.0),
+                  lambda: RobotParams(1, 1, 1, 1, 1, 1)):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_replace_builds_a_checked_record():
+    p = RobotParams()
+    q = replace(p, g=1.0)
+    assert (q.g, q.Gm, p.g) == (1.0, 1.0 / 1.5, 9.8)
+    with pytest.raises(ValueError, match="g must be positive, got -1.0"):
+        replace(p, g=-1.0)
+    with pytest.raises(TypeError):
+        replace(p, Jm=1.0)

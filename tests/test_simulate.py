@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import fields, replace
 
 import pytest
 
@@ -18,6 +17,7 @@ from gyrowheel import (
     detect_events,
     lean_accel,
     parse_scenario,
+    replace,
     rk4_step,
     run_closed_loop,
     run_lean_subsystem,
@@ -39,7 +39,7 @@ def test_thresholds_must_be_positive():
         Thresholds(distance=-0.1)
 
 
-@pytest.mark.parametrize("field", [f.name for f in fields(Thresholds)])
+@pytest.mark.parametrize("field", Thresholds._fields)
 def test_nan_threshold_rejected(field):
     # a NaN threshold would never let a run converge, or never let it topple
     with pytest.raises(ValueError, match=f"threshold {field} must be positive"):
@@ -141,11 +141,11 @@ def test_rk4_step_from_a_row_reproduces_the_next_row(name):
     # and so its lean acceleration, are the next command's, which rk4_step does not know.
     cfg = _row_step_config(name)
     ch = run_closed_loop(cfg).channels
-    keys = [f.name for f in fields(WheelState)]
+    keys = WheelState._fields
     if cfg.mode == "velocity":
         keys = ["alpha", "beta", "gamma", "beta_dot", "x_a", "y_a"]
     for k in (0, 5, 50):
-        row = WheelState(*(ch[f.name][k] for f in fields(WheelState)))
+        row = WheelState(*(ch[key][k] for key in WheelState._fields))
         nxt = rk4_step(row, cfg.mode, ch["u_steer"][k], ch["u_drive"][k], cfg.params, cfg.dt,
                        cfg.friction)
         assert [getattr(nxt, key).hex() for key in keys] == [ch[key][k + 1].hex() for key in keys]

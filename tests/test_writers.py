@@ -13,12 +13,11 @@ without a sink, at and across chunk edges and for a run of no row.
 import json
 import math
 import tracemalloc
-from dataclasses import replace
 from operator import is_
 
 import pytest
 
-from gyrowheel import bundled_scenario_path, parse_scenario, run_closed_loop
+from gyrowheel import bundled_scenario_path, parse_scenario, replace, run_closed_loop
 from gyrowheel import cli
 from gyrowheel.simulate import CHANNEL_INFO, Trajectory
 
