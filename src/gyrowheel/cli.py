@@ -18,7 +18,9 @@ shortest ``repr``, and ``trajectory.json`` is exactly
 loop's sink, writes the trajectory and plot files of a run from the chunks
 of rows the loop hands it, formatting each distinct value once (a column
 holding an earlier column's float objects reuses its text); the run keeps
-only t, its certificate and its last row. Scenario files are read with
+only t and its certificate, as 8-byte doubles, and its last row. A
+``--format json`` run also holds every channel's text until it ends, since
+that file is laid out channel by channel. Scenario files are read with
 libyaml when it is present; every error text is the pure-Python loader's.
 PyYAML is imported by the first scenario file parsed (run, batch,
 validate), so list-channels never loads it.
@@ -31,6 +33,7 @@ import json
 import math
 import sys
 import time
+from array import array
 from contextlib import ExitStack
 from itertools import compress, repeat
 from operator import is_
@@ -105,7 +108,8 @@ def _event_dict(ev: Event) -> dict:
 # the same text) and held until the run ends. The files are opened at the
 # first chunk, or at the end of a run of no row, so a refused run writes
 # none. For the report the pass keeps t and the certificate, whose decay
-# fit reads every sample, and the last row: about 64 bytes per row.
+# fit reads every sample, as doubles in array('d') (8 bytes a value, each
+# double exact), and the last row.
 
 _repr = repr  # the one formatting step: a float's shortest round-trip text
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -159,7 +163,7 @@ class _OutputPass(ExitStack):
         self.pairs = [shown.index(n) for n in self.plots]  # each plot file's column
         self.texts = [[] for _ in shown] if fmt == "json" and trajectory is not None else None
         self.cert = names.index(_KINDS[kind].cert)  # the channel the decay fit reads
-        self.times, self.values, self.last = [], [], []  # what the report reads
+        self.times, self.values, self.last = array("d"), array("d"), []  # what the report reads
         self.out = self.plot_files = None  # until opened
 
     def open_files(self) -> None:
@@ -294,7 +298,7 @@ def _decay_summary(traj: Trajectory) -> dict | None:
     times = traj.times
     if not all(map(math.isfinite, values)):  # fit the finite samples only
         finite = list(map(math.isfinite, values))
-        times, values = list(compress(times, finite)), list(compress(values, finite))
+        times, values = array("d", compress(times, finite)), array("d", compress(values, finite))
         if not values:
             return None
     report = decay_monitor(times, values)

@@ -23,6 +23,7 @@ V1; the run writes that sum itself, and the trajectory is where to read it.
 from __future__ import annotations
 
 import math
+from array import array
 from functools import reduce
 from itertools import chain, compress, islice, repeat
 from operator import add, gt, mul, sub
@@ -175,10 +176,11 @@ def decay_monitor(
         incs = map(sub, islice(values, 1, None), values)
         violations = list(compress(islice(times, 1, None), map(gt, incs, repeat(tolerance))))
     if all(map(gt, values, repeat(rate_floor))):
-        ts, logs = times, list(map(math.log, values))
+        ts, logs = times, array("d", map(math.log, values))
     else:
         above = list(map(gt, values, repeat(rate_floor)))
-        ts, logs = list(compress(times, above)), list(map(math.log, compress(values, above)))
+        ts = array("d", compress(times, above))
+        logs = array("d", map(math.log, compress(values, above)))
     fitted = _slope(ts, logs) if len(ts) >= 2 else None
     return DecayReport(
         samples=len(values),
@@ -202,7 +204,7 @@ def _slope(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     n = float(len(xs))
     mx = _sum(xs) / n
     my = _sum(ys) / n
-    dx = list(map(sub, xs, repeat(mx)))  # x - mx
+    dx = array("d", map(sub, xs, repeat(mx)))  # x - mx
     sxx = _sum(map(pow, dx, repeat(2.0)))  # (x - mx) ** 2, which is pow(x - mx, 2.0) too
     if sxx == 0.0:
         return None

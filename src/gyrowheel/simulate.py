@@ -259,7 +259,9 @@ class SimConfig(Record):
         return int(math.floor(self.t_end / self.dt + 1e-9))
 
 
-_CHUNK_ROWS = 1024  # rows per chunk handed to a run's sink
+# rows per chunk handed to a run's sink: one chunk's text is the largest
+# transient of a CLI run, so the chunk bounds its peak
+_CHUNK_ROWS = 256
 
 
 class Trajectory:

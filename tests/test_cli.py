@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from array import array
 from pathlib import Path
 
 import pytest
@@ -952,3 +953,23 @@ def test_decay_summary_fits_the_finite_samples(spoil):
     expected = _loop_decay_summary(traj)
     assert repr(cli._decay_summary(traj)) == repr(expected)
     assert (expected is None) == (spoil == "all")
+
+
+@pytest.mark.parametrize("scenario", ["balance_default", "p2p_default"])
+def test_report_reads_doubles_as_it_reads_lists(scenario):
+    # run_scenario hands the report t and the certificate as array('d');
+    # a Trajectory of lists must give the same report, bit for bit
+    sc = parse_scenario(bundled_scenario_path(scenario))
+    sc = replace(sc, config=replace(sc.config, t_end=0.3))
+    traj = run_closed_loop(sc.config)
+    name = cli._KINDS[sc.config.kind].cert
+    v = traj.channels[name]
+    v[3], v[10], v[20], v[-1] = math.nan, math.inf, -0.0, -math.inf
+    v[30:36] = [1e-13, 0.0, 5e-324, -0.0, 1e-12, 2e-12]  # at and below the fit's rate_floor
+    v[50] = v[49] + 1.0  # a violation
+    lists = json.dumps(cli.build_report(sc, traj, "horizon", 1, 0.0))
+    summary = repr(cli._decay_summary(traj))
+    traj.channels.update({"t": array("d", traj.times), name: array("d", v)})
+    assert json.dumps(cli.build_report(sc, traj, "horizon", 1, 0.0)) == lists
+    assert repr(cli._decay_summary(traj)) == summary
+    assert json.loads(lists)["certificate_decay"]["violations"] >= 1

@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -293,6 +294,7 @@ def test_decay_monitor_matches_its_loop_form(values, dt, constant, tolerance, ra
     expected = _decay_outcome(_loop_decay_monitor, times, values, **limits)
     assert _decay_outcome(decay_monitor, times, values, **limits) == expected
     assert _decay_outcome(decay_monitor, tuple(times), tuple(values), **limits) == expected
+    assert _decay_outcome(decay_monitor, array("d", times), array("d", values), **limits) == expected
 
 
 @pytest.mark.parametrize("values", [
@@ -304,3 +306,22 @@ def test_decay_monitor_matches_its_loop_form_on_edge_series(values):
     times = [i * 0.01 for i in range(len(values))]
     expected = _decay_outcome(_loop_decay_monitor, times, values)
     assert _decay_outcome(decay_monitor, times, values) == expected
+
+
+def test_decay_monitor_reads_doubles_as_it_reads_lists():
+    # the command line keeps its series in array('d'); library callers pass lists
+    times = [i * 0.01 for i in range(60)]
+    values = [math.exp(-2.0 * t) for t in times]
+    values[5], values[9], values[14], values[20] = math.nan, math.inf, -0.0, -math.inf
+    values[30:36] = [1e-13, 0.0, 5e-324, -0.0, 1e-12, 2e-12]  # at and below rate_floor
+    values[40] = values[39] + 0.5  # a violation
+    doubles = array("d", times), array("d", values)
+    for limits in ({}, {"rate_floor": -math.inf}, {"tolerance": 0.0, "rate_floor": 1e-3}):
+        expected = _decay_outcome(decay_monitor, times, values, **limits)
+        assert _decay_outcome(decay_monitor, *doubles, **limits) == expected
+    assert repr(decay_monitor(*doubles).summary()) == repr(decay_monitor(times, values).summary())
+    finite = [v for v in values if math.isfinite(v)]  # the report's filtered series
+    steps = times[:len(finite)]
+    expected = decay_monitor(steps, finite)
+    assert expected.fitted_rate is not None and not expected.monotone
+    assert repr(decay_monitor(array("d", steps), array("d", finite))) == repr(expected)
