@@ -1,10 +1,8 @@
-"""Lyapunov certificates, closed-form oracles, and decay monitoring.
+"""Lyapunov certificates and decay monitoring.
 
 Every controller in this package ships with a scalar certificate that its
-closed loop is supposed to decrease. This module evaluates those scalars,
-provides the closed-form solutions of the balance loop's linear subsystems
-(used as oracles by the test suite), and fits/monitors decay along recorded
-trajectories.
+closed loop is supposed to decrease. This module evaluates those scalars
+and fits/monitors decay along recorded trajectories.
 
 Certificates:
 
@@ -35,9 +33,6 @@ __all__ = [
     "DecayReport",
     "balance_value",
     "lean_tracking_value",
-    "closed_form_beta",
-    "closed_form_beta_rates",
-    "closed_form_alpha_dot",
     "decay_monitor",
 ]
 
@@ -59,55 +54,6 @@ def lean_tracking_value(beta: float, beta_dot: float) -> float:
     x = beta - math.pi / 2.0
     s = x + beta_dot
     return 0.5 * (x * x + s * s)
-
-
-def closed_form_beta(a: float, b: float, c: float, t: float) -> float:
-    """Lean offset beta(t) - pi/2 of the nominal balance loop (k1 = 1).
-
-    Solution of the closed-loop linear lean-jerk equation
-    x''' = -(3x + 5x' + 3x'') from initial data (a, b, c). The decaying
-    modes sit at -1 and -1 +/- i*sqrt(2).
-    """
-    return closed_form_beta_rates(a, b, c, t)[0]
-
-
-def closed_form_beta_rates(
-    a: float, b: float, c: float, t: float
-) -> tuple[float, float, float]:
-    """(x, x_dot, x_ddot) of the closed-form lean solution at time t."""
-    A = (3.0 * a + 2.0 * b + c) / 2.0
-    B = (a + b) / math.sqrt(2.0)
-    C = -(a + 2.0 * b + c) / 2.0
-    r2 = math.sqrt(2.0)
-    w = r2 * t
-    ex = math.exp(-t)
-    sw, cw = math.sin(w), math.cos(w)
-    x = ex * (A + B * sw + C * cw)
-    xd = ex * (-(A + B * sw + C * cw) + r2 * (B * cw - C * sw))
-    xdd = ex * (
-        (A + B * sw + C * cw)
-        - 2.0 * r2 * (B * cw - C * sw)
-        - 2.0 * (B * sw + C * cw)
-    )
-    return (x, xd, xdd)
-
-
-def closed_form_alpha_dot(
-    alpha_dot0: float, V0: float, k2: float, t: float
-) -> float:
-    """Steering rate of the nominal balance loop under V(t) = V0*exp(-2t).
-
-    alpha_dot(t) = exp(-t)*alpha_dot0
-                   + sign(alpha_dot0)*2*(exp(-t/2) - exp(-t))*(k2*V0)**0.25
-
-    Strictly one-signed for all finite t when alpha_dot0 != 0: the wheel
-    never stops precessing, it only slows.
-    """
-    s = 1.0 if alpha_dot0 >= 0.0 else -1.0
-    quart = (k2 * V0) ** 0.25
-    return math.exp(-t) * alpha_dot0 + s * 2.0 * (
-        math.exp(-t / 2.0) - math.exp(-t)
-    ) * quart
 
 
 class DecayReport(Record):
@@ -178,9 +124,9 @@ def decay_monitor(
     if all(map(gt, values, repeat(rate_floor))):
         ts, logs = times, array("d", map(math.log, values))
     else:
-        above = list(map(gt, values, repeat(rate_floor)))
-        ts = array("d", compress(times, above))
-        logs = array("d", map(math.log, compress(values, above)))
+        # the mask is formed anew for each series, since a list of it holds 8 B a value
+        ts = array("d", compress(times, map(gt, values, repeat(rate_floor))))
+        logs = array("d", map(math.log, compress(values, map(gt, values, repeat(rate_floor)))))
     fitted = _slope(ts, logs) if len(ts) >= 2 else None
     return DecayReport(
         samples=len(values),
@@ -204,12 +150,15 @@ def _slope(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     n = float(len(xs))
     mx = _sum(xs) / n
     my = _sum(ys) / n
-    dx = array("d", map(sub, xs, repeat(mx)))  # x - mx
-    sxx = _sum(map(pow, dx, repeat(2.0)))  # (x - mx) ** 2, which is pow(x - mx, 2.0) too
+
+    def dx():  # x - mx, formed anew for each sum, since holding it takes a third series
+        return map(sub, xs, repeat(mx))
+
+    sxx = _sum(map(pow, dx(), repeat(2.0)))  # (x - mx) ** 2, which is pow(x - mx, 2.0) too
     if sxx == 0.0:
         return None
-    sxy = _sum(map(mul, dx, map(sub, ys, repeat(my))))  # (x - mx) * (y - my)
+    sxy = _sum(map(mul, dx(), map(sub, ys, repeat(my))))  # (x - mx) * (y - my)
     slope = sxy / sxx
-    if abs(slope) <= _sum(map(abs, dx)) * _EPS * max(map(abs, ys)) / sxx:
+    if abs(slope) <= _sum(map(abs, dx())) * _EPS * max(map(abs, ys)) / sxx:
         return None
     return slope

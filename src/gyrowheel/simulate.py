@@ -90,7 +90,6 @@ __all__ = [
     "rk4_step",
     "detect_events",
     "run_closed_loop",
-    "run_lean_subsystem",
     "KINDS",
     "MODES",
 ]
@@ -910,53 +909,3 @@ def run_closed_loop(cfg: SimConfig, sink=None) -> Trajectory:
         sink([rows[k::width] for k in range(width)])
     traj.final_state = WheelState(a, b, g, ad, bd, gd, bdd, xa, ya)
     return traj
-
-
-def run_lean_subsystem(
-    a: float,
-    b: float,
-    c: float,
-    k1: float = 1.0,
-    dt: float = 1e-3,
-    t_end: float = 10.0,
-) -> tuple[list[float], list[float], list[float], list[float]]:
-    """Integrate the closed-loop lean-jerk subsystem x''' = -((2+k1)x + (3+2k1)x' + (2+k1)x'').
-
-    This is the linear system the balance law imposes on the lean offset
-    x = beta - pi/2; (a, b, c) are the initial (x, x', x''). Returns
-    (times, x, x_dot, x_ddot). Used as the closed-form oracle target and
-    for integrator order checks.
-    """
-    c0 = 2.0 + k1
-    c1 = 3.0 + 2.0 * k1
-
-    def f(y):
-        x, xd, xdd = y
-        return (xd, xdd, -(c0 * x + c1 * xd + c0 * xdd))
-
-    n = int(math.floor(t_end / dt + 1e-9))
-    times = [0.0]
-    xs, xds, xdds = [a], [b], [c]
-    y = (a, b, c)
-    for i in range(n):
-        y = _rk4(y, f, dt)
-        times.append((i + 1) * dt)
-        xs.append(y[0])
-        xds.append(y[1])
-        xdds.append(y[2])
-    return times, xs, xds, xdds
-
-
-def _rk4(y, f, dt):
-    """Generic RK4 over tuples, for the lean-subsystem oracle."""
-    k1 = f(y)
-    y2 = tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k1))
-    k2 = f(y2)
-    y3 = tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k2))
-    k3 = f(y3)
-    y4 = tuple(yi + dt * ki for yi, ki in zip(y, k3))
-    k4 = f(y4)
-    return tuple(
-        yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-    )

@@ -6,16 +6,20 @@ same exception type and message; the other test files derive or refute
 the model's properties with them. They import only records, parameters,
 errors and constants from gyrowheel, never a law, chart, stepper or
 switch, so a fault in one of those cannot hide in its own reference.
+The closed forms of the nominal balance loop state the paper's balance
+result: tests/test_acceptance.py holds run_closed_loop's lean offset and
+steering rate to them within a first-order bound in dt.
 
 The order and grouping of every float expression is the package's,
 since the comparison is bitwise. The sections follow the README: the
 model (lean equation, jerk coefficients, full equations with friction),
-the controllers (switches, drive floor, laws), the charts, and the RK4
-steppers of the two command modes.
+the controllers (switches, drive floor, laws), the charts, the closed
+forms of the nominal balance loop, and the RK4 steppers of the two
+command modes.
 """
 
 from functools import wraps
-from math import atan2, cos, exp, hypot, isfinite, pi, sin, tanh
+from math import atan2, cos, exp, hypot, isfinite, pi, sin, sqrt, tanh
 
 from gyrowheel import (
     DegenerateLeanError,
@@ -249,6 +253,52 @@ def polar_rates(e, psi, u_alpha, u_gamma, params):
     if e < EPS_DISTANCE:
         return (e_dot, -u_alpha)
     return (e_dot, -u_alpha - R * u_gamma * sin(psi) / e)
+
+
+# -------------------------------------------------------- the closed forms
+
+
+def closed_form_beta(a, b, c, t):
+    """Lean offset beta(t) - pi/2 of the nominal balance loop (k1 = 1).
+
+    Solution of the closed-loop linear lean-jerk equation
+    x''' = -(3x + 5x' + 3x'') from initial data (a, b, c). The decaying
+    modes sit at -1 and -1 +/- i*sqrt(2).
+    """
+    return closed_form_beta_rates(a, b, c, t)[0]
+
+
+def closed_form_beta_rates(a, b, c, t):
+    """(x, x_dot, x_ddot) of the closed-form lean solution at time t."""
+    A = (3.0 * a + 2.0 * b + c) / 2.0
+    B = (a + b) / sqrt(2.0)
+    C = -(a + 2.0 * b + c) / 2.0
+    r2 = sqrt(2.0)
+    w = r2 * t
+    ex = exp(-t)
+    sw, cw = sin(w), cos(w)
+    x = ex * (A + B * sw + C * cw)
+    xd = ex * (-(A + B * sw + C * cw) + r2 * (B * cw - C * sw))
+    xdd = ex * (
+        (A + B * sw + C * cw)
+        - 2.0 * r2 * (B * cw - C * sw)
+        - 2.0 * (B * sw + C * cw)
+    )
+    return (x, xd, xdd)
+
+
+def closed_form_alpha_dot(alpha_dot0, V0, k2, t):
+    """Steering rate of the nominal balance loop under V(t) = V0*exp(-2t).
+
+    alpha_dot(t) = exp(-t)*alpha_dot0
+                   + sign(alpha_dot0)*2*(exp(-t/2) - exp(-t))*(k2*V0)**0.25
+
+    Strictly one-signed for all finite t when alpha_dot0 != 0: the wheel
+    never stops precessing, it only slows.
+    """
+    s = 1.0 if alpha_dot0 >= 0.0 else -1.0
+    quart = (k2 * V0) ** 0.25
+    return exp(-t) * alpha_dot0 + s * 2.0 * (exp(-t / 2.0) - exp(-t)) * quart
 
 
 # ------------------------------------------------------------ the steppers

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from gyrowheel import (
     balance_value,
-    closed_form_alpha_dot,
-    closed_form_beta,
-    closed_form_beta_rates,
     decay_monitor,
     lean_tracking_value,
     sigma,
 )
+
+from oracles import closed_form_alpha_dot, closed_form_beta, closed_form_beta_rates
 
 
 def test_balance_value_at_goal_is_zero():

@@ -1,14 +1,18 @@
 """The README's contract tables against the code: the exit codes, the
-channels of each kind and the bundled scenarios."""
+channels of each kind and the bundled scenarios; and its Quick start
+commands, run."""
 
 import re
+import shlex
+import shutil
 from pathlib import Path
 
 import gyrowheel
 from gyrowheel import cli
 from gyrowheel.simulate import _KINDS, CHANNEL_INFO
 
-README = (Path(__file__).parents[1] / "README.md").read_text()
+ROOT = Path(__file__).parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def _section(title: str) -> str:
@@ -70,3 +74,22 @@ def test_bundled_scenario_table_matches_the_package():
     table = [row[0].strip("`") for row in _rows(_section("Bundled scenarios"))]
     shipped = Path(gyrowheel.__file__).parent / "scenarios"
     assert sorted(table) == sorted(p.stem for p in shipped.glob("*.yaml"))
+
+
+def test_quick_start_commands_run(tmp_path, monkeypatch):
+    block = _section("Quick start").split("```sh\n")[1].split("```")[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("gyrowheel ")]
+    assert {argv[0] for argv in commands} == {"run", "batch", "validate", "list-channels"}
+    # a file of the checkout is read from there; my_scenario.yaml and experiments/
+    # are copies of the bundled scenarios, and every output lands in tmp_path
+    shipped = Path(gyrowheel.__file__).parent / "scenarios"
+    (tmp_path / "experiments").mkdir()
+    for path in shipped.glob("*.yaml"):
+        shutil.copy(path, tmp_path / "experiments")
+    shutil.copy(shipped / "balance_default.yaml", tmp_path / "my_scenario.yaml")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        argv = [str(ROOT / word) if (ROOT / word).is_file() else word for word in argv]
+        assert cli.main(argv) == cli.EXIT_CONVERGED, argv
+    assert (tmp_path / "runs" / "balance_default" / "report.json").is_file()

@@ -13,14 +13,12 @@ from gyrowheel import (
     UnknownChannelError,
     WheelState,
     bundled_scenario_path,
-    closed_form_beta,
     detect_events,
     lean_accel,
     parse_scenario,
     replace,
     rk4_step,
     run_closed_loop,
-    run_lean_subsystem,
     scenario_from_mapping,
 )
 
@@ -407,15 +405,6 @@ def test_inadmissible_line_start_radius():
     }
     with pytest.raises(InadmissibleStateError):
         run_closed_loop(scenario_from_mapping(sc).config)
-
-
-def test_run_lean_subsystem_tracks_closed_form():
-    times, xs, _, _ = run_lean_subsystem(0.1, 0.0, 0.0, dt=1e-3, t_end=10.0)
-    assert len(times) == 10001
-    worst = max(
-        abs(x - closed_form_beta(0.1, 0.0, 0.0, t)) for t, x in zip(times, xs)
-    )
-    assert worst < 1e-6
 
 
 def test_scenario_beta_ddot_cached_in_torque_rows(balance_traj_5s):
