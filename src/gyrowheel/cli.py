@@ -49,6 +49,7 @@ from .simulate import (
     InadmissibleStateError,
     Trajectory,
     UnknownChannelError,
+    _admissibility_violation,
     _CHUNK_ROWS,
     _convergence,
     _KINDS,
@@ -330,9 +331,7 @@ def build_report(
         report["detail"] = detail
     if traj is None:
         report["rows"] = 0
-        report["events"] = [
-            {"kind": "DomainExit", "time": 0.0, "detail": detail}
-        ]
+        report["events"] = [_event_dict(Event("DomainExit", 0.0, detail))]
         report["terminal_event"] = report["events"][0]
         report["final_state"] = _state_dict(cfg.initial)
         return report
@@ -459,8 +458,6 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .simulate import _admissibility_violation
-
     try:
         sc = parse_scenario(args.scenario)
     except ScenarioError as exc:

@@ -74,10 +74,6 @@ class DecayReport(Record):
     tolerance: float
     rate_floor: float = 1e-12
 
-    @property
-    def monotone(self) -> bool:
-        return not self.violation_times
-
     def summary(self) -> dict:
         return {
             "samples": self.samples,

@@ -26,14 +26,12 @@ Top-level keys::
     friction          optional {mu_v, mu_d, mu_s, D}, balance (torque) only
     thresholds        optional overrides of event thresholds
     actuator_lag      optional first-order lag time constant, velocity kinds
-    rate_limits       optional {alpha_dot_max, gamma_dot_max} capability gates
+    rate_limits       optional capability gates, _RATE_LIMIT_KEYS
     plot_channels     optional list of channel names for plot_<channel>.csv
 
-The balance initial block takes either lean data (lean_offset, lean_rate,
-lean_accel) with the rolling rate derived to realize the requested lean
-acceleration, or the raw state (beta, beta_dot, gamma_dot); alpha_dot is
-required either way. Tracking initial blocks take pose data (x_a, y_a,
-alpha) with optional beta, beta_dot, gamma.
+Each form of the initial block is one table of its keys and their defaults:
+_BALANCE_COMMON with _BALANCE_LEAN (the rolling rate is derived to realize
+the requested lean acceleration) or _BALANCE_RAW, and _TRACKING_INITIAL.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from pathlib import Path
 
 from .controllers import Smoothing
 from .dynamics import WheelState
-from .params import FrictionParams, Record, RobotParams
+from .params import FrictionParams, Record, RobotParams, replace
 from .simulate import _KINDS, KINDS, SimConfig, Thresholds
 
 __all__ = [
@@ -66,10 +64,13 @@ _FRICTION_KEYS = FrictionParams._fields
 _THRESHOLD_KEYS = Thresholds._fields
 # a tracking gains block holds Smoothing's fields flat, beside hard_switching
 _SMOOTHING_KEYS = Smoothing._fields
-_BALANCE_LEAN_KEYS = ("lean_offset", "lean_rate", "lean_accel")
-_BALANCE_RAW_KEYS = ("beta", "beta_dot", "gamma_dot")
-_BALANCE_COMMON_KEYS = ("alpha", "gamma", "alpha_dot", "x_a", "y_a")
-_TRACKING_INITIAL_KEYS = ("x_a", "y_a", "alpha", "beta", "beta_dot", "gamma")
+# each form of the initial block maps its keys, in read order, to their
+# defaults; None marks a required key
+_BALANCE_COMMON = {"alpha_dot": None, "alpha": 0.0, "gamma": 0.0, "x_a": 0.0, "y_a": 0.0}
+_BALANCE_RAW = {"beta": None, "beta_dot": 0.0, "gamma_dot": 0.0}
+_BALANCE_LEAN = {"lean_offset": 0.0, "lean_rate": 0.0, "lean_accel": 0.0}
+_TRACKING_INITIAL = {"alpha": None, "beta": math.pi / 2.0, "gamma": 0.0, "beta_dot": 0.0,
+                     "x_a": None, "y_a": None}
 _RATE_LIMIT_KEYS = ("alpha_dot_max", "gamma_dot_max")
 
 
@@ -202,73 +203,47 @@ def _parse_gains(data: dict, kind: str):
     return _build(cls, "gains.", **kwargs)
 
 
+def _read(block: dict, table: dict, where: str) -> dict:
+    """The numbers of a block whose keys and defaults are `table`, read in its order."""
+    _check_keys(block, table, where)
+    return {k: _num(block, k, where, default) for k, default in table.items()}
+
+
 def _parse_initial(data: dict, kind: str, params: RobotParams) -> WheelState:
     block = _require_mapping(data.get("initial"), "initial")
-    if kind == "balance":
-        raw = [k for k in _BALANCE_RAW_KEYS if k in block]
-        lean = [k for k in _BALANCE_LEAN_KEYS if k in block]
-        if raw and lean:
-            raise ScenarioError(
-                f"initial: mixes raw state key {raw[0]!r} with lean data key {lean[0]!r}"
-            )
-        allowed = _BALANCE_COMMON_KEYS + (_BALANCE_RAW_KEYS if raw else _BALANCE_LEAN_KEYS)
-        _check_keys(block, allowed, "initial")
-        alpha_dot = _num(block, "alpha_dot", "initial")
-        alpha = _num(block, "alpha", "initial", 0.0)
-        gamma = _num(block, "gamma", "initial", 0.0)
-        x_a = _num(block, "x_a", "initial", 0.0)
-        y_a = _num(block, "y_a", "initial", 0.0)
-        if raw:
-            beta = _num(block, "beta", "initial")
-            beta_dot = _num(block, "beta_dot", "initial", 0.0)
-            gamma_dot = _num(block, "gamma_dot", "initial", 0.0)
-            try:
-                alpha_dot**2  # the lean dynamics square the steering rate
-            except OverflowError:
-                raise ScenarioError(
-                    f"initial.alpha_dot: {alpha_dot!r} is too large: the lean "
-                    "acceleration squares it beyond the float range"
-                ) from None
-        else:
-            a = _num(block, "lean_offset", "initial", 0.0)
-            b = _num(block, "lean_rate", "initial", 0.0)
-            c = _num(block, "lean_accel", "initial", 0.0)
-            beta = math.pi / 2.0 + a
-            beta_dot = b
-            # invert the lean dynamics for the rolling rate that realizes c
-            Gm, Im, Jm = params.reduced()
-            sb, cb = math.sin(beta), math.cos(beta)
-            denom = Jm * sb * alpha_dot
-            if denom == 0.0:
-                raise ScenarioError(
-                    "initial: alpha_dot must be nonzero (and beta away from 0, pi) "
-                    "to realize the requested lean_accel"
-                )
-            try:
-                gamma_dot = -(c + Gm * cb + Im * cb * sb * alpha_dot**2) / denom
-            except OverflowError:
-                gamma_dot = math.inf
-            if not math.isfinite(gamma_dot):
-                raise ScenarioError(
-                    f"initial: alpha_dot = {alpha_dot!r} is too small or too large to "
-                    "realize the requested lean_accel with a finite gamma_dot"
-                )
-        return WheelState(
-            alpha=alpha, beta=beta, gamma=gamma,
-            alpha_dot=alpha_dot, beta_dot=beta_dot, gamma_dot=gamma_dot,
-            x_a=x_a, y_a=y_a,
+    if kind != "balance":
+        return WheelState(**_read(block, _TRACKING_INITIAL, "initial"))
+    raw = [k for k in _BALANCE_RAW if k in block]
+    lean = [k for k in _BALANCE_LEAN if k in block]
+    if raw and lean:
+        raise ScenarioError(
+            f"initial: mixes raw state key {raw[0]!r} with lean data key {lean[0]!r}"
         )
-    _check_keys(block, _TRACKING_INITIAL_KEYS, "initial")
-    return WheelState(
-        alpha=_num(block, "alpha", "initial"),
-        beta=_num(block, "beta", "initial", math.pi / 2.0),
-        gamma=_num(block, "gamma", "initial", 0.0),
-        alpha_dot=0.0,
-        beta_dot=_num(block, "beta_dot", "initial", 0.0),
-        gamma_dot=0.0,
-        x_a=_num(block, "x_a", "initial"),
-        y_a=_num(block, "y_a", "initial"),
-    )
+    values = _read(block, {**_BALANCE_COMMON, **(_BALANCE_RAW if raw else _BALANCE_LEAN)},
+                   "initial")
+    if raw:  # SimConfig refuses an alpha_dot whose square overflows
+        return WheelState(**values)
+    a, b, c = (values.pop(k) for k in _BALANCE_LEAN)
+    st = WheelState(beta=math.pi / 2.0 + a, beta_dot=b, **values)
+    # invert the lean dynamics for the rolling rate that realizes c
+    Gm, Im, Jm = params.reduced()
+    sb, cb = math.sin(st.beta), math.cos(st.beta)
+    denom = Jm * sb * st.alpha_dot
+    if denom == 0.0:
+        raise ScenarioError(
+            "initial: alpha_dot must be nonzero (and beta away from 0, pi) "
+            "to realize the requested lean_accel"
+        )
+    try:
+        gamma_dot = -(c + Gm * cb + Im * cb * sb * st.alpha_dot**2) / denom
+    except OverflowError:
+        gamma_dot = math.inf
+    if not math.isfinite(gamma_dot):
+        raise ScenarioError(
+            f"initial: alpha_dot = {st.alpha_dot!r} is too small or too large to "
+            "realize the requested lean_accel with a finite gamma_dot"
+        )
+    return replace(st, gamma_dot=gamma_dot)
 
 
 def _parse_rate_limits(data: dict, kind: str, gains, initial: WheelState, target):
@@ -277,14 +252,13 @@ def _parse_rate_limits(data: dict, kind: str, gains, initial: WheelState, target
     if kind == "balance":
         raise ScenarioError("rate_limits: applies to velocity (tracking) kinds only")
     block = _require_mapping(data["rate_limits"], "rate_limits")
-    _check_keys(block, _RATE_LIMIT_KEYS, "rate_limits")
-    a_max = _num(block, "alpha_dot_max", "rate_limits")
-    g_max = _num(block, "gamma_dot_max", "rate_limits")
-    for key, value in (("alpha_dot_max", a_max), ("gamma_dot_max", g_max)):
+    limits = _read(block, dict.fromkeys(_RATE_LIMIT_KEYS), "rate_limits")  # both required
+    for key, value in limits.items():
         if not value > 0.0:
             raise ScenarioError(
                 f"rate_limits.{key}: constraint {key} > 0 violated (got {value})"
             )
+    a_max, g_max = limits.values()
     # the steering command is bounded by k3; the drive bound is checked where known
     if gains.k3 >= a_max:
         raise ScenarioError(

@@ -243,6 +243,14 @@ class SimConfig(Record):
             raise ValueError(
                 "friction: joint friction applies in torque mode (balance runs) only"
             )
+        if self.mode == "torque":
+            try:
+                self.initial.alpha_dot**2  # the lean dynamics square the steering rate
+            except OverflowError:
+                raise ValueError(
+                    f"initial.alpha_dot: {self.initial.alpha_dot!r} is too large: the lean "
+                    "acceleration squares it beyond the float range"
+                ) from None
         if self.actuator_lag < 0.0:
             raise ValueError(f"actuator_lag: must be non-negative, got {self.actuator_lag}")
         if self.actuator_lag > 0.0 and self.mode != "velocity":
@@ -586,12 +594,15 @@ def rk4_step(
     step = _stepper(mode, params, dt, friction)
     st, torque = state, mode == "torque"
     ad, gd = (st.alpha_dot, st.gamma_dot) if torque else (steer, drive)  # the rates in effect
-    # the friction stepper solves its first stage in full and reads no bdd
-    bdd = None if torque and friction is not None else lean_accel(st.beta, ad, gd, params)
+    try:
+        # the friction stepper solves its first stage in full and reads no bdd
+        bdd = None if torque and friction is not None else lean_accel(st.beta, ad, gd, params)
+    except (ValueError, OverflowError):  # an infinite lean, or a rate whose square overflows
+        raise _nonfinite() from None
     a, b, g, ad, bd, gd, bdd, xa, ya = step(
         st.alpha, st.beta, st.gamma, ad, st.beta_dot, gd, bdd, st.x_a, st.y_a, steer, drive,
     )
-    if not torque:
+    if not torque:  # the rates squared above, now at a finite lean: this cannot raise
         bdd = lean_accel(b, ad, gd, params)
     return WheelState(a, b, g, ad, bd, gd, bdd, xa, ya)
 

@@ -186,7 +186,7 @@ def test_decay_monitor_rejects_bad_input():
 
 def test_decay_monitor_constant_goal_series():
     report = decay_monitor([0.0, 0.5, 1.0], [0.0, 0.0, 0.0])
-    assert report.monotone
+    assert report.violation_times == ()
     assert report.fitted_rate is None
     assert report.max_step_increase == 0.0
 
@@ -195,7 +195,7 @@ def test_decay_monitor_fits_exact_exponential():
     times = [0.01 * i for i in range(500)]
     values = [math.exp(-2.0 * t) for t in times]
     report = decay_monitor(times, values)
-    assert report.monotone
+    assert report.violation_times == ()
     assert report.fitted_rate == pytest.approx(-2.0, abs=1e-9)
 
 
@@ -204,7 +204,6 @@ def test_decay_monitor_flags_injected_increase():
     values = [math.exp(-2.0 * t) for t in times]
     values[40] = values[39] + 0.05
     report = decay_monitor(times, values)
-    assert not report.monotone
     assert times[40] in report.violation_times
     assert report.max_step_increase == pytest.approx(0.05, abs=1e-12)
     assert report.summary()["first_violation_time"] == pytest.approx(times[40])
@@ -214,7 +213,7 @@ def test_decay_monitor_single_sample():
     report = decay_monitor([0.0], [1.0])
     assert report.max_step_increase == 0.0
     assert report.fitted_rate is None
-    assert report.monotone
+    assert report.violation_times == ()
 
 
 def test_decay_monitor_fit_window_skips_floor():
@@ -322,5 +321,5 @@ def test_decay_monitor_reads_doubles_as_it_reads_lists():
     finite = [v for v in values if math.isfinite(v)]  # the report's filtered series
     steps = times[:len(finite)]
     expected = decay_monitor(steps, finite)
-    assert expected.fitted_rate is not None and not expected.monotone
+    assert expected.fitted_rate is not None and expected.violation_times
     assert repr(decay_monitor(array("d", steps), array("d", finite))) == repr(expected)

@@ -1,9 +1,11 @@
 """The package surface: each submodule is reachable by its name, every
 name a module exports in __all__ exists, no name is in two modules'
 __all__, the package exports every name of the modules it imports,
-PyYAML is imported only to parse scenario text, and importing the package
-loads neither dataclasses nor inspect."""
+PyYAML is imported only to parse scenario text, importing the package
+loads neither dataclasses nor inspect, and every other import is at module
+level."""
 
+import ast
 import importlib
 import json
 import pkgutil
@@ -71,6 +73,18 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
                           timeout=60, cwd=Path(gyrowheel.__file__).parents[1])
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_every_import_is_at_module_level():
+    # a module's start-up imports are the ones at its top; PyYAML alone is
+    # deferred, to the parse of scenario text
+    deferred = set()
+    for path in Path(gyrowheel.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        deferred.update((path.name, ast.unparse(node)) for node in ast.walk(tree)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                        and node not in tree.body)
+    assert deferred <= {("scenario.py", "import yaml")}
 
 
 _IMPORT_SURFACE = """

@@ -1,6 +1,6 @@
 """The README's contract tables against the code: the exit codes, the
-channels of each kind and the bundled scenarios; and its Quick start
-commands, run."""
+channels of each kind, the bundled scenarios and the threshold defaults;
+and its Quick start commands, run."""
 
 import re
 import shlex
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import gyrowheel
 from gyrowheel import cli
-from gyrowheel.simulate import _KINDS, CHANNEL_INFO
+from gyrowheel.simulate import _KINDS, CHANNEL_INFO, Thresholds
 
 ROOT = Path(__file__).parents[1]
 README = (ROOT / "README.md").read_text()
@@ -74,6 +74,14 @@ def test_bundled_scenario_table_matches_the_package():
     table = [row[0].strip("`") for row in _rows(_section("Bundled scenarios"))]
     shipped = Path(gyrowheel.__file__).parent / "scenarios"
     assert sorted(table) == sorted(p.stem for p in shipped.glob("*.yaml"))
+
+
+def test_threshold_defaults_match_the_record():
+    start = README.index("Threshold defaults:")
+    text = README[start:README.index("\n\n", start)]
+    documented = {name: float(value) for name, value in re.findall(r"`(\w+) ([^`]+)`", text)}
+    defaults = Thresholds()
+    assert documented == {name: getattr(defaults, name) for name in Thresholds._fields}
 
 
 def test_quick_start_commands_run(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from gyrowheel import (
     LineGains,
     NonFiniteStateError,
     RobotParams,
+    ScenarioError,
     Thresholds,
     UnknownChannelError,
     WheelState,
@@ -162,6 +163,32 @@ def test_non_finite_state_raises(params):
     st = WheelState(beta=math.pi / 2, alpha_dot=math.nan, gamma_dot=1.0)
     with pytest.raises(NonFiniteStateError):
         rk4_step(st, "torque", 0.0, 0.0, params, 1e-3)
+
+
+@pytest.mark.parametrize("mode, state, steer", [
+    ("torque", WheelState(alpha_dot=1e200), 0.0),
+    ("velocity", WheelState(), 1e200),
+], ids=["torque-alpha_dot", "velocity-steer"])
+def test_rate_whose_square_overflows_raises_non_finite(params, mode, state, steer):
+    # the lean acceleration squares the steering rate before the first stage
+    with pytest.raises(NonFiniteStateError):
+        rk4_step(state, mode, steer, 0.0, params, 0.01)
+
+
+def test_config_refuses_a_balance_alpha_dot_whose_square_overflows():
+    # a library config obeys the parser's rule, so the run never squares it
+    mapping = make_balance_mapping()
+    mapping["initial"] = {"beta": 1.6, "alpha_dot": 1e200}
+    with pytest.raises(ScenarioError) as parsed:
+        scenario_from_mapping(mapping)
+    assert str(parsed.value) == (
+        "initial.alpha_dot: 1e+200 is too large: the lean acceleration squares it "
+        "beyond the float range"
+    )
+    cfg = make_balance_config()
+    with pytest.raises(ValueError) as built:
+        replace(cfg, initial=WheelState(beta=1.6, alpha_dot=1e200))
+    assert str(built.value) == str(parsed.value)
 
 
 def test_run_is_bitwise_deterministic():
