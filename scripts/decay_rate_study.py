@@ -39,10 +39,10 @@ def main() -> int:
         traj = run_closed_loop(cfg)
         report = decay_monitor(traj.times, traj.channel("V"))
         predicted = -2.0 * min(1.0, (1.0 + k1) / 2.0)
-        fitted = report.fitted_rate
+        fitted = report["fitted_rate"]
         fitted_txt = f"{fitted:12.4f}" if fitted is not None else f"{'n/a':>12}"
         print(f"{k1:5.2f}  {fitted_txt}  {predicted:10.2f}  "
-              f"{report.max_step_increase:18.3e}")
+              f"{report['max_step_increase']:18.3e}")
     return 0
 
 

@@ -302,10 +302,7 @@ def _decay_summary(traj: Trajectory) -> dict | None:
         times, values = array("d", compress(times, finite)), array("d", compress(values, finite))
         if not values:
             return None
-    report = decay_monitor(times, values)
-    summary = report.summary()
-    summary["channel"] = name
-    return summary
+    return {**decay_monitor(times, values), "channel": name}
 
 
 def build_report(

@@ -109,7 +109,7 @@ def line_chart(origin: tuple[float, float], end: tuple[float, float]):
     ex = sx - ox
     ey = sy - oy
     ell = hypot(ex, ey)
-    if ell < EPS_RADIUS:
+    if ell <= EPS_RADIUS:
         raise DegenerateLineError(f"segment endpoints {origin} and {end} coincide")
     phi = atan2(ey, ex)
 

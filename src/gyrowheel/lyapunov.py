@@ -24,19 +24,18 @@ import math
 from array import array
 from functools import reduce
 from itertools import chain, compress, islice, repeat
-from operator import add, gt, mul, sub
+from operator import add, countOf, gt, mul, sub
 from typing import Sequence
 
-from .params import Record
-
 __all__ = [
-    "DecayReport",
     "balance_value",
     "lean_tracking_value",
     "decay_monitor",
 ]
 
 _EPS = math.ulp(1.0)  # machine epsilon: rounding moves a float by at most this, relatively
+TOLERANCE = 1e-6  # a step that increases the certificate by more is a violation
+RATE_FLOOR = 1e-12  # the decay rate is fitted on the values above this
 
 
 def balance_value(
@@ -56,82 +55,52 @@ def lean_tracking_value(beta: float, beta_dot: float) -> float:
     return 0.5 * (x * x + s * s)
 
 
-class DecayReport(Record):
-    """Summary of a certificate series along one trajectory.
+def decay_monitor(times: Sequence[float], values: Sequence[float]) -> dict:
+    """Monitor a certificate series for decay: report.json's certificate_decay block.
 
-    samples is the length of the series. fitted_rate is the least-squares
-    slope of log V over the window where V exceeds rate_floor (None when
-    fewer than two points qualify, when their times' squared spread sums
-    to 0, or when the slope is within what rounding of the logs can make
-    it). Violations are the times where a single step increased V by more
-    than the tolerance.
-    """
+    Returns, in this order: samples, the length of the series;
+    max_step_increase, the largest single-step increase (0.0 for one
+    sample); fitted_rate, the least-squares slope of log V over the samples
+    where V exceeds RATE_FLOOR; violations, the number of steps that
+    increased V by more than TOLERANCE; first_violation_time, the time of
+    the first such step (None without one); and tolerance, TOLERANCE.
 
-    samples: int
-    max_step_increase: float
-    fitted_rate: float | None
-    violation_times: tuple[float, ...]
-    tolerance: float
-    rate_floor: float = 1e-12
-
-    def summary(self) -> dict:
-        return {
-            "samples": self.samples,
-            "max_step_increase": self.max_step_increase,
-            "fitted_rate": self.fitted_rate,
-            "violations": len(self.violation_times),
-            "first_violation_time": (
-                self.violation_times[0] if self.violation_times else None
-            ),
-            "tolerance": self.tolerance,
-        }
-
-
-def decay_monitor(
-    times: Sequence[float],
-    values: Sequence[float],
-    tolerance: float = 1e-6,
-    rate_floor: float = 1e-12,
-) -> DecayReport:
-    """Monitor a certificate series for decay.
-
-    Reports the largest single-step increase, the timestamps of increases
-    beyond `tolerance`, and the exponential rate fitted on the early window
-    where the values are safely above the floating-point floor. The rate is
-    None when fewer than two values qualify, and when the squares of the
-    qualifying times' spread about their mean sum to 0: times that are all
-    equal, or so close (dt = 1e-300, say) that each square underflows. It is
-    None too when no larger than the bound rounding of the logs puts on it,
-    sum|t_i - t_mean| * eps * max|log V_i| / (that sum of squares): times so
-    close (dt = 1e-155, say) that log V cannot change, or a flat series.
+    The rate is None when fewer than two values exceed the floor, and when
+    the squares of their times' spread about the mean sum to 0: times that
+    are all equal, or so close (dt = 1e-300, say) that each square
+    underflows. It is None too when no larger than the bound rounding of
+    the logs puts on it, sum|t_i - t_mean| * eps * max|log V_i| / (that sum
+    of squares): times so close (dt = 1e-155, say) that log V cannot
+    change, or a flat series.
     """
     if len(times) != len(values):
         raise ValueError("times and values must have equal length")
     if not times:
         raise ValueError("empty trajectory")
-    # the increases values[i] - values[i - 1]; max skips a NaN one, as `inc > max_inc` does
-    max_inc = max(chain((-math.inf,), map(sub, islice(values, 1, None), values)))
-    if len(values) == 1:
-        max_inc = 0.0
-    violations = []
-    if max_inc > tolerance:  # then, and only then, some increase exceeds the tolerance
-        incs = map(sub, islice(values, 1, None), values)
-        violations = list(compress(islice(times, 1, None), map(gt, incs, repeat(tolerance))))
-    if all(map(gt, values, repeat(rate_floor))):
+
+    def increases():  # values[i] - values[i - 1], formed anew for each pass
+        return map(sub, islice(values, 1, None), values)
+
+    # max skips a NaN increase, as `inc > max_inc` does
+    max_inc = max(chain((-math.inf,), increases())) if len(values) > 1 else 0.0
+    violations, first = 0, None
+    if max_inc > TOLERANCE:  # then, and only then, some increase exceeds the tolerance
+        violations = countOf(map(gt, increases(), repeat(TOLERANCE)), True)
+        first = next(compress(islice(times, 1, None), map(gt, increases(), repeat(TOLERANCE))))
+    if all(map(gt, values, repeat(RATE_FLOOR))):
         ts, logs = times, array("d", map(math.log, values))
     else:
         # the mask is formed anew for each series, since a list of it holds 8 B a value
-        ts = array("d", compress(times, map(gt, values, repeat(rate_floor))))
-        logs = array("d", map(math.log, compress(values, map(gt, values, repeat(rate_floor)))))
-    fitted = _slope(ts, logs) if len(ts) >= 2 else None
-    return DecayReport(
-        samples=len(values),
-        max_step_increase=max_inc,
-        fitted_rate=fitted,
-        violation_times=tuple(violations),
-        tolerance=tolerance,
-        rate_floor=rate_floor,
-    )
+        ts = array("d", compress(times, map(gt, values, repeat(RATE_FLOOR))))
+        logs = array("d", map(math.log, compress(values, map(gt, values, repeat(RATE_FLOOR)))))
+    return {
+        "samples": len(values),
+        "max_step_increase": max_inc,
+        "fitted_rate": _slope(ts, logs) if len(ts) >= 2 else None,
+        "violations": violations,
+        "first_violation_time": first,
+        "tolerance": TOLERANCE,
+    }
 
 
 def _sum(values) -> float:

@@ -142,6 +142,9 @@ class FrictionParams(Record):
         # written so that NaN fails each test
         if not self.D > 0.0:
             raise ValueError(f"D must be positive, got {self.D}")
+        for name in ("mu_v", "mu_d", "mu_s"):
+            if len(getattr(self, name)) != 3:
+                raise ValueError(f"{name} must have three coefficients, got {getattr(self, name)}")
         for v, d, s in zip(self.mu_v, self.mu_d, self.mu_s):
             if not (v >= 0.0 and d >= 0.0):
                 raise ValueError("friction coefficients must be non-negative")

@@ -278,13 +278,16 @@ class Trajectory:
     given a sink leaves the channels empty: its rows went to the sink.
     """
 
-    def __init__(self, kind: str, mode: str):
+    def __init__(self, kind: str):
         self.kind = kind
-        self.mode = mode
         self.names: tuple[str, ...] = _KINDS[kind].channels
         self.channels: dict[str, list[float]] = {n: [] for n in self.names}
         self.events: list[Event] = []
         self.final_state: WheelState | None = None
+
+    @property
+    def mode(self) -> str:
+        return _KINDS[self.kind].mode
 
     @property
     def row_count(self) -> int:
@@ -643,7 +646,10 @@ def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) ->
     if cfg.kind == "balance":
         a = st.beta - math.pi / 2.0
         b = st.beta_dot
-        c = lean_accel(st.beta, st.alpha_dot, st.gamma_dot, cfg.params)
+        try:
+            c = lean_accel(st.beta, st.alpha_dot, st.gamma_dot, cfg.params)
+        except OverflowError:  # alpha_dot**2 is beyond the float range, and so is sigma
+            c = math.inf
         s = sigma(a, b, c)
         if s >= math.pi / 2.0:
             return (
@@ -802,7 +808,7 @@ def run_closed_loop(cfg: SimConfig, sink=None) -> Trajectory:
     lean, lean_rate, steer_rate, roll_rate = thr.lean, thr.lean_rate, thr.steer_rate, thr.roll_rate
     distance, line_offset, advance_radius = thr.distance, thr.line_offset, thr.advance_radius
 
-    traj = Trajectory(kind, cfg.mode)
+    traj = Trajectory(kind)
     events = traj.events
     if sink is None:  # a library run keeps every row
         def sink(chunk, channels=traj.channels, names=traj.names):

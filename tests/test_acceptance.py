@@ -78,7 +78,7 @@ def test_criterion_01_certificate_decays_at_rate_two():
     times = traj.times
     values = traj.channel("V")
     report = decay_monitor(times, values)
-    assert -2.01 <= report.fitted_rate <= -1.99
+    assert -2.01 <= report["fitted_rate"] <= -1.99
 
     v0 = values[0]
     worst = max(
@@ -176,8 +176,8 @@ def test_criterion_06_point_to_point_converges(p2p_traj):
     for beta in p2p_traj.channel("beta"):
         assert 0.0 < beta < math.pi
     v1 = p2p_traj.channel("V1")
-    report = decay_monitor(p2p_traj.times, v1, tolerance=1e-6)
-    assert report.max_step_increase <= 1e-6
+    report = decay_monitor(p2p_traj.times, v1)
+    assert report["max_step_increase"] <= 1e-6
 
 
 def test_criterion_07_line_tracking_converges(line_traj):

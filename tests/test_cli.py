@@ -937,7 +937,7 @@ def _loop_decay_summary(traj):
             finite_v.append(v)
     if not finite_v:
         return None
-    summary = decay_monitor(finite_t, finite_v).summary()
+    summary = decay_monitor(finite_t, finite_v)
     summary["channel"] = name
     return summary
 

@@ -9,11 +9,13 @@ from gyrowheel import (
     DegenerateLineError,
     RobotParams,
     WheelState,
+    line_chart,
     line_geometry,
     polar_view,
     rk4_step,
     wrap_to_pi,
 )
+from gyrowheel.kinematics import EPS_RADIUS
 
 from oracles import polar_rates
 
@@ -277,8 +279,12 @@ def test_line_geometry_offset_never_exceeds_radius():
 
 
 def test_line_geometry_rejects_degenerate_segment():
-    with pytest.raises(DegenerateLineError):
-        line_geometry(WheelState(x_a=1.0, y_a=1.0, alpha=0.0), (2.0, 3.0), (2.0, 3.0))
+    # the second pair is EPS_RADIUS apart, which SimConfig refuses as waypoints too
+    for origin, end in (((2.0, 3.0), (2.0, 3.0)), ((0.0, 0.0), (EPS_RADIUS, 0.0))):
+        with pytest.raises(DegenerateLineError):
+            line_geometry(WheelState(x_a=1.0, y_a=1.0, alpha=0.0), end, origin)
+        with pytest.raises(DegenerateLineError):
+            line_chart(origin, end)
 
 
 def test_default_params_radius_used():

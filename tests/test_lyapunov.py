@@ -12,6 +12,7 @@ from gyrowheel import (
     lean_tracking_value,
     sigma,
 )
+from gyrowheel.lyapunov import RATE_FLOOR, TOLERANCE
 
 from oracles import closed_form_alpha_dot, closed_form_beta, closed_form_beta_rates
 
@@ -186,62 +187,67 @@ def test_decay_monitor_rejects_bad_input():
 
 def test_decay_monitor_constant_goal_series():
     report = decay_monitor([0.0, 0.5, 1.0], [0.0, 0.0, 0.0])
-    assert report.violation_times == ()
-    assert report.fitted_rate is None
-    assert report.max_step_increase == 0.0
+    assert report["violations"] == 0
+    assert report["first_violation_time"] is None
+    assert report["fitted_rate"] is None
+    assert report["max_step_increase"] == 0.0
 
 
 def test_decay_monitor_fits_exact_exponential():
     times = [0.01 * i for i in range(500)]
     values = [math.exp(-2.0 * t) for t in times]
     report = decay_monitor(times, values)
-    assert report.violation_times == ()
-    assert report.fitted_rate == pytest.approx(-2.0, abs=1e-9)
+    assert report["violations"] == 0
+    assert report["fitted_rate"] == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_decay_monitor_flags_injected_increase():
     times = [0.01 * i for i in range(100)]
     values = [math.exp(-2.0 * t) for t in times]
     values[40] = values[39] + 0.05
+    values[60] = values[59] + 0.01
     report = decay_monitor(times, values)
-    assert times[40] in report.violation_times
-    assert report.max_step_increase == pytest.approx(0.05, abs=1e-12)
-    assert report.summary()["first_violation_time"] == pytest.approx(times[40])
+    assert report["violations"] == 2
+    assert report["first_violation_time"] == times[40]
+    assert report["max_step_increase"] == pytest.approx(0.05, abs=1e-12)
 
 
 def test_decay_monitor_single_sample():
     report = decay_monitor([0.0], [1.0])
-    assert report.max_step_increase == 0.0
-    assert report.fitted_rate is None
-    assert report.violation_times == ()
+    assert report["max_step_increase"] == 0.0
+    assert report["fitted_rate"] is None
+    assert report["violations"] == 0
+    assert report["first_violation_time"] is None
 
 
 def test_decay_monitor_fit_window_skips_floor():
     # everything after the floor crossing is numerical dust: the tail must
     # not drag the fitted slope away from the true rate
     times = [0.1 * i for i in range(200)]
-    values = [max(math.exp(-2.0 * t), 1e-13) for t in times]
-    report = decay_monitor(times, values, rate_floor=1e-12)
-    assert report.fitted_rate == pytest.approx(-2.0, abs=1e-6)
+    values = [max(math.exp(-2.0 * t), RATE_FLOOR / 10) for t in times]
+    report = decay_monitor(times, values)
+    assert report["fitted_rate"] == pytest.approx(-2.0, abs=1e-6)
 
 
 # ------------------------------------- decay_monitor against its loop form
 
 
-def _loop_decay_monitor(times, values, tolerance=1e-6, rate_floor=1e-12):
+def _loop_decay_monitor(times, values):
     """decay_monitor as a per-sample loop: the reference for its C-level form."""
     max_inc = -math.inf
-    violations = []
+    violations, first = 0, None
     for i in range(1, len(values)):
         inc = values[i] - values[i - 1]
         if inc > max_inc:
             max_inc = inc
-        if inc > tolerance:
-            violations.append(times[i])
+        if inc > TOLERANCE:
+            violations += 1
+            if first is None:
+                first = times[i]
     if len(values) == 1:
         max_inc = 0.0
-    ts = [t for t, v in zip(times, values) if v > rate_floor]
-    logs = [math.log(v) for v in values if v > rate_floor]
+    ts = [t for t, v in zip(times, values) if v > RATE_FLOOR]
+    logs = [math.log(v) for v in values if v > RATE_FLOOR]
     fitted = None
     if len(ts) >= 2:
         n = float(len(ts))
@@ -255,24 +261,22 @@ def _loop_decay_monitor(times, values, tolerance=1e-6, rate_floor=1e-12):
             noise = sum(abs(x - mx) for x in ts) * math.ulp(1.0) * max(abs(y) for y in logs)
             if abs(fitted) <= noise / sxx:
                 fitted = None
-    return (repr(max_inc), repr(fitted), repr(tuple(violations)), len(values))
+    return {"samples": len(values), "max_step_increase": max_inc, "fitted_rate": fitted,
+            "violations": violations, "first_violation_time": first, "tolerance": TOLERANCE}
 
 
-def _decay_outcome(monitor, times, values, **limits):
+def _decay_outcome(monitor, times, values):
     try:
-        r = monitor(times, values, **limits)
+        return repr(monitor(times, values))
     except (ValueError, OverflowError) as exc:
         return (type(exc).__name__, str(exc))
-    if isinstance(r, tuple):
-        return r
-    return (repr(r.max_step_increase), repr(r.fitted_rate), repr(r.violation_times),
-            r.samples)
 
 
 _certificate_values = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(0.0, 10.0),
-    st.sampled_from([0.0, -0.0, 1e-12, 1e-6, math.nan, math.inf, -math.inf]),
+    st.sampled_from([0.0, -0.0, RATE_FLOOR, 2 * RATE_FLOOR, TOLERANCE, 2 * TOLERANCE,
+                     math.nan, math.inf, -math.inf]),
 )
 
 
@@ -281,24 +285,22 @@ _certificate_values = st.one_of(
     values=st.lists(_certificate_values, min_size=1, max_size=40),
     dt=st.sampled_from([1e-3, 0.02, 0.5]),
     constant=st.booleans(),
-    tolerance=st.sampled_from([1e-6, 0.0, -1.0, math.inf, math.nan]),
-    rate_floor=st.sampled_from([1e-12, 0.0, -math.inf, 5.0, math.nan]),
 )
-def test_decay_monitor_matches_its_loop_form(values, dt, constant, tolerance, rate_floor):
+def test_decay_monitor_matches_its_loop_form(values, dt, constant):
     if constant:  # one value throughout
         values = [values[0]] * len(values)
     times = [i * dt for i in range(len(values))]
-    limits = {"tolerance": tolerance, "rate_floor": rate_floor}
-    expected = _decay_outcome(_loop_decay_monitor, times, values, **limits)
-    assert _decay_outcome(decay_monitor, times, values, **limits) == expected
-    assert _decay_outcome(decay_monitor, tuple(times), tuple(values), **limits) == expected
-    assert _decay_outcome(decay_monitor, array("d", times), array("d", values), **limits) == expected
+    expected = _decay_outcome(_loop_decay_monitor, times, values)
+    assert _decay_outcome(decay_monitor, times, values) == expected
+    assert _decay_outcome(decay_monitor, tuple(times), tuple(values)) == expected
+    assert _decay_outcome(decay_monitor, array("d", times), array("d", values)) == expected
 
 
 @pytest.mark.parametrize("values", [
     [1.0], [math.nan], [math.inf], [2.0, 2.0, 2.0, 2.0],
     [math.nan, 1.0, 0.5], [1.0, math.nan, 2.0], [1.0, math.inf, 0.5, -math.inf],
     [math.inf, math.inf], [0.0, -0.0, 0.0],
+    [0.0, TOLERANCE, 0.0, 2 * TOLERANCE],  # an increase of TOLERANCE is no violation
 ])
 def test_decay_monitor_matches_its_loop_form_on_edge_series(values):
     times = [i * 0.01 for i in range(len(values))]
@@ -311,15 +313,12 @@ def test_decay_monitor_reads_doubles_as_it_reads_lists():
     times = [i * 0.01 for i in range(60)]
     values = [math.exp(-2.0 * t) for t in times]
     values[5], values[9], values[14], values[20] = math.nan, math.inf, -0.0, -math.inf
-    values[30:36] = [1e-13, 0.0, 5e-324, -0.0, 1e-12, 2e-12]  # at and below rate_floor
+    values[30:36] = [1e-13, 0.0, 5e-324, -0.0, 1e-12, 2e-12]  # at and below RATE_FLOOR
     values[40] = values[39] + 0.5  # a violation
     doubles = array("d", times), array("d", values)
-    for limits in ({}, {"rate_floor": -math.inf}, {"tolerance": 0.0, "rate_floor": 1e-3}):
-        expected = _decay_outcome(decay_monitor, times, values, **limits)
-        assert _decay_outcome(decay_monitor, *doubles, **limits) == expected
-    assert repr(decay_monitor(*doubles).summary()) == repr(decay_monitor(times, values).summary())
+    assert repr(decay_monitor(*doubles)) == repr(decay_monitor(times, values))
     finite = [v for v in values if math.isfinite(v)]  # the report's filtered series
     steps = times[:len(finite)]
     expected = decay_monitor(steps, finite)
-    assert expected.fitted_rate is not None and expected.violation_times
+    assert expected["fitted_rate"] is not None and expected["violations"]
     assert repr(decay_monitor(array("d", steps), array("d", finite))) == repr(expected)

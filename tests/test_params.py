@@ -59,6 +59,14 @@ def test_nan_friction_coefficient_rejected(field, value, message):
         FrictionParams(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["mu_v", "mu_d", "mu_s"])
+@pytest.mark.parametrize("value", [(0.1, 0.1), (0.1, 0.1, 0.1, 0.1)])
+def test_friction_coefficients_must_be_three_long(field, value):
+    # a short vector would otherwise build and end the first friction step
+    with pytest.raises(ValueError, match=f"^{field} must have three coefficients"):
+        FrictionParams(**{field: value})
+
+
 def test_params_are_immutable():
     p = RobotParams()
     with pytest.raises(AttributeError):

@@ -1,14 +1,16 @@
 """The README's contract tables against the code: the exit codes, the
-channels of each kind, the bundled scenarios and the threshold defaults;
-and its Quick start commands, run."""
+channels of each kind, the bundled scenarios, the threshold defaults and
+the keys of a report's certificate_decay block; and its Quick start
+commands, run."""
 
+import json
 import re
 import shlex
 import shutil
 from pathlib import Path
 
 import gyrowheel
-from gyrowheel import cli
+from gyrowheel import bundled_scenario_path, cli, decay_monitor, parse_scenario
 from gyrowheel.simulate import _KINDS, CHANNEL_INFO, Thresholds
 
 ROOT = Path(__file__).parents[1]
@@ -82,6 +84,15 @@ def test_threshold_defaults_match_the_record():
     documented = {name: float(value) for name, value in re.findall(r"`(\w+) ([^`]+)`", text)}
     defaults = Thresholds()
     assert documented == {name: getattr(defaults, name) for name in Thresholds._fields}
+
+
+def test_decay_keys_match_a_report(tmp_path):
+    start = README.index("Decay keys:")
+    documented = _names(README[start:README.index(".", start)])
+    cli.run_scenario(parse_scenario(bundled_scenario_path("balance_default")), tmp_path)
+    block = json.loads((tmp_path / "report.json").read_text())["certificate_decay"]
+    assert documented == list(block)
+    assert list(decay_monitor([0.0, 1.0], [1.0, 0.5])) + ["channel"] == documented
 
 
 def test_quick_start_commands_run(tmp_path, monkeypatch):

@@ -296,6 +296,11 @@ def test_detect_events_words_a_domain_exit_at_its_state():
     )
     with pytest.raises(InadmissibleStateError, match=r"^initial lean 0\.001000 rad outside"):
         run_closed_loop(replace(cfg, initial=flat))
+    # a steering rate whose square is beyond the float range puts sigma beyond it too
+    huge = WheelState(beta=1.6, alpha_dot=1e200)
+    assert detect_events(huge, cfg, t=2.5) == [Event(
+        "DomainExit", 2.5, "sigma(a, b, c) = inf >= pi/2 for lean data (0.029204, 0.000000, inf)",
+    )]
     cfg = parse_scenario(bundled_scenario_path("line_5m")).config
     leaning = replace(cfg.initial, beta=math.pi / 2 + 0.5)
     assert detect_events(leaning, cfg, t=2.5)[-1] == Event(

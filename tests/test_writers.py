@@ -114,7 +114,7 @@ def _run_with(monkeypatch, sc, traj, out_dir, fmt):
         cols = [traj.channels[n] for n in traj.names]
         for start in range(0, traj.row_count, CHUNK):
             sink([col[start:start + CHUNK] for col in cols])
-        ran = Trajectory(traj.kind, traj.mode)  # as the loop returns it: no row kept
+        ran = Trajectory(traj.kind)  # as the loop returns it: no row kept
         ran.events, ran.final_state = list(traj.events), traj.final_state
         return ran
 
