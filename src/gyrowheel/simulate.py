@@ -17,12 +17,12 @@ The kernel is single-pass and builds no object per row. Each right-hand
 side has one RK4 stepper, unrolled over plain floats with the run's
 constants bound once; all four take and return the state in WheelState's
 field order, and one selector, _stepper, builds the stepper of a mode for
-both run_closed_loop and rk4_step. Each stepper tests its own result for
-finiteness, and the friction stepper solves the inertia entries, forces
-and accelerations of a stage in one function. The controller binds its
-gains and (Gm, Im, Jm) at construction; the polar chart binds the target
-once per run and each line chart binds its segment's length and bearing
-once, when the corridor first reaches it.
+both run_closed_loop and rk4_step, which judge each step: the steppers
+are plain arithmetic. The friction stepper solves the inertia entries,
+forces and accelerations of a stage in one function. The controller binds
+its gains and (Gm, Im, Jm) at construction; the polar chart binds the
+target once per run and each line chart binds its segment's length and
+bearing once, when the corridor first reaches it.
 run_closed_loop keeps the state in local floats and computes each per-row
 quantity once: the lean acceleration (also the first RK4 stage of the next
 step), the balance certificate (also the balance law's input), and the
@@ -320,13 +320,13 @@ class Trajectory:
 # state in the same order; a rate-layer stepper returns the rates in effect
 # and bdd as given. Stage values the right-hand side never reads (gamma, the
 # contact point) are not formed; stage values that coincide exactly are
-# formed once. Each stepper ends with the same finiteness test of its result
-# tuple (the sum is finite unless some value is not, or the sum overflowed)
-# and raises NonFiniteStateError when a stage or the result is not finite.
+# formed once. A stepper tests nothing but the friction stage's lean; its two
+# callers, run_closed_loop and rk4_step, judge the step: a DegenerateLeanError
+# is a flat wheel, and any other error (sin of an infinity, an overflow, M_rho
+# underflowed to 0) or a result whose sum is not finite (it is finite unless
+# some value is not, or the sum overflowed) is a NaN or an infinity.
 
-
-def _nonfinite() -> NonFiniteStateError:
-    return NonFiniteStateError("an RK4 stage produced a NaN or an infinity")
+_NONFINITE = "an RK4 stage produced a NaN or an infinity"
 
 
 def _torque_stepper(params: RobotParams, dt: float):
@@ -336,45 +336,39 @@ def _torque_stepper(params: RobotParams, dt: float):
 
     def step(a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6):
         # bdd: lean acceleration at the step start, the first stage's
-        try:
-            nGm = -Gm
-            a2, b2 = a + h2 * ad, b + h2 * bd
-            ad2, bd2, gd2 = ad + h2 * u5, bd + h2 * bdd, gd + h2 * u6
-            sq2 = ad2**2
-            sb, cb = sin(b2), cos(b2)
-            l2 = nGm * cb - Im * cb * sb * sq2 - Jm * sb * ad2 * gd2
-            # held u5, u6 make the third stage's rates equal the second's
-            a3, b3, bd3 = a + h2 * ad2, b + h2 * bd2, bd + h2 * l2
-            sb, cb = sin(b3), cos(b3)
-            l3 = nGm * cb - Im * cb * sb * sq2 - Jm * sb * ad2 * gd2
-            a4, b4 = a + dt * ad2, b + dt * bd3
-            ad4, bd4, gd4 = ad + dt * u5, bd + dt * l3, gd + dt * u6
-            sb, cb = sin(b4), cos(b4)
-            l4 = nGm * cb - Im * cb * sb * ad4**2 - Jm * sb * ad4 * gd4
-            x1, y1 = R * gd * cos(a), R * gd * sin(a)
-            x2, y2 = R * gd2 * cos(a2), R * gd2 * sin(a2)
-            x3, y3 = R * gd2 * cos(a3), R * gd2 * sin(a3)
-            x4, y4 = R * gd4 * cos(a4), R * gd4 * sin(a4)
-            b_n = b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4)
-            ad_n = ad + h6 * (u5 + 2.0 * u5 + 2.0 * u5 + u5)
-            gd_n = gd + h6 * (u6 + 2.0 * u6 + 2.0 * u6 + u6)
-            sb, cb = sin(b_n), cos(b_n)
-            out = (
-                a + h6 * (ad + 2.0 * ad2 + 2.0 * ad2 + ad4),
-                b_n,
-                g + h6 * (gd + 2.0 * gd2 + 2.0 * gd2 + gd4),
-                ad_n,
-                bd + h6 * (bdd + 2.0 * l2 + 2.0 * l3 + l4),
-                gd_n,
-                nGm * cb - Im * cb * sb * ad_n**2 - Jm * sb * ad_n * gd_n,
-                xa + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
-                ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
-            )
-        except (ValueError, OverflowError):  # sin/cos of inf, or ** overflow
-            raise _nonfinite() from None
-        if isfinite(sum(out)) or all(map(isfinite, out)):
-            return out
-        raise _nonfinite()
+        nGm = -Gm
+        a2, b2 = a + h2 * ad, b + h2 * bd
+        ad2, bd2, gd2 = ad + h2 * u5, bd + h2 * bdd, gd + h2 * u6
+        sq2 = ad2**2
+        sb, cb = sin(b2), cos(b2)
+        l2 = nGm * cb - Im * cb * sb * sq2 - Jm * sb * ad2 * gd2
+        # held u5, u6 make the third stage's rates equal the second's
+        a3, b3, bd3 = a + h2 * ad2, b + h2 * bd2, bd + h2 * l2
+        sb, cb = sin(b3), cos(b3)
+        l3 = nGm * cb - Im * cb * sb * sq2 - Jm * sb * ad2 * gd2
+        a4, b4 = a + dt * ad2, b + dt * bd3
+        ad4, bd4, gd4 = ad + dt * u5, bd + dt * l3, gd + dt * u6
+        sb, cb = sin(b4), cos(b4)
+        l4 = nGm * cb - Im * cb * sb * ad4**2 - Jm * sb * ad4 * gd4
+        x1, y1 = R * gd * cos(a), R * gd * sin(a)
+        x2, y2 = R * gd2 * cos(a2), R * gd2 * sin(a2)
+        x3, y3 = R * gd2 * cos(a3), R * gd2 * sin(a3)
+        x4, y4 = R * gd4 * cos(a4), R * gd4 * sin(a4)
+        b_n = b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4)
+        ad_n = ad + h6 * (u5 + 2.0 * u5 + 2.0 * u5 + u5)
+        gd_n = gd + h6 * (u6 + 2.0 * u6 + 2.0 * u6 + u6)
+        sb, cb = sin(b_n), cos(b_n)
+        return (
+            a + h6 * (ad + 2.0 * ad2 + 2.0 * ad2 + ad4),
+            b_n,
+            g + h6 * (gd + 2.0 * gd2 + 2.0 * gd2 + gd4),
+            ad_n,
+            bd + h6 * (bdd + 2.0 * l2 + 2.0 * l3 + l4),
+            gd_n,
+            nGm * cb - Im * cb * sb * ad_n**2 - Jm * sb * ad_n * gd_n,
+            xa + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
+            ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
+        )
 
     return step
 
@@ -382,7 +376,7 @@ def _torque_stepper(params: RobotParams, dt: float):
 def _lean_exit(beta: float) -> None:
     """Raise for a stage lean outside (0, pi): non-finite, or a flat wheel."""
     if not isfinite(beta):
-        raise _nonfinite()
+        raise NonFiniteStateError(_NONFINITE)
     _require_open_lean(beta)
 
 
@@ -436,43 +430,35 @@ def _friction_stepper(params: RobotParams, friction: FrictionParams, dt: float):
 
     def step(a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6):
         # bdd is unused: the first stage solves the full equations
-        try:
-            add1, bdd1, gdd1, u1, u2 = stage(b, ad, bd, gd, u5, u6, True)
-            a2, b2 = a + h2 * ad, b + h2 * bd
-            ad2, bd2, gd2 = ad + h2 * add1, bd + h2 * bdd1, gd + h2 * gdd1
-            add2, bdd2, gdd2, _, _ = stage(b2, ad2, bd2, gd2, u1, u2)
-            a3, b3 = a + h2 * ad2, b + h2 * bd2
-            ad3, bd3, gd3 = ad + h2 * add2, bd + h2 * bdd2, gd + h2 * gdd2
-            add3, bdd3, gdd3, _, _ = stage(b3, ad3, bd3, gd3, u1, u2)
-            a4, b4 = a + dt * ad3, b + dt * bd3
-            ad4, bd4, gd4 = ad + dt * add3, bd + dt * bdd3, gd + dt * gdd3
-            add4, bdd4, gdd4, _, _ = stage(b4, ad4, bd4, gd4, u1, u2)
-            x1, y1 = R * gd * cos(a), R * gd * sin(a)
-            x2, y2 = R * gd2 * cos(a2), R * gd2 * sin(a2)
-            x3, y3 = R * gd3 * cos(a3), R * gd3 * sin(a3)
-            x4, y4 = R * gd4 * cos(a4), R * gd4 * sin(a4)
-            b_n = b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4)
-            ad_n = ad + h6 * (add1 + 2.0 * add2 + 2.0 * add3 + add4)
-            gd_n = gd + h6 * (gdd1 + 2.0 * gdd2 + 2.0 * gdd3 + gdd4)
-            sb, cb = sin(b_n), cos(b_n)
-            out = (
-                a + h6 * (ad + 2.0 * ad2 + 2.0 * ad3 + ad4),
-                b_n,
-                g + h6 * (gd + 2.0 * gd2 + 2.0 * gd3 + gd4),
-                ad_n,
-                bd + h6 * (bdd1 + 2.0 * bdd2 + 2.0 * bdd3 + bdd4),
-                gd_n,
-                -Gm * cb - Im * cb * sb * ad_n**2 - Jm * sb * ad_n * gd_n,
-                xa + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
-                ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
-            )
-        except DegenerateLeanError:
-            raise
-        except (ValueError, OverflowError, ZeroDivisionError):  # M_rho can underflow to 0
-            raise _nonfinite() from None
-        if isfinite(sum(out)) or all(map(isfinite, out)):
-            return out
-        raise _nonfinite()
+        add1, bdd1, gdd1, u1, u2 = stage(b, ad, bd, gd, u5, u6, True)
+        a2, b2 = a + h2 * ad, b + h2 * bd
+        ad2, bd2, gd2 = ad + h2 * add1, bd + h2 * bdd1, gd + h2 * gdd1
+        add2, bdd2, gdd2, _, _ = stage(b2, ad2, bd2, gd2, u1, u2)
+        a3, b3 = a + h2 * ad2, b + h2 * bd2
+        ad3, bd3, gd3 = ad + h2 * add2, bd + h2 * bdd2, gd + h2 * gdd2
+        add3, bdd3, gdd3, _, _ = stage(b3, ad3, bd3, gd3, u1, u2)
+        a4, b4 = a + dt * ad3, b + dt * bd3
+        ad4, bd4, gd4 = ad + dt * add3, bd + dt * bdd3, gd + dt * gdd3
+        add4, bdd4, gdd4, _, _ = stage(b4, ad4, bd4, gd4, u1, u2)
+        x1, y1 = R * gd * cos(a), R * gd * sin(a)
+        x2, y2 = R * gd2 * cos(a2), R * gd2 * sin(a2)
+        x3, y3 = R * gd3 * cos(a3), R * gd3 * sin(a3)
+        x4, y4 = R * gd4 * cos(a4), R * gd4 * sin(a4)
+        b_n = b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4)
+        ad_n = ad + h6 * (add1 + 2.0 * add2 + 2.0 * add3 + add4)
+        gd_n = gd + h6 * (gdd1 + 2.0 * gdd2 + 2.0 * gdd3 + gdd4)
+        sb, cb = sin(b_n), cos(b_n)
+        return (
+            a + h6 * (ad + 2.0 * ad2 + 2.0 * ad3 + ad4),
+            b_n,
+            g + h6 * (gd + 2.0 * gd2 + 2.0 * gd3 + gd4),
+            ad_n,
+            bd + h6 * (bdd1 + 2.0 * bdd2 + 2.0 * bdd3 + bdd4),
+            gd_n,
+            -Gm * cb - Im * cb * sb * ad_n**2 - Jm * sb * ad_n * gd_n,
+            xa + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
+            ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
+        )
 
     return step
 
@@ -485,34 +471,28 @@ def _velocity_stepper(params: RobotParams, dt: float):
     def step(a, b, g, ad, bd, gd, bdd, xa, ya, ua, ug):
         # ad, gd: the rates in effect, replaced by the command at once;
         # bdd: lean acceleration at the step start under (ua, ug)
-        try:
-            nGm, sq = -Gm, ua**2
-            a2, b2, bd2 = a + h2 * ua, b + h2 * bd, bd + h2 * bdd
-            sb, cb = sin(b2), cos(b2)
-            l2 = nGm * cb - Im * cb * sb * sq - Jm * sb * ua * ug
-            b3, bd3 = b + h2 * bd2, bd + h2 * l2
-            sb, cb = sin(b3), cos(b3)
-            l3 = nGm * cb - Im * cb * sb * sq - Jm * sb * ua * ug
-            a4, b4, bd4 = a + dt * ua, b + dt * bd3, bd + dt * l3
-            sb, cb = sin(b4), cos(b4)
-            l4 = nGm * cb - Im * cb * sb * sq - Jm * sb * ua * ug
-            x2, y2 = R * ug * cos(a2), R * ug * sin(a2)  # stage 3 shares a2
-            out = (
-                a + h6 * (ua + 2.0 * ua + 2.0 * ua + ua),
-                b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4),
-                g + h6 * (ug + 2.0 * ug + 2.0 * ug + ug),
-                ua,
-                bd + h6 * (bdd + 2.0 * l2 + 2.0 * l3 + l4),
-                ug,
-                bdd,
-                xa + h6 * (R * ug * cos(a) + 2.0 * x2 + 2.0 * x2 + R * ug * cos(a4)),
-                ya + h6 * (R * ug * sin(a) + 2.0 * y2 + 2.0 * y2 + R * ug * sin(a4)),
-            )
-        except (ValueError, OverflowError):
-            raise _nonfinite() from None
-        if isfinite(sum(out)) or all(map(isfinite, out)):
-            return out
-        raise _nonfinite()
+        nGm, sq = -Gm, ua**2
+        a2, b2, bd2 = a + h2 * ua, b + h2 * bd, bd + h2 * bdd
+        sb, cb = sin(b2), cos(b2)
+        l2 = nGm * cb - Im * cb * sb * sq - Jm * sb * ua * ug
+        b3, bd3 = b + h2 * bd2, bd + h2 * l2
+        sb, cb = sin(b3), cos(b3)
+        l3 = nGm * cb - Im * cb * sb * sq - Jm * sb * ua * ug
+        a4, b4, bd4 = a + dt * ua, b + dt * bd3, bd + dt * l3
+        sb, cb = sin(b4), cos(b4)
+        l4 = nGm * cb - Im * cb * sb * sq - Jm * sb * ua * ug
+        x2, y2 = R * ug * cos(a2), R * ug * sin(a2)  # stage 3 shares a2
+        return (
+            a + h6 * (ua + 2.0 * ua + 2.0 * ua + ua),
+            b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4),
+            g + h6 * (ug + 2.0 * ug + 2.0 * ug + ug),
+            ua,
+            bd + h6 * (bdd + 2.0 * l2 + 2.0 * l3 + l4),
+            ug,
+            bdd,
+            xa + h6 * (R * ug * cos(a) + 2.0 * x2 + 2.0 * x2 + R * ug * cos(a4)),
+            ya + h6 * (R * ug * sin(a) + 2.0 * y2 + 2.0 * y2 + R * ug * sin(a4)),
+        )
 
     return step
 
@@ -525,44 +505,38 @@ def _lag_stepper(params: RobotParams, dt: float, tau: float):
     def step(a, b, g, za, bd, zg, bdd, xa, ya, ua, ug):
         # (za, zg): the lag filter, which is the rates in effect;
         # bdd: lean acceleration at the step start under (za, zg)
-        try:
-            nGm = -Gm
-            fa1, fg1 = (ua - za) / tau, (ug - zg) / tau
-            a2, b2, bd2 = a + h2 * za, b + h2 * bd, bd + h2 * bdd
-            za2, zg2 = za + h2 * fa1, zg + h2 * fg1
-            sb, cb = sin(b2), cos(b2)
-            l2 = nGm * cb - Im * cb * sb * za2**2 - Jm * sb * za2 * zg2
-            fa2, fg2 = (ua - za2) / tau, (ug - zg2) / tau
-            a3, b3, bd3 = a + h2 * za2, b + h2 * bd2, bd + h2 * l2
-            za3, zg3 = za + h2 * fa2, zg + h2 * fg2
-            sb, cb = sin(b3), cos(b3)
-            l3 = nGm * cb - Im * cb * sb * za3**2 - Jm * sb * za3 * zg3
-            fa3, fg3 = (ua - za3) / tau, (ug - zg3) / tau
-            a4, b4, bd4 = a + dt * za3, b + dt * bd3, bd + dt * l3
-            za4, zg4 = za + dt * fa3, zg + dt * fg3
-            sb, cb = sin(b4), cos(b4)
-            l4 = nGm * cb - Im * cb * sb * za4**2 - Jm * sb * za4 * zg4
-            fa4, fg4 = (ua - za4) / tau, (ug - zg4) / tau
-            x1, y1 = R * zg * cos(a), R * zg * sin(a)
-            x2, y2 = R * zg2 * cos(a2), R * zg2 * sin(a2)
-            x3, y3 = R * zg3 * cos(a3), R * zg3 * sin(a3)
-            x4, y4 = R * zg4 * cos(a4), R * zg4 * sin(a4)
-            out = (
-                a + h6 * (za + 2.0 * za2 + 2.0 * za3 + za4),
-                b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4),
-                g + h6 * (zg + 2.0 * zg2 + 2.0 * zg3 + zg4),
-                za + h6 * (fa1 + 2.0 * fa2 + 2.0 * fa3 + fa4),
-                bd + h6 * (bdd + 2.0 * l2 + 2.0 * l3 + l4),
-                zg + h6 * (fg1 + 2.0 * fg2 + 2.0 * fg3 + fg4),
-                bdd,
-                xa + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
-                ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
-            )
-        except (ValueError, OverflowError):
-            raise _nonfinite() from None
-        if isfinite(sum(out)) or all(map(isfinite, out)):
-            return out
-        raise _nonfinite()
+        nGm = -Gm
+        fa1, fg1 = (ua - za) / tau, (ug - zg) / tau
+        a2, b2, bd2 = a + h2 * za, b + h2 * bd, bd + h2 * bdd
+        za2, zg2 = za + h2 * fa1, zg + h2 * fg1
+        sb, cb = sin(b2), cos(b2)
+        l2 = nGm * cb - Im * cb * sb * za2**2 - Jm * sb * za2 * zg2
+        fa2, fg2 = (ua - za2) / tau, (ug - zg2) / tau
+        a3, b3, bd3 = a + h2 * za2, b + h2 * bd2, bd + h2 * l2
+        za3, zg3 = za + h2 * fa2, zg + h2 * fg2
+        sb, cb = sin(b3), cos(b3)
+        l3 = nGm * cb - Im * cb * sb * za3**2 - Jm * sb * za3 * zg3
+        fa3, fg3 = (ua - za3) / tau, (ug - zg3) / tau
+        a4, b4, bd4 = a + dt * za3, b + dt * bd3, bd + dt * l3
+        za4, zg4 = za + dt * fa3, zg + dt * fg3
+        sb, cb = sin(b4), cos(b4)
+        l4 = nGm * cb - Im * cb * sb * za4**2 - Jm * sb * za4 * zg4
+        fa4, fg4 = (ua - za4) / tau, (ug - zg4) / tau
+        x1, y1 = R * zg * cos(a), R * zg * sin(a)
+        x2, y2 = R * zg2 * cos(a2), R * zg2 * sin(a2)
+        x3, y3 = R * zg3 * cos(a3), R * zg3 * sin(a3)
+        x4, y4 = R * zg4 * cos(a4), R * zg4 * sin(a4)
+        return (
+            a + h6 * (za + 2.0 * za2 + 2.0 * za3 + za4),
+            b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4),
+            g + h6 * (zg + 2.0 * zg2 + 2.0 * zg3 + zg4),
+            za + h6 * (fa1 + 2.0 * fa2 + 2.0 * fa3 + fa4),
+            bd + h6 * (bdd + 2.0 * l2 + 2.0 * l3 + l4),
+            zg + h6 * (fg1 + 2.0 * fg2 + 2.0 * fg3 + fg4),
+            bdd,
+            xa + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
+            ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
+        )
 
     return step
 
@@ -591,8 +565,9 @@ def rk4_step(
     The command is (u5, u6) in torque mode and (u_alpha, u_gamma) in
     velocity mode. Runs the same stepper as run_closed_loop. dt may be
     negative (backward integration, used by finite-difference oracles).
-    Raises ValueError for a mode not in MODES, and NonFiniteStateError if
-    the step produces a NaN or infinity.
+    Raises ValueError for a mode not in MODES, DegenerateLeanError if a
+    friction stage lean leaves (0, pi), and NonFiniteStateError if the step
+    produces a NaN or infinity.
     """
     step = _stepper(mode, params, dt, friction)
     st, torque = state, mode == "torque"
@@ -600,11 +575,15 @@ def rk4_step(
     try:
         # the friction stepper solves its first stage in full and reads no bdd
         bdd = None if torque and friction is not None else lean_accel(st.beta, ad, gd, params)
-    except (ValueError, OverflowError):  # an infinite lean, or a rate whose square overflows
-        raise _nonfinite() from None
-    a, b, g, ad, bd, gd, bdd, xa, ya = step(
-        st.alpha, st.beta, st.gamma, ad, st.beta_dot, gd, bdd, st.x_a, st.y_a, steer, drive,
-    )
+        out = step(st.alpha, st.beta, st.gamma, ad, st.beta_dot, gd, bdd, st.x_a, st.y_a,
+                   steer, drive)
+    except DegenerateLeanError:
+        raise
+    except (ValueError, ArithmeticError):
+        raise NonFiniteStateError(_NONFINITE) from None
+    if not (isfinite(sum(out)) or all(map(isfinite, out))):
+        raise NonFiniteStateError(_NONFINITE)
+    a, b, g, ad, bd, gd, bdd, xa, ya = out
     if not torque:  # the rates squared above, now at a finite lean: this cannot raise
         bdd = lean_accel(b, ad, gd, params)
     return WheelState(a, b, g, ad, bd, gd, bdd, xa, ya)
@@ -651,7 +630,7 @@ def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) ->
         except OverflowError:  # alpha_dot**2 is beyond the float range, and so is sigma
             c = math.inf
         s = sigma(a, b, c)
-        if s >= math.pi / 2.0:
+        if not s < math.pi / 2.0:  # so that a NaN sigma is inadmissible
             return (
                 f"sigma(a, b, c) = {_shown(s, 6)} >= pi/2 for {at}lean data "
                 f"({_shown(a, 6)}, {_shown(b, 6)}, {_shown(c, 6)})"
@@ -667,7 +646,7 @@ def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) ->
         if e0 <= EPS_DISTANCE:
             return f"{at}target distance e = {e0:.3e} is not positive"
         v1 = lean_tracking_value(st.beta, st.beta_dot)
-        if math.sqrt(v1) >= math.pi / 2.0:
+        if not math.sqrt(v1) < math.pi / 2.0:
             return (
                 f"{at}lean data outside the tracking domain: "
                 f"sqrt(V1) = {_shown(math.sqrt(v1), 6)} >= pi/2"
@@ -913,14 +892,17 @@ def run_closed_loop(cfg: SimConfig, sink=None) -> Trajectory:
                 break
         if i == n:
             break
-        try:
-            a, b, g, ad, bd, gd, bdd, xa, ya = advance(a, b, g, ad, bd, gd, bdd, xa, ya, us, ud)
-        except NonFiniteStateError as exc:
-            events.append(Event("NonFinite", t, str(exc)))
-            break
-        except DegenerateLeanError as exc:  # a stage lean left (0, pi)
+        try:  # a failed step ends the run at this row
+            out = advance(a, b, g, ad, bd, gd, bdd, xa, ya, us, ud)
+        except DegenerateLeanError as exc:
             events.append(Event("Toppled", t, str(exc)))
             break
+        except (NonFiniteStateError, ValueError, ArithmeticError):
+            out = (nan,)  # judged below as a result that is not finite
+        if not (isfinite(sum(out)) or all(map(isfinite, out))):
+            events.append(Event("NonFinite", t, _NONFINITE))
+            break
+        a, b, g, ad, bd, gd, bdd, xa, ya = out
 
     if rows:
         sink([rows[k::width] for k in range(width)])

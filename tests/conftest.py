@@ -66,6 +66,27 @@ def make_balance_config(**kwargs):
     return scenario_from_mapping(make_balance_mapping(**kwargs)).config
 
 
+def failed_step_mapping(stepper):
+    """A schema-valid scenario whose first RK4 step, by the named stepper, is not finite.
+
+    torque: u6 ~ 1/alpha_dot is -inf. friction: a finite u6 ~ 1e100 whose
+    stage steering rate squares beyond the float range. velocity and lag:
+    k4*e ~ 1e308 drives a contact point past the float range (an upright,
+    smoothed lean switch of 0 keeps u_alpha at 0, and the row finite).
+    """
+    if stepper in ("torque", "friction"):
+        m = make_balance_mapping(lean_offset=0.05, alpha_dot=1e-200 if stepper == "torque"
+                                 else 1e-100, alpha_dot_floor=1e-300, t_end=1.0)
+        return dict(m, friction={}) if stepper == "friction" else m
+    m = {
+        "name": f"{stepper}_overflow", "kind": "point_to_point", "dt": 1e-3, "t_end": 1.0,
+        "initial": {"x_a": 1e153, "y_a": 0.0, "alpha": math.pi, "beta": math.pi / 2},
+        "target": {"x": 0.0, "y": 0.0},
+        "gains": {"k3": 1e156, "k4": 1e155, "k6": 1.0, "k7": 1.0},
+    }
+    return dict(m, actuator_lag=0.05) if stepper == "lag" else m
+
+
 @pytest.fixture(scope="session")
 def balance_traj_5s():
     return run_closed_loop(make_balance_config(t_end=5.0))

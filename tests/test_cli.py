@@ -32,7 +32,7 @@ from gyrowheel import (
 from gyrowheel import cli
 from gyrowheel.cli import emit_plot_data, main
 
-from conftest import make_balance_mapping
+from conftest import failed_step_mapping, make_balance_mapping
 
 
 def _write(tmp_path, name, mapping):
@@ -165,8 +165,13 @@ _P2P = "kind: point_to_point\ntarget: {x: 0.0, y: 0.0}\ninitial: {x_a: 3.0, y_a:
      "(0.050000, 1.000000e+150, 0.000000)"),
     (_P2P + "beta: 1.5, beta_dot: 1.0e+100}\n",
      "initial lean data outside the tracking domain: sqrt(V1) = 7.071068e+99 >= pi/2"),
+    # both rate terms of the lean acceleration overflow, with opposite signs: c = inf - inf
+    ("kind: balance\nparams: {M22: 0.01}\ninitial: {beta: 1.6707963267948966, "
+     "alpha_dot: 1.3e+154, gamma_dot: 1.0e+200}\n",
+     "sigma(a, b, c) = nan >= pi/2 for initial lean data (0.100000, 0.000000, nan)"),
 ], ids=["1.7e+308-1.7000e+308", "1000000.0-1.0000e+06", "999999.0-999999.0000",
-        "balance-beta-1e200", "balance-lean_rate-1e150", "p2p-beta_dot-1e100"])
+        "balance-beta-1e200", "balance-lean_rate-1e150", "p2p-beta_dot-1e100",
+        "balance-sigma-nan"])
 def test_inadmissible_distance_message_stays_short(body, expected, tmp_path, capsys):
     path = tmp_path / "far.yaml"
     path.write_text("name: far\nt_end: 1.0\n" + body)
@@ -440,6 +445,20 @@ def test_run_non_finite_exit(tmp_path):
     assert report["exit_code"] == 1
     assert report["terminal_event"]["kind"] == "NonFinite"
     assert report["rows"] >= 1
+    assert report["final_time"] == report["terminal_event"]["time"]
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == report["rows"] + 1
+
+
+@pytest.mark.parametrize("stepper", ["torque", "friction", "velocity", "lag"])
+def test_a_failed_step_exits_non_finite(stepper, tmp_path):
+    path = _write(tmp_path, "failed_step.yaml", failed_step_mapping(stepper))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "non_finite" and report["exit_code"] == 1
+    assert [ev["kind"] for ev in report["events"]] == ["NonFinite"]
+    assert report["terminal_event"]["detail"] == "an RK4 stage produced a NaN or an infinity"
     assert report["final_time"] == report["terminal_event"]["time"]
     rows = (out / "trajectory.csv").read_text().splitlines()
     assert len(rows) == report["rows"] + 1

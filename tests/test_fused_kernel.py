@@ -7,10 +7,14 @@ closures, which compute their switches, drive floor, jerk coefficients
 and inertia solve in place), the state-object wrappers balance_control,
 position_control, line_control, polar_view and line_geometry, and the
 controllers' command, view, geometry and certificate methods. The
-strategies reach the edges where the in-place forms could part from the
-equations: a lean switch at exactly 0, an overshoot product p*s of 0,
-friction rates of exactly 0, a stage lean at 0 or pi, NaN and infinite
-values, and the charts' floors (e < EPS_DISTANCE, r <= EPS_RADIUS).
+steppers are plain arithmetic, so each is held to its oracle under the
+oracle's one failure rule, oracles._checked; rk4_step, which applies the
+package's rule as the run loop does, is held to the checked oracle at
+the failure edges of each mode. The strategies reach the edges where
+the in-place forms could part from the equations: a lean switch at
+exactly 0, an overshoot product p*s of 0, friction rates of exactly 0, a
+stage lean at 0 or pi, NaN and infinite values, and the charts' floors
+(e < EPS_DISTANCE, r <= EPS_RADIUS).
 
 The run loop compares against threshold floats bound once per run and
 builds an event only when its condition holds. The event tests put a
@@ -59,12 +63,15 @@ from gyrowheel import (
     polar_view,
     position_control,
     replace,
+    rk4_step,
     run_closed_loop,
 )
+from gyrowheel import simulate
 from gyrowheel.controllers import _balance_law, _line_law, _position_law
 from gyrowheel.kinematics import EPS_DISTANCE, EPS_RADIUS, line_chart, polar_chart
 from gyrowheel.params import Record
 from gyrowheel.simulate import (
+    MODES,
     _friction_stepper,
     _lag_stepper,
     _torque_stepper,
@@ -337,7 +344,7 @@ def test_config_refuses_a_degenerate_segment():
        ya=angles, u5=pushes, u6=pushes, dt=steps)
 def test_torque_stepper_matches_reference(a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6, dt):
     args = (a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6)
-    assert _outcome(_torque_stepper(PARAMS, dt), *args) == _outcome(
+    assert _outcome(oracles._checked(_torque_stepper(PARAMS, dt)), *args) == _outcome(
         oracles.torque_step, *args, PARAMS, dt)
 
 
@@ -347,8 +354,8 @@ def test_torque_stepper_matches_reference(a, b, g, ad, bd, gd, bdd, xa, ya, u5, 
 def test_friction_stepper_matches_reference(a, b, g, ad, bd, gd, xa, ya, u5, u6, dt,
                                             friction):
     args = (a, b, g, ad, bd, gd, 0.0, xa, ya, u5, u6)
-    assert _outcome(_friction_stepper(PARAMS, friction, dt), *args) == _outcome(
-        oracles.friction_step, *args, PARAMS, friction, dt)
+    assert _outcome(oracles._checked(_friction_stepper(PARAMS, friction, dt)), *args) == \
+        _outcome(oracles.friction_step, *args, PARAMS, friction, dt)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -356,7 +363,7 @@ def test_friction_stepper_matches_reference(a, b, g, ad, bd, gd, xa, ya, u5, u6,
        ug=pushes, dt=steps)
 def test_velocity_stepper_matches_reference(a, b, g, bd, xa, ya, bdd, ua, ug, dt):
     args = (a, b, g, ua, bd, ug, bdd, xa, ya, ua, ug)  # the loop sets the rates to the command
-    assert _outcome(_velocity_stepper(PARAMS, dt), *args) == _outcome(
+    assert _outcome(oracles._checked(_velocity_stepper(PARAMS, dt)), *args) == _outcome(
         oracles.velocity_step, *args, PARAMS, dt)
 
 
@@ -365,8 +372,41 @@ def test_velocity_stepper_matches_reference(a, b, g, bd, xa, ya, bdd, ua, ug, dt
        bdd=rates, ua=pushes, ug=pushes, dt=steps, tau=st.floats(0.01, 0.2))
 def test_lag_stepper_matches_reference(a, b, g, bd, xa, ya, za, zg, bdd, ua, ug, dt, tau):
     args = (a, b, g, za, bd, zg, bdd, xa, ya, ua, ug)
-    assert _outcome(_lag_stepper(PARAMS, dt, tau), *args) == _outcome(
+    assert _outcome(oracles._checked(_lag_stepper(PARAMS, dt, tau)), *args) == _outcome(
         oracles.lag_step, *args, PARAMS, dt, tau)
+
+
+def _rk4_outcomes(state, mode, friction=None):
+    """rk4_step's outcome with the command (1, 0) held for 0.01 s, and the checked oracle's.
+
+    As in rk4_step, the step-start lean acceleration is inside the one
+    check, and a velocity step's end lean acceleration is formed after it.
+    """
+    s, torque = state, mode == "torque"
+    ad, gd = (s.alpha_dot, s.gamma_dot) if torque else (1.0, 0.0)
+    if friction is not None:
+        raw, extra = oracles.friction_step.__wrapped__, (PARAMS, friction, 0.01)
+    else:
+        raw = (oracles.torque_step if torque else oracles.velocity_step).__wrapped__
+        extra = (PARAMS, 0.01)
+
+    @oracles._checked
+    def step():
+        bdd = 0.0 if friction is not None else oracles.lean_accel(s.beta, ad, gd, PARAMS)
+        return raw(s.alpha, s.beta, s.gamma, ad, s.beta_dot, gd, bdd, s.x_a, s.y_a, 1.0, 0.0,
+                   *extra)
+
+    def expected():
+        out = step()
+        if torque:
+            return out
+        return out[:6] + (oracles.lean_accel(out[1], 1.0, 0.0, PARAMS),) + out[7:]
+
+    def got():
+        out = rk4_step(s, mode, 1.0, 0.0, PARAMS, 0.01, friction)
+        return [getattr(out, name) for name in WheelState._fields]
+
+    return _outcome(got), _outcome(expected)
 
 
 @pytest.mark.parametrize("b, bd, expected", [
@@ -377,19 +417,48 @@ def test_lag_stepper_matches_reference(a, b, g, bd, xa, ya, za, zg, bdd, ua, ug,
     (1.0, math.inf, "NonFiniteStateError"),
 ])
 def test_friction_stage_lean_edges(b, bd, expected):
-    fp = FrictionParams()
-    args = (0.0, b, 0.0, 0.0, bd, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)  # rates of exactly 0
-    got = _outcome(_friction_stepper(PARAMS, fp, 0.01), *args)
-    assert got == _outcome(oracles.friction_step, *args, PARAMS, fp, 0.01)
+    state = WheelState(beta=b, beta_dot=bd)  # rates of exactly 0
+    got, reference = _rk4_outcomes(state, "torque", FrictionParams())
+    assert got == reference
     assert got[0] == expected
 
 
 def test_friction_stage_lean_is_read_before_the_heading():
     # the heading enters only the contact point, formed after the four stages
-    args = (math.inf, 1.0, 0.0, 0.0, -400.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-    got = _outcome(_friction_stepper(PARAMS, FrictionParams(), 0.01), *args)
-    assert got == _outcome(oracles.friction_step, *args, PARAMS, FrictionParams(), 0.01)
+    state = WheelState(alpha=math.inf, beta=1.0, beta_dot=-400.0)
+    got, reference = _rk4_outcomes(state, "torque", FrictionParams())
+    assert got == reference
     assert got[0] == "DegenerateLeanError"
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("a, b, bd", [
+    (0.0, 0.0, 0.0), (0.0, pi, 0.0), (0.0, 1.0, -400.0),  # finite: a step without friction
+    (0.0, math.nan, 0.0), (0.0, 1.0, math.inf), (math.inf, 1.0, -400.0),
+    (0.0, math.inf, 0.0),  # sin of an infinite lean, in the step-start lean acceleration
+])
+def test_rk4_step_fails_as_the_checked_oracle(mode, a, b, bd):
+    # the friction stage's lean edges: without friction only a non-finite value fails a step
+    got, reference = _rk4_outcomes(WheelState(alpha=a, beta=b, beta_dot=bd), mode)
+    assert got == reference
+    assert (got[0] == "NonFiniteStateError") is not all(map(math.isfinite, (a, b, bd)))
+
+
+def test_no_stepper_judges_its_own_step():
+    # the step's failure rule lives in run_closed_loop and rk4_step, not in the kernels
+    tree = ast.parse(Path(simulate.__file__).read_text())
+    factories = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name.endswith("_stepper") and node.name != "_stepper"]
+    assert sorted(f.name for f in factories) == [
+        "_friction_stepper", "_lag_stepper", "_torque_stepper", "_velocity_stepper"]
+    for factory in factories:
+        closures = [node for node in ast.walk(factory) if isinstance(node, ast.FunctionDef)
+                    and node is not factory]
+        assert closures
+        for node in (n for closure in closures for n in ast.walk(closure)):
+            assert not isinstance(node, ast.Try), factory.name
+            assert "isfinite" not in (getattr(node, "id", None), getattr(node, "attr", None)), \
+                factory.name
 
 
 # ------------------------------------------------------------- event bounds

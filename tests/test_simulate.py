@@ -23,7 +23,7 @@ from gyrowheel import (
     scenario_from_mapping,
 )
 
-from conftest import make_balance_config, make_balance_mapping
+from conftest import failed_step_mapping, make_balance_config, make_balance_mapping
 
 
 def test_control_command_validates_mode(params):
@@ -424,6 +424,24 @@ def test_inadmissible_p2p_lean_certificate():
         run_closed_loop(scenario_from_mapping(bad).config)
 
 
+def test_a_nan_certificate_is_outside_the_domain():
+    # "not below pi/2" holds for a NaN sigma or sqrt(V1), where ">= pi/2" does not
+    balance = scenario_from_mapping({
+        "name": "nan_sigma", "kind": "balance", "t_end": 1.0, "params": {"M22": 0.01},
+        "initial": {"beta": 1.6707963267948966, "alpha_dot": 1.3e154, "gamma_dot": 1e200},
+    }).config
+    events = detect_events(balance.initial, balance)
+    assert [(ev.kind, ev.detail) for ev in events] == [("DomainExit", (
+        "sigma(a, b, c) = nan >= pi/2 for lean data (0.100000, 0.000000, nan)"))]
+    with pytest.raises(InadmissibleStateError) as exc:
+        run_closed_loop(balance)
+    assert str(exc.value) == events[0].detail.replace("for lean", "for initial lean")
+    p2p = scenario_from_mapping(_p2p_mapping()).config
+    events = detect_events(WheelState(beta=1.6, beta_dot=math.nan, x_a=3.0), p2p)
+    assert [(ev.kind, ev.detail) for ev in events] == [("DomainExit", (
+        "lean data outside the tracking domain: sqrt(V1) = nan >= pi/2"))]
+
+
 def test_inadmissible_line_start_radius():
     sc = {
         "name": "far_start",
@@ -467,6 +485,16 @@ def test_stage_overflow_ends_the_run_as_non_finite():
     u5, u6 = traj.channel("u_steer")[-1], traj.channel("u_drive")[-1]
     with pytest.raises(NonFiniteStateError):
         rk4_step(traj.final_state, "torque", u5, u6, RobotParams(), 1e-3)
+
+
+@pytest.mark.parametrize("stepper", ["torque", "friction", "velocity", "lag"])
+def test_a_failed_step_ends_the_run_at_its_start_row(stepper):
+    cfg = scenario_from_mapping(failed_step_mapping(stepper)).config
+    traj = run_closed_loop(cfg)
+    assert traj.events == [
+        Event("NonFinite", traj.times[-1], "an RK4 stage produced a NaN or an infinity")]
+    last_row = WheelState(*(traj.channels[key][-1] for key in WheelState._fields))
+    assert traj.final_state == last_row
 
 
 @pytest.mark.parametrize(
