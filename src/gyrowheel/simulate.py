@@ -43,9 +43,11 @@ row; terminal events truncate the run at the row where they fire, so the
 last row's time is the event time. A step whose stages or result are not
 finite ends the run with a NonFinite event at the time of its first row; a
 friction step whose stage lean leaves (0, pi) ends it with a Toppled event
-the same way. A row with a value beyond the float range, or whose command
-divides by a value that underflowed to 0, ends the run with a NonFinite
-event at its time, without the row.
+the same way. A row with a value that a power (**) takes beyond the float
+range, or whose command divides by a value that underflowed to 0, ends the
+run with a NonFinite event at its time, without the row. A product or a
+quotient that overflows gives an infinity, not an error: the row is kept,
+and the step from it ends the run with the step's NonFinite event.
 
 Runs are bitwise deterministic: there is no randomness, no wall-clock
 coupling, and no platform-dependent branching in the numeric path. The
@@ -59,6 +61,7 @@ written (regrouping a product or hoisting a common factor changes bytes).
 from __future__ import annotations
 
 import math
+from array import array
 from collections import namedtuple
 from math import cos, exp, isfinite, pi, sin
 
@@ -272,16 +275,17 @@ _CHUNK_ROWS = 256
 
 
 class Trajectory:
-    """Columnar record of one run: channel arrays, events, final state.
+    """Columnar record of one run: channels, events, final state.
 
-    Built by run_closed_loop and treated as immutable afterwards. A run
-    given a sink leaves the channels empty: its rows went to the sink.
+    Built by run_closed_loop and treated as immutable afterwards. Each
+    channel is an array('d'), 8 bytes a value (list(col) is JSON-ready). A
+    run given a sink leaves the channels empty: its rows went to the sink.
     """
 
     def __init__(self, kind: str):
         self.kind = kind
         self.names: tuple[str, ...] = _KINDS[kind].channels
-        self.channels: dict[str, list[float]] = {n: [] for n in self.names}
+        self.channels: dict[str, array] = {n: array("d") for n in self.names}
         self.events: list[Event] = []
         self.final_state: WheelState | None = None
 
@@ -294,10 +298,10 @@ class Trajectory:
         return len(self.channels["t"])
 
     @property
-    def times(self) -> list[float]:
+    def times(self) -> array:
         return self.channels["t"]
 
-    def channel(self, name: str) -> list[float]:
+    def channel(self, name: str) -> array:
         try:
             return self.channels[name]
         except KeyError:
@@ -608,6 +612,11 @@ def _shown(x: float, digits: int) -> str:
     return f"{x:.{digits}f}" if abs(x) < 1e6 else f"{x:.{digits}e}"
 
 
+def _outside_half_pi(x: float) -> str:
+    """x and how it fails x < pi/2, as text: ">=" for a number, "is not below" for NaN."""
+    return f"{_shown(x, 6)} {'>=' if x >= math.pi / 2.0 else 'is not below'} pi/2"
+
+
 def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) -> str | None:
     """Name the violated domain predicate at `state`, or None if admissible.
 
@@ -632,7 +641,7 @@ def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) ->
         s = sigma(a, b, c)
         if not s < math.pi / 2.0:  # so that a NaN sigma is inadmissible
             return (
-                f"sigma(a, b, c) = {_shown(s, 6)} >= pi/2 for {at}lean data "
+                f"sigma(a, b, c) = {_outside_half_pi(s)} for {at}lean data "
                 f"({_shown(a, 6)}, {_shown(b, 6)}, {_shown(c, 6)})"
             )
         if abs(st.alpha_dot) < thr.alpha_dot_floor:
@@ -649,7 +658,7 @@ def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) ->
         if not math.sqrt(v1) < math.pi / 2.0:
             return (
                 f"{at}lean data outside the tracking domain: "
-                f"sqrt(V1) = {_shown(math.sqrt(v1), 6)} >= pi/2"
+                f"sqrt(V1) = {_outside_half_pi(math.sqrt(v1))}"
             )
         return None
     # line / corridor
@@ -761,9 +770,9 @@ def run_closed_loop(cfg: SimConfig, sink=None) -> Trajectory:
 
     The rows go to ``sink(columns)`` _CHUNK_ROWS at a time (the last chunk
     shorter; none for a run of no row), one list per channel in
-    Trajectory.names order. Without a sink the first chunk's columns become
-    the returned Trajectory's channels and each later chunk extends them;
-    with one, it holds the events and final state.
+    Trajectory.names order, holding the rows' own float objects. Without a
+    sink each chunk is appended to the returned Trajectory's channels, as
+    doubles; with one, it holds the events and final state.
     """
     violated = _admissibility_violation(cfg)
     if violated is not None:
@@ -789,13 +798,10 @@ def run_closed_loop(cfg: SimConfig, sink=None) -> Trajectory:
 
     traj = Trajectory(kind)
     events = traj.events
-    if sink is None:  # a library run keeps every row
-        def sink(chunk, channels=traj.channels, names=traj.names):
-            if channels["t"]:
-                for col, values in zip(channels.values(), chunk):
-                    col.extend(values)
-            else:  # the first chunk's columns become the channels, uncopied
-                channels.update(zip(names, chunk))
+    if sink is None:  # a library run keeps every row, 8 bytes a value
+        def sink(chunk, cols=tuple(traj.channels.values())):
+            for col, values in zip(cols, chunk):
+                col.fromlist(values)  # extend() would take the slower iterator path
 
     width = len(traj.names)
     full = _CHUNK_ROWS * width

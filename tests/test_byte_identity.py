@@ -98,7 +98,7 @@ def _dir_digest(out_dir) -> str:
 def _traj_digest(traj) -> str:
     h = hashlib.sha256()
     for name in traj.names:
-        h.update(name.encode() + b"\0" + repr(traj.channels[name]).encode())
+        h.update(name.encode() + b"\0" + repr(list(traj.channels[name])).encode())
     for ev in traj.events:
         h.update(f"{ev.kind}|{ev.time!r}|{ev.detail}".encode())
     h.update(repr(traj.final_state).encode())

@@ -165,10 +165,11 @@ _P2P = "kind: point_to_point\ntarget: {x: 0.0, y: 0.0}\ninitial: {x_a: 3.0, y_a:
      "(0.050000, 1.000000e+150, 0.000000)"),
     (_P2P + "beta: 1.5, beta_dot: 1.0e+100}\n",
      "initial lean data outside the tracking domain: sqrt(V1) = 7.071068e+99 >= pi/2"),
-    # both rate terms of the lean acceleration overflow, with opposite signs: c = inf - inf
+    # both rate terms of the lean acceleration overflow, with opposite signs:
+    # c = inf - inf, and a NaN sigma is not below pi/2, where ">=" would be false
     ("kind: balance\nparams: {M22: 0.01}\ninitial: {beta: 1.6707963267948966, "
      "alpha_dot: 1.3e+154, gamma_dot: 1.0e+200}\n",
-     "sigma(a, b, c) = nan >= pi/2 for initial lean data (0.100000, 0.000000, nan)"),
+     "sigma(a, b, c) = nan is not below pi/2 for initial lean data (0.100000, 0.000000, nan)"),
 ], ids=["1.7e+308-1.7000e+308", "1000000.0-1.0000e+06", "999999.0-999999.0000",
         "balance-beta-1e200", "balance-lean_rate-1e150", "p2p-beta_dot-1e100",
         "balance-sigma-nan"])
@@ -968,7 +969,7 @@ def test_decay_summary_fits_the_finite_samples(spoil):
     if spoil == "some":
         v[0], v[7], v[-1] = math.nan, math.inf, -math.inf
     elif spoil == "all":
-        v[:] = [math.nan] * len(v)
+        v[:] = array("d", [math.nan] * len(v))
     expected = _loop_decay_summary(traj)
     assert repr(cli._decay_summary(traj)) == repr(expected)
     assert (expected is None) == (spoil == "all")
@@ -982,6 +983,7 @@ def test_report_reads_doubles_as_it_reads_lists(scenario):
     sc = replace(sc, config=replace(sc.config, t_end=0.3))
     traj = run_closed_loop(sc.config)
     name = cli._KINDS[sc.config.kind].cert
+    traj.channels.update({n: list(col) for n, col in traj.channels.items()})
     v = traj.channels[name]
     v[3], v[10], v[20], v[-1] = math.nan, math.inf, -0.0, -math.inf
     v[30:36] = [1e-13, 0.0, 5e-324, -0.0, 1e-12, 2e-12]  # at and below the fit's rate_floor

@@ -432,14 +432,14 @@ def test_a_nan_certificate_is_outside_the_domain():
     }).config
     events = detect_events(balance.initial, balance)
     assert [(ev.kind, ev.detail) for ev in events] == [("DomainExit", (
-        "sigma(a, b, c) = nan >= pi/2 for lean data (0.100000, 0.000000, nan)"))]
+        "sigma(a, b, c) = nan is not below pi/2 for lean data (0.100000, 0.000000, nan)"))]
     with pytest.raises(InadmissibleStateError) as exc:
         run_closed_loop(balance)
     assert str(exc.value) == events[0].detail.replace("for lean", "for initial lean")
     p2p = scenario_from_mapping(_p2p_mapping()).config
     events = detect_events(WheelState(beta=1.6, beta_dot=math.nan, x_a=3.0), p2p)
     assert [(ev.kind, ev.detail) for ev in events] == [("DomainExit", (
-        "lean data outside the tracking domain: sqrt(V1) = nan >= pi/2"))]
+        "lean data outside the tracking domain: sqrt(V1) = nan is not below pi/2"))]
 
 
 def test_inadmissible_line_start_radius():
@@ -495,6 +495,15 @@ def test_a_failed_step_ends_the_run_at_its_start_row(stepper):
         Event("NonFinite", traj.times[-1], "an RK4 stage produced a NaN or an infinity")]
     last_row = WheelState(*(traj.channels[key][-1] for key in WheelState._fields))
     assert traj.final_state == last_row
+
+
+def test_a_command_that_overflows_by_a_quotient_is_kept():
+    # only ** raises OverflowError in a row; u6 ~ 1/alpha_dot at alpha_dot =
+    # 1e-200 is -inf, so the row is written and the step from it ends the run
+    traj = run_closed_loop(scenario_from_mapping(failed_step_mapping("torque")).config)
+    assert traj.channel("u_drive")[-1] == -math.inf
+    assert traj.events == [
+        Event("NonFinite", traj.times[-1], "an RK4 stage produced a NaN or an infinity")]
 
 
 @pytest.mark.parametrize(

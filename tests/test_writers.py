@@ -7,7 +7,9 @@ than two chunks whose length is not a multiple of the chunk size, with
 nan, inf and -inf in a channel, and for a 1-row non-finite run. It is the
 run loop's sink, so the real loop streams into it: a run_scenario run must
 give the oracles' bytes for the Trajectory that run_closed_loop returns
-without a sink, at and across chunk edges and for a run of no row.
+without a sink, at and across chunk edges and for a run of no row. That
+Trajectory holds doubles, which share no float object; the cases whose
+columns share objects are built from the lists the loop hands its sink.
 """
 
 import json
@@ -55,7 +57,7 @@ def oracle_json(traj):
         "mode": traj.mode,
         "names": list(traj.names),
         "units": {n: CHANNEL_INFO[n][0] for n in traj.names},
-        "channels": {n: traj.channels[n] for n in traj.names},
+        "channels": {n: list(traj.channels[n]) for n in traj.names},
         "events": [{"kind": ev.kind, "time": ev.time, "detail": ev.detail} for ev in traj.events],
         "final_state": cli._state_dict(traj.final_state) if traj.final_state else None,
     }
@@ -91,6 +93,16 @@ def _rows_scenario(name, rows=ROWS):
     sc = parse_scenario(bundled_scenario_path(name))
     cfg = replace(sc.config, t_end=(rows - 1) * sc.config.dt, stop_on_converged=False)
     return replace(sc, config=cfg)
+
+
+def _run_keeping_objects(cfg):
+    """run_closed_loop, its channels the lists its sink was handed: the rows' own float objects."""
+    chunks = []
+    traj = run_closed_loop(cfg, chunks.append)
+    traj.channels.update(
+        (name, [v for chunk in chunks for v in chunk[k]]) for k, name in enumerate(traj.names)
+    )
+    return traj
 
 
 @pytest.fixture(scope="module", params=["balance_default", "line_5m"])
@@ -167,7 +179,7 @@ def test_each_value_is_formatted_once(fmt, tmp_path, monkeypatch):
         return repr(value)
 
     sc = _rows_scenario("p2p_default")
-    traj = run_closed_loop(sc.config)
+    traj = _run_keeping_objects(sc.config)
     assert len(sc.plot_channels) >= 2
     # velocity mode without lag: the commanded rates act at once, so
     # u_steer and u_drive hold alpha_dot's and gamma_dot's float objects
@@ -178,13 +190,16 @@ def test_each_value_is_formatted_once(fmt, tmp_path, monkeypatch):
     _run_with(monkeypatch, sc, traj, tmp_path, fmt)
     assert len(calls) == traj.row_count * (len(traj.names) - 2)  # rows x distinct columns
 
+    # a library run's channels are doubles and share no object: each
+    # plotted channel is formatted once, a repeated name not again
     calls.clear()
-    cli.emit_plot_data(traj, ("beta", "t", "beta", "V", "alpha_dot", "u_steer"), tmp_path)
-    assert len(calls) == traj.row_count * 4  # t, beta, V, alpha_dot = u_steer
+    held = run_closed_loop(sc.config)
+    cli.emit_plot_data(held, ("beta", "t", "beta", "V", "alpha_dot", "u_steer"), tmp_path)
+    assert len(calls) == held.row_count * 5  # t, beta, V, alpha_dot, u_steer
 
     # a line run has one segment: its float object is formatted once per chunk
     sc = _rows_scenario("line_5m")
-    traj = run_closed_loop(sc.config)
+    traj = _run_keeping_objects(sc.config)
     assert set(map(id, traj.channels["segment"])) == {id(traj.channels["segment"][0])}
     calls.clear()
     _run_with(monkeypatch, sc, traj, tmp_path, fmt)
@@ -204,13 +219,13 @@ def _toppled_velocity_run():
         thresholds=replace(cfg.thresholds, topple_margin=1.5645),
     )
     sc = replace(sc, config=cfg, plot_channels=("alpha_dot", "u_steer", "u_drive"))
-    return sc, run_closed_loop(cfg)
+    return sc, _run_keeping_objects(cfg)
 
 
 def _truncated_long_velocity_run():
     """A long point-to-point run cut after row CHUNK + 10 as a topple cuts it."""
     sc = _rows_scenario("p2p_default")
-    traj = run_closed_loop(sc.config)
+    traj = _run_keeping_objects(sc.config)
     for col in traj.channels.values():
         del col[CHUNK + 11:]
     traj.channels["u_steer"][-1] = traj.channels["u_drive"][-1] = math.nan
@@ -220,7 +235,7 @@ def _truncated_long_velocity_run():
 def _signed_zeros_run():
     """Columns that hold equal but differently signed zeros, or one shared zero."""
     sc = _rows_scenario("p2p_default")
-    traj = run_closed_loop(sc.config)
+    traj = _run_keeping_objects(sc.config)
     ch = traj.channels
     ch["alpha_dot"][5], ch["u_steer"][5] = 0.0, -0.0  # equal, not the same object
     zero = -0.0
@@ -239,7 +254,7 @@ def _corridor_advancing_mid_chunk():
         waypoints=((0.0, 0.0), (0.3, 0.0), (0.28, 0.01), (2.0, 0.5)),
     )
     sc = replace(sc, config=cfg, plot_channels=("segment", "d"))
-    traj = run_closed_loop(cfg)
+    traj = _run_keeping_objects(cfg)
     seg = traj.channels["segment"]
     assert [i for i in range(1, len(seg)) if seg[i] != seg[i - 1]] == [401, 402]
     return sc, traj
@@ -248,7 +263,7 @@ def _corridor_advancing_mid_chunk():
 def _constant_chunks_at_edges():
     """segment changes on the last row of a chunk and on the first of the next."""
     sc = _rows_scenario("line_5m")
-    traj = run_closed_loop(sc.config)
+    traj = _run_keeping_objects(sc.config)
     one, two = 1.0, 2.0
     seg = traj.channels["segment"]
     seg[CHUNK - 1] = one
@@ -366,3 +381,22 @@ def test_json_memory_grows_by_the_held_text(tmp_path):
     # a --format json run also holds every channel's text until the run ends:
     # about 359 B a row measured on balance_default
     assert _run_growth("json", tmp_path) <= 400
+
+
+@pytest.mark.parametrize("name, limit", [("balance_default", 130), ("line_5m", 180)])
+def test_a_library_run_holds_its_rows_as_doubles(name, limit):
+    # run_closed_loop without a sink keeps every row, 8 B a value in
+    # array('d'): about 110 B a row measured on balance_default (13
+    # channels) and 153 B on line_5m (18), with the arrays' spare room
+    runs = [_rows_scenario(name, chunks * CHUNK).config for chunks in (2, 16)]
+    run_closed_loop(runs[0])  # first-call allocations out of the counts
+    held = []
+    for cfg in runs:
+        tracemalloc.start()
+        try:
+            traj = run_closed_loop(cfg)
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert traj.row_count == cfg.n_steps + 1
+    assert (held[1] - held[0]) / (14 * CHUNK) <= limit
