@@ -5,7 +5,9 @@ offset, lean rate, lean acceleration) with a law whose closed-loop lean
 jerk is exactly linear and stable, while the steering rate decays through
 a quartic-root feedback that never crosses zero in finite time. The rolling
 channel u6 divides by the jerk input gain h3, which is proportional to the
-steering rate: hence the singularity floor.
+steering rate: hence the singularity floor, Thresholds.alpha_dot_floor,
+which the simulation loop tests before each command. A command tests no
+threshold; a zero h3 raises ZeroDivisionError.
 
 Point-to-point and line tracking work at the velocity level, commanding
 (u_alpha, u_gamma) directly. Both steer by switching the lean: tipping the
@@ -49,7 +51,6 @@ from .params import Record, RobotParams
 from .switching import hard_sign
 
 __all__ = [
-    "SingularSteeringError",
     "BalanceGains",
     "Smoothing",
     "PositionGains",
@@ -61,17 +62,9 @@ __all__ = [
     "BalanceController",
     "PositionController",
     "LineController",
-    "DEFAULT_ALPHA_DOT_FLOOR",
 ]
 
-# Default steering-rate magnitude below which u6 is considered unbounded.
-DEFAULT_ALPHA_DOT_FLOOR = 1e-4
-
 _HALF_PI = math.pi / 2.0
-
-
-class SingularSteeringError(RuntimeError):
-    """Raised when the balance law is evaluated with |alpha_dot| below its floor."""
 
 
 def _require(ok: bool, key: str, constraint: str, value: float) -> None:
@@ -171,9 +164,7 @@ def _balance_law(gains: BalanceGains, sign0: float, params: RobotParams):
         h2 = -Im * sin(2.0 * beta) * alpha_dot - Jm * sb * gamma_dot
         h3 = -Jm * sb * alpha_dot
         if h3 == 0.0:
-            raise SingularSteeringError(
-                "steering rate is zero: rolling-channel gain h3 vanished"
-            )
+            raise ZeroDivisionError("steering rate is zero: rolling-channel gain h3 vanished")
         target_jerk = c0 * x + c1 * beta_dot + c0 * beta_ddot
         u6 = -(target_jerk + h1 * beta_dot + h2 * u5) / h3
         return (u5, u6)
@@ -296,19 +287,16 @@ def line_control(
 
 
 class BalanceController:
-    """Balance controller: gains, the latched steering sign and the floor bound once."""
+    """Balance controller: the law with its gains and latched steering sign bound once.
 
-    def __init__(
-        self,
-        gains: BalanceGains,
-        params: RobotParams,
-        alpha_dot0: float,
-        alpha_dot_floor: float = DEFAULT_ALPHA_DOT_FLOOR,
-    ) -> None:
+    The caller keeps |alpha_dot| above a floor; the simulation loop tests
+    Thresholds.alpha_dot_floor before each command.
+    """
+
+    def __init__(self, gains: BalanceGains, params: RobotParams, alpha_dot0: float) -> None:
         self.gains = gains
         self.params = params
         self.sign0 = hard_sign(alpha_dot0)
-        self.alpha_dot_floor = alpha_dot_floor
         self._law = _balance_law(gains, self.sign0, params)
 
     def certificate(self, state: WheelState) -> float:
@@ -327,11 +315,6 @@ class BalanceController:
         V: float,
     ) -> tuple[float, float]:
         """Balance command (u5, u6); V is the certificate at the same lean data."""
-        if abs(alpha_dot) < self.alpha_dot_floor:
-            raise SingularSteeringError(
-                f"|alpha_dot| = {abs(alpha_dot):.3e} below floor "
-                f"{self.alpha_dot_floor:.3e}"
-            )
         return self._law(beta, alpha_dot, beta_dot, gamma_dot, beta_ddot, V)
 
 

@@ -58,12 +58,6 @@ _TOP_KEYS = (
     "initial", "gains", "target", "waypoints", "friction", "thresholds",
     "actuator_lag", "rate_limits", "plot_channels",
 )
-# the keys of these blocks are the records' fields
-_PARAM_KEYS = RobotParams._fields
-_FRICTION_KEYS = FrictionParams._fields
-_THRESHOLD_KEYS = Thresholds._fields
-# a tracking gains block holds Smoothing's fields flat, beside hard_switching
-_SMOOTHING_KEYS = Smoothing._fields
 # each form of the initial block maps its keys, in read order, to their
 # defaults; None marks a required key
 _BALANCE_COMMON = {"alpha_dot": None, "alpha": 0.0, "gamma": 0.0, "x_a": 0.0, "y_a": 0.0}
@@ -161,16 +155,16 @@ def _build(cls, where: str, **kwargs):
         raise ScenarioError(f"{where}{exc}") from None
 
 
-def _parse_block(data: dict, key: str, cls, keys: tuple):
+def _parse_block(data: dict, key: str, cls):
     """cls from the block at `key`, whose keys are cls's fields; an absent block is empty.
 
-    Values are read in the order of keys; a field whose default is a tuple
-    takes a list of three numbers.
+    Values are read in field order; a field whose default is a tuple takes
+    a list of three numbers.
     """
     block = _require_mapping(data.get(key, {}), key)
-    _check_keys(block, keys, key)
+    _check_keys(block, cls._fields, key)
     kwargs = {k: (_triple if isinstance(getattr(cls, k), tuple) else _num)(block, k, key)
-              for k in keys if k in block}
+              for k in cls._fields if k in block}
     return _build(cls, f"{key}: ", **kwargs)
 
 
@@ -180,7 +174,7 @@ def _parse_smoothing(block: dict, where: str) -> Smoothing | None:
         if "k6" in block or "k7" in block:
             raise ScenarioError(f"{where}: hard_switching excludes k6/k7")
         return None
-    kwargs = {k: _num(block, k, where) for k in _SMOOTHING_KEYS if k in block}
+    kwargs = {k: _num(block, k, where) for k in Smoothing._fields if k in block}
     return _build(Smoothing, f"{where}.", **kwargs)
 
 
@@ -195,7 +189,8 @@ def _parse_gains(data: dict, kind: str):
     block = _require_mapping(data.get("gains", {}), "gains")
     kwargs = {}
     if "smoothing" in names:
-        _check_keys(block, keys + _SMOOTHING_KEYS + ("hard_switching",), "gains")
+        # a tracking gains block holds Smoothing's fields flat, beside hard_switching
+        _check_keys(block, keys + Smoothing._fields + ("hard_switching",), "gains")
         kwargs["smoothing"] = _parse_smoothing(block, "gains")
     else:
         _check_keys(block, keys, "gains")
@@ -330,7 +325,7 @@ def scenario_from_mapping(data: dict, default_name: str = "scenario") -> Scenari
 
     dt = _num(data, "dt", "scenario", default=1e-3)
     t_end = _num(data, "t_end", "scenario")
-    params = _parse_block(data, "params", RobotParams, _PARAM_KEYS)
+    params = _parse_block(data, "params", RobotParams)
     gains = _parse_gains(data, kind)
     if "initial" not in data:
         raise ScenarioError("scenario: missing required key 'initial'")
@@ -353,9 +348,8 @@ def scenario_from_mapping(data: dict, default_name: str = "scenario") -> Scenari
     elif "waypoints" in data:
         raise ScenarioError(f"waypoints: not used by kind {kind!r}")
 
-    friction = (_parse_block(data, "friction", FrictionParams, _FRICTION_KEYS)
-                if "friction" in data else None)
-    thresholds = _parse_block(data, "thresholds", Thresholds, _THRESHOLD_KEYS)
+    friction = _parse_block(data, "friction", FrictionParams) if "friction" in data else None
+    thresholds = _parse_block(data, "thresholds", Thresholds)
     stop_on_converged = _bool(data, "stop_on_converged", "scenario", default=True)
     actuator_lag = _num(data, "actuator_lag", "scenario", default=0.0)
     rate_limits = _parse_rate_limits(data, kind, gains, initial, target)

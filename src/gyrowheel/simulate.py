@@ -66,14 +66,12 @@ from collections import namedtuple
 from math import cos, exp, isfinite, pi, sin
 
 from .controllers import (
-    DEFAULT_ALPHA_DOT_FLOOR,
     BalanceController,
     BalanceGains,
     LineController,
     LineGains,
     PositionController,
     PositionGains,
-    SingularSteeringError,
     sigma,
 )
 from .dynamics import DegenerateLeanError, WheelState, _require_open_lean, lean_accel
@@ -170,7 +168,9 @@ class Thresholds(Record):
     """Event thresholds. All are engineering choices, overridable per scenario."""
 
     topple_margin: float = 0.01
-    alpha_dot_floor: float = DEFAULT_ALPHA_DOT_FLOOR
+    # the balance law's u6 divides by h3 = -Jm*sin(beta)*alpha_dot: below
+    # this steering rate the command is taken as unbounded
+    alpha_dot_floor: float = 1e-4
     lean: float = 1e-4
     lean_rate: float = 1e-4
     steer_rate: float = 1e-3
@@ -598,10 +598,7 @@ def rk4_step(
 
 def _build_controller(cfg: SimConfig):
     if cfg.kind == "balance":
-        return BalanceController(
-            cfg.gains, cfg.params, cfg.initial.alpha_dot,
-            alpha_dot_floor=cfg.thresholds.alpha_dot_floor,
-        )
+        return BalanceController(cfg.gains, cfg.params, cfg.initial.alpha_dot)
     if cfg.kind == "point_to_point":
         return PositionController(cfg.gains, cfg.params, cfg.target)
     return LineController(cfg.gains, cfg.params, cfg.waypoints)
@@ -644,7 +641,7 @@ def _admissibility_violation(cfg: SimConfig, state: WheelState | None = None) ->
                 f"sigma(a, b, c) = {_outside_half_pi(s)} for {at}lean data "
                 f"({_shown(a, 6)}, {_shown(b, 6)}, {_shown(c, 6)})"
             )
-        if abs(st.alpha_dot) < thr.alpha_dot_floor:
+        if _singular_event(0.0, st.alpha_dot, thr) is not None:
             return (
                 f"{at}|alpha_dot| = {abs(st.alpha_dot):.3e} below the "
                 f"singularity floor {thr.alpha_dot_floor:.3e}"
@@ -868,7 +865,7 @@ def run_closed_loop(cfg: SimConfig, sink=None) -> Trajectory:
         except OverflowError:  # a finite rate or distance whose square is not
             events.append(Event("NonFinite", t, "a value of this row is beyond the float range"))
             break
-        except (ZeroDivisionError, SingularSteeringError) as exc:  # drive floor, or balance h3
+        except ZeroDivisionError as exc:  # drive floor, or balance h3
             events.append(Event("NonFinite", t, f"the command's divisor underflowed to 0: {exc}"))
             break
 

@@ -25,7 +25,6 @@ from gyrowheel import (
     DegenerateLeanError,
     DegenerateLineError,
     NonFiniteStateError,
-    SingularSteeringError,
 )
 from gyrowheel.kinematics import EPS_DISTANCE, EPS_RADIUS
 
@@ -171,7 +170,7 @@ def balance_law(beta, alpha_dot, beta_dot, gamma_dot, beta_ddot, V, gains, sign0
     u5 = -(alpha_dot - sign0 * (gains.k2 * V) ** 0.25)
     h1, h2, h3 = jerk_coeffs(beta, alpha_dot, gamma_dot, params)
     if h3 == 0.0:
-        raise SingularSteeringError("steering rate is zero: rolling-channel gain h3 vanished")
+        raise ZeroDivisionError("steering rate is zero: rolling-channel gain h3 vanished")
     c0, c1 = 2.0 + gains.k1, 3.0 + 2.0 * gains.k1
     target_jerk = c0 * (beta - HALF_PI) + c1 * beta_dot + c0 * beta_ddot
     return (u5, -(target_jerk + h1 * beta_dot + h2 * u5) / h3)

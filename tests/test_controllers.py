@@ -11,7 +11,6 @@ from gyrowheel import (
     PositionController,
     PositionGains,
     RobotParams,
-    SingularSteeringError,
     Smoothing,
     WheelState,
     balance_control,
@@ -89,7 +88,7 @@ class TestBalanceControl:
 
     def test_zero_steering_rate_is_singular(self, params):
         st = WheelState(beta=math.pi / 2, alpha_dot=0.0, beta_ddot=0.0)
-        with pytest.raises(SingularSteeringError):
+        with pytest.raises(ZeroDivisionError):
             balance_control(st, BalanceGains(), 0.0, 1.0, params)
 
     def test_gain_invariants(self):
@@ -111,16 +110,6 @@ class TestBalanceController:
         # with a nonzero certificate the branches separate
         st = WheelState(beta=math.pi / 2 + 0.05, alpha_dot=1.0)
         assert _balance_command(ctl, st)[0] < _balance_command(ctl_pos, st)[0]
-
-    def test_floor_guard(self, params):
-        ctl = BalanceController(BalanceGains(), params, alpha_dot0=1.0)
-        with pytest.raises(SingularSteeringError):
-            _balance_command(ctl, _upright(alpha_dot=5e-5, beta_ddot=0.0))
-        raised = BalanceController(
-            BalanceGains(), params, alpha_dot0=1.0, alpha_dot_floor=0.01
-        )
-        with pytest.raises(SingularSteeringError):
-            _balance_command(raised, _upright(alpha_dot=5e-3, beta_ddot=0.0))
 
     def test_certificate_fills_missing_lean_accel(self, params):
         ctl = BalanceController(BalanceGains(), params, alpha_dot0=1.0)

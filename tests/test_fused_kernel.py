@@ -48,7 +48,6 @@ from gyrowheel import (
     PositionGains,
     RobotParams,
     SimConfig,
-    SingularSteeringError,
     Smoothing,
     Thresholds,
     WheelState,
@@ -187,8 +186,7 @@ def test_balance_law_matches_reference(lean, alpha_dot, gamma_dot, beta_ddot, V,
     state = WheelState(beta=beta, alpha_dot=alpha_dot, beta_dot=beta_dot,
                        gamma_dot=gamma_dot, beta_ddot=beta_ddot)
     assert _outcome(balance_control, state, gains, V, sign0, PARAMS) == expected
-    # a zero floor leaves the steering-rate test to the run loop
-    ctl = BalanceController(gains, PARAMS, sign0, alpha_dot_floor=0.0)
+    ctl = BalanceController(gains, PARAMS, sign0)
     assert _outcome(ctl.command, *args) == expected
 
 
@@ -230,7 +228,7 @@ def test_law_edges_are_reached():
     law = _balance_law(BalanceGains(), 1.0, PARAMS)
     with pytest.raises(DegenerateLeanError, match="outside"):
         law(pi, 1.0, 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(SingularSteeringError, match="h3 vanished"):
+    with pytest.raises(ZeroDivisionError, match="h3 vanished"):
         law(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
@@ -244,7 +242,7 @@ def test_law_edges_are_reached():
 def test_balance_command_matches_state_law(beta, alpha_dot, beta_dot, gamma_dot, k1, k2,
                                            alpha_dot0, cached):
     gains = BalanceGains(k1=k1, k2=k2)
-    ctl = BalanceController(gains, PARAMS, alpha_dot0, alpha_dot_floor=1e-4)
+    ctl = BalanceController(gains, PARAMS, alpha_dot0)
     sign0 = 1.0 if alpha_dot0 >= 0.0 else -1.0
     assert ctl.sign0 == sign0
     bdd = oracles.lean_accel(beta, alpha_dot, gamma_dot, PARAMS)

@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from gyrowheel import (
+    BalanceController,
     Event,
     InadmissibleStateError,
     LineGains,
@@ -251,6 +254,64 @@ def test_singular_steering_truncates_run():
     assert ev.time == pytest.approx(18.065, abs=1e-9)
     assert abs(traj.channel("alpha_dot")[-1]) < 1e-4
     assert math.isnan(traj.channel("u_drive")[-1])
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _balance_floor_mappings(draw):
+    """Balance runs of at most 0.3 s; the floor is drawn on its own or just under the start rate."""
+    alpha_dot = draw(st.sampled_from((-1.0, 1.0))) * draw(_log_uniform(-9.0, 0.5))
+    floor = draw(st.one_of(_log_uniform(-12.0, -1.0),
+                           st.floats(0.9, 1.0, exclude_max=True).map(lambda r: r * abs(alpha_dot))))
+    dt = draw(st.sampled_from([1e-3, 5e-3, 0.02]))
+    m = make_balance_mapping(
+        lean_offset=draw(st.floats(-0.3, 0.3)), lean_rate=draw(st.floats(-0.5, 0.5)),
+        lean_accel=draw(st.floats(-0.5, 0.5)), alpha_dot=alpha_dot,
+        t_end=draw(st.floats(dt, 0.3)), dt=dt, k1=draw(st.floats(0.0, 3.0)),
+        k2=draw(st.floats(0.1, 3.0)), alpha_dot_floor=floor, stop_on_converged=draw(st.booleans()),
+    )
+    if draw(st.booleans()):
+        m["friction"] = draw(st.sampled_from([{}, {"D": 0.01}]))
+    return m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=_balance_floor_mappings())
+def test_balance_command_sees_no_rate_below_the_floor(m):
+    # the loop tests Thresholds.alpha_dot_floor before each command, so the
+    # controller needs no floor test of its own
+    cfg = scenario_from_mapping(m).config
+    floor = cfg.thresholds.alpha_dot_floor
+    rates = []
+    original = BalanceController.__dict__["command"]
+
+    def seen(self, beta, alpha_dot, *rest):
+        rates.append(alpha_dot)
+        return original(self, beta, alpha_dot, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BalanceController, "command", seen)
+        try:
+            traj = run_closed_loop(cfg)
+        except InadmissibleStateError:
+            event("inadmissible start")
+            return
+    assert all(abs(ad) >= floor for ad in rates)
+    if traj.row_count == 0:
+        return
+    margin = cfg.thresholds.topple_margin
+    below = (abs(traj.channel("alpha_dot")[-1]) < floor  # a topple is tested first
+             and margin < traj.channel("beta")[-1] < math.pi - margin)
+    singular = [e for e in traj.events if e.kind == "SingularSteering"]
+    if below:
+        event("floor reached")
+        assert singular == [traj.events[-1]]
+        assert singular[0].time == traj.times[-1]
+    else:
+        assert singular == []
 
 
 def test_converged_event_recorded_once(balance_traj_20s):
