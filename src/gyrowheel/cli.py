@@ -16,14 +16,14 @@ shortest ``repr``, and ``trajectory.json`` is exactly
 ``json.dumps(doc, indent=2, allow_nan=True)`` (non-finite values as the
 ``NaN``/``Infinity``/``-Infinity`` literals). One output pass, the run
 loop's sink, writes the trajectory and plot files of a run from the chunks
-of rows the loop hands it, formatting each distinct value once (a column
-holding an earlier column's float objects reuses its text); the run keeps
-only t and its certificate, as 8-byte doubles, and its last row. A
-``--format json`` run also holds every channel's text until it ends, since
-that file is laid out channel by channel. Scenario files are read with
-libyaml when it is present; every error text is the pure-Python loader's.
-PyYAML is imported by the first scenario file parsed (run, batch,
-validate), so list-channels never loads it.
+of rows the loop hands it, by one path per chunk that formats each distinct
+value once (a column holding an earlier column's float objects reuses its
+strings); the run keeps only t and its certificate, as 8-byte doubles, and
+its last row. A ``--format json`` run holds one chunk's strings while it
+joins them, and each channel's text until it ends (the file is laid out by
+channel). Scenario files are read with libyaml when it is present; every
+error text is the pure-Python loader's. PyYAML is imported by the first
+scenario file parsed (run, batch, validate), so list-channels never loads it.
 """
 
 from __future__ import annotations
@@ -98,19 +98,20 @@ def _event_dict(ev: Event) -> dict:
 #
 # One pass, the run loop's sink, writes a run's trajectory file and its plot
 # files from the chunks of _CHUNK_ROWS rows the loop hands it, so the rows
-# held at once are one chunk's. Each distinct value is formatted once, by
-# _repr, and every file that shows it is written from that one string: a
-# column chunk holding the same float objects as an earlier column's chunk
-# reuses that column's strings (identity, not ==, because -0.0 == 0.0 but
-# their reprs differ), and a chunk whose values are all one object is
-# formatted once. CSV and plot rows are joined in C and written as each
-# chunk arrives. trajectory.json is laid out channel by channel, so there
-# each column's chunk text is formatted at once (an aliasing column holds
-# the same text) and held until the run ends. The files are opened at the
-# first chunk, or at the end of a run of no row, so a refused run writes
-# none. For the report the pass keeps t and the certificate, whose decay
-# fit reads every sample, as doubles in array('d') (8 bytes a value, each
-# double exact), and the last row.
+# held at once are one chunk's. Each chunk takes one path, whatever the
+# format: each shown column is formatted once, by _repr, into one list of
+# strings, which every file that shows it is written from. A column chunk
+# holding the same float objects as an earlier column's chunk reuses that
+# column's list (identity, not ==, because -0.0 == 0.0 but their reprs
+# differ), and a chunk whose values are all one object is formatted once.
+# CSV and plot rows are joined in C and written as each chunk arrives.
+# trajectory.json is laid out channel by channel, so a JSON run joins each
+# list into one text (an aliasing column appends its source's) and holds the
+# texts until the run ends; it holds one chunk's strings while it joins them.
+# The files are opened at the first chunk, or at the end of a run of no row,
+# so a refused run writes none. For the report the pass keeps t and the
+# certificate, whose decay fit reads every sample, as doubles in array('d')
+# (8 bytes a value, each double exact), and the last row.
 
 _repr = repr  # the one formatting step: a float's shortest round-trip text
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -187,27 +188,18 @@ class _OutputPass(ExitStack):
         self.last = [col[-1:] for col in columns]
         chunks = [columns[i] for i in self.picked]
         aliases = [_alias(chunks, k) for k in range(len(chunks))]
-        plotted = [aliases[i] for i in self.pairs]  # the column each plot file's strings come from
-        if self.texts is None:  # every column's strings make the rows
-            strs = []
+        strs = []  # each shown column's strings; an aliasing column's are its source's list
+        for k, j in enumerate(aliases):
+            strs.append(strs[j] if j < k else _format(chunks[k]))
+        if self.texts is not None:  # joined texts; an aliasing column's is its source's
             for k, j in enumerate(aliases):
-                strs.append(strs[j] if j < k else _format(chunks[k]))
-            if self.out is not None:
-                _write_rows(self.out, strs)
-        else:  # a column at a time; its strings kept only for a plot file
-            strs, texts = {}, self.texts
-            for k, j in enumerate(aliases):
-                if j < k:
-                    texts[k].append(texts[j][-1])
-                    continue
-                column = _format(chunks[k])
-                text = _JSON_ITEM.join(column)
-                if "n" in text:  # nan, inf or -inf; no finite number's repr has an n
-                    text = _JSON_ITEM.join([_JSON_NONFINITE.get(s, s) for s in column])
-                texts[k].append(text)
-                if k == 0 or k in plotted:
-                    strs[k] = column
-        for f, j in zip(self.plot_files, plotted):
+                text = self.texts[j][-1] if j < k else _JSON_ITEM.join(strs[k])
+                if j == k and "n" in text:  # nan, inf or -inf; no finite number's repr has an n
+                    text = _JSON_ITEM.join([_JSON_NONFINITE.get(s, s) for s in strs[k]])
+                self.texts[k].append(text)
+        elif self.out is not None:
+            _write_rows(self.out, strs)
+        for f, j in zip(self.plot_files, self.pairs):
             _write_rows(f, (strs[0], strs[j]))
 
     def finish(self, traj: Trajectory) -> None:

@@ -42,12 +42,12 @@ from the state at the step start. Every step boundary emits one trajectory
 row; terminal events truncate the run at the row where they fire, so the
 last row's time is the event time. A step whose stages or result are not
 finite ends the run with a NonFinite event at the time of its first row; a
-friction step whose stage lean leaves (0, pi) ends it with a Toppled event
-the same way. A row with a value that a power (**) takes beyond the float
-range, or whose command divides by a value that underflowed to 0, ends the
-run with a NonFinite event at its time, without the row. A product or a
-quotient that overflows gives an infinity, not an error: the row is kept,
-and the step from it ends the run with the step's NonFinite event.
+friction step whose finite stage lean leaves (0, pi) ends it with a Toppled
+event the same way. A row with a value that a power (**) takes beyond the
+float range, or whose command divides by a value that underflowed to 0,
+ends the run with a NonFinite event at its time, without the row. A product
+or a quotient that overflows gives an infinity, not an error: the row is
+kept, and the step from it ends the run with the step's NonFinite event.
 
 Runs are bitwise deterministic: there is no randomness, no wall-clock
 coupling, and no platform-dependent branching in the numeric path. The
@@ -63,7 +63,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import namedtuple
-from math import cos, exp, isfinite, pi, sin
+from math import cos, exp, inf, isfinite, pi, sin
 
 from .controllers import (
     BalanceController,
@@ -324,11 +324,12 @@ class Trajectory:
 # state in the same order; a rate-layer stepper returns the rates in effect
 # and bdd as given. Stage values the right-hand side never reads (gamma, the
 # contact point) are not formed; stage values that coincide exactly are
-# formed once. A stepper tests nothing but the friction stage's lean; its two
-# callers, run_closed_loop and rk4_step, judge the step: a DegenerateLeanError
-# is a flat wheel, and any other error (sin of an infinity, an overflow, M_rho
-# underflowed to 0) or a result whose sum is not finite (it is finite unless
-# some value is not, or the sum overflowed) is a NaN or an infinity.
+# formed once. A stepper raises only DegenerateLeanError, when a finite
+# friction stage lean leaves (0, pi); its two callers, run_closed_loop and
+# rk4_step, judge the step: that error is a flat wheel, and any other error
+# (sin of an infinity, an overflow, M_rho underflowed to 0) or a result whose
+# sum is not finite (it is finite unless some value is not, or the sum
+# overflowed) is a NaN or an infinity.
 
 _NONFINITE = "an RK4 stage produced a NaN or an infinity"
 
@@ -377,13 +378,6 @@ def _torque_stepper(params: RobotParams, dt: float):
     return step
 
 
-def _lean_exit(beta: float) -> None:
-    """Raise for a stage lean outside (0, pi): non-finite, or a flat wheel."""
-    if not isfinite(beta):
-        raise NonFiniteStateError(_NONFINITE)
-    _require_open_lean(beta)
-
-
 def _friction_stepper(params: RobotParams, friction: FrictionParams, dt: float):
     """Motor torques held, full inertia/force equations, joint friction.
 
@@ -410,8 +404,8 @@ def _friction_stepper(params: RobotParams, friction: FrictionParams, dt: float):
         # (alpha_ddot, beta_ddot, gamma_ddot) under motor torques (u1, u2) less
         # friction, and (u1, u2); at the step start the held (u5, u6) come in
         # as (u1, u2) and are decoupled here, from the same inertia and forces
-        if not 0.0 < b < pi:
-            _lean_exit(b)
+        if not 0.0 < b < pi and abs(b) < inf:  # a NaN or infinite lean is the callers' to judge
+            _require_open_lean(b)
         sb, cb = sin(b), cos(b)
         M11 = Ix * sb**2 + big * cb**2
         M13 = big * cb
@@ -570,8 +564,8 @@ def rk4_step(
     velocity mode. Runs the same stepper as run_closed_loop. dt may be
     negative (backward integration, used by finite-difference oracles).
     Raises ValueError for a mode not in MODES, DegenerateLeanError if a
-    friction stage lean leaves (0, pi), and NonFiniteStateError if the step
-    produces a NaN or infinity.
+    finite friction stage lean leaves (0, pi), and NonFiniteStateError if
+    the step produces a NaN or infinity.
     """
     step = _stepper(mode, params, dt, friction)
     st, torque = state, mode == "torque"
@@ -900,7 +894,7 @@ def run_closed_loop(cfg: SimConfig, sink=None) -> Trajectory:
         except DegenerateLeanError as exc:
             events.append(Event("Toppled", t, str(exc)))
             break
-        except (NonFiniteStateError, ValueError, ArithmeticError):
+        except (ValueError, ArithmeticError):
             out = (nan,)  # judged below as a result that is not finite
         if not (isfinite(sum(out)) or all(map(isfinite, out))):
             events.append(Event("NonFinite", t, _NONFINITE))

@@ -413,6 +413,8 @@ def _rk4_outcomes(state, mode, friction=None):
     (1.0, -400.0, "DegenerateLeanError"),  # a later stage lean below 0
     (math.nan, 0.0, "NonFiniteStateError"),
     (1.0, math.inf, "NonFiniteStateError"),
+    (-math.inf, 0.0, "NonFiniteStateError"),
+    (1.0, -math.inf, "NonFiniteStateError"),
 ])
 def test_friction_stage_lean_edges(b, bd, expected):
     state = WheelState(beta=b, beta_dot=bd)  # rates of exactly 0
@@ -442,8 +444,12 @@ def test_rk4_step_fails_as_the_checked_oracle(mode, a, b, bd):
     assert (got[0] == "NonFiniteStateError") is not all(map(math.isfinite, (a, b, bd)))
 
 
+_STEPPER_CALLS = {"sin", "cos", "exp", "abs", "_require_open_lean"}
+
+
 def test_no_stepper_judges_its_own_step():
-    # the step's failure rule lives in run_closed_loop and rk4_step, not in the kernels
+    # the step's failure rule lives in run_closed_loop and rk4_step, not in the kernels:
+    # a stepper raises only DegenerateLeanError, and calls no helper that could raise another
     tree = ast.parse(Path(simulate.__file__).read_text())
     factories = [node for node in tree.body if isinstance(node, ast.FunctionDef)
                  and node.name.endswith("_stepper") and node.name != "_stepper"]
@@ -453,10 +459,14 @@ def test_no_stepper_judges_its_own_step():
         closures = [node for node in ast.walk(factory) if isinstance(node, ast.FunctionDef)
                     and node is not factory]
         assert closures
+        own = {closure.name for closure in closures}
         for node in (n for closure in closures for n in ast.walk(closure)):
             assert not isinstance(node, ast.Try), factory.name
-            assert "isfinite" not in (getattr(node, "id", None), getattr(node, "attr", None)), \
-                factory.name
+            names = (getattr(node, "id", None), getattr(node, "attr", None))
+            assert "isfinite" not in names and "NonFiniteStateError" not in names, factory.name
+            if isinstance(node, ast.Call):
+                assert getattr(node.func, "id", None) in _STEPPER_CALLS | own, \
+                    (factory.name, ast.unparse(node.func))
 
 
 # ------------------------------------------------------------- event bounds
