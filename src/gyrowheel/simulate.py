@@ -18,11 +18,12 @@ side has one RK4 stepper, unrolled over plain floats with the run's
 constants bound once; all four take and return the state in WheelState's
 field order, and one selector, _stepper, builds the stepper of a mode for
 both run_closed_loop and rk4_step, which judge each step: the steppers
-are plain arithmetic. The friction stepper solves the inertia entries,
-forces and accelerations of a stage in one function. The controller binds
-its gains and (Gm, Im, Jm) at construction; the polar chart binds the
-target once per run and each line chart binds its segment's length and
-bearing once, when the corridor first reaches it.
+are plain arithmetic. The friction stepper writes its four stages out in
+full, each solving its inertia entries, forces and accelerations inline,
+with no call per stage. The controller binds its gains and (Gm, Im, Jm)
+at construction; the polar chart binds the target once per run and each
+line chart binds its segment's length and bearing once, when the corridor
+first reaches it.
 run_closed_loop keeps the state in local floats and computes each per-row
 quantity once: the lean acceleration (also the first RK4 stage of the next
 step), the balance certificate (also the balance law's input), and the
@@ -385,8 +386,9 @@ def _friction_stepper(params: RobotParams, friction: FrictionParams, dt: float):
     start (cancel_and_decouple), from the step-start inertia entries and
     forces; each stage then solves the full equations (inertia_matrix,
     nonlinear_terms, full_accel) with friction_torque subtracted on the
-    steering and rolling axes, all in one stage function. The returned lean
-    acceleration is the reduced one (lean_accel), as the balance law reads.
+    steering and rolling axes, written out inline for each of the four
+    stages. The returned lean acceleration is the reduced one (lean_accel),
+    as the balance law reads.
     """
     R, M22, Gm, Im, Jm = params.R, params.M22, params.Gm, params.Im, params.Jm
     m, Ix = params.m, params.Ix
@@ -400,44 +402,76 @@ def _friction_stepper(params: RobotParams, friction: FrictionParams, dt: float):
     D = friction.D
     h2, h6 = 0.5 * dt, dt / 6.0
 
-    def stage(b, ad, bd, gd, u1, u2, decouple=False):
-        # (alpha_ddot, beta_ddot, gamma_ddot) under motor torques (u1, u2) less
-        # friction, and (u1, u2); at the step start the held (u5, u6) come in
-        # as (u1, u2) and are decoupled here, from the same inertia and forces
-        if not 0.0 < b < pi and abs(b) < inf:  # a NaN or infinite lean is the callers' to judge
+    def step(a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6):
+        # bdd is unused: the first stage solves the full equations. Each stage
+        # gives (alpha_ddot, beta_ddot, gamma_ddot) under the motor torques
+        # (u1, u2) less friction; the first also decouples the held (u5, u6)
+        # into (u1, u2), from its inertia entries and forces. A stage's lean
+        # is checked before its sin and cos; a NaN or infinite lean is the
+        # callers' to judge.
+        if not 0.0 < b < pi and abs(b) < inf:
             _require_open_lean(b)
         sb, cb = sin(b), cos(b)
-        M11 = Ix * sb**2 + big * cb**2
-        M13 = big * cb
+        M11, M13 = Ix * sb**2 + big * cb**2, big * cb
         n1 = disk * sin(2.0 * b) * ad * bd + ix2 * sb * bd * gd
         n3 = disk2 * sb * ad * bd
-        if decouple:
-            u1, u2 = (M11 * u1 + M13 * u2) - n1, (M13 * u1 + big * u2) - n3
+        u1, u2 = (M11 * u5 + M13 * u6) - n1, (M13 * u5 + big * u6) - n3
         s = 1.0 if ad > 0.0 else -1.0 if ad < 0.0 else 0.0
         rhs1 = n1 + (u1 - (mv_a * ad + (md_a + dm_a * exp(-abs(ad) / D)) * s))
         s = 1.0 if gd > 0.0 else -1.0 if gd < 0.0 else 0.0
         rhs3 = n3 + (u2 - (mv_g * gd + (md_g + dm_g * exp(-abs(gd) / D)) * s))
         M_rho = M11 * big - M13**2
-        return (
-            (big * rhs1 - M13 * rhs3) / M_rho,
-            (mgr * cb - big * sb * ad * gd - disk * cb * sb * ad**2) / M22,
-            (-M13 * rhs1 + M11 * rhs3) / M_rho,
-            u1,
-            u2,
-        )
-
-    def step(a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6):
-        # bdd is unused: the first stage solves the full equations
-        add1, bdd1, gdd1, u1, u2 = stage(b, ad, bd, gd, u5, u6, True)
+        add1 = (big * rhs1 - M13 * rhs3) / M_rho
+        bdd1 = (mgr * cb - big * sb * ad * gd - disk * cb * sb * ad**2) / M22
+        gdd1 = (-M13 * rhs1 + M11 * rhs3) / M_rho
         a2, b2 = a + h2 * ad, b + h2 * bd
         ad2, bd2, gd2 = ad + h2 * add1, bd + h2 * bdd1, gd + h2 * gdd1
-        add2, bdd2, gdd2, _, _ = stage(b2, ad2, bd2, gd2, u1, u2)
+        if not 0.0 < b2 < pi and abs(b2) < inf:
+            _require_open_lean(b2)
+        sb, cb = sin(b2), cos(b2)
+        M11, M13 = Ix * sb**2 + big * cb**2, big * cb
+        n1 = disk * sin(2.0 * b2) * ad2 * bd2 + ix2 * sb * bd2 * gd2
+        n3 = disk2 * sb * ad2 * bd2
+        s = 1.0 if ad2 > 0.0 else -1.0 if ad2 < 0.0 else 0.0
+        rhs1 = n1 + (u1 - (mv_a * ad2 + (md_a + dm_a * exp(-abs(ad2) / D)) * s))
+        s = 1.0 if gd2 > 0.0 else -1.0 if gd2 < 0.0 else 0.0
+        rhs3 = n3 + (u2 - (mv_g * gd2 + (md_g + dm_g * exp(-abs(gd2) / D)) * s))
+        M_rho = M11 * big - M13**2
+        add2 = (big * rhs1 - M13 * rhs3) / M_rho
+        bdd2 = (mgr * cb - big * sb * ad2 * gd2 - disk * cb * sb * ad2**2) / M22
+        gdd2 = (-M13 * rhs1 + M11 * rhs3) / M_rho
         a3, b3 = a + h2 * ad2, b + h2 * bd2
         ad3, bd3, gd3 = ad + h2 * add2, bd + h2 * bdd2, gd + h2 * gdd2
-        add3, bdd3, gdd3, _, _ = stage(b3, ad3, bd3, gd3, u1, u2)
+        if not 0.0 < b3 < pi and abs(b3) < inf:
+            _require_open_lean(b3)
+        sb, cb = sin(b3), cos(b3)
+        M11, M13 = Ix * sb**2 + big * cb**2, big * cb
+        n1 = disk * sin(2.0 * b3) * ad3 * bd3 + ix2 * sb * bd3 * gd3
+        n3 = disk2 * sb * ad3 * bd3
+        s = 1.0 if ad3 > 0.0 else -1.0 if ad3 < 0.0 else 0.0
+        rhs1 = n1 + (u1 - (mv_a * ad3 + (md_a + dm_a * exp(-abs(ad3) / D)) * s))
+        s = 1.0 if gd3 > 0.0 else -1.0 if gd3 < 0.0 else 0.0
+        rhs3 = n3 + (u2 - (mv_g * gd3 + (md_g + dm_g * exp(-abs(gd3) / D)) * s))
+        M_rho = M11 * big - M13**2
+        add3 = (big * rhs1 - M13 * rhs3) / M_rho
+        bdd3 = (mgr * cb - big * sb * ad3 * gd3 - disk * cb * sb * ad3**2) / M22
+        gdd3 = (-M13 * rhs1 + M11 * rhs3) / M_rho
         a4, b4 = a + dt * ad3, b + dt * bd3
         ad4, bd4, gd4 = ad + dt * add3, bd + dt * bdd3, gd + dt * gdd3
-        add4, bdd4, gdd4, _, _ = stage(b4, ad4, bd4, gd4, u1, u2)
+        if not 0.0 < b4 < pi and abs(b4) < inf:
+            _require_open_lean(b4)
+        sb, cb = sin(b4), cos(b4)
+        M11, M13 = Ix * sb**2 + big * cb**2, big * cb
+        n1 = disk * sin(2.0 * b4) * ad4 * bd4 + ix2 * sb * bd4 * gd4
+        n3 = disk2 * sb * ad4 * bd4
+        s = 1.0 if ad4 > 0.0 else -1.0 if ad4 < 0.0 else 0.0
+        rhs1 = n1 + (u1 - (mv_a * ad4 + (md_a + dm_a * exp(-abs(ad4) / D)) * s))
+        s = 1.0 if gd4 > 0.0 else -1.0 if gd4 < 0.0 else 0.0
+        rhs3 = n3 + (u2 - (mv_g * gd4 + (md_g + dm_g * exp(-abs(gd4) / D)) * s))
+        M_rho = M11 * big - M13**2
+        add4 = (big * rhs1 - M13 * rhs3) / M_rho
+        bdd4 = (mgr * cb - big * sb * ad4 * gd4 - disk * cb * sb * ad4**2) / M22
+        gdd4 = (-M13 * rhs1 + M11 * rhs3) / M_rho
         x1, y1 = R * gd * cos(a), R * gd * sin(a)
         x2, y2 = R * gd2 * cos(a2), R * gd2 * sin(a2)
         x3, y3 = R * gd3 * cos(a3), R * gd3 * sin(a3)

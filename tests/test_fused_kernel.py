@@ -407,20 +407,50 @@ def _rk4_outcomes(state, mode, friction=None):
     return _outcome(got), _outcome(expected)
 
 
-@pytest.mark.parametrize("b, bd, expected", [
+# (lean, lean rate, what the step raises) from rates of exactly 0 under the
+# command (1, 0): each of the four stages is, in turn, the first whose lean
+# leaves (0, pi) (test_the_lean_edges_reach_every_stage)
+_LEAN_EDGES = [
     (0.0, 0.0, "DegenerateLeanError"),  # the step-start lean on the boundary
     (pi, 0.0, "DegenerateLeanError"),
-    (1.0, -400.0, "DegenerateLeanError"),  # a later stage lean below 0
+    (1.0, -400.0, "DegenerateLeanError"),  # a later stage lean below 0: the second's
+    (0.01, -1.99, "DegenerateLeanError"),  # the third's
+    (0.003, -0.5, "DegenerateLeanError"),  # the fourth's
+    (pi - 0.003, 0.5, "DegenerateLeanError"),  # the fourth's, above pi
     (math.nan, 0.0, "NonFiniteStateError"),
     (1.0, math.inf, "NonFiniteStateError"),
     (-math.inf, 0.0, "NonFiniteStateError"),
     (1.0, -math.inf, "NonFiniteStateError"),
-])
+]
+
+
+@pytest.mark.parametrize("b, bd, expected", _LEAN_EDGES)
 def test_friction_stage_lean_edges(b, bd, expected):
     state = WheelState(beta=b, beta_dot=bd)  # rates of exactly 0
     got, reference = _rk4_outcomes(state, "torque", FrictionParams())
     assert got == reference
     assert got[0] == expected
+
+
+def test_the_lean_edges_reach_every_stage(monkeypatch):
+    leans = []  # the lean of each solve the oracle makes
+    solve = oracles.inertia_and_forces
+
+    def recording(beta, *rest):
+        leans.append(beta)
+        return solve(beta, *rest)
+
+    monkeypatch.setattr(oracles, "inertia_and_forces", recording)
+    first = []
+    for b, bd, _ in _LEAN_EDGES:
+        leans.clear()
+        _rk4_outcomes(WheelState(beta=b, beta_dot=bd), "torque", FrictionParams())
+        # the oracle solves at the step start twice, to decouple the command
+        # and as stage 1, and stops at the first lean outside (0, pi)
+        stages = leans[:1] + leans[2:]
+        assert [0.0 < lean < pi for lean in stages] == [True] * (len(stages) - 1) + [False]
+        first.append(len(stages))
+    assert first == [1, 1, 2, 3, 4, 4, 1, 2, 1, 2]
 
 
 def test_friction_stage_lean_is_read_before_the_heading():
@@ -459,13 +489,12 @@ def test_no_stepper_judges_its_own_step():
         closures = [node for node in ast.walk(factory) if isinstance(node, ast.FunctionDef)
                     and node is not factory]
         assert closures
-        own = {closure.name for closure in closures}
         for node in (n for closure in closures for n in ast.walk(closure)):
             assert not isinstance(node, ast.Try), factory.name
             names = (getattr(node, "id", None), getattr(node, "attr", None))
             assert "isfinite" not in names and "NonFiniteStateError" not in names, factory.name
             if isinstance(node, ast.Call):
-                assert getattr(node.func, "id", None) in _STEPPER_CALLS | own, \
+                assert getattr(node.func, "id", None) in _STEPPER_CALLS, \
                     (factory.name, ast.unparse(node.func))
 
 

@@ -439,6 +439,23 @@ def test_actuator_lag_smooths_rates_and_still_converges():
     assert abs(ad[1] - ua0 * (1.0 - math.exp(-1e-3 / 0.05))) < 1e-6
 
 
+def test_actuator_lag_topples_the_line_law_but_not_the_position_law():
+    # the line law's side switch s flips on almost every row, a discrete
+    # sliding regime; under a lag the flips average the drive to about zero
+    # and the wheel loses its gyroscopic authority, while the position
+    # law's commands keep their sign
+    def run(name, lag):
+        cfg = parse_scenario(bundled_scenario_path(name)).config
+        return run_closed_loop(replace(cfg, t_end=2.5, actuator_lag=lag))
+
+    drive = run("line_5m", 0.0).channel("u_drive")  # -(f2 + u_k) * s, f2 + u_k > 0
+    flips = sum((a > 0.0) != (b > 0.0) for a, b in zip(drive, drive[1:]))
+    assert flips > 0.9 * (len(drive) - 1)
+    lagged = run("line_5m", 0.05)
+    assert [ev.kind for ev in lagged.events] == ["Toppled"] and lagged.times[-1] < 2.0
+    assert run("p2p_default", 0.05).events == []
+
+
 def test_inadmissible_balance_envelope():
     with pytest.raises(InadmissibleStateError):
         run_closed_loop(make_balance_config(lean_offset=1.5))
