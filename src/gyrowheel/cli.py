@@ -231,27 +231,10 @@ class _OutputPass(ExitStack):
 
 
 def _write_held(traj: Trajectory, trajectory, fmt: str, plot_channels, out_dir) -> list[Path]:
-    """Feed a held Trajectory to the output pass a chunk at a time; returns the plot paths.
-
-    A held channel holds doubles, not the loop's float objects, so each
-    column chunk goes to the pass as a list whose objects show what the
-    pass's identity aliasing looks for: a chunk whose doubles are bitwise
-    equal to an earlier column's gets that column's list, and a chunk of one
-    repeated double holds one float object. Bits, not ==, are compared,
-    because -0.0 == 0.0 but their reprs differ.
-    """
+    """Feed a held Trajectory to the output pass a chunk at a time; returns the plot paths."""
     with _OutputPass(traj.kind, trajectory, fmt, plot_channels, out_dir) as write:
         for start in range(0, traj.row_count, _CHUNK_ROWS):
-            lists = {}  # the chunk's bytes -> its list
-            columns = []
-            for col in traj.channels.values():
-                chunk = col[start:start + _CHUNK_ROWS]
-                bits = chunk.tobytes()
-                if bits not in lists:
-                    one = bits == bits[:chunk.itemsize] * len(chunk)  # one double repeated
-                    lists[bits] = [chunk[0]] * len(chunk) if one else chunk.tolist()
-                columns.append(lists[bits])
-            write(columns)
+            write([col[start:start + _CHUNK_ROWS] for col in traj.channels.values()])
         write.finish(traj)
     return write.paths
 

@@ -387,8 +387,9 @@ def _friction_stepper(params: RobotParams, friction: FrictionParams, dt: float):
     forces; each stage then solves the full equations (inertia_matrix,
     nonlinear_terms, full_accel) with friction_torque subtracted on the
     steering and rolling axes, written out inline for each of the four
-    stages. The returned lean acceleration is the reduced one (lean_accel),
-    as the balance law reads.
+    stages (one stage body in a loop over the step sizes ran slower than
+    the former per-stage call). The returned lean acceleration is the
+    reduced one (lean_accel), as the balance law reads.
     """
     R, M22, Gm, Im, Jm = params.R, params.M22, params.Gm, params.Im, params.Jm
     m, Ix = params.m, params.Ix

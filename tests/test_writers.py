@@ -15,7 +15,6 @@ columns share objects are built from the lists the loop hands its sink.
 import json
 import math
 import tracemalloc
-from array import array
 from operator import is_
 
 import pytest
@@ -159,23 +158,6 @@ def test_public_writers_match_the_row_wise_writers(long_run, tmp_path):
         assert (tmp_path / f"plot_{name}.csv").read_text() == oracle_plot(traj, name)
 
 
-def test_held_writers_alias_chunks_by_their_bits(tmp_path):
-    # -0.0 == 0.0 but their reprs differ: a held chunk takes an earlier
-    # column's strings, or is one repeated value, only when the bits match
-    traj = run_closed_loop(_rows_scenario("p2p_default").config)
-    n = traj.row_count
-    assert n > CHUNK
-    ch = traj.channels
-    ch["u_steer"] = array("d", [0.0]) * n
-    ch["u_drive"] = array("d", [-0.0]) * n
-    ch["V1"] = array("d", [0.0, -0.0]) * (n // 2) + array("d", [0.0]) * (n % 2)
-    ch["psi"] = array("d", [math.nan]) * n
-    cli.write_trajectory_csv(traj, tmp_path / "trajectory.csv")
-    assert (tmp_path / "trajectory.csv").read_text() == oracle_csv(traj)
-    cli.write_trajectory_json(traj, tmp_path / "trajectory.json")
-    assert (tmp_path / "trajectory.json").read_text() == oracle_json(traj)
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_one_row_non_finite_run_matches_the_row_wise_writers(fmt, tmp_path):
     path = tmp_path / "non_finite.yaml"
@@ -208,17 +190,12 @@ def test_each_value_is_formatted_once(fmt, tmp_path, monkeypatch):
     _run_with(monkeypatch, sc, traj, tmp_path, fmt)
     assert len(calls) == traj.row_count * (len(traj.names) - 2)  # rows x distinct columns
 
-    # a library run's channels are doubles, which share no object: the held
-    # writers alias bitwise-equal chunks, so u_steer is formatted as alpha_dot
-    # and a repeated name not again, and the trajectory as the sink's
+    # a library run's channels are doubles and share no object: each
+    # plotted channel is formatted once, a repeated name not again
+    calls.clear()
     held = run_closed_loop(sc.config)
-    calls.clear()
     cli.emit_plot_data(held, ("beta", "t", "beta", "V", "alpha_dot", "u_steer"), tmp_path)
-    assert len(calls) == held.row_count * 4  # t, beta, V, alpha_dot
-    write = cli.write_trajectory_json if fmt == "json" else cli.write_trajectory_csv
-    calls.clear()
-    write(held, tmp_path / f"trajectory.{fmt}")
-    assert len(calls) == held.row_count * (len(held.names) - 2)
+    assert len(calls) == held.row_count * 5  # t, beta, V, alpha_dot, u_steer
 
     # a line run has one segment: its float object is formatted once per chunk
     sc = _rows_scenario("line_5m")
@@ -228,10 +205,6 @@ def test_each_value_is_formatted_once(fmt, tmp_path, monkeypatch):
     _run_with(monkeypatch, sc, traj, tmp_path, fmt)
     chunks = -(-traj.row_count // CHUNK)
     assert len(calls) == traj.row_count * (len(traj.names) - 3) + chunks
-    held = run_closed_loop(sc.config)
-    calls.clear()
-    write(held, tmp_path / f"trajectory.{fmt}")
-    assert len(calls) == held.row_count * (len(held.names) - 3) + chunks
 
 
 # -------------------------------------------- columns that share objects
