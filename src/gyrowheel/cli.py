@@ -18,10 +18,10 @@ shortest ``repr``, and ``trajectory.json`` is exactly
 loop's sink, writes the trajectory and plot files of a run from the chunks
 of rows the loop hands it, by one path per chunk that formats each distinct
 value once (a column holding an earlier column's float objects reuses its
-strings); the run keeps only t and its certificate, as 8-byte doubles, and
-its last row. A ``--format json`` run holds one chunk's strings while it
-joins them, and each channel's text until it ends (the file is laid out by
-channel). Scenario files are read with libyaml when it is present; every
+strings); for the report the run keeps only its certificate, as 8-byte
+doubles, and its last row. A ``--format json`` run holds one chunk's strings
+while it joins them, and each channel's text until it ends (the file is laid
+out by channel). Scenario files are read with libyaml when it is present; every
 error text is the pure-Python loader's. PyYAML is imported by the first
 scenario file parsed (run, batch, validate), so list-channels never loads it.
 """
@@ -36,7 +36,7 @@ import time
 from array import array
 from contextlib import ExitStack
 from itertools import compress, repeat
-from operator import is_
+from operator import is_, mul
 from pathlib import Path
 
 from .dynamics import WheelState
@@ -109,9 +109,10 @@ def _event_dict(ev: Event) -> dict:
 # list into one text (an aliasing column appends its source's) and holds the
 # texts until the run ends; it holds one chunk's strings while it joins them.
 # The files are opened at the first chunk, or at the end of a run of no row,
-# so a refused run writes none. For the report the pass keeps t and the
-# certificate, whose decay fit reads every sample, as doubles in array('d')
-# (8 bytes a value, each double exact), and the last row.
+# so a refused run writes none. For the report the pass keeps the certificate,
+# whose decay fit reads every sample, as doubles in array('d') (8 bytes a
+# value, each double exact), and the last row; the fit forms row i's time as
+# i * dt, the loop's own expression, so no t series is kept.
 
 _repr = repr  # the one formatting step: a float's shortest round-trip text
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -147,6 +148,9 @@ class _OutputPass(ExitStack):
     opened if a plot channel is not a channel of the kind. Used as a context
     manager, which closes the files; finish(traj) completes them once the
     run has ended. ``paths`` holds the plot file paths in the requested order.
+    build_report reads the finished pass: ``values`` (the certificate), ``last``
+    (the last row by name; empty for a run of no row), and the ``events`` and
+    ``final_state`` that finish was handed.
     """
 
     def __init__(self, kind: str, trajectory, fmt: str, plot_channels, out_dir):
@@ -165,7 +169,7 @@ class _OutputPass(ExitStack):
         self.pairs = [shown.index(n) for n in self.plots]  # each plot file's column
         self.texts = [[] for _ in shown] if fmt == "json" and trajectory is not None else None
         self.cert = names.index(_KINDS[kind].cert)  # the channel the decay fit reads
-        self.times, self.values, self.last = array("d"), array("d"), []  # what the report reads
+        self.values, self.last = array("d"), {}  # what the report reads
         self.out = self.plot_files = None  # until opened
 
     def open_files(self) -> None:
@@ -183,9 +187,8 @@ class _OutputPass(ExitStack):
     def __call__(self, columns: list) -> None:
         if self.plot_files is None:
             self.open_files()
-        self.times.extend(columns[0])
         self.values.extend(columns[self.cert])
-        self.last = [col[-1:] for col in columns]
+        self.last = {name: col[-1] for name, col in zip(self.names, columns)}
         chunks = [columns[i] for i in self.picked]
         aliases = [_alias(chunks, k) for k in range(len(chunks))]
         strs = []  # each shown column's strings; an aliasing column's are its source's list
@@ -203,6 +206,7 @@ class _OutputPass(ExitStack):
             _write_rows(f, (strs[0], strs[j]))
 
     def finish(self, traj: Trajectory) -> None:
+        self.events, self.final_state = traj.events, traj.final_state
         if self.plot_files is None:
             self.open_files()
         if self.texts is None:
@@ -216,8 +220,8 @@ class _OutputPass(ExitStack):
             "units": {n: CHANNEL_INFO[n][0] for n in traj.names},
         }, indent=2, allow_nan=True)
         tail = json.dumps({
-            "events": [_event_dict(ev) for ev in traj.events],
-            "final_state": _state_dict(traj.final_state) if traj.final_state else None,
+            "events": [_event_dict(ev) for ev in self.events],
+            "final_state": _state_dict(self.final_state) if self.final_state else None,
         }, indent=2, allow_nan=True)
         out = self.out
         out.write(head[:-2] + ',\n  "channels": {')
@@ -230,13 +234,13 @@ class _OutputPass(ExitStack):
         out.write("\n  }," + tail[1:] + "\n")
 
 
-def _write_held(traj: Trajectory, trajectory, fmt: str, plot_channels, out_dir) -> list[Path]:
-    """Feed a held Trajectory to the output pass a chunk at a time; returns the plot paths."""
+def _write_held(traj: Trajectory, trajectory, fmt: str, plot_channels, out_dir) -> _OutputPass:
+    """Feed a held Trajectory to the output pass a chunk at a time; returns the finished pass."""
     with _OutputPass(traj.kind, trajectory, fmt, plot_channels, out_dir) as write:
         for start in range(0, traj.row_count, _CHUNK_ROWS):
             write([col[start:start + _CHUNK_ROWS] for col in traj.channels.values()])
         write.finish(traj)
-    return write.paths
+    return write
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
@@ -255,7 +259,7 @@ def emit_plot_data(traj: Trajectory, channels, out_dir: Path) -> list[Path]:
     Raises UnknownChannelError, listing the valid names, if a channel does
     not exist in this trajectory; no file is written then.
     """
-    return _write_held(traj, None, "csv", channels, out_dir)
+    return _write_held(traj, None, "csv", channels, out_dir).paths
 
 
 def _status_and_exit(traj: Trajectory) -> tuple[str, int]:
@@ -271,40 +275,41 @@ def _status_and_exit(traj: Trajectory) -> tuple[str, int]:
     return "horizon", EXIT_NO_CONVERGENCE
 
 
-def _threshold_checks(sc: Scenario, traj: Trajectory) -> dict:
+def _threshold_checks(sc: Scenario, fold: _OutputPass) -> dict:
     """The run's convergence test at its last row, one entry per threshold."""
-    channels = traj.channels
-
-    def last(name):
-        return channels[name][-1] if traj.row_count and name in channels else math.nan
-
-    checks = _convergence(sc.config, traj.final_state, last("e"), last("d"), last("segment"))
+    last, nan = fold.last, math.nan
+    checks = _convergence(sc.config, fold.final_state,
+                          last.get("e", nan), last.get("d", nan), last.get("segment", nan))
     return {key: {"value": value, "limit": limit, "pass": passed}
             for key, (value, limit, passed) in checks.items()}
 
 
-def _decay_summary(traj: Trajectory) -> dict | None:
-    name = _KINDS[traj.kind].cert
-    values = traj.channels.get(name)
-    if not values:
-        return None
-    times = traj.times
-    if not all(map(math.isfinite, values)):  # fit the finite samples only
+class _Times:
+    """Row i's time, i * dt as the loop forms it, for i in range(n); formed anew for each pass."""
+
+    def __init__(self, n: int, dt: float):
+        self.n, self.dt = n, dt
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return map(mul, range(self.n), repeat(self.dt))
+
+
+def _decay_summary(fold: _OutputPass, dt: float) -> dict | None:
+    values = fold.values
+    times = _Times(len(values), dt)
+    if not all(map(math.isfinite, values)):  # fit the finite samples only, each at its row's time
         finite = list(map(math.isfinite, values))
         times, values = array("d", compress(times, finite)), array("d", compress(values, finite))
-        if not values:
-            return None
-    return {**decay_monitor(times, values), "channel": name}
+    return {**decay_monitor(times, values), "channel": fold.names[fold.cert]} if values else None
 
 
-def build_report(
-    sc: Scenario,
-    traj: Trajectory | None,
-    status: str,
-    exit_code: int,
-    wall_time_s: float,
-    detail: str = "",
-) -> dict:
+def build_report(sc: Scenario, fold: _OutputPass | None, status: str, exit_code: int,
+                 wall_time_s: float, detail: str = "") -> dict:
+    """The report of a run of ``sc`` from its output pass after finish(traj), or from
+    None for a refused start; a held Trajectory is read through _write_held's pass."""
     cfg = sc.config
     report = {
         "scenario": sc.name,
@@ -318,20 +323,20 @@ def build_report(
     }
     if detail:
         report["detail"] = detail
-    if traj is None:
+    if fold is None:
         report["rows"] = 0
         report["events"] = [_event_dict(Event("DomainExit", 0.0, detail))]
         report["terminal_event"] = report["events"][0]
         report["final_state"] = _state_dict(cfg.initial)
         return report
-    report["rows"] = traj.row_count
-    report["final_time"] = traj.times[-1] if traj.row_count else None
-    report["events"] = [_event_dict(ev) for ev in traj.events]
-    terminal = traj.terminal_event
-    report["terminal_event"] = _event_dict(terminal) if terminal else None
-    report["final_state"] = _state_dict(traj.final_state)
-    report["thresholds"] = _threshold_checks(sc, traj)
-    report["certificate_decay"] = _decay_summary(traj)
+    events = fold.events
+    report["rows"] = len(fold.values)
+    report["final_time"] = fold.last.get("t")
+    report["events"] = [_event_dict(ev) for ev in events]
+    report["terminal_event"] = _event_dict(events[-1]) if events else None
+    report["final_state"] = _state_dict(fold.final_state)
+    report["thresholds"] = _threshold_checks(sc, fold)
+    report["certificate_decay"] = _decay_summary(fold, cfg.dt)
     return report
 
 
@@ -351,17 +356,11 @@ def run_scenario(sc: Scenario, out_dir, fmt: str = "csv") -> tuple[int, dict]:
             traj = run_closed_loop(cfg, write)
             write.finish(traj)
     except InadmissibleStateError as exc:
-        wall = time.perf_counter() - start
-        report = build_report(sc, None, "inadmissible", EXIT_INADMISSIBLE, wall, str(exc))
-        _write_report(report, out_dir)
-        return EXIT_INADMISSIBLE, report
-    wall = time.perf_counter() - start
-
-    # the record the report reads: t and the certificate in full, the last row of the rest
-    traj.channels.update(zip(traj.names, write.last))
-    traj.channels.update({"t": write.times, traj.names[write.cert]: write.values})
-    status, exit_code = _status_and_exit(traj)
-    report = build_report(sc, traj, status, exit_code, wall)
+        fold, status, exit_code, detail = None, "inadmissible", EXIT_INADMISSIBLE, str(exc)
+    else:
+        fold, detail = write, ""
+        status, exit_code = _status_and_exit(traj)
+    report = build_report(sc, fold, status, exit_code, time.perf_counter() - start, detail)
     _write_report(report, out_dir)
     return exit_code, report
 

@@ -278,9 +278,9 @@ _CHUNK_ROWS = 256
 class Trajectory:
     """Columnar record of one run: channels, events, final state.
 
-    Built by run_closed_loop and treated as immutable afterwards. Each
-    channel is an array('d'), 8 bytes a value (list(col) is JSON-ready). A
-    run given a sink leaves the channels empty: its rows went to the sink.
+    Built by run_closed_loop and not changed afterwards. Each channel is an
+    array('d'), 8 bytes a value (list(col) is JSON-ready). A run given a sink
+    keeps its channels empty, so its row_count is 0: its rows went to the sink.
     """
 
     def __init__(self, kind: str):

@@ -962,35 +962,29 @@ def _loop_decay_summary(traj):
     return summary
 
 
-@pytest.mark.parametrize("spoil", ["none", "some", "all"])
+@pytest.mark.parametrize("spoil", ["none", "some", "all", "edges", "edges_p2p"])
 def test_decay_summary_fits_the_finite_samples(spoil):
-    traj = run_closed_loop(scenario_from_mapping(make_balance_mapping(t_end=0.3)).config)
-    v = traj.channels["V"]
+    # the report's fit reads the certificate the output pass keeps and forms
+    # row i's time as i * dt; each finite sample keeps its own row's time
+    if spoil == "edges_p2p":
+        sc = parse_scenario(bundled_scenario_path("p2p_default"))
+        sc = replace(sc, config=replace(sc.config, t_end=0.3))
+    else:
+        sc = scenario_from_mapping(make_balance_mapping(t_end=0.3))
+    traj = run_closed_loop(sc.config)
+    v = traj.channels[cli._KINDS[sc.config.kind].cert]
     if spoil == "some":
         v[0], v[7], v[-1] = math.nan, math.inf, -math.inf
     elif spoil == "all":
         v[:] = array("d", [math.nan] * len(v))
+    elif spoil.startswith("edges"):  # non-finite, -0.0, at and below RATE_FLOOR, a violation
+        v[3], v[10], v[20], v[-1] = math.nan, math.inf, -0.0, -math.inf
+        v[30:36] = array("d", [1e-13, 0.0, 5e-324, -0.0, 1e-12, 2e-12])
+        v[50] = v[49] + 1.0
     expected = _loop_decay_summary(traj)
-    assert repr(cli._decay_summary(traj)) == repr(expected)
+    fold = cli._write_held(traj, None, "csv", (), None)
+    assert repr(cli._decay_summary(fold, sc.config.dt)) == repr(expected)
+    report = cli.build_report(sc, fold, "horizon", 1, 0.0)
+    assert repr(report["certificate_decay"]) == repr(expected)
     assert (expected is None) == (spoil == "all")
-
-
-@pytest.mark.parametrize("scenario", ["balance_default", "p2p_default"])
-def test_report_reads_doubles_as_it_reads_lists(scenario):
-    # run_scenario hands the report t and the certificate as array('d');
-    # a Trajectory of lists must give the same report, bit for bit
-    sc = parse_scenario(bundled_scenario_path(scenario))
-    sc = replace(sc, config=replace(sc.config, t_end=0.3))
-    traj = run_closed_loop(sc.config)
-    name = cli._KINDS[sc.config.kind].cert
-    traj.channels.update({n: list(col) for n, col in traj.channels.items()})
-    v = traj.channels[name]
-    v[3], v[10], v[20], v[-1] = math.nan, math.inf, -0.0, -math.inf
-    v[30:36] = [1e-13, 0.0, 5e-324, -0.0, 1e-12, 2e-12]  # at and below the fit's rate_floor
-    v[50] = v[49] + 1.0  # a violation
-    lists = json.dumps(cli.build_report(sc, traj, "horizon", 1, 0.0))
-    summary = repr(cli._decay_summary(traj))
-    traj.channels.update({"t": array("d", traj.times), name: array("d", v)})
-    assert json.dumps(cli.build_report(sc, traj, "horizon", 1, 0.0)) == lists
-    assert repr(cli._decay_summary(traj)) == summary
-    assert json.loads(lists)["certificate_decay"]["violations"] >= 1
+    assert not spoil.startswith("edges") or expected["violations"] >= 1

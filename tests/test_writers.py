@@ -7,15 +7,18 @@ than two chunks whose length is not a multiple of the chunk size, with
 nan, inf and -inf in a channel, and for a 1-row non-finite run. It is the
 run loop's sink, so the real loop streams into it: a run_scenario run must
 give the oracles' bytes for the Trajectory that run_closed_loop returns
-without a sink, at and across chunk edges and for a run of no row. That
-Trajectory holds doubles, which share no float object; the cases whose
-columns share objects are built from the lists the loop hands its sink.
+without a sink, at and across chunk edges and for a run of no row, and
+that Trajectory's report, read through the same pass. That Trajectory
+holds doubles, which share no float object; the cases whose columns share
+objects are built from the lists the loop hands its sink.
 """
 
 import json
 import math
 import tracemalloc
-from operator import is_
+from array import array
+from itertools import repeat
+from operator import is_, mul
 
 import pytest
 
@@ -317,12 +320,20 @@ def _no_row(tmp_path):
     return parse_scenario(path)
 
 
+def _dt_scenario(name, dt):
+    """A bundled scenario at step dt."""
+    sc = parse_scenario(bundled_scenario_path(name))
+    return replace(sc, config=replace(sc.config, dt=dt))
+
+
 _STREAMED_CASES = {
     "two_chunks_and_37": (lambda tmp: _rows_scenario("line_5m"), ROWS, None),
     "one_chunk": (lambda tmp: _rows_scenario("balance_default", CHUNK), CHUNK, None),
     "one_chunk_and_1": (lambda tmp: _rows_scenario("p2p_default", CHUNK + 1), CHUNK + 1, None),
     "converged_on_a_chunk_end": (lambda tmp: _converging_on_a_chunk_end(), CHUNK, "Converged"),
     "no_row": (_no_row, 0, "NonFinite"),
+    "corridor_demo_dt_0.5": (lambda tmp: _dt_scenario("corridor_demo", 0.5), 5, "Toppled"),
+    "line_5m_dt_1.0": (lambda tmp: _dt_scenario("line_5m", 1.0), 2, "Toppled"),
 }
 
 
@@ -334,12 +345,15 @@ def test_the_loop_streams_the_row_wise_writers_bytes(case, fmt, tmp_path):
     traj = run_closed_loop(sc.config)  # no sink: every row kept, for the oracles
     assert traj.row_count == rows
     assert (traj.terminal_event.kind if traj.terminal_event else None) == terminal
+    # the report's fit forms row i's time as i * dt, bit for bit the loop's t
+    assert array("d", map(mul, range(rows), repeat(sc.config.dt))).tobytes() == traj.times.tobytes()
     out = tmp_path / "out"
     code, report = cli.run_scenario(sc, out, fmt)
     assert written_files(out) == oracle_files(traj, fmt, sc.plot_channels)
     assert report["rows"] == rows
-    # the report read from what the pass keeps equals the one from the whole trajectory
-    expected = cli.build_report(sc, traj, *cli._status_and_exit(traj), report["wall_time_s"])
+    # the streamed run's report equals the held run's, read through the same pass
+    fold = cli._write_held(traj, None, fmt, (), None)
+    expected = cli.build_report(sc, fold, *cli._status_and_exit(traj), report["wall_time_s"])
     assert (code, json.dumps(report)) == (expected["exit_code"], json.dumps(expected))
 
 
@@ -372,17 +386,17 @@ def test_csv_memory_is_bounded_by_a_chunk(tmp_path):
     ]
     assert peaks[1] < 1.5 * peaks[0]
 
-    # a whole gyrowheel run keeps t and the certificate only, 8 B each in
-    # array('d'): about 18 B a row measured, with the arrays' spare room
-    assert _run_growth("csv", tmp_path) <= 24
+    # a whole gyrowheel run keeps the certificate only, 8 B a row in
+    # array('d'), and no t: about 10 B a row measured, with the array's spare room
+    assert _run_growth("csv", tmp_path) <= 16
 
 
-@pytest.mark.parametrize("name, limit", [("balance_default", 400), ("p2p_default", 410)])
+@pytest.mark.parametrize("name, limit", [("balance_default", 392), ("p2p_default", 402)])
 def test_json_memory_grows_by_the_held_text(name, limit, tmp_path):
     # a --format json run also holds every channel's text until the run ends:
-    # about 358 B a row measured on balance_default and 390 B on p2p_default,
+    # about 350 B a row measured on balance_default and 382 B on p2p_default,
     # a velocity run whose u_steer and u_drive hold alpha_dot's and
-    # gamma_dot's text objects (separate text for them measured 446 B)
+    # gamma_dot's text objects (separate text for them measured 437 B)
     assert _run_growth("json", tmp_path, name) <= limit
 
 
