@@ -163,8 +163,10 @@ class _OutputPass(ExitStack):
         self.names, self.trajectory = names, trajectory
         self.paths = [Path(out_dir) / f"plot_{name}.csv" for name in plot_channels]
         self.plots = dict(zip(plot_channels, self.paths))  # one file per channel
-        # the formatted columns: all with a trajectory file, else t (first in names) and the plotted
-        shown = names if trajectory is not None else tuple(dict.fromkeys(("t", *self.plots)))
+        # the formatted columns: all with a trajectory file, else t (first in names) and the
+        # plotted, if any: a pass that writes no file formats nothing
+        plotted = ("t", *self.plots) if self.plots else ()
+        shown = names if trajectory is not None else tuple(dict.fromkeys(plotted))
         self.picked = [names.index(n) for n in shown]
         self.pairs = [shown.index(n) for n in self.plots]  # each plot file's column
         self.texts = [[] for _ in shown] if fmt == "json" and trajectory is not None else None
@@ -301,8 +303,9 @@ def _decay_summary(fold: _OutputPass, dt: float) -> dict | None:
     values = fold.values
     times = _Times(len(values), dt)
     if not all(map(math.isfinite, values)):  # fit the finite samples only, each at its row's time
-        finite = list(map(math.isfinite, values))
-        times, values = array("d", compress(times, finite)), array("d", compress(values, finite))
+        # the mask is formed anew for each series, since a list of it holds 8 B a value
+        times = array("d", compress(times, map(math.isfinite, values)))
+        values = array("d", compress(values, map(math.isfinite, values)))
     return {**decay_monitor(times, values), "channel": fold.names[fold.cert]} if values else None
 
 

@@ -15,15 +15,16 @@ Two modes, four right-hand sides:
 
 The kernel is single-pass and builds no object per row. Each right-hand
 side has one RK4 stepper, unrolled over plain floats with the run's
-constants bound once; all four take and return the state in WheelState's
-field order, and one selector, _stepper, builds the stepper of a mode for
-both run_closed_loop and rk4_step, which judge each step: the steppers
-are plain arithmetic. The friction stepper writes its four stages out in
-full, each solving its inertia entries, forces and accelerations inline,
-with no call per stage. The controller binds its gains and (Gm, Im, Jm)
-at construction; the polar chart binds the target once per run and each
-line chart binds its segment's length and bearing once, when the corridor
-first reaches it.
+constants bound once; all four take the state in WheelState's field order
+and return the eight coordinates they integrate. One selector, _stepper,
+builds the stepper of a mode for both run_closed_loop and rk4_step, which
+form the lean acceleration and judge each step: the steppers are plain
+arithmetic. The friction stepper writes its four stages out in full, each
+solving its inertia entries, forces and accelerations inline, with no call
+per stage. The controller binds its gains and (Gm, Im, Jm) at
+construction; the polar chart binds the target once per run and each line
+chart binds its segment's length and bearing once, when the corridor first
+reaches it.
 run_closed_loop keeps the state in local floats and computes each per-row
 quantity once: the lean acceleration (also the first RK4 stage of the next
 step), the balance certificate (also the balance law's input), and the
@@ -321,16 +322,17 @@ class Trajectory:
 #
 # One unrolled RK4 stepper per right-hand side; _stepper picks a mode's, and
 # its factory binds the run's constants once. Each stepper maps the step-start
-# state, in WheelState's field order, and the held command to the step-end
-# state in the same order; a rate-layer stepper returns the rates in effect
-# and bdd as given. Stage values the right-hand side never reads (gamma, the
-# contact point) are not formed; stage values that coincide exactly are
-# formed once. A stepper raises only DegenerateLeanError, when a finite
-# friction stage lean leaves (0, pi); its two callers, run_closed_loop and
-# rk4_step, judge the step: that error is a flat wheel, and any other error
-# (sin of an infinity, an overflow, M_rho underflowed to 0) or a result whose
-# sum is not finite (it is finite unless some value is not, or the sum
-# overflowed) is a NaN or an infinity.
+# state, in WheelState's field order, and the held command to the eight
+# coordinates it integrates at the step's end, (a, b, g, ad, bd, gd, xa, ya),
+# a rate-layer stepper's rates being those in effect; the callers form the
+# lean acceleration, a value of the state. Stage values the right-hand side
+# never reads (gamma, the contact point) are not formed; stage values that
+# coincide exactly are formed once. A stepper raises only DegenerateLeanError,
+# when a finite friction stage lean leaves (0, pi); its two callers,
+# run_closed_loop and rk4_step, judge the step: that error is a flat wheel,
+# and any other error (sin of an infinity, an overflow, M_rho underflowed to
+# 0) or a result whose sum is not finite (it is finite unless some value is
+# not, or the sum overflowed) is a NaN or an infinity.
 
 _NONFINITE = "an RK4 stage produced a NaN or an infinity"
 
@@ -360,18 +362,13 @@ def _torque_stepper(params: RobotParams, dt: float):
         x2, y2 = R * gd2 * cos(a2), R * gd2 * sin(a2)
         x3, y3 = R * gd2 * cos(a3), R * gd2 * sin(a3)
         x4, y4 = R * gd4 * cos(a4), R * gd4 * sin(a4)
-        b_n = b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4)
-        ad_n = ad + h6 * (u5 + 2.0 * u5 + 2.0 * u5 + u5)
-        gd_n = gd + h6 * (u6 + 2.0 * u6 + 2.0 * u6 + u6)
-        sb, cb = sin(b_n), cos(b_n)
         return (
             a + h6 * (ad + 2.0 * ad2 + 2.0 * ad2 + ad4),
-            b_n,
+            b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4),
             g + h6 * (gd + 2.0 * gd2 + 2.0 * gd2 + gd4),
-            ad_n,
+            ad + h6 * (u5 + 2.0 * u5 + 2.0 * u5 + u5),
             bd + h6 * (bdd + 2.0 * l2 + 2.0 * l3 + l4),
-            gd_n,
-            nGm * cb - Im * cb * sb * ad_n**2 - Jm * sb * ad_n * gd_n,
+            gd + h6 * (u6 + 2.0 * u6 + 2.0 * u6 + u6),
             xa + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
             ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
         )
@@ -388,11 +385,10 @@ def _friction_stepper(params: RobotParams, friction: FrictionParams, dt: float):
     nonlinear_terms, full_accel) with friction_torque subtracted on the
     steering and rolling axes, written out inline for each of the four
     stages (one stage body in a loop over the step sizes ran slower than
-    the former per-stage call). The returned lean acceleration is the
-    reduced one (lean_accel), as the balance law reads.
+    the former per-stage call). The caller forms the lean acceleration at
+    the step's end, the reduced one (lean_accel) that the balance law reads.
     """
-    R, M22, Gm, Im, Jm = params.R, params.M22, params.Gm, params.Im, params.Jm
-    m, Ix = params.m, params.Ix
+    R, M22, m, Ix = params.R, params.M22, params.m, params.Ix
     big = 2.0 * Ix + m * R**2
     disk = Ix + m * R**2
     ix2, disk2, mgr = 2.0 * Ix, 2.0 * disk, -m * params.g * R
@@ -477,18 +473,13 @@ def _friction_stepper(params: RobotParams, friction: FrictionParams, dt: float):
         x2, y2 = R * gd2 * cos(a2), R * gd2 * sin(a2)
         x3, y3 = R * gd3 * cos(a3), R * gd3 * sin(a3)
         x4, y4 = R * gd4 * cos(a4), R * gd4 * sin(a4)
-        b_n = b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4)
-        ad_n = ad + h6 * (add1 + 2.0 * add2 + 2.0 * add3 + add4)
-        gd_n = gd + h6 * (gdd1 + 2.0 * gdd2 + 2.0 * gdd3 + gdd4)
-        sb, cb = sin(b_n), cos(b_n)
         return (
             a + h6 * (ad + 2.0 * ad2 + 2.0 * ad3 + ad4),
-            b_n,
+            b + h6 * (bd + 2.0 * bd2 + 2.0 * bd3 + bd4),
             g + h6 * (gd + 2.0 * gd2 + 2.0 * gd3 + gd4),
-            ad_n,
+            ad + h6 * (add1 + 2.0 * add2 + 2.0 * add3 + add4),
             bd + h6 * (bdd1 + 2.0 * bdd2 + 2.0 * bdd3 + bdd4),
-            gd_n,
-            -Gm * cb - Im * cb * sb * ad_n**2 - Jm * sb * ad_n * gd_n,
+            gd + h6 * (gdd1 + 2.0 * gdd2 + 2.0 * gdd3 + gdd4),
             xa + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
             ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
         )
@@ -522,7 +513,6 @@ def _velocity_stepper(params: RobotParams, dt: float):
             ua,
             bd + h6 * (bdd + 2.0 * l2 + 2.0 * l3 + l4),
             ug,
-            bdd,
             xa + h6 * (R * ug * cos(a) + 2.0 * x2 + 2.0 * x2 + R * ug * cos(a4)),
             ya + h6 * (R * ug * sin(a) + 2.0 * y2 + 2.0 * y2 + R * ug * sin(a4)),
         )
@@ -566,7 +556,6 @@ def _lag_stepper(params: RobotParams, dt: float, tau: float):
             za + h6 * (fa1 + 2.0 * fa2 + 2.0 * fa3 + fa4),
             bd + h6 * (bdd + 2.0 * l2 + 2.0 * l3 + l4),
             zg + h6 * (fg1 + 2.0 * fg2 + 2.0 * fg3 + fg4),
-            bdd,
             xa + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
             ya + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
         )
@@ -598,9 +587,10 @@ def rk4_step(
     The command is (u5, u6) in torque mode and (u_alpha, u_gamma) in
     velocity mode. Runs the same stepper as run_closed_loop. dt may be
     negative (backward integration, used by finite-difference oracles).
+    It forms the lean acceleration at the step's end with lean_accel.
     Raises ValueError for a mode not in MODES, DegenerateLeanError if a
     finite friction stage lean leaves (0, pi), and NonFiniteStateError if
-    the step produces a NaN or infinity.
+    the step or that lean acceleration is a NaN or infinity.
     """
     step = _stepper(mode, params, dt, friction)
     st, torque = state, mode == "torque"
@@ -608,18 +598,16 @@ def rk4_step(
     try:
         # the friction stepper solves its first stage in full and reads no bdd
         bdd = None if torque and friction is not None else lean_accel(st.beta, ad, gd, params)
-        out = step(st.alpha, st.beta, st.gamma, ad, st.beta_dot, gd, bdd, st.x_a, st.y_a,
-                   steer, drive)
+        a, b, g, ad, bd, gd, xa, ya = step(st.alpha, st.beta, st.gamma, ad, st.beta_dot, gd, bdd,
+                                           st.x_a, st.y_a, steer, drive)
+        out = (a, b, g, ad, bd, gd, lean_accel(b, ad, gd, params), xa, ya)
     except DegenerateLeanError:
         raise
     except (ValueError, ArithmeticError):
         raise NonFiniteStateError(_NONFINITE) from None
     if not (isfinite(sum(out)) or all(map(isfinite, out))):
         raise NonFiniteStateError(_NONFINITE)
-    a, b, g, ad, bd, gd, bdd, xa, ya = out
-    if not torque:  # the rates squared above, now at a finite lean: this cannot raise
-        bdd = lean_accel(b, ad, gd, params)
-    return WheelState(a, b, g, ad, bd, gd, bdd, xa, ya)
+    return WheelState(*out)
 
 
 # ------------------------------------------------------------------ events
@@ -926,6 +914,9 @@ def run_closed_loop(cfg: SimConfig, sink=None) -> Trajectory:
             break
         try:  # a failed step ends the run at this row
             out = advance(a, b, g, ad, bd, gd, bdd, xa, ya, us, ud)
+            if torque:  # the lean acceleration at the step's end, judged with the step
+                sb, cb = sin(out[1]), cos(out[1])
+                out += (-Gm * cb - Im * cb * sb * out[3]**2 - Jm * sb * out[3] * out[5],)
         except DegenerateLeanError as exc:
             events.append(Event("Toppled", t, str(exc)))
             break
@@ -934,7 +925,10 @@ def run_closed_loop(cfg: SimConfig, sink=None) -> Trajectory:
         if not (isfinite(sum(out)) or all(map(isfinite, out))):
             events.append(Event("NonFinite", t, _NONFINITE))
             break
-        a, b, g, ad, bd, gd, bdd, xa, ya = out
+        if torque:
+            a, b, g, ad, bd, gd, xa, ya, bdd = out
+        else:
+            a, b, g, ad, bd, gd, xa, ya = out
 
     if rows:
         sink([rows[k::width] for k in range(width)])

@@ -15,7 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from gyrowheel import bundled_scenario_path, parse_scenario, replace, run_closed_loop
+from gyrowheel import (
+    FrictionParams,
+    bundled_scenario_path,
+    parse_scenario,
+    replace,
+    run_closed_loop,
+)
 from gyrowheel.controllers import BalanceController, LineController, PositionController
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -43,13 +49,22 @@ def test_every_traced_name_resolves(module, attr):
         assert callable(getattr(owner, attr))
 
 
-@pytest.mark.parametrize("name, cls", [
-    ("balance_default", BalanceController),
-    ("p2p_default", PositionController),
-    ("line_5m", LineController),
-    ("corridor_demo", LineController),
-])
-def test_run_calls_command_once_per_row(name, cls, monkeypatch):
+# the four bundled scenarios, and the friction and lag steppers, which
+# perfbench's sweep_closed_loop also runs
+_COMMAND_RUNS = [
+    ("balance_default", BalanceController, {}),
+    ("p2p_default", PositionController, {}),
+    ("line_5m", LineController, {}),
+    ("corridor_demo", LineController, {}),
+    ("balance_default", BalanceController, {"friction": FrictionParams()}),
+    ("line_5m", LineController, {"actuator_lag": 0.05}),
+]
+
+
+@pytest.mark.parametrize("name, cls, changes", _COMMAND_RUNS, ids=[
+    f"{name}-{cls.__name__}" + "".join(f"-{key}" for key in changes)
+    for name, cls, changes in _COMMAND_RUNS])
+def test_run_calls_command_once_per_row(name, cls, changes, monkeypatch):
     calls = []
     original = cls.__dict__["command"]
 
@@ -59,6 +74,6 @@ def test_run_calls_command_once_per_row(name, cls, monkeypatch):
 
     monkeypatch.setattr(cls, "command", counted)
     sc = parse_scenario(bundled_scenario_path(name))
-    traj = run_closed_loop(replace(sc.config, t_end=0.5))
+    traj = run_closed_loop(replace(sc.config, t_end=0.5, **changes))
     assert traj.events == [] and traj.row_count == 501
     assert len(calls) == traj.row_count

@@ -337,13 +337,23 @@ def test_config_refuses_a_degenerate_segment():
 # ------------------------------------------------------------------ steppers
 
 
+def _less_bdd(outcome):
+    """An oracle's outcome less its lean acceleration slot; a raised error as it is.
+
+    A stepper returns the eight coordinates it integrates and leaves the
+    lean acceleration to its callers: the oracles' closing lean_accel, and
+    the check of it, are held to rk4_step (test_rk4_step_matches_the_checked_oracle).
+    """
+    return outcome if isinstance(outcome, tuple) else outcome[:6] + outcome[7:]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(a=angles, b=leans, g=angles, ad=rates, bd=pushes, gd=rates, bdd=rates, xa=angles,
        ya=angles, u5=pushes, u6=pushes, dt=steps)
 def test_torque_stepper_matches_reference(a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6, dt):
     args = (a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6)
-    assert _outcome(oracles._checked(_torque_stepper(PARAMS, dt)), *args) == _outcome(
-        oracles.torque_step, *args, PARAMS, dt)
+    assert _outcome(oracles._checked(_torque_stepper(PARAMS, dt)), *args) == _less_bdd(
+        _outcome(oracles.torque_step, *args, PARAMS, dt))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -353,7 +363,7 @@ def test_friction_stepper_matches_reference(a, b, g, ad, bd, gd, xa, ya, u5, u6,
                                             friction):
     args = (a, b, g, ad, bd, gd, 0.0, xa, ya, u5, u6)
     assert _outcome(oracles._checked(_friction_stepper(PARAMS, friction, dt)), *args) == \
-        _outcome(oracles.friction_step, *args, PARAMS, friction, dt)
+        _less_bdd(_outcome(oracles.friction_step, *args, PARAMS, friction, dt))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -361,8 +371,8 @@ def test_friction_stepper_matches_reference(a, b, g, ad, bd, gd, xa, ya, u5, u6,
        ug=pushes, dt=steps)
 def test_velocity_stepper_matches_reference(a, b, g, bd, xa, ya, bdd, ua, ug, dt):
     args = (a, b, g, ua, bd, ug, bdd, xa, ya, ua, ug)  # the loop sets the rates to the command
-    assert _outcome(oracles._checked(_velocity_stepper(PARAMS, dt)), *args) == _outcome(
-        oracles.velocity_step, *args, PARAMS, dt)
+    assert _outcome(oracles._checked(_velocity_stepper(PARAMS, dt)), *args) == _less_bdd(
+        _outcome(oracles.velocity_step, *args, PARAMS, dt))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -370,41 +380,53 @@ def test_velocity_stepper_matches_reference(a, b, g, bd, xa, ya, bdd, ua, ug, dt
        bdd=rates, ua=pushes, ug=pushes, dt=steps, tau=st.floats(0.01, 0.2))
 def test_lag_stepper_matches_reference(a, b, g, bd, xa, ya, za, zg, bdd, ua, ug, dt, tau):
     args = (a, b, g, za, bd, zg, bdd, xa, ya, ua, ug)
-    assert _outcome(oracles._checked(_lag_stepper(PARAMS, dt, tau)), *args) == _outcome(
-        oracles.lag_step, *args, PARAMS, dt, tau)
+    assert _outcome(oracles._checked(_lag_stepper(PARAMS, dt, tau)), *args) == _less_bdd(
+        _outcome(oracles.lag_step, *args, PARAMS, dt, tau))
 
 
-def _rk4_outcomes(state, mode, friction=None):
-    """rk4_step's outcome with the command (1, 0) held for 0.01 s, and the checked oracle's.
+def _rk4_outcomes(state, mode, friction=None, steer=1.0, drive=0.0, dt=0.01):
+    """rk4_step's outcome with the command (steer, drive) held for dt, and the checked oracle's.
 
-    As in rk4_step, the step-start lean acceleration is inside the one
-    check, and a velocity step's end lean acceleration is formed after it.
+    As in rk4_step, the lean accelerations at the step's start and at its
+    end are inside the one check; the velocity oracle returns its start
+    value, so the end value is formed from its result.
     """
     s, torque = state, mode == "torque"
-    ad, gd = (s.alpha_dot, s.gamma_dot) if torque else (1.0, 0.0)
+    ad, gd = (s.alpha_dot, s.gamma_dot) if torque else (steer, drive)
     if friction is not None:
-        raw, extra = oracles.friction_step.__wrapped__, (PARAMS, friction, 0.01)
+        raw, extra = oracles.friction_step.__wrapped__, (PARAMS, friction, dt)
     else:
         raw = (oracles.torque_step if torque else oracles.velocity_step).__wrapped__
-        extra = (PARAMS, 0.01)
+        extra = (PARAMS, dt)
 
     @oracles._checked
-    def step():
-        bdd = 0.0 if friction is not None else oracles.lean_accel(s.beta, ad, gd, PARAMS)
-        return raw(s.alpha, s.beta, s.gamma, ad, s.beta_dot, gd, bdd, s.x_a, s.y_a, 1.0, 0.0,
-                   *extra)
-
     def expected():
-        out = step()
+        bdd = 0.0 if friction is not None else oracles.lean_accel(s.beta, ad, gd, PARAMS)
+        out = raw(s.alpha, s.beta, s.gamma, ad, s.beta_dot, gd, bdd, s.x_a, s.y_a, steer, drive,
+                  *extra)
         if torque:
             return out
-        return out[:6] + (oracles.lean_accel(out[1], 1.0, 0.0, PARAMS),) + out[7:]
+        return out[:6] + (oracles.lean_accel(out[1], steer, drive, PARAMS),) + out[7:]
 
     def got():
-        out = rk4_step(s, mode, 1.0, 0.0, PARAMS, 0.01, friction)
+        out = rk4_step(s, mode, steer, drive, PARAMS, dt, friction)
         return [getattr(out, name) for name in WheelState._fields]
 
     return _outcome(got), _outcome(expected)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=angles, b=leans, g=angles, ad=rates, bd=pushes, gd=rates, xa=angles, ya=angles,
+       steer=pushes, drive=pushes, dt=steps, mode=st.sampled_from(MODES),
+       friction=st.one_of(st.none(), frictions))
+def test_rk4_step_matches_the_checked_oracle(a, b, g, ad, bd, gd, xa, ya, steer, drive, dt,
+                                             mode, friction):
+    # the steppers leave the lean acceleration to their callers; rk4_step forms
+    # it at the step's end and judges it with the step, as the oracles do
+    state = WheelState(a, b, g, ad, bd, gd, None, xa, ya)
+    got, reference = _rk4_outcomes(state, mode, friction if mode == "torque" else None,
+                                   steer, drive, dt)
+    assert got == reference
 
 
 # (lean, lean rate, what the step raises) from rates of exactly 0 under the
@@ -477,25 +499,45 @@ def test_rk4_step_fails_as_the_checked_oracle(mode, a, b, bd):
 _STEPPER_CALLS = {"sin", "cos", "exp", "abs", "_require_open_lean"}
 
 
-def test_no_stepper_judges_its_own_step():
-    # the step's failure rule lives in run_closed_loop and rk4_step, not in the kernels:
-    # a stepper raises only DegenerateLeanError, and calls no helper that could raise another
+def _stepper_closures():
+    """(factory name, the step closures it defines) for each of the four stepper factories."""
     tree = ast.parse(Path(simulate.__file__).read_text())
     factories = [node for node in tree.body if isinstance(node, ast.FunctionDef)
                  and node.name.endswith("_stepper") and node.name != "_stepper"]
     assert sorted(f.name for f in factories) == [
         "_friction_stepper", "_lag_stepper", "_torque_stepper", "_velocity_stepper"]
+    found = []
     for factory in factories:
         closures = [node for node in ast.walk(factory) if isinstance(node, ast.FunctionDef)
                     and node is not factory]
         assert closures
+        found.append((factory.name, closures))
+    return found
+
+
+def test_no_stepper_judges_its_own_step():
+    # the step's failure rule lives in run_closed_loop and rk4_step, not in the kernels:
+    # a stepper raises only DegenerateLeanError, and calls no helper that could raise another
+    for name, closures in _stepper_closures():
         for node in (n for closure in closures for n in ast.walk(closure)):
-            assert not isinstance(node, ast.Try), factory.name
+            assert not isinstance(node, ast.Try), name
             names = (getattr(node, "id", None), getattr(node, "attr", None))
-            assert "isfinite" not in names and "NonFiniteStateError" not in names, factory.name
+            assert "isfinite" not in names and "NonFiniteStateError" not in names, name
             if isinstance(node, ast.Call):
                 assert getattr(node.func, "id", None) in _STEPPER_CALLS, \
-                    (factory.name, ast.unparse(node.func))
+                    (name, ast.unparse(node.func))
+
+
+def test_every_stepper_returns_the_eight_coordinates():
+    # the lean acceleration is a value of the state, formed by the callers:
+    # each closure returns (a, b, g, ad, bd, gd, xa, ya), eight expressions
+    for name, closures in _stepper_closures():
+        returns = [node for closure in closures for node in ast.walk(closure)
+                   if isinstance(node, ast.Return)]
+        assert returns, name
+        for node in returns:
+            assert isinstance(node.value, ast.Tuple) and len(node.value.elts) == 8, \
+                (name, ast.unparse(node))
 
 
 # ------------------------------------------------------------- event bounds

@@ -200,6 +200,13 @@ def test_each_value_is_formatted_once(fmt, tmp_path, monkeypatch):
     cli.emit_plot_data(held, ("beta", "t", "beta", "V", "alpha_dot", "u_steer"), tmp_path)
     assert len(calls) == held.row_count * 5  # t, beta, V, alpha_dot, u_steer
 
+    # a pass that writes no file formats nothing, not even t
+    calls.clear()
+    empty = tmp_path / "no_plots"
+    empty.mkdir()
+    assert cli.emit_plot_data(held, (), empty) == []
+    assert calls == [] and list(empty.iterdir()) == []
+
     # a line run has one segment: its float object is formatted once per chunk
     sc = _rows_scenario("line_5m")
     traj = _run_keeping_objects(sc.config)
@@ -389,6 +396,24 @@ def test_csv_memory_is_bounded_by_a_chunk(tmp_path):
     # a whole gyrowheel run keeps the certificate only, 8 B a row in
     # array('d'), and no t: about 10 B a row measured, with the array's spare room
     assert _run_growth("csv", tmp_path) <= 16
+
+
+@pytest.mark.parametrize("nan, limit", [(False, 12), (True, 28)])
+def test_decay_fit_peak_is_bounded_per_sample(nan, limit):
+    # the growth gates above compare 2 and 16 chunks, so they cannot see the fit
+    # at the end of a run: about 8.2 B a sample measured for its log series
+    # alone, and 24.5 B with a NaN sample, whose time and value series are
+    # compressed (a held finite mask, 8 B a sample more, measured 32.5 B)
+    n = 10**5
+    fold = cli._OutputPass("balance", None, "csv", (), None)
+    fold.values = array("d", map(math.exp, map(mul, range(n), repeat(-1e-4))))
+    if nan:
+        fold.values[n // 2] = math.nan
+    cli._decay_summary(fold, 1e-3)  # first-call allocations out of the peak
+    decay = {}
+    peak = _peak_bytes(lambda: decay.update(cli._decay_summary(fold, 1e-3)))
+    assert decay["samples"] == n - nan
+    assert peak / n <= limit
 
 
 @pytest.mark.parametrize("name, limit", [("balance_default", 392), ("p2p_default", 402)])
