@@ -7,10 +7,12 @@ closures, which compute their switches, drive floor, jerk coefficients
 and inertia solve in place), the state-object wrappers balance_control,
 position_control, line_control, polar_view and line_geometry, and the
 controllers' command, view, geometry and certificate methods. The
-steppers are plain arithmetic, so each is held to its oracle under the
-oracle's one failure rule, oracles._checked; rk4_step, which applies the
-package's rule as the run loop does, is held to the checked oracle at
-the failure edges of each mode. The strategies reach the edges where
+steppers are plain arithmetic and return the eight coordinates they
+integrate, so each is held to its oracle, less the oracle's closing lean
+acceleration, under the oracle's one failure rule, oracles._checked;
+rk4_step, which forms that lean acceleration and applies the package's
+rule as the run loop does, is held to the checked oracle on random steps
+and at the failure edges of each mode. The strategies reach the edges where
 the in-place forms could part from the equations: a lean switch at
 exactly 0, an overshoot product p*s of 0, friction rates of exactly 0, a
 stage lean at 0 or pi, NaN and infinite values, and the charts' floors
