@@ -25,18 +25,20 @@ state measurements, not sliding surfaces the trajectory rides on, except in
 the line task where the induced drive duty-cycling is the intended
 discrete-time sliding behavior.
 
-Each law is written once, over plain floats, by a factory that binds the
-gains, the smoothing slopes, (Gm, Im, Jm) and, for balance, the latched
-sign. The law computes in place what it reads of the rest of the package:
-the switches of switching.py, the drive floor and, for balance, the jerk
-coefficients of dynamics.beta_jerk_coeffs with their open-lean check,
-each with the same float expressions, so a command makes one call below
-the controller. A controller builds its law at construction, so its
-command method takes only the floats the law reads and returns (steer,
-drive); the simulation loop calls it once per row. balance_control,
-position_control and line_control wrap the same laws for library use: they
-take a WheelState and, for tracking, the tuple of the target's polar chart
-or the segment's line chart (see kinematics.polar_chart and line_chart).
+Each law is written once, over plain floats, as its controller's command
+method. The controller binds the gains, the smoothing slopes, (Gm, Im, Jm)
+and, for balance, the latched sign at construction; command unpacks them
+in one line. The law computes in place what it reads of the rest of the
+package: the switches of switching.py, the drive floor and, for balance,
+the jerk coefficients of dynamics.beta_jerk_coeffs with their open-lean
+check, each with the same float expressions, so a command calls no other
+function of the package but, at a lean outside (0, pi), that check. It
+takes only the floats the law reads and returns (steer, drive); the
+simulation loop calls it once per row. balance_control, position_control
+and line_control build a controller and call its command, for library
+use: they take a WheelState and, for tracking, the tuple of the target's
+polar chart or the segment's line chart (see kinematics.polar_chart and
+line_chart).
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .dynamics import WheelState, _require_open_lean, lean_accel
 from .kinematics import line_geometry, polar_view
 from .lyapunov import balance_value
 from .params import Record, RobotParams
-from .switching import hard_sign
 
 __all__ = [
     "BalanceGains",
@@ -143,35 +144,6 @@ def sigma(a: float, b: float, c: float) -> float:
     )
 
 
-def _balance_law(gains: BalanceGains, sign0: float, params: RobotParams):
-    """Balance law over plain floats, gains, sign0 and (Gm, Im, Jm) bound.
-
-    Returns law(beta, alpha_dot, beta_dot, gamma_dot, beta_ddot, V) -> (u5, u6).
-    The jerk coefficients (h1, h2, h3) of beta_jerk_coeffs are computed in
-    place, with the same open-lean check.
-    """
-    k2 = gains.k2
-    c0, c1 = 2.0 + gains.k1, 3.0 + 2.0 * gains.k1
-    Gm, Im, Jm = params.Gm, params.Im, params.Jm
-
-    def law(beta, alpha_dot, beta_dot, gamma_dot, beta_ddot, V):
-        x = beta - _HALF_PI
-        u5 = -(alpha_dot - sign0 * (k2 * V) ** 0.25)
-        if not 0.0 < beta < pi:
-            _require_open_lean(beta)
-        sb, cb = sin(beta), cos(beta)
-        h1 = Gm * sb - Im * cos(2.0 * beta) * alpha_dot**2 - Jm * cb * alpha_dot * gamma_dot
-        h2 = -Im * sin(2.0 * beta) * alpha_dot - Jm * sb * gamma_dot
-        h3 = -Jm * sb * alpha_dot
-        if h3 == 0.0:
-            raise ZeroDivisionError("steering rate is zero: rolling-channel gain h3 vanished")
-        target_jerk = c0 * x + c1 * beta_dot + c0 * beta_ddot
-        u6 = -(target_jerk + h1 * beta_dot + h2 * u5) / h3
-        return (u5, u6)
-
-    return law
-
-
 def balance_control(
     state: WheelState,
     gains: BalanceGains,
@@ -190,37 +162,10 @@ def balance_control(
     bdd = state.beta_ddot
     if bdd is None:
         bdd = lean_accel(state.beta, state.alpha_dot, state.gamma_dot, params)
-    return _balance_law(gains, sign0, params)(
+    # sign0 is +1 or -1, so the controller latches it as it is
+    return BalanceController(gains, params, sign0).command(
         state.beta, state.alpha_dot, state.beta_dot, state.gamma_dot, bdd, V
     )
-
-
-def _position_law(gains: PositionGains, params: RobotParams):
-    """Point-to-point law over plain floats: law(beta, beta_dot, e, psi) -> (u_alpha, u_gamma).
-
-    u_k is the drive floor: the minimum drive magnitude that keeps the lean
-    certificate decreasing. It dominates the worst-case gravity and
-    centrifugal push f1 plus a margin proportional to the lean error, and
-    divides by sin(beta), positive on the open lean domain.
-    """
-    k3, k4 = gains.k3, gains.k4
-    hk6 = None if gains.smoothing is None else 0.5 * gains.smoothing.k6
-    Gm, Im, Jm = params.Gm, params.Im, params.Jm
-
-    def law(beta, beta_dot, e, psi):
-        s_lean = (beta - _HALF_PI) + beta_dot
-        side = 1.0 if cos(psi) >= 0.0 else -1.0
-        sb, cb = sin(beta), cos(beta)
-        u_k = (2.0 * abs(s_lean) + abs(Gm * cb + Im * cb * sb * k3 * k3)) / (Jm * sb * k3)
-        if hk6 is None:
-            lean = 1.0 if s_lean >= 0.0 else -1.0
-        else:
-            lean = tanh(hk6 * s_lean)
-        u_alpha = -k3 * side * lean
-        u_gamma = -(k4 * e + u_k) * side
-        return (u_alpha, u_gamma)
-
-    return law
 
 
 def position_control(
@@ -235,41 +180,7 @@ def position_control(
     transient (see the aiming study script).
     """
     e, _, psi = polar
-    return _position_law(gains, params)(state.beta, state.beta_dot, e, psi)
-
-
-def _line_law(gains: LineGains, params: RobotParams):
-    """Line-tracking law over plain floats, with the drive floor u_k of _position_law.
-
-    Returns law(alpha, beta, beta_dot, theta, phi, p) -> (u_alpha, u_gamma).
-    """
-    k3, k5 = gains.k3, gains.k5
-    hk6 = k7 = None
-    if gains.smoothing is not None:
-        hk6, k7 = 0.5 * gains.smoothing.k6, gains.smoothing.k7
-    Gm, Im, Jm = params.Gm, params.Im, params.Jm
-
-    def law(alpha, beta, beta_dot, theta, phi, p):
-        s_lean = (beta - _HALF_PI) + beta_dot
-        s = 1.0 if sin(phi - alpha) * sin(phi - theta) >= 0.0 else -1.0
-        sb, cb = sin(beta), cos(beta)
-        u_k = (2.0 * abs(s_lean) + abs(Gm * cb + Im * cb * sb * k3 * k3)) / (Jm * sb * k3)
-        if k7 is None:
-            f2 = k5 * (1.0 if p * s >= 0.0 else 0.0)
-            lean = 1.0 if s_lean >= 0.0 else -1.0
-        else:
-            kx = k7 * (p * s)  # smooth_step(p * s, k7)
-            if kx >= 0.0:
-                f2 = k5 * (1.0 / (1.0 + exp(-kx)))
-            else:
-                ex = exp(kx)
-                f2 = k5 * (ex / (1.0 + ex))
-            lean = tanh(hk6 * s_lean)
-        u_alpha = -k3 * s * lean
-        u_gamma = -(f2 + u_k) * s
-        return (u_alpha, u_gamma)
-
-    return law
+    return PositionController(gains, params).command(state.beta, state.beta_dot, e, psi)
 
 
 def line_control(
@@ -283,7 +194,9 @@ def line_control(
     overshoot projection p so the wheel brakes once past the segment end.
     """
     _, _, _, theta, phi, p, _ = line
-    return _line_law(gains, params)(state.alpha, state.beta, state.beta_dot, theta, phi, p)
+    # the law reads the chart, not the waypoints: any valid two-point chain builds it
+    ctl = LineController(gains, params, ((0.0, 0.0), (1.0, 0.0)))
+    return ctl.command(state.alpha, state.beta, state.beta_dot, theta, phi, p)
 
 
 class BalanceController:
@@ -296,8 +209,9 @@ class BalanceController:
     def __init__(self, gains: BalanceGains, params: RobotParams, alpha_dot0: float) -> None:
         self.gains = gains
         self.params = params
-        self.sign0 = hard_sign(alpha_dot0)
-        self._law = _balance_law(gains, self.sign0, params)
+        self.sign0 = 1.0 if alpha_dot0 >= 0.0 else -1.0
+        k1 = gains.k1
+        self._k = (gains.k2, self.sign0, 2.0 + k1, 3.0 + 2.0 * k1, params.Gm, params.Im, params.Jm)
 
     def certificate(self, state: WheelState) -> float:
         bdd = state.beta_ddot
@@ -314,8 +228,25 @@ class BalanceController:
         beta_ddot: float,
         V: float,
     ) -> tuple[float, float]:
-        """Balance command (u5, u6); V is the certificate at the same lean data."""
-        return self._law(beta, alpha_dot, beta_dot, gamma_dot, beta_ddot, V)
+        """Balance command (u5, u6); V is the certificate at the same lean data.
+
+        The jerk coefficients (h1, h2, h3) of beta_jerk_coeffs are computed
+        in place, with the same open-lean check.
+        """
+        k2, sign0, c0, c1, Gm, Im, Jm = self._k
+        x = beta - _HALF_PI
+        u5 = -(alpha_dot - sign0 * (k2 * V) ** 0.25)
+        if not 0.0 < beta < pi:
+            _require_open_lean(beta)
+        sb, cb = sin(beta), cos(beta)
+        h1 = Gm * sb - Im * cos(2.0 * beta) * alpha_dot**2 - Jm * cb * alpha_dot * gamma_dot
+        h2 = -Im * sin(2.0 * beta) * alpha_dot - Jm * sb * gamma_dot
+        h3 = -Jm * sb * alpha_dot
+        if h3 == 0.0:
+            raise ZeroDivisionError("steering rate is zero: rolling-channel gain h3 vanished")
+        target_jerk = c0 * x + c1 * beta_dot + c0 * beta_ddot
+        u6 = -(target_jerk + h1 * beta_dot + h2 * u5) / h3
+        return (u5, u6)
 
 
 class PositionController:
@@ -330,14 +261,32 @@ class PositionController:
         self.gains = gains
         self.params = params
         self.target = (float(target[0]), float(target[1]))
-        self._law = _position_law(gains, params)
+        hk6 = None if gains.smoothing is None else 0.5 * gains.smoothing.k6
+        self._k = (gains.k3, gains.k4, hk6, params.Gm, params.Im, params.Jm)
 
     def view(self, state: WheelState) -> tuple:
         return polar_view(state, self.target)
 
     def command(self, beta: float, beta_dot: float, e: float, psi: float) -> tuple[float, float]:
-        """Rate command (u_alpha, u_gamma); e, psi come from the target's polar chart."""
-        return self._law(beta, beta_dot, e, psi)
+        """Rate command (u_alpha, u_gamma); e, psi come from the target's polar chart.
+
+        u_k is the drive floor: the minimum drive magnitude that keeps the
+        lean certificate decreasing. It dominates the worst-case gravity and
+        centrifugal push f1 plus a margin proportional to the lean error, and
+        divides by sin(beta), positive on the open lean domain.
+        """
+        k3, k4, hk6, Gm, Im, Jm = self._k
+        s_lean = (beta - _HALF_PI) + beta_dot
+        side = 1.0 if cos(psi) >= 0.0 else -1.0
+        sb, cb = sin(beta), cos(beta)
+        u_k = (2.0 * abs(s_lean) + abs(Gm * cb + Im * cb * sb * k3 * k3)) / (Jm * sb * k3)
+        if hk6 is None:
+            lean = 1.0 if s_lean >= 0.0 else -1.0
+        else:
+            lean = tanh(hk6 * s_lean)
+        u_alpha = -k3 * side * lean
+        u_gamma = -(k4 * e + u_k) * side
+        return (u_alpha, u_gamma)
 
 
 class LineController:
@@ -358,7 +307,9 @@ class LineController:
         self.gains = gains
         self.params = params
         self.waypoints = tuple((float(x), float(y)) for x, y in waypoints)
-        self._law = _line_law(gains, params)
+        sm = gains.smoothing
+        hk6, k7 = (None, None) if sm is None else (0.5 * sm.k6, sm.k7)
+        self._k = (gains.k3, gains.k5, hk6, k7, params.Gm, params.Im, params.Jm)
 
     def geometry(self, state: WheelState, segment: int) -> tuple:
         return line_geometry(state, self.waypoints[segment + 1], self.waypoints[segment])
@@ -366,5 +317,26 @@ class LineController:
     def command(
         self, alpha: float, beta: float, beta_dot: float, theta: float, phi: float, p: float
     ) -> tuple[float, float]:
-        """Rate command (u_alpha, u_gamma); theta, phi, p come from the segment's line chart."""
-        return self._law(alpha, beta, beta_dot, theta, phi, p)
+        """Rate command (u_alpha, u_gamma); theta, phi, p come from the segment's line chart.
+
+        The drive floor u_k is PositionController.command's.
+        """
+        k3, k5, hk6, k7, Gm, Im, Jm = self._k
+        s_lean = (beta - _HALF_PI) + beta_dot
+        s = 1.0 if sin(phi - alpha) * sin(phi - theta) >= 0.0 else -1.0
+        sb, cb = sin(beta), cos(beta)
+        u_k = (2.0 * abs(s_lean) + abs(Gm * cb + Im * cb * sb * k3 * k3)) / (Jm * sb * k3)
+        if k7 is None:
+            f2 = k5 * (1.0 if p * s >= 0.0 else 0.0)
+            lean = 1.0 if s_lean >= 0.0 else -1.0
+        else:
+            kx = k7 * (p * s)  # smooth_step(p * s, k7)
+            if kx >= 0.0:
+                f2 = k5 * (1.0 / (1.0 + exp(-kx)))
+            else:
+                ex = exp(kx)
+                f2 = k5 * (ex / (1.0 + ex))
+            lean = tanh(hk6 * s_lean)
+        u_alpha = -k3 * s * lean
+        u_gamma = -(f2 + u_k) * s
+        return (u_alpha, u_gamma)

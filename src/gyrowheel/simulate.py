@@ -21,10 +21,10 @@ builds the stepper of a mode for both run_closed_loop and rk4_step, which
 form the lean acceleration and judge each step: the steppers are plain
 arithmetic. The friction stepper writes its four stages out in full, each
 solving its inertia entries, forces and accelerations inline, with no call
-per stage. The controller binds its gains and (Gm, Im, Jm) at
-construction; the polar chart binds the target once per run and each line
-chart binds its segment's length and bearing once, when the corridor first
-reaches it.
+per stage. Each controller's command is its law, with the gains, (Gm, Im,
+Jm) and, for balance, the latched sign bound at construction; the polar
+chart binds the target once per run and each line chart binds its
+segment's length and bearing once, when the corridor first reaches it.
 run_closed_loop keeps the state in local floats and computes each per-row
 quantity once: the lean acceleration (also the first RK4 stage of the next
 step), the balance certificate (also the balance law's input), and the
@@ -98,6 +98,7 @@ __all__ = [
 ]
 
 MODES = ("torque", "velocity")
+_TORQUE_ONLY = "friction: joint friction applies in torque mode (balance runs) only"
 
 # Channel registry: name -> (unit, description). Which channels a run emits
 # depends on its kind; see Trajectory.names.
@@ -245,9 +246,7 @@ class SimConfig(Record):
             if math.hypot(x1 - x0, y1 - y0) <= EPS_RADIUS:
                 raise DegenerateLineError(f"waypoints[{i + 1}]: coincides with waypoints[{i}]")
         if self.friction is not None and self.mode != "torque":
-            raise ValueError(
-                "friction: joint friction applies in torque mode (balance runs) only"
-            )
+            raise ValueError(_TORQUE_ONLY)
         if self.mode == "torque":
             try:
                 self.initial.alpha_dot**2  # the lean dynamics square the steering rate
@@ -568,9 +567,11 @@ def _stepper(mode: str, params: RobotParams, dt: float, friction=None, lag: floa
     if mode == "torque":
         return (_torque_stepper(params, dt) if friction is None
                 else _friction_stepper(params, friction, dt))
-    if mode == "velocity":
-        return _lag_stepper(params, dt, lag) if lag > 0.0 else _velocity_stepper(params, dt)
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode != "velocity":
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if friction is not None:
+        raise ValueError(_TORQUE_ONLY)
+    return _lag_stepper(params, dt, lag) if lag > 0.0 else _velocity_stepper(params, dt)
 
 
 def rk4_step(
@@ -588,9 +589,10 @@ def rk4_step(
     velocity mode. Runs the same stepper as run_closed_loop. dt may be
     negative (backward integration, used by finite-difference oracles).
     It forms the lean acceleration at the step's end with lean_accel.
-    Raises ValueError for a mode not in MODES, DegenerateLeanError if a
-    finite friction stage lean leaves (0, pi), and NonFiniteStateError if
-    the step or that lean acceleration is a NaN or infinity.
+    Raises ValueError for a mode not in MODES or for friction outside
+    torque mode, DegenerateLeanError if a finite friction stage lean leaves
+    (0, pi), and NonFiniteStateError if the step or that lean acceleration
+    is a NaN or infinity.
     """
     step = _stepper(mode, params, dt, friction)
     st, torque = state, mode == "torque"

@@ -12,9 +12,9 @@ x != 0) and exist because hard switching chatters under fixed-step
 discretization. Note both hard functions return their upper value at
 exactly 0; the friction model's sign convention (0 at 0) is different and
 lives with the friction code. The laws in controllers compute these
-switches in place, with the same float expressions; the one call from the
-package is BalanceController's, which latches the sign of the initial
-steering rate with hard_sign.
+switches in place, with the same float expressions, and so does
+BalanceController's latch of the initial steering rate's sign: no module
+of the package calls this one.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gyrowheel import (
     BalanceController,
     Event,
+    FrictionParams,
     InadmissibleStateError,
     LineGains,
     NonFiniteStateError,
@@ -32,6 +33,13 @@ from conftest import failed_step_mapping, make_balance_config, make_balance_mapp
 def test_control_command_validates_mode(params):
     with pytest.raises(ValueError, match="mode must be one of"):
         rk4_step(WheelState(), "impulse", 0.0, 0.0, params, 1e-3)
+
+
+def test_rk4_step_refuses_friction_in_velocity_mode(params):
+    # joint friction acts on the motor torques, which a velocity step does not integrate
+    with pytest.raises(ValueError, match=r"^friction: joint friction applies in torque mode "
+                                         r"\(balance runs\) only$"):
+        rk4_step(WheelState(), "velocity", 0.0, 1.0, params, 1e-3, FrictionParams())
 
 
 def test_thresholds_must_be_positive():
