@@ -37,7 +37,7 @@ def main() -> int:
     for k1 in args.k1:
         cfg = balance_config(k1, args.t_end)
         traj = run_closed_loop(cfg)
-        report = decay_monitor(traj.times, traj.channel("V"))
+        report = decay_monitor(traj.channel("V"), cfg.dt)
         predicted = -2.0 * min(1.0, (1.0 + k1) / 2.0)
         fitted = report["fitted_rate"]
         fitted_txt = f"{fitted:12.4f}" if fitted is not None else f"{'n/a':>12}"

@@ -35,8 +35,8 @@ import sys
 import time
 from array import array
 from contextlib import ExitStack
-from itertools import compress, repeat
-from operator import is_, mul
+from itertools import repeat
+from operator import is_
 from pathlib import Path
 
 from .dynamics import WheelState
@@ -110,9 +110,9 @@ def _event_dict(ev: Event) -> dict:
 # texts until the run ends; it holds one chunk's strings while it joins them.
 # The files are opened at the first chunk, or at the end of a run of no row,
 # so a refused run writes none. For the report the pass keeps the certificate,
-# whose decay fit reads every sample, as doubles in array('d') (8 bytes a
-# value, each double exact), and the last row; the fit forms row i's time as
-# i * dt, the loop's own expression, so no t series is kept.
+# as doubles in array('d') (8 bytes a value, each double exact), and the last
+# row; lyapunov.decay_monitor forms row i's time as i * dt, the loop's own
+# expression, so no t series is kept.
 
 _repr = repr  # the one formatting step: a float's shortest round-trip text
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -286,29 +286,6 @@ def _threshold_checks(sc: Scenario, fold: _OutputPass) -> dict:
             for key, (value, limit, passed) in checks.items()}
 
 
-class _Times:
-    """Row i's time, i * dt as the loop forms it, for i in range(n); formed anew for each pass."""
-
-    def __init__(self, n: int, dt: float):
-        self.n, self.dt = n, dt
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return map(mul, range(self.n), repeat(self.dt))
-
-
-def _decay_summary(fold: _OutputPass, dt: float) -> dict | None:
-    values = fold.values
-    times = _Times(len(values), dt)
-    if not all(map(math.isfinite, values)):  # fit the finite samples only, each at its row's time
-        # the mask is formed anew for each series, since a list of it holds 8 B a value
-        times = array("d", compress(times, map(math.isfinite, values)))
-        values = array("d", compress(values, map(math.isfinite, values)))
-    return {**decay_monitor(times, values), "channel": fold.names[fold.cert]} if values else None
-
-
 def build_report(sc: Scenario, fold: _OutputPass | None, status: str, exit_code: int,
                  wall_time_s: float, detail: str = "") -> dict:
     """The report of a run of ``sc`` from its output pass after finish(traj), or from
@@ -339,7 +316,9 @@ def build_report(sc: Scenario, fold: _OutputPass | None, status: str, exit_code:
     report["terminal_event"] = _event_dict(events[-1]) if events else None
     report["final_state"] = _state_dict(fold.final_state)
     report["thresholds"] = _threshold_checks(sc, fold)
-    report["certificate_decay"] = _decay_summary(fold, cfg.dt)
+    decay = report["certificate_decay"] = decay_monitor(fold.values, cfg.dt)
+    if decay is not None:
+        decay["channel"] = fold.names[fold.cert]
     return report
 
 

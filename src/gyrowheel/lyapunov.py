@@ -2,7 +2,11 @@
 
 Every controller in this package ships with a scalar certificate that its
 closed loop is supposed to decrease. This module evaluates those scalars
-and fits/monitors decay along recorded trajectories.
+and fits/monitors decay along recorded trajectories: decay_monitor(values,
+dt) reads a certificate sampled once per row, row i at time i * dt, and is
+the one rule for which samples report.json's certificate_decay block reads.
+It reads only the finite samples, each at its own row's time, and gives
+None when no sample is finite.
 
 Certificates:
 
@@ -23,9 +27,9 @@ from __future__ import annotations
 import math
 from array import array
 from functools import reduce
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice, repeat
 from operator import add, countOf, gt, mul, sub
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "balance_value",
@@ -55,10 +59,13 @@ def lean_tracking_value(beta: float, beta_dot: float) -> float:
     return 0.5 * (x * x + s * s)
 
 
-def decay_monitor(times: Sequence[float], values: Sequence[float]) -> dict:
-    """Monitor a certificate series for decay: report.json's certificate_decay block.
+def decay_monitor(values: Sequence[float], dt: float) -> dict | None:
+    """Monitor a certificate sampled once per row, row i at time i * dt, for
+    decay: report.json's certificate_decay block, without its channel.
 
-    Returns, in this order: samples, the length of the series;
+    Only the finite samples are read, each at its own row's time; the
+    result is None when no sample is finite (an empty series included).
+    Over those samples it returns, in this order: samples, their number;
     max_step_increase, the largest single-step increase (0.0 for one
     sample); fitted_rate, the least-squares slope of log V over the samples
     where V exceeds RATE_FLOOR; violations, the number of steps that
@@ -67,36 +74,41 @@ def decay_monitor(times: Sequence[float], values: Sequence[float]) -> dict:
 
     The rate is None when fewer than two values exceed the floor, and when
     the squares of their times' spread about the mean sum to 0: times that
-    are all equal, or so close (dt = 1e-300, say) that each square
+    are all equal (dt = 0), or so close (dt = 1e-300, say) that each square
     underflows. It is None too when no larger than the bound rounding of
     the logs puts on it, sum|t_i - t_mean| * eps * max|log V_i| / (that sum
     of squares): times so close (dt = 1e-155, say) that log V cannot
     change, or a flat series.
     """
-    if len(times) != len(values):
-        raise ValueError("times and values must have equal length")
-    if not times:
-        raise ValueError("empty trajectory")
+    rows = range(len(values))
+
+    def times():  # row i's time, i * dt as the loop forms it, formed anew for each pass
+        return map(mul, rows, repeat(dt))
+
+    if not all(map(math.isfinite, values)):
+        # the mask is formed anew for each series, since a list of it holds 8 B a value
+        times = array("d", compress(times(), map(math.isfinite, values))).__iter__
+        values = array("d", compress(values, map(math.isfinite, values)))
+    if not values:
+        return None
 
     def increases():  # values[i] - values[i - 1], formed anew for each pass
         return map(sub, islice(values, 1, None), values)
 
-    # max skips a NaN increase, as `inc > max_inc` does
-    max_inc = max(chain((-math.inf,), increases())) if len(values) > 1 else 0.0
+    max_inc = max(increases(), default=0.0)
     violations, first = 0, None
     if max_inc > TOLERANCE:  # then, and only then, some increase exceeds the tolerance
         violations = countOf(map(gt, increases(), repeat(TOLERANCE)), True)
-        first = next(compress(islice(times, 1, None), map(gt, increases(), repeat(TOLERANCE))))
+        first = next(compress(islice(times(), 1, None), map(gt, increases(), repeat(TOLERANCE))))
     if all(map(gt, values, repeat(RATE_FLOOR))):
         ts, logs = times, array("d", map(math.log, values))
     else:
-        # the mask is formed anew for each series, since a list of it holds 8 B a value
-        ts = array("d", compress(times, map(gt, values, repeat(RATE_FLOOR))))
+        ts = array("d", compress(times(), map(gt, values, repeat(RATE_FLOOR)))).__iter__
         logs = array("d", map(math.log, compress(values, map(gt, values, repeat(RATE_FLOOR)))))
     return {
         "samples": len(values),
         "max_step_increase": max_inc,
-        "fitted_rate": _slope(ts, logs) if len(ts) >= 2 else None,
+        "fitted_rate": _slope(ts, logs) if len(logs) >= 2 else None,
         "violations": violations,
         "first_violation_time": first,
         "tolerance": TOLERANCE,
@@ -109,15 +121,16 @@ def _sum(values) -> float:
     return reduce(add, values, 0.0)
 
 
-def _slope(xs: Sequence[float], ys: Sequence[float]) -> float | None:
-    """The least-squares slope of ys over xs; None when the xs' squared spread is 0,
-    or when rounding each y by eps * |y| could account for the whole slope."""
-    n = float(len(xs))
-    mx = _sum(xs) / n
+def _slope(xs: Callable[[], Iterable[float]], ys: Sequence[float]) -> float | None:
+    """The least-squares slope of ys over the xs that each xs() call forms anew;
+    None when the xs' squared spread is 0, or when rounding each y by eps * |y|
+    could account for the whole slope."""
+    n = float(len(ys))
+    mx = _sum(xs()) / n
     my = _sum(ys) / n
 
     def dx():  # x - mx, formed anew for each sum, since holding it takes a third series
-        return map(sub, xs, repeat(mx))
+        return map(sub, xs(), repeat(mx))
 
     sxx = _sum(map(pow, dx(), repeat(2.0)))  # (x - mx) ** 2, which is pow(x - mx, 2.0) too
     if sxx == 0.0:

@@ -77,7 +77,7 @@ def test_criterion_01_certificate_decays_at_rate_two():
 
     times = traj.times
     values = traj.channel("V")
-    report = decay_monitor(times, values)
+    report = decay_monitor(values, cfg.dt)
     assert -2.01 <= report["fitted_rate"] <= -1.99
 
     v0 = values[0]
@@ -168,7 +168,7 @@ def test_criterion_05_jerk_coefficients_match_finite_differences():
     assert variant_failures >= 90
 
 
-def test_criterion_06_point_to_point_converges(p2p_traj):
+def test_criterion_06_point_to_point_converges(p2p_scenario, p2p_traj):
     assert p2p_traj.converged
     es = p2p_traj.channel("e")
     assert es[-1] < 0.05
@@ -176,7 +176,7 @@ def test_criterion_06_point_to_point_converges(p2p_traj):
     for beta in p2p_traj.channel("beta"):
         assert 0.0 < beta < math.pi
     v1 = p2p_traj.channel("V1")
-    report = decay_monitor(p2p_traj.times, v1)
+    report = decay_monitor(v1, p2p_scenario.config.dt)
     assert report["max_step_increase"] <= 1e-6
 
 

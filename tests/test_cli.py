@@ -33,6 +33,7 @@ from gyrowheel import cli
 from gyrowheel.cli import emit_plot_data, main
 
 from conftest import failed_step_mapping, make_balance_mapping
+from test_lyapunov import _loop_decay_monitor
 
 
 def _write(tmp_path, name, mapping):
@@ -946,45 +947,53 @@ def test_extreme_numbers_are_refused_or_run_in_contract(data):
 # --------------------------------------------------- certificate decay summary
 
 
-def _loop_decay_summary(traj):
-    """The report's decay summary with the per-row finite filter it replaced."""
-    name = "V" if traj.kind == "balance" else "V1"
-    values = traj.channels.get(name)
-    finite_t, finite_v = [], []
-    for t, v in zip(traj.times, values):
-        if math.isfinite(v):
-            finite_t.append(t)
-            finite_v.append(v)
-    if not finite_v:
-        return None
-    summary = decay_monitor(finite_t, finite_v)
-    summary["channel"] = name
-    return summary
+_BUNDLED = ("balance_default", "p2p_default", "line_5m", "corridor_demo")
 
 
-@pytest.mark.parametrize("spoil", ["none", "some", "all", "edges", "edges_p2p"])
-def test_decay_summary_fits_the_finite_samples(spoil):
-    # the report's fit reads the certificate the output pass keeps and forms
-    # row i's time as i * dt; each finite sample keeps its own row's time
-    if spoil == "edges_p2p":
-        sc = parse_scenario(bundled_scenario_path("p2p_default"))
-        sc = replace(sc, config=replace(sc.config, t_end=0.3))
+def _decay_case(case):
+    """A decay case's scenario, run to 0.3 s, and its library trajectory, whose
+    certificate is spoiled as the case says."""
+    if case == "nonfinite_line_start":
+        # admissible, as a line start checks only radius and lean; its one row holds
+        # V1 = inf, and the run ends NonFinite at 0.001 s
+        mapping = yaml.safe_load(bundled_scenario_path("line_5m").read_text())
+        mapping["initial"] = {"x_a": 0.0, "y_a": 0.0, "alpha": 0.0,
+                              "beta": math.pi / 2, "beta_dot": 1e200}
+        sc = scenario_from_mapping(mapping)
+    elif case in _BUNDLED or case == "edges_p2p":
+        sc = parse_scenario(bundled_scenario_path("p2p_default" if case == "edges_p2p" else case))
     else:
         sc = scenario_from_mapping(make_balance_mapping(t_end=0.3))
+    sc = replace(sc, config=replace(sc.config, t_end=0.3))
     traj = run_closed_loop(sc.config)
     v = traj.channels[cli._KINDS[sc.config.kind].cert]
-    if spoil == "some":
+    if case == "some":
         v[0], v[7], v[-1] = math.nan, math.inf, -math.inf
-    elif spoil == "all":
+    elif case == "all":
         v[:] = array("d", [math.nan] * len(v))
-    elif spoil.startswith("edges"):  # non-finite, -0.0, at and below RATE_FLOOR, a violation
+    elif case.startswith("edges"):  # non-finite, -0.0, at and below RATE_FLOOR, a violation
         v[3], v[10], v[20], v[-1] = math.nan, math.inf, -0.0, -math.inf
         v[30:36] = array("d", [1e-13, 0.0, 5e-324, -0.0, 1e-12, 2e-12])
         v[50] = v[49] + 1.0
-    expected = _loop_decay_summary(traj)
+    return sc, traj
+
+
+@pytest.mark.parametrize("case", ["none", "some", "all", "edges", "edges_p2p",
+                                  "nonfinite_line_start", *_BUNDLED])
+def test_decay_summary_fits_the_finite_samples(case, tmp_path):
+    # the report's certificate_decay block is decay_monitor's over the run's
+    # certificate, with the channel added: the finite samples, each at its row's time
+    sc, traj = _decay_case(case)
+    cert = cli._KINDS[sc.config.kind].cert
+    expected = decay_monitor(traj.channel(cert), sc.config.dt)
+    assert repr(expected) == repr(_loop_decay_monitor(traj.channel(cert), sc.config.dt))
     fold = cli._write_held(traj, None, "csv", (), None)
-    assert repr(cli._decay_summary(fold, sc.config.dt)) == repr(expected)
-    report = cli.build_report(sc, fold, "horizon", 1, 0.0)
-    assert repr(report["certificate_decay"]) == repr(expected)
-    assert (expected is None) == (spoil == "all")
-    assert not spoil.startswith("edges") or expected["violations"] >= 1
+    reports = [cli.build_report(sc, fold, "horizon", 1, 0.0)]
+    if case in ("none", "nonfinite_line_start", *_BUNDLED):  # no spoil: the run's own report too
+        reports.append(cli.run_scenario(sc, tmp_path)[1])
+    for report in reports:
+        decay = report["certificate_decay"]
+        assert repr(decay and {k: v for k, v in decay.items() if k != "channel"}) == repr(expected)
+        assert decay is None or list(decay)[-1:] == ["channel"] and decay["channel"] == cert
+    assert (expected is None) == (case in ("all", "nonfinite_line_start"))
+    assert not case.startswith("edges") or expected["violations"] >= 1

@@ -1,7 +1,7 @@
 """The README's contract tables against the code: the exit codes, the
 channels of each kind, the bundled scenarios, the threshold defaults and
 the keys of a report's certificate_decay block; and its Quick start
-commands, run."""
+commands and Library use block, run."""
 
 import json
 import re
@@ -92,7 +92,17 @@ def test_decay_keys_match_a_report(tmp_path):
     cli.run_scenario(parse_scenario(bundled_scenario_path("balance_default")), tmp_path)
     block = json.loads((tmp_path / "report.json").read_text())["certificate_decay"]
     assert documented == list(block)
-    assert list(decay_monitor([0.0, 1.0], [1.0, 0.5])) + ["channel"] == documented
+    assert list(decay_monitor([1.0, 0.5], 1.0)) + ["channel"] == documented
+
+
+def test_library_use_block_runs(tmp_path, capsys):
+    # the documented calls run as written, and the printed rate is the report's
+    block = _section("Library use").split("```python\n")[1].split("```")[0]
+    exec(compile(block, "README.md", "exec"), {})
+    converged, rate = capsys.readouterr().out.splitlines()
+    assert converged.split()[0] == "True"
+    _, report = cli.run_scenario(parse_scenario(bundled_scenario_path("balance_default")), tmp_path)
+    assert float(rate) == report["certificate_decay"]["fitted_rate"]
 
 
 def test_quick_start_commands_run(tmp_path, monkeypatch):

@@ -22,7 +22,9 @@ from operator import is_, mul
 
 import pytest
 
-from gyrowheel import bundled_scenario_path, parse_scenario, replace, run_closed_loop
+from gyrowheel import (
+    bundled_scenario_path, decay_monitor, parse_scenario, replace, run_closed_loop,
+)
 from gyrowheel import cli
 from gyrowheel.simulate import CHANNEL_INFO, Trajectory
 
@@ -405,13 +407,12 @@ def test_decay_fit_peak_is_bounded_per_sample(nan, limit):
     # alone, and 24.5 B with a NaN sample, whose time and value series are
     # compressed (a held finite mask, 8 B a sample more, measured 32.5 B)
     n = 10**5
-    fold = cli._OutputPass("balance", None, "csv", (), None)
-    fold.values = array("d", map(math.exp, map(mul, range(n), repeat(-1e-4))))
+    values = array("d", map(math.exp, map(mul, range(n), repeat(-1e-4))))
     if nan:
-        fold.values[n // 2] = math.nan
-    cli._decay_summary(fold, 1e-3)  # first-call allocations out of the peak
+        values[n // 2] = math.nan
+    decay_monitor(values, 1e-3)  # first-call allocations out of the peak
     decay = {}
-    peak = _peak_bytes(lambda: decay.update(cli._decay_summary(fold, 1e-3)))
+    peak = _peak_bytes(lambda: decay.update(decay_monitor(values, 1e-3)))
     assert decay["samples"] == n - nan
     assert peak / n <= limit
 
