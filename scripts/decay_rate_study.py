@@ -11,10 +11,9 @@ Usage:
 """
 
 import argparse
-import os
-import sys
 
 from gyrowheel import bundled_scenario_path, decay_monitor, parse_scenario, replace, run_closed_loop
+from gyrowheel.cli import run_command
 
 
 def balance_config(k1: float, t_end: float):
@@ -47,11 +46,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        status = main()
-        sys.stdout.flush()
-    except BrokenPipeError:  # the reader closed stdout early, as `| head -1` does
-        # point stdout at devnull so the flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        status = 1
-    raise SystemExit(status)
+    raise SystemExit(run_command(main))

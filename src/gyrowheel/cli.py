@@ -7,23 +7,18 @@ Exit codes are a stable contract:
        non-finite) without convergence
     2  wheel toppled
     3  inadmissible initial state
-    4  configuration or I/O error
+    4  configuration or I/O error; every command ends through run_command, so
+       an unwritable output or a reader that closed stdout early gives 4, no traceback
 
 Outputs per run: ``trajectory.csv`` (or ``.json``), ``report.json``, and one
-``plot_<channel>.csv`` per requested channel. All trajectory and plot files
-are bitwise deterministic for a given scenario. Every float in them is its
-shortest ``repr``, and ``trajectory.json`` is exactly
-``json.dumps(doc, indent=2, allow_nan=True)`` (non-finite values as the
-``NaN``/``Infinity``/``-Infinity`` literals). One output pass, the run
-loop's sink, writes the trajectory and plot files of a run from the chunks
-of rows the loop hands it, by one path per chunk that formats each distinct
-value once (a column holding an earlier column's float objects reuses its
-strings); for the report the run keeps only its certificate, as 8-byte
-doubles, and its last row. A ``--format json`` run holds one chunk's strings
-while it joins them, and each channel's text until it ends (the file is laid
-out by channel). Scenario files are read with libyaml when it is present; every
-error text is the pure-Python loader's. PyYAML is imported by the first
-scenario file parsed (run, batch, validate), so list-channels never loads it.
+``plot_<channel>.csv`` per requested channel, written by the output pass
+below. All trajectory and plot files are bitwise deterministic for a given
+scenario. Every float in them is its shortest ``repr``, and
+``trajectory.json`` is exactly ``json.dumps(doc, indent=2, allow_nan=True)``
+(non-finite values as the ``NaN``/``Infinity``/``-Infinity`` literals).
+Scenario files are read with libyaml when it is present; every error text is
+the pure-Python loader's. PyYAML is imported by the first scenario file parsed
+(run, batch, validate), so list-channels never loads it.
 """
 
 from __future__ import annotations
@@ -31,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from array import array
@@ -67,6 +63,7 @@ __all__ = [
     "emit_plot_data",
     "build_report",
     "run_scenario",
+    "run_command",
     "main",
 ]
 
@@ -264,15 +261,15 @@ def emit_plot_data(traj: Trajectory, channels, out_dir: Path) -> list[Path]:
     return _write_held(traj, None, "csv", channels, out_dir).paths
 
 
-def _status_and_exit(traj: Trajectory) -> tuple[str, int]:
-    terminal = traj.terminal_event
-    if terminal is not None and terminal.kind == "Toppled":
+def _status_and_exit(events: list) -> tuple[str, int]:
+    terminal = events[-1].kind if events else None
+    if terminal == "Toppled":
         return "toppled", EXIT_TOPPLED
-    if terminal is not None and terminal.kind == "NonFinite":
+    if terminal == "NonFinite":
         return "non_finite", EXIT_NO_CONVERGENCE
-    if traj.converged:
+    if any(ev.kind == "Converged" for ev in events):
         return "converged", EXIT_CONVERGED
-    if terminal is not None and terminal.kind == "SingularSteering":
+    if terminal == "SingularSteering":
         return "singular_steering", EXIT_NO_CONVERGENCE
     return "horizon", EXIT_NO_CONVERGENCE
 
@@ -286,11 +283,14 @@ def _threshold_checks(sc: Scenario, fold: _OutputPass) -> dict:
             for key, (value, limit, passed) in checks.items()}
 
 
-def build_report(sc: Scenario, fold: _OutputPass | None, status: str, exit_code: int,
-                 wall_time_s: float, detail: str = "") -> dict:
-    """The report of a run of ``sc`` from its output pass after finish(traj), or from
-    None for a refused start; a held Trajectory is read through _write_held's pass."""
+def build_report(sc: Scenario, fold: _OutputPass | None, wall_time_s: float,
+                 detail: str = "") -> dict:
+    """The report of a run of ``sc`` from its output pass after finish(traj), whose events
+    give the status and exit code, or from None for a refused start (inadmissible, exit 3);
+    a held Trajectory is read through _write_held's pass."""
     cfg = sc.config
+    status, exit_code = (("inadmissible", EXIT_INADMISSIBLE) if fold is None
+                         else _status_and_exit(fold.events))
     report = {
         "scenario": sc.name,
         "kind": cfg.kind,
@@ -332,43 +332,25 @@ def run_scenario(sc: Scenario, out_dir, fmt: str = "csv") -> tuple[int, dict]:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = sc.config
     path = out_dir / ("trajectory.json" if fmt == "json" else "trajectory.csv")
-    start = time.perf_counter()
+    start, detail = time.perf_counter(), ""
     try:
-        with _OutputPass(cfg.kind, path, fmt, sc.plot_channels, out_dir) as write:
-            traj = run_closed_loop(cfg, write)
-            write.finish(traj)
-    except InadmissibleStateError as exc:
-        fold, status, exit_code, detail = None, "inadmissible", EXIT_INADMISSIBLE, str(exc)
-    else:
-        fold, detail = write, ""
-        status, exit_code = _status_and_exit(traj)
-    report = build_report(sc, fold, status, exit_code, time.perf_counter() - start, detail)
-    _write_report(report, out_dir)
-    return exit_code, report
-
-
-def _write_report(report: dict, out_dir: Path) -> None:
+        with _OutputPass(cfg.kind, path, fmt, sc.plot_channels, out_dir) as fold:
+            fold.finish(run_closed_loop(cfg, fold))
+    except InadmissibleStateError as exc:  # a refused start: no file but the report
+        fold, detail = None, str(exc)
+    report = build_report(sc, fold, time.perf_counter() - start, detail)
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    return report["exit_code"], report
 
 
 def _apply_overrides(sc: Scenario, args) -> Scenario:
-    cfg = sc.config
-    changes = {}
-    if args.dt is not None:
-        changes["dt"] = args.dt
-    if args.t_end is not None:
-        changes["t_end"] = args.t_end
-    if changes:
-        cfg = replace(cfg, **changes)
-    return replace(sc, config=cfg)
+    changes = {k: v for k, v in (("dt", args.dt), ("t_end", args.t_end)) if v is not None}
+    return replace(sc, config=replace(sc.config, **changes)) if changes else sc
 
 
 def _summarize(report: dict) -> str:
-    bits = [
-        f"{report['scenario']}: {report['status']}",
-        f"rows={report.get('rows', 0)}",
-    ]
-    terminal = report.get("terminal_event")
+    bits = [f"{report['scenario']}: {report['status']}", f"rows={report['rows']}"]
+    terminal = report["terminal_event"]  # build_report sets both keys on every path
     if terminal:
         bits.append(f"{terminal['kind']} at t={terminal['time']:.3f}")
     bits.append(f"exit={report['exit_code']}")
@@ -383,11 +365,7 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(args.out) if args.out else Path("runs") / sc.name
-    try:
-        exit_code, report = run_scenario(sc, out_dir, args.format)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    exit_code, report = run_scenario(sc, out_dir, args.format)
     print(_summarize(report))
     print(f"wrote {out_dir}")
     return exit_code
@@ -395,13 +373,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_batch(args) -> int:
     root = Path(args.directory)
-    if not root.is_dir():
-        print(f"error: {root} is not a directory", file=sys.stderr)
-        return EXIT_CONFIG
+    if not root.is_dir():  # run_command reports it: error: <text>, exit 4
+        raise NotADirectoryError(f"{root} is not a directory")
     files = sorted(p for p in root.iterdir() if p.suffix in (".yaml", ".yml"))
     if not files:
-        print(f"error: no scenario files in {root}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise FileNotFoundError(f"no scenario files in {root}")
     out_root = Path(args.out) if args.out else Path("runs")
     worst = 0
     taken = {}  # output directory (the file stem) -> the file that runs into it
@@ -451,6 +427,22 @@ def _cmd_list_channels(_args) -> int:
     return EXIT_CONVERGED
 
 
+def run_command(command, *args) -> int:
+    """Call ``command(*args)``, flush stdout and return its exit code; an escaping OSError
+    gives EXIT_CONFIG, no traceback, and ``error: <exc>`` on stderr unless stdout closed."""
+    try:
+        exit_code = command(*args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout early, as `| head -1` does
+        # point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return exit_code
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gyrowheel",
@@ -482,7 +474,7 @@ def main(argv=None) -> int:
     p_list.set_defaults(func=_cmd_list_channels)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    return run_command(args.func, args)
 
 
 if __name__ == "__main__":

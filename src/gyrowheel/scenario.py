@@ -1,11 +1,11 @@
 """Scenario files: a strict YAML schema mapped onto SimConfig.
 
-The schema is deliberately rigid. Unknown keys are rejected at every level
-and gain constraints fail at parse time, so a typo'd experiment dies with a
-diagnostic instead of silently running something else. Every number must
-be finite: .inf, .nan and integers beyond the float range fail at parse time
-with the key named. A number reaches the configuration as the float of its
-YAML value, unrounded.
+The schema is deliberately rigid. Unknown or repeated keys are rejected at
+every level and gain constraints fail at parse time, so a typo'd experiment
+dies with a diagnostic instead of silently running something else. Every
+number must be finite: .inf, .nan and integers beyond the float range fail
+at parse time with the key named. A number reaches the configuration as the
+float of its YAML value, unrounded.
 
 Top-level keys::
 
@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import re
 import reprlib
+from functools import cache
 from pathlib import Path
 
 from .controllers import Smoothing
@@ -384,8 +385,29 @@ def scenario_from_mapping(data: dict, default_name: str = "scenario") -> Scenari
 _PURE_ONLY = re.compile(r"[^\n\r -~]|[!|>?]")
 
 
+@cache
+def _strict(loader):
+    """The PyYAML loader class ``loader``, refusing a mapping that repeats one of its own keys."""
+    import yaml
+
+    class Strict(loader):
+        def construct_mapping(self, node, deep=False):
+            own = list(node.value)  # its own pairs, before super() splices in a << merge's
+            mapping = super().construct_mapping(node, deep)
+            seen = []
+            for key_node in (k for k, _ in own if k.tag != "tag:yaml.org,2002:merge"):
+                key = self.construct_object(key_node)  # built by the call above
+                if key in seen:
+                    raise yaml.constructor.ConstructorError("while constructing a mapping",
+                        node.start_mark, f"found duplicate key {key!r}", key_node.start_mark)
+                seen.append(key)
+            return mapping
+
+    return Strict
+
+
 def _load(text: str):
-    """yaml.safe_load(text), parsed by libyaml where the two loaders agree.
+    """yaml.safe_load(text) refusing a repeated key, parsed by libyaml where the loaders agree.
 
     libyaml words its errors differently, so text it refuses is parsed again
     by the pure-Python loader, which raises the error yaml.safe_load would.
@@ -395,10 +417,10 @@ def _load(text: str):
     fast = getattr(yaml, "CSafeLoader", None)  # libyaml, when PyYAML was built with it
     if fast is not None and not _PURE_ONLY.search(text):
         try:
-            return yaml.load(text, Loader=fast)
+            return yaml.load(text, Loader=_strict(fast))
         except yaml.YAMLError:
             pass
-    return yaml.safe_load(text)
+    return yaml.load(text, Loader=_strict(yaml.SafeLoader))
 
 
 def parse_scenario(path) -> Scenario:

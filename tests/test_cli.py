@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -427,6 +428,59 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "beta" in proc.stdout
+
+
+def _short_suite(tmp_path):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    for name in ("a", "b"):
+        _write(suite, f"{name}.yaml", make_balance_mapping(t_end=0.01))
+    return suite
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["list-channels", "validate", "batch"])
+def test_a_command_stops_quietly_when_stdout_is_closed(command, unbuffered, tmp_path):
+    # stdout is a pipe whose reader is gone, as after `| head -1`: the first write (or, when
+    # buffered, the flush at the end) fails, and the command ends with 4, not a traceback
+    argv = {"list-channels": [], "validate": [str(bundled_scenario_path("balance_default"))],
+            "batch": [str(_short_suite(tmp_path)), "--out", str(tmp_path / "out")]}[command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "gyrowheel.cli", command, *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+                              env=env)
+    finally:
+        os.close(write)
+    assert done.returncode == 4, done.stderr
+    for text in ("Traceback", "BrokenPipeError", "Exception ignored"):
+        assert text not in done.stderr
+    if command == "batch":  # unbuffered, the first summary line fails and the batch stops
+        ran = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert ran == (["a"] if unbuffered else ["a", "b"])
+
+
+def test_run_into_an_out_path_that_is_a_file_is_an_io_error(quick_balance, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", str(quick_balance), "--out", str(taken)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert str(taken) in captured.err and "Traceback" not in captured.err
+
+
+def test_batch_into_an_out_path_that_is_a_file_reports_each_io_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["batch", str(_short_suite(tmp_path)), "--out", str(taken)]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ", 2)[:2] for line in lines] == [["a.yaml", "i/o error"],
+                                                          ["b.yaml", "i/o error"]]
+    assert taken.read_text() == ""
 
 
 def test_run_non_finite_exit(tmp_path):
@@ -988,7 +1042,7 @@ def test_decay_summary_fits_the_finite_samples(case, tmp_path):
     expected = decay_monitor(traj.channel(cert), sc.config.dt)
     assert repr(expected) == repr(_loop_decay_monitor(traj.channel(cert), sc.config.dt))
     fold = cli._write_held(traj, None, "csv", (), None)
-    reports = [cli.build_report(sc, fold, "horizon", 1, 0.0)]
+    reports = [cli.build_report(sc, fold, 0.0)]
     if case in ("none", "nonfinite_line_start", *_BUNDLED):  # no spoil: the run's own report too
         reports.append(cli.run_scenario(sc, tmp_path)[1])
     for report in reports:

@@ -359,9 +359,10 @@ class TestRoundTrip:
 # ------------------------------------------- libyaml against the pure loader
 #
 # parse_scenario loads with libyaml where it agrees with PyYAML's pure-Python
-# loader. Generated scenario text, valid and malformed, must give the same
-# mapping or the same error through both, and the same Scenario or the same
-# ScenarioError text through parse_scenario.
+# loader, each refusing a mapping that repeats a key. Generated scenario text,
+# valid and malformed, must give the same mapping or the same error through
+# both, and the same Scenario or the same ScenarioError text through
+# parse_scenario.
 
 _BUNDLED_TEXT = [bundled_scenario_path(name).read_text() for name in BUNDLED]
 _YAML_PIECES = (
@@ -371,6 +372,10 @@ _YAML_PIECES = (
     # text the two loaders read differently, which must go to the pure loader
     "\t", "!", "! ", "!!str ", "|", ">", ">#", "|-#", "\x85", "\u00e9", "\x00",
 )
+
+
+def _pure_load(text):
+    return yaml.load(text, Loader=scenario_module._strict(yaml.SafeLoader))
 
 
 def _outcome(load, text):
@@ -423,12 +428,12 @@ def _scenario_texts(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(text=st.one_of(_scenario_texts(), st.sampled_from(_BUNDLED_TEXT)))
 def test_libyaml_and_the_pure_loader_agree_on_scenario_text(text):
-    assert _outcome(scenario_module._load, text) == _outcome(yaml.safe_load, text)
+    assert _outcome(scenario_module._load, text) == _outcome(_pure_load, text)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "generated.yaml"
         path.write_text(text)
         fast = _parse_outcome(path)
-        with mock.patch.object(scenario_module, "_load", yaml.safe_load):
+        with mock.patch.object(scenario_module, "_load", _pure_load):
             assert _parse_outcome(path) == fast
 
 
@@ -443,3 +448,30 @@ def test_text_the_loaders_read_differently_goes_to_the_pure_loader(text):
     assert _outcome(scenario_module._load, text) == _outcome(yaml.safe_load, text)
     if yaml.__with_libyaml__:
         assert _outcome(lambda t: fast, text) != _outcome(yaml.safe_load, text)
+
+
+_BALANCE_TEXT = "kind: balance\ninitial: {lean_offset: 0.05, alpha_dot: 3.0}\n"
+
+
+@pytest.mark.parametrize("text, key", [
+    (_BALANCE_TEXT + "t_end: 0.01\nt_end: 0.02\n", "t_end"),  # a top-level key
+    (_BALANCE_TEXT + "t_end: 0.01\ngains: {k3: 3.0, k3: 2.5}\n", "k3"),  # a nested key
+], ids=["top_level", "nested"])
+def test_a_repeated_key_is_refused_by_both_loaders(text, key, tmp_path):
+    # strict YAML: the later value must not silently replace the earlier one
+    path = tmp_path / "repeated.yaml"
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match=f"found duplicate key '{key}'"):
+        parse_scenario(path)
+    outcome = _outcome(scenario_module._load, text)
+    assert outcome[0] == "error" and outcome == _outcome(_pure_load, text)
+    if yaml.__with_libyaml__:
+        with pytest.raises(yaml.YAMLError, match=f"found duplicate key '{key}'"):
+            yaml.load(text, Loader=scenario_module._strict(yaml.CSafeLoader))
+
+
+def test_a_key_a_merge_brings_in_may_be_set_again():
+    # only a mapping's own keys must be distinct: "<<" merges keys the mapping may override
+    text = "a: &b {x: 1, y: 2}\nc: {<<: *b, x: 3}\n"
+    assert scenario_module._load(text) == yaml.safe_load(text) == {
+        "a": {"x": 1, "y": 2}, "c": {"x": 3, "y": 2}}

@@ -3,7 +3,7 @@
 Each script is started as a user starts it, in a fresh interpreter, and
 must exit 0 and print exactly the stdout pinned below: the header and the
 figures of every row. A reader that closes the pipe after the header, as
-`| head -1` does, must not make a script end in a traceback.
+`| head -1` does, must make a script end with exit code 4, not a traceback.
 """
 
 import os
@@ -65,4 +65,5 @@ def test_study_stops_quietly_when_stdout_closes_early(script):
     finally:
         proc.kill()
         proc.wait()
+    assert proc.returncode == 4, err
     assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -362,7 +362,7 @@ def test_the_loop_streams_the_row_wise_writers_bytes(case, fmt, tmp_path):
     assert report["rows"] == rows
     # the streamed run's report equals the held run's, read through the same pass
     fold = cli._write_held(traj, None, fmt, (), None)
-    expected = cli.build_report(sc, fold, *cli._status_and_exit(traj), report["wall_time_s"])
+    expected = cli.build_report(sc, fold, report["wall_time_s"])
     assert (code, json.dumps(report)) == (expected["exit_code"], json.dumps(expected))
 
 
