@@ -2,13 +2,13 @@
 
 Exit codes are a stable contract:
 
-    0  run converged
+    0  run converged, or --help printed
     1  horizon reached (or steering went singular, or the state went
        non-finite) without convergence
     2  wheel toppled
     3  inadmissible initial state
-    4  configuration or I/O error; every command ends through run_command, so
-       an unwritable output or a reader that closed stdout early gives 4, no traceback
+    4  usage, configuration or I/O error; every command, --help included, ends through
+       run_command, so an unwritable output or a closed stdout gives 4, no traceback
 
 Outputs per run: ``trajectory.csv`` (or ``.json``), ``report.json``, and one
 ``plot_<channel>.csv`` per requested channel, written by the output pass
@@ -38,7 +38,7 @@ from pathlib import Path
 from .dynamics import WheelState
 from .lyapunov import decay_monitor
 from .params import replace
-from .scenario import Scenario, ScenarioError, parse_scenario
+from .scenario import Scenario, ScenarioError, _build, parse_scenario
 from .simulate import (
     CHANNEL_INFO,
     Event,
@@ -345,7 +345,8 @@ def run_scenario(sc: Scenario, out_dir, fmt: str = "csv") -> tuple[int, dict]:
 
 def _apply_overrides(sc: Scenario, args) -> Scenario:
     changes = {k: v for k, v in (("dt", args.dt), ("t_end", args.t_end)) if v is not None}
-    return replace(sc, config=replace(sc.config, **changes)) if changes else sc
+    # _build re-raises SimConfig's ValueError at an override as a ScenarioError, same text
+    return replace(sc, config=_build(replace, "", record=sc.config, **changes)) if changes else sc
 
 
 def _summarize(report: dict) -> str:
@@ -358,12 +359,7 @@ def _summarize(report: dict) -> str:
 
 
 def _cmd_run(args) -> int:
-    try:
-        sc = parse_scenario(args.scenario)
-        sc = _apply_overrides(sc, args)
-    except (ScenarioError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    sc = _apply_overrides(parse_scenario(args.scenario), args)
     out_dir = Path(args.out) if args.out else Path("runs") / sc.name
     exit_code, report = run_scenario(sc, out_dir, args.format)
     print(_summarize(report))
@@ -428,23 +424,31 @@ def _cmd_list_channels(_args) -> int:
 
 
 def run_command(command, *args) -> int:
-    """Call ``command(*args)``, flush stdout and return its exit code; an escaping OSError
-    gives EXIT_CONFIG, no traceback, and ``error: <exc>`` on stderr unless stdout closed."""
+    """Call ``command(*args)``, flush stdout and return its exit code; argparse's exit gives
+    0 after --help, else EXIT_CONFIG, as does an OSError or ScenarioError (``error: <exc>``)."""
     try:
-        exit_code = command(*args)
+        try:
+            exit_code = command(*args)
+        except SystemExit as exc:  # argparse's: 0 after its help, 2 after a usage error
+            exit_code = EXIT_CONFIG if exc.code else EXIT_CONVERGED
         sys.stdout.flush()
     except BrokenPipeError:  # the reader closed stdout early, as `| head -1` does
         # point stdout at devnull so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CONFIG
-    except OSError as exc:
+    except (OSError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return exit_code
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:  # argparse's own swallows a closed stdout's error
+        (file or sys.stdout).write(self.format_help())
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gyrowheel",
         description="Deterministic closed-loop simulation runner for the "
         "single-wheel robot controllers.",
@@ -473,8 +477,7 @@ def main(argv=None) -> int:
     p_list = sub.add_parser("list-channels", help="list trajectory channels")
     p_list.set_defaults(func=_cmd_list_channels)
 
-    args = parser.parse_args(argv)
-    return run_command(args.func, args)
+    return run_command(lambda: (args := parser.parse_args(argv)).func(args))
 
 
 if __name__ == "__main__":

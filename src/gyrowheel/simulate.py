@@ -233,6 +233,9 @@ class SimConfig(Record):
             raise ValueError(
                 f"t_end: t_end / dt = {self.t_end} / {self.dt} is beyond the float range"
             )
+        if self.n_steps > 2**53:  # past it, the loop's t = i * dt rounds i: two rows, one time
+            raise ValueError(f"t_end: t_end / dt = {self.t_end} / {self.dt} is over 2**53 steps, "
+                             "past which a row's index is not exact as a double")
         expected_gains = _KINDS[self.kind].gains
         if not isinstance(self.gains, expected_gains):
             raise ValueError(

@@ -2,8 +2,9 @@
 
 No run evaluates these. tests/test_fused_kernel.py compares every law,
 chart and RK4 stepper of the package against them, bit for bit or by the
-same exception type and message; the other test files derive or refute
-the model's properties with them. They import only records, parameters,
+same exception type and message, and tests/test_dynamics.py so compares
+the library functions of gyrowheel.dynamics; the other test files derive
+or refute the model's properties with them. They import only records, parameters,
 errors and constants from gyrowheel, never a law, chart, stepper or
 switch, so a fault in one of those cannot hide in its own reference.
 The closed forms of the nominal balance loop state the paper's balance
@@ -12,7 +13,7 @@ steering rate to them within a first-order bound in dt.
 
 The order and grouping of every float expression is the package's,
 since the comparison is bitwise. The sections follow the README: the
-model (lean equation, jerk coefficients, full equations with friction),
+model (lean equation, jerk coefficients, decoupling, full equations with friction),
 the controllers (switches, drive floor, laws), the charts, the closed
 forms of the nominal balance loop, and the RK4 steppers of the two
 command modes.
@@ -107,6 +108,16 @@ def joint_friction(rate, mu_v, mu_d, mu_s, D):
     """mu_v*rate + (mu_d + (mu_s - mu_d) exp(-|rate|/D)) sgn(rate), with sgn(0) = 0."""
     s = 1.0 if rate > 0.0 else -1.0 if rate < 0.0 else 0.0
     return mu_v * rate + (mu_d + (mu_s - mu_d) * exp(-abs(rate) / D)) * s
+
+
+def decouple(beta, alpha_dot, beta_dot, gamma_dot, u5, u6, params):
+    """Motor torques (u1, u2) = (M11 u5 + M13 u6 - N1, M13 u5 + M33 u6 - N3).
+
+    They realize alpha_ddot = u5 and gamma_ddot = u6 exactly without friction.
+    """
+    (M11, M13, M33), (n1, _, n3) = inertia_and_forces(
+        beta, alpha_dot, beta_dot, gamma_dot, params)
+    return (M11 * u5 + M13 * u6) - n1, (M13 * u5 + M33 * u6) - n3
 
 
 def full_accel(beta, alpha_dot, beta_dot, gamma_dot, u1, u2, params, friction):
@@ -376,12 +387,9 @@ def torque_step(a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6, params, dt):
 def friction_step(a, b, g, ad, bd, gd, bdd, xa, ya, u5, u6, params, friction, dt):
     """(u5, u6) decoupled into motor torques at the step start and held; full equations.
 
-    u1 = M11 u5 + M13 u6 - N1 and u2 = M13 u5 + M33 u6 - N3 realize
-    (u5, u6) exactly without friction. bdd is not read: the first stage
-    solves the full equations too.
+    bdd is not read: the first stage solves the full equations too.
     """
-    (M11, M13, M33), (n1, _, n3) = inertia_and_forces(b, ad, bd, gd, params)
-    u1, u2 = (M11 * u5 + M13 * u6) - n1, (M13 * u5 + M33 * u6) - n3
+    u1, u2 = decouple(b, ad, bd, gd, u5, u6, params)
 
     def rates(a, b, g, ad, bd, gd):
         add, bdd, gdd = full_accel(b, ad, bd, gd, u1, u2, params, friction)

@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import copy
+import inspect
 import io
 import json
 import math
@@ -262,6 +264,44 @@ def test_run_config_error_exits(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.yaml")]) == 4
 
 
+@pytest.mark.parametrize("body, override, text", [
+    ("kind: balance\nt_end: 1.0\nbogus: 1\n", [], "scenario: unknown key 'bogus'"),
+    (None, ["--t-end", "0.0001"], "t_end: must be at least dt, got 0.0001"),
+    (None, ["--dt", "nan"], "dt: must be finite, got nan"),
+], ids=["schema", "t_end-below-dt", "dt-nan"])
+def test_run_config_errors_end_in_run_command(body, override, text, tmp_path, capsys):
+    # _cmd_run catches nothing: a schema error and SimConfig's refusal of an override
+    # are both ScenarioErrors, which run_command prints as one error line
+    assert not any(isinstance(node, ast.Try) for node in ast.walk(
+        ast.parse(inspect.getsource(cli._cmd_run))))
+    scenario = bundled_scenario_path("balance_default")
+    if body is not None:
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text(body)
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out), *override]) == 4
+    assert capsys.readouterr() == ("", f"error: {text}\n")
+    assert not out.exists()
+
+
+def test_a_run_of_more_than_2_53_steps_is_refused(tmp_path, capsys):
+    # past 2**53 steps the loop's t = i * dt rounds i, so two rows could share a time
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    scenario = _write(suite, "huge.yaml",
+                      make_balance_mapping(dt=2.2250738585072014e-308, t_end=0.2365))
+    text = ("t_end: t_end / dt = 0.2365 / 2.2250738585072014e-308 is over 2**53 steps, "
+            "past which a row's index is not exact as a double")
+    assert main(["validate", str(scenario)]) == 4
+    assert capsys.readouterr() == ("", f"invalid: {text}\n")
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out)]) == 4
+    assert capsys.readouterr() == ("", f"error: {text}\n")
+    assert main(["batch", str(suite), "--out", str(out)]) == 4
+    assert capsys.readouterr() == (f"huge.yaml: config error: {text}\n", "")
+    assert not out.exists()
+
+
 def test_run_dt_override(quick_balance, tmp_path):
     out = tmp_path / "coarse"
     code = main(
@@ -402,6 +442,31 @@ def test_batch_empty_dir(tmp_path, capsys):
     assert main(["batch", str(empty)]) == 4
 
 
+@pytest.mark.parametrize("argv, error", [
+    ([], "gyrowheel: error: the following arguments are required: command"),
+    (["run"], "gyrowheel run: error: the following arguments are required: scenario"),
+    (["bogus"], "gyrowheel: error: argument command: invalid choice: 'bogus'"),
+    (["run", "x.yaml", "--dt", "abc"], "gyrowheel run: error: argument --dt: invalid float value: 'abc'"),
+    (["run", "x.yaml", "--format", "xml"],
+     "gyrowheel run: error: argument --format: invalid choice: 'xml'"),
+], ids=["no-command", "no-scenario", "unknown-command", "dt-abc", "format-xml"])
+def test_a_usage_error_returns_4_after_argparse_usage_text(argv, error, capsys):
+    assert main(argv) == 4  # returned, so no SystemExit reaches a library caller
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: gyrowheel")
+    assert error in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["gyrowheel", "run"])
+def test_help_returns_0_with_the_help_on_stdout(argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(f"usage: {' '.join(['gyrowheel', *argv[:-1]])} [-h]")
+    assert "show this help message and exit" in captured.out
+
+
 def test_list_channels(capsys):
     assert main(["list-channels"]) == 0
     out = capsys.readouterr().out
@@ -439,11 +504,12 @@ def _short_suite(tmp_path):
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("command", ["list-channels", "validate", "batch"])
+@pytest.mark.parametrize("command", ["list-channels", "validate", "batch", "--help"])
 def test_a_command_stops_quietly_when_stdout_is_closed(command, unbuffered, tmp_path):
     # stdout is a pipe whose reader is gone, as after `| head -1`: the first write (or, when
     # buffered, the flush at the end) fails, and the command ends with 4, not a traceback
-    argv = {"list-channels": [], "validate": [str(bundled_scenario_path("balance_default"))],
+    argv = {"list-channels": [], "--help": [],
+            "validate": [str(bundled_scenario_path("balance_default"))],
             "batch": [str(_short_suite(tmp_path)), "--out", str(tmp_path / "out")]}[command]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from gyrowheel import (
     nonlinear_terms,
 )
 
+import oracles
 from oracles import beta_jerk_coeffs_variant
 
 
@@ -281,3 +283,85 @@ def test_inertia_positive_definite_random(beta, ad, gd):
     assert M_rho > 0.0
     quad = M11 * ad**2 + 2.0 * M13 * ad * gd + M33 * gd**2
     assert quad >= -1e-12
+
+
+# ------------------------------------------ the library layer against the oracle
+#
+# No run calls these functions: the friction stepper and the balance law write the
+# same equations in place, and tests/test_fused_kernel.py holds those to
+# tests/oracles.py. Each library function is held to the same oracle here, bit for
+# bit or by the same exception, so the physics tests above, which exercise the
+# library layer, speak for the equations the runs integrate.
+
+_NEAR_FLAT = (5e-324, 1e-300, 1e-8, math.pi - 1e-8, math.nextafter(math.pi, 0.0))
+_leans = st.one_of(st.floats(0.05, math.pi - 0.05), st.floats(5e-324, 1e-6),
+                   st.floats(math.pi - 1e-6, math.nextafter(math.pi, 0.0)),
+                   st.sampled_from(_NEAR_FLAT + (0.0, math.pi, math.pi / 2)))
+_rates = st.one_of(st.floats(-5.0, 5.0), st.sampled_from((0.0, -0.0)))
+_commands = st.one_of(_rates, st.floats(-400.0, 400.0))
+_params = st.one_of(st.just(RobotParams()),
+                    st.builds(RobotParams, m=st.floats(0.1, 10.0), R=st.floats(0.05, 2.0),
+                              Ix=st.floats(0.01, 2.0)))
+_frictions = st.builds(
+    lambda v, dyn, extra, D: FrictionParams(mu_v=v, mu_d=dyn,
+                                            mu_s=tuple(a + b for a, b in zip(dyn, extra)), D=D),
+    *[st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 0.5))] * 3)] * 3, st.floats(0.01, 0.5),
+)
+
+
+def _outcome(fn, *args):
+    """The bits of fn's result, flattened, or the type and message of what it raised."""
+    try:
+        out = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+    flat = [v for item in out for v in (item if isinstance(item, tuple) else (item,))]
+    return [struct.pack("<d", v) for v in flat]
+
+
+@given(beta=_leans, ad=_rates, bd=_rates, gd=_rates, params=_params)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_inertia_matrix_and_nonlinear_terms_are_the_oracles(beta, ad, bd, gd, params):
+    state = WheelState(beta=beta, alpha_dot=ad, beta_dot=bd, gamma_dot=gd)
+
+    def library():
+        M11, M13, M22, M33, M_rho = inertia_matrix(state, params)
+        assert M22 is params.M22 and M_rho == M11 * M33 - M13**2  # the oracle's minor
+        return (M11, M13, M33), nonlinear_terms(state, params)
+
+    assert _outcome(library) == _outcome(oracles.inertia_and_forces, beta, ad, bd, gd, params)
+
+
+@given(beta=_leans, ad=_rates, bd=_rates, gd=_rates, u1=_commands, u2=_commands,
+       params=_params, friction=_frictions)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_full_accel_with_friction_is_the_oracles(beta, ad, bd, gd, u1, u2, params, friction):
+    state = WheelState(beta=beta, alpha_dot=ad, beta_dot=bd, gamma_dot=gd)
+    assert (_outcome(full_accel, state, u1, u2, params, friction)
+            == _outcome(oracles.full_accel, beta, ad, bd, gd, u1, u2, params, friction))
+
+
+@given(q_dot=st.tuples(_rates, _rates, _rates), friction=_frictions)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_friction_torque_is_the_oracles_joint_friction(q_dot, friction):
+    f = friction
+    expected = [oracles.joint_friction(v, f.mu_v[i], f.mu_d[i], f.mu_s[i], f.D)
+                for i, v in enumerate(q_dot)]
+    assert _outcome(friction_torque, q_dot, f) == _outcome(lambda: expected)
+
+
+@given(beta=_leans, ad=_rates, gd=_rates, params=_params)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_beta_jerk_coeffs_are_the_oracles(beta, ad, gd, params):
+    state = WheelState(beta=beta, alpha_dot=ad, gamma_dot=gd)
+    assert (_outcome(beta_jerk_coeffs, state, params)
+            == _outcome(oracles.jerk_coeffs, beta, ad, gd, params))
+
+
+@given(beta=_leans, ad=_rates, bd=_rates, gd=_rates, u5=_commands, u6=_commands,
+       params=_params)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_cancel_and_decouple_is_the_friction_steps_decoupling(beta, ad, bd, gd, u5, u6, params):
+    state = WheelState(beta=beta, alpha_dot=ad, beta_dot=bd, gamma_dot=gd)
+    assert (_outcome(cancel_and_decouple, u5, u6, state, params)
+            == _outcome(oracles.decouple, beta, ad, bd, gd, u5, u6, params))

@@ -3,7 +3,8 @@
 Each script is started as a user starts it, in a fresh interpreter, and
 must exit 0 and print exactly the stdout pinned below: the header and the
 figures of every row. A reader that closes the pipe after the header, as
-`| head -1` does, must make a script end with exit code 4, not a traceback.
+`| head -1` does, must make a script end with exit code 4, not a traceback,
+and so must a flag the script does not know.
 """
 
 import os
@@ -45,6 +46,19 @@ def test_study_runs_at_its_smallest_setting(script):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == stdout
+
+
+@pytest.mark.parametrize("script", sorted(STUDIES))
+def test_study_exits_4_on_a_bad_flag(script):
+    # argparse's usage error ends in run_command, as the CLI's does: exit 4, usage on stderr
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), "--no-such-flag"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 4, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"usage: {script}")
+    assert done.stderr.endswith("error: unrecognized arguments: --no-such-flag\n")
 
 
 @pytest.mark.parametrize("script", sorted(STUDIES))

@@ -202,6 +202,18 @@ def test_config_refuses_a_balance_alpha_dot_whose_square_overflows():
     assert str(built.value) == str(parsed.value)
 
 
+def test_config_refuses_more_than_2_53_steps():
+    # up to 2**53 every row index is exact as a double, so each row's t = i * dt is its own
+    cfg = replace(make_balance_config(), dt=1.0, t_end=2.0**53)
+    assert cfg.n_steps == 2**53
+    with pytest.raises(ValueError) as refused:
+        replace(cfg, t_end=2.0**53 + 2.0)
+    assert str(refused.value) == (
+        "t_end: t_end / dt = 9007199254740994.0 / 1.0 is over 2**53 steps, "
+        "past which a row's index is not exact as a double"
+    )
+
+
 def test_run_is_bitwise_deterministic():
     cfg = make_balance_config(t_end=1.0)
     a = run_closed_loop(cfg)
