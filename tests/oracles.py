@@ -4,19 +4,20 @@ No run evaluates these. tests/test_fused_kernel.py compares every law,
 chart and RK4 stepper of the package against them, bit for bit or by the
 same exception type and message, and tests/test_dynamics.py so compares
 the library functions of gyrowheel.dynamics; the other test files derive
-or refute the model's properties with them. They import only records, parameters,
-errors and constants from gyrowheel, never a law, chart, stepper or
-switch, so a fault in one of those cannot hide in its own reference.
+or refute the model's properties with them. They import only records,
+parameters, errors and constants from gyrowheel, never a law, chart,
+stepper or switch, so a fault in one of those cannot hide in its own
+reference.
 The closed forms of the nominal balance loop state the paper's balance
 result: tests/test_acceptance.py holds run_closed_loop's lean offset and
 steering rate to them within a first-order bound in dt.
 
 The order and grouping of every float expression is the package's,
 since the comparison is bitwise. The sections follow the README: the
-model (lean equation, jerk coefficients, decoupling, full equations with friction),
-the controllers (switches, drive floor, laws), the charts, the closed
-forms of the nominal balance loop, and the RK4 steppers of the two
-command modes.
+model (lean equation, jerk coefficients, decoupling, full equations with
+friction), the controllers (switches, drive floor, laws), the charts,
+the closed forms of the nominal balance loop, and the RK4 steppers of
+the two command modes.
 """
 
 from functools import wraps

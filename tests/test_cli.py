@@ -446,7 +446,8 @@ def test_batch_empty_dir(tmp_path, capsys):
     ([], "gyrowheel: error: the following arguments are required: command"),
     (["run"], "gyrowheel run: error: the following arguments are required: scenario"),
     (["bogus"], "gyrowheel: error: argument command: invalid choice: 'bogus'"),
-    (["run", "x.yaml", "--dt", "abc"], "gyrowheel run: error: argument --dt: invalid float value: 'abc'"),
+    (["run", "x.yaml", "--dt", "abc"],
+     "gyrowheel run: error: argument --dt: invalid float value: 'abc'"),
     (["run", "x.yaml", "--format", "xml"],
      "gyrowheel run: error: argument --format: invalid choice: 'xml'"),
 ], ids=["no-command", "no-scenario", "unknown-command", "dt-abc", "format-xml"])
