@@ -12,11 +12,10 @@ Usage:
     python3 scripts/aiming_sensitivity.py [--offsets 0.0 0.005 0.02 ...]
 """
 
-import argparse
 import math
 
 from gyrowheel import RobotParams, bundled_scenario_path, parse_scenario, replace, run_closed_loop
-from gyrowheel.cli import run_command
+from gyrowheel.cli import Parser, run_command
 
 
 def p2p_config(heading_offset: float):
@@ -33,7 +32,7 @@ def path_length(traj, wheel_radius: float, dt: float) -> float:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--offsets", type=float, nargs="+",
                     default=[0.0, 0.002, 0.005, 0.01, 0.02, 0.05, 0.3])
     args = ap.parse_args()

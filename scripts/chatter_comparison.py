@@ -14,10 +14,8 @@ Usage:
     python3 scripts/chatter_comparison.py [--sharpness 5 20 80]
 """
 
-import argparse
-
 from gyrowheel import Smoothing, bundled_scenario_path, parse_scenario, replace, run_closed_loop
-from gyrowheel.cli import run_command
+from gyrowheel.cli import Parser, run_command
 
 
 def line_config(sharpness: float | None):
@@ -37,7 +35,7 @@ def chatter_metrics(traj) -> tuple[int, float]:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--sharpness", type=float, nargs="+", default=[5.0, 20.0, 80.0])
     args = ap.parse_args()
 

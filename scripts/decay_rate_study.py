@@ -10,10 +10,8 @@ Usage:
     python3 scripts/decay_rate_study.py [--t-end 8.0] [--k1 0.5 1.0 1.5 2.0 2.5]
 """
 
-import argparse
-
 from gyrowheel import bundled_scenario_path, decay_monitor, parse_scenario, replace, run_closed_loop
-from gyrowheel.cli import run_command
+from gyrowheel.cli import Parser, run_command
 
 
 def balance_config(k1: float, t_end: float):
@@ -25,7 +23,7 @@ def balance_config(k1: float, t_end: float):
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--t-end", type=float, default=8.0)
     ap.add_argument("--k1", type=float, nargs="+",
                     default=[0.5, 0.75, 1.0, 1.5, 2.0, 2.5])

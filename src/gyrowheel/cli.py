@@ -64,6 +64,7 @@ __all__ = [
     "build_report",
     "run_scenario",
     "run_command",
+    "Parser",
     "main",
 ]
 
@@ -442,13 +443,15 @@ def run_command(command, *args) -> int:
     return exit_code
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
+    """argparse's parser, whose --help into a closed stdout ends in run_command with 4."""
+
     def print_help(self, file=None) -> None:  # argparse's own swallows a closed stdout's error
         (file or sys.stdout).write(self.format_help())
 
 
 def main(argv=None) -> int:
-    parser = _Parser(
+    parser = Parser(
         prog="gyrowheel",
         description="Deterministic closed-loop simulation runner for the "
         "single-wheel robot controllers.",

@@ -17,7 +17,7 @@ Top-level keys::
                       tracking kinds -> velocity)
     dt                step size, default 0.001
     t_end             horizon, required
-    stop_on_converged optional bool, default true
+    stop_on_converged optional bool
     params            optional robot parameter overrides (m, R, Ix, g, M22)
     initial           initial state block, see below
     gains             gain block, see below
@@ -29,9 +29,13 @@ Top-level keys::
     rate_limits       optional capability gates, _RATE_LIMIT_KEYS
     plot_channels     optional list of channel names for plot_<channel>.csv
 
-Each form of the initial block is one table of its keys and their defaults:
-_BALANCE_COMMON with _BALANCE_LEAN (the rolling rate is derived to realize
-the requested lean acceleration) or _BALANCE_RAW, and _TRACKING_INITIAL.
+An omitted key takes its record's default: SimConfig's, or for a key of a
+block its record's (WheelState's for initial). The parser holds only the
+defaults no record has: dt's, the lean form's zeros, hard_switching false,
+the file-stem name and the kind's plot channels. Each form of the initial
+block is one table of its keys, marking the required ones: _BALANCE_COMMON
+with _BALANCE_LEAN (the rolling rate is derived to realize the requested
+lean acceleration) or _BALANCE_RAW, and _TRACKING_INITIAL.
 """
 
 from __future__ import annotations
@@ -54,18 +58,14 @@ __all__ = [
     "scenario_from_mapping",
 ]
 
-_TOP_KEYS = (
-    "name", "kind", "mode", "dt", "t_end", "stop_on_converged", "params",
-    "initial", "gains", "target", "waypoints", "friction", "thresholds",
-    "actuator_lag", "rate_limits", "plot_channels",
-)
-# each form of the initial block maps its keys, in read order, to their
-# defaults; None marks a required key
-_BALANCE_COMMON = {"alpha_dot": None, "alpha": 0.0, "gamma": 0.0, "x_a": 0.0, "y_a": 0.0}
-_BALANCE_RAW = {"beta": None, "beta_dot": 0.0, "gamma_dot": 0.0}
-_BALANCE_LEAN = {"lean_offset": 0.0, "lean_rate": 0.0, "lean_accel": 0.0}
-_TRACKING_INITIAL = {"alpha": None, "beta": math.pi / 2.0, "gamma": 0.0, "beta_dot": 0.0,
-                     "x_a": None, "y_a": None}
+_REQUIRED = object()  # a table's mark for a key the block must give
+# each form of the initial block maps its keys, in read order, to _REQUIRED or,
+# for an optional key, to None: its default is WheelState's, or 0.0 for a lean key
+_BALANCE_COMMON = {"alpha_dot": _REQUIRED, "alpha": None, "gamma": None, "x_a": None, "y_a": None}
+_BALANCE_RAW = {"beta": _REQUIRED, "beta_dot": None, "gamma_dot": None}
+_BALANCE_LEAN = dict.fromkeys(("lean_offset", "lean_rate", "lean_accel"))
+_TRACKING_INITIAL = {"alpha": _REQUIRED, "beta": None, "gamma": None, "beta_dot": None,
+                     "x_a": _REQUIRED, "y_a": _REQUIRED}
 _RATE_LIMIT_KEYS = ("alpha_dot_max", "gamma_dot_max")
 
 
@@ -78,6 +78,9 @@ class Scenario(Record):
     config: SimConfig
     plot_channels: tuple[str, ...]
     rate_limits: tuple[float, float] | None = None
+
+
+_TOP_KEYS = (*SimConfig._fields, *(k for k in Scenario._fields if k != "config"), "mode")
 
 
 # A schema error echoes a value it refuses through _echo: a number keeps its
@@ -115,25 +118,20 @@ def _number(value, where: str) -> float:
     return out
 
 
-def _num(block: dict, key: str, where: str, default=None) -> float:
+def _num(block: dict, key: str, where: str) -> float:
     if key not in block:
-        if default is None:
-            raise ScenarioError(f"{where}: missing required key {key!r}")
-        return default
+        raise ScenarioError(f"{where}: missing required key {key!r}")
     return _number(block[key], f"{where}.{key}")
 
 
-def _bool(block: dict, key: str, where: str, default: bool) -> bool:
-    if key not in block:
-        return default
-    value = block[key]
+def _bool(value, where: str) -> bool:
     if not isinstance(value, bool):
-        raise ScenarioError(f"{where}.{key}: expected true/false, got {_echo(value)}")
+        raise ScenarioError(f"{where}: expected true/false, got {_echo(value)}")
     return value
 
 
 def _triple(block: dict, key: str, where: str) -> tuple[float, float, float]:
-    value = block.get(key)
+    value = block[key]
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ScenarioError(f"{where}.{key}: expected a list of three numbers")
     return tuple(_number(item, f"{where}.{key}[{i}]") for i, item in enumerate(value))
@@ -141,8 +139,7 @@ def _triple(block: dict, key: str, where: str) -> tuple[float, float, float]:
 
 def _point(value, where: str) -> tuple[float, float]:
     if isinstance(value, dict):
-        _check_keys(value, ("x", "y"), where)
-        return (_num(value, "x", where), _num(value, "y", where))
+        return tuple(_read(value, {"x": _REQUIRED, "y": _REQUIRED}, where).values())
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return tuple(_number(item, f"{where}[{i}]") for i, item in enumerate(value))
     raise ScenarioError(f"{where}: expected {{x, y}} or [x, y]")
@@ -156,21 +153,30 @@ def _build(cls, where: str, **kwargs):
         raise ScenarioError(f"{where}{exc}") from None
 
 
-def _parse_block(data: dict, key: str, cls):
-    """cls from the block at `key`, whose keys are cls's fields; an absent block is empty.
+def _read(block, table: dict, where: str) -> dict:
+    """The values a mapping gives for the keys of `table`, read in its order.
 
-    Values are read in field order; a field whose default is a tuple takes
-    a list of three numbers.
+    `table` maps each key to _REQUIRED or, if optional, to its default or
+    None. An absent optional key is left out, for its record to fill; a key
+    whose default is a tuple takes a list of three numbers, any other a number.
     """
-    block = _require_mapping(data.get(key, {}), key)
-    _check_keys(block, cls._fields, key)
-    kwargs = {k: (_triple if isinstance(getattr(cls, k), tuple) else _num)(block, k, key)
-              for k in cls._fields if k in block}
-    return _build(cls, f"{key}: ", **kwargs)
+    block = _require_mapping(block, where)
+    _check_keys(block, table, where)
+    values = {}
+    for key, default in table.items():
+        if key in block or default is _REQUIRED:  # _num refuses an absent key
+            read = _triple if isinstance(default, tuple) else _num
+            values[key] = read(block, key, where)
+    return values
+
+
+def _parse_block(data: dict, key: str, cls):
+    """cls from the block at `key`, whose keys are cls's fields."""
+    return _build(cls, f"{key}: ", **_read(data[key], cls._defaults, key))
 
 
 def _parse_smoothing(block: dict, where: str) -> Smoothing | None:
-    hard = _bool(block, "hard_switching", where, default=False)
+    hard = _bool(block.get("hard_switching", False), f"{where}.hard_switching")
     if hard:
         if "k6" in block or "k7" in block:
             raise ScenarioError(f"{where}: hard_switching excludes k6/k7")
@@ -199,12 +205,6 @@ def _parse_gains(data: dict, kind: str):
     return _build(cls, "gains.", **kwargs)
 
 
-def _read(block: dict, table: dict, where: str) -> dict:
-    """The numbers of a block whose keys and defaults are `table`, read in its order."""
-    _check_keys(block, table, where)
-    return {k: _num(block, k, where, default) for k, default in table.items()}
-
-
 def _parse_initial(data: dict, kind: str, params: RobotParams) -> WheelState:
     block = _require_mapping(data.get("initial"), "initial")
     if kind != "balance":
@@ -219,7 +219,7 @@ def _parse_initial(data: dict, kind: str, params: RobotParams) -> WheelState:
                    "initial")
     if raw:  # SimConfig refuses an alpha_dot whose square overflows
         return WheelState(**values)
-    a, b, c = (values.pop(k) for k in _BALANCE_LEAN)
+    a, b, c = (values.pop(k, 0.0) for k in _BALANCE_LEAN)
     st = WheelState(beta=math.pi / 2.0 + a, beta_dot=b, **values)
     # invert the lean dynamics for the rolling rate that realizes c
     Gm, Im, Jm = params.reduced()
@@ -247,8 +247,7 @@ def _parse_rate_limits(data: dict, kind: str, gains, initial: WheelState, target
         return None
     if kind == "balance":
         raise ScenarioError("rate_limits: applies to velocity (tracking) kinds only")
-    block = _require_mapping(data["rate_limits"], "rate_limits")
-    limits = _read(block, dict.fromkeys(_RATE_LIMIT_KEYS), "rate_limits")  # both required
+    limits = _read(data["rate_limits"], dict.fromkeys(_RATE_LIMIT_KEYS, _REQUIRED), "rate_limits")
     for key, value in limits.items():
         if not value > 0.0:
             raise ScenarioError(
@@ -324,54 +323,43 @@ def scenario_from_mapping(data: dict, default_name: str = "scenario") -> Scenari
             f"mode: kind {kind!r} runs in {required_mode!r} mode, got {_echo(mode)}"
         )
 
-    dt = _num(data, "dt", "scenario", default=1e-3)
+    dt = _num(data, "dt", "scenario") if "dt" in data else 1e-3
     t_end = _num(data, "t_end", "scenario")
-    params = _parse_block(data, "params", RobotParams)
+    given = {}  # the optional fields of SimConfig that the file gives
+    if "params" in data:
+        given["params"] = _parse_block(data, "params", RobotParams)
     gains = _parse_gains(data, kind)
     if "initial" not in data:
         raise ScenarioError("scenario: missing required key 'initial'")
-    initial = _parse_initial(data, kind, params)
+    initial = _parse_initial(data, kind, given.get("params", SimConfig.params))
 
-    target = (0.0, 0.0)
     if kind == "point_to_point":
         if "target" not in data:
             raise ScenarioError("scenario: missing required key 'target'")
-        target = _point(data["target"], "target")
+        given["target"] = _point(data["target"], "target")
     elif "target" in data:
         raise ScenarioError(f"target: not used by kind {kind!r}")
 
-    waypoints: tuple = ()
     if kind in ("line", "corridor"):
         wp = data.get("waypoints")
         if not isinstance(wp, (list, tuple)) or len(wp) < 2:
             raise ScenarioError("waypoints: expected a list of at least two [x, y] points")
-        waypoints = tuple(_point(item, f"waypoints[{i}]") for i, item in enumerate(wp))
+        given["waypoints"] = tuple(_point(item, f"waypoints[{i}]") for i, item in enumerate(wp))
     elif "waypoints" in data:
         raise ScenarioError(f"waypoints: not used by kind {kind!r}")
 
-    friction = _parse_block(data, "friction", FrictionParams) if "friction" in data else None
-    thresholds = _parse_block(data, "thresholds", Thresholds)
-    stop_on_converged = _bool(data, "stop_on_converged", "scenario", default=True)
-    actuator_lag = _num(data, "actuator_lag", "scenario", default=0.0)
-    rate_limits = _parse_rate_limits(data, kind, gains, initial, target)
+    for key, cls in (("friction", FrictionParams), ("thresholds", Thresholds)):
+        if key in data:
+            given[key] = _parse_block(data, key, cls)
+    if "stop_on_converged" in data:
+        given["stop_on_converged"] = _bool(data["stop_on_converged"], "scenario.stop_on_converged")
+    if "actuator_lag" in data:
+        given["actuator_lag"] = _num(data, "actuator_lag", "scenario")
+    rate_limits = _parse_rate_limits(data, kind, gains, initial, given.get("target"))
     plot_channels = _parse_plot_channels(data, kind)
 
-    config = _build(
-        SimConfig,
-        "",
-        kind=kind,
-        dt=dt,
-        t_end=t_end,
-        initial=initial,
-        gains=gains,
-        params=params,
-        target=target,
-        waypoints=waypoints,
-        friction=friction,
-        thresholds=thresholds,
-        stop_on_converged=stop_on_converged,
-        actuator_lag=actuator_lag,
-    )
+    config = _build(SimConfig, "", kind=kind, dt=dt, t_end=t_end, initial=initial, gains=gains,
+                    **given)
     return Scenario(
         name=name, config=config, plot_channels=plot_channels, rate_limits=rate_limits
     )

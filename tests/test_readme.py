@@ -1,7 +1,7 @@
 """The README's contract tables against the code: the exit codes, the
-channels of each kind, the bundled scenarios, the threshold defaults and
-the keys of a report's certificate_decay block; and its Quick start
-commands and Library use block, run."""
+channels of each kind, the bundled scenarios, the threshold defaults, the
+keys of a report's certificate_decay block and the scenario file schema;
+and its Quick start commands and Library use block, run."""
 
 import json
 import re
@@ -9,8 +9,10 @@ import shlex
 import shutil
 from pathlib import Path
 
+import yaml
+
 import gyrowheel
-from gyrowheel import bundled_scenario_path, cli, decay_monitor, parse_scenario
+from gyrowheel import bundled_scenario_path, cli, decay_monitor, parse_scenario, scenario
 from gyrowheel.simulate import _KINDS, CHANNEL_INFO, Thresholds
 
 ROOT = Path(__file__).parents[1]
@@ -84,6 +86,14 @@ def test_threshold_defaults_match_the_record():
     documented = {name: float(value) for name, value in re.findall(r"`(\w+) ([^`]+)`", text)}
     defaults = Thresholds()
     assert documented == {name: getattr(defaults, name) for name in Thresholds._fields}
+
+
+def test_scenario_file_block_parses_with_every_top_level_key():
+    # the block is one point_to_point file; friction and waypoints belong to other kinds
+    block = _section("Scenario files").split("```yaml\n")[1].split("```")[0]
+    mapping = yaml.safe_load(block)
+    scenario.scenario_from_mapping(mapping)
+    assert sorted([*mapping, "friction", "waypoints"]) == sorted(scenario._TOP_KEYS)
 
 
 def test_decay_keys_match_a_report(tmp_path):

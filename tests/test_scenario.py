@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from gyrowheel import scenario as scenario_module
 
 from gyrowheel import (
+    BalanceGains,
+    PositionGains,
     ScenarioError,
+    SimConfig,
+    Smoothing,
+    WheelState,
     bundled_scenario_path,
     parse_scenario,
     scenario_from_mapping,
@@ -62,6 +67,10 @@ class TestParsing:
         assert cfg.mode == "torque"
         assert cfg.initial.beta == pytest.approx(math.pi / 2 + 0.1)
         assert cfg.gains.k1 == 1.0 and cfg.gains.k2 == 1.0
+        # a minimal file: each field it leaves out is at its record's default
+        minimal = {"kind": "balance", "t_end": 1.0, "initial": {"alpha_dot": 3.0, "beta": 1.6}}
+        assert scenario_from_mapping(minimal).config == SimConfig(
+            "balance", 1e-3, 1.0, WheelState(alpha_dot=3.0, beta=1.6), BalanceGains())
 
     def test_balance_lean_form_solves_rolling_rate(self):
         # gamma_dot0 chosen so the initial lean acceleration equals the
@@ -97,6 +106,13 @@ class TestParsing:
         cfg = scenario_from_mapping(m).config
         assert cfg.initial.beta == pytest.approx(math.pi / 2)
         assert cfg.initial.beta_dot == 0.0
+        # a minimal file: each field it leaves out is at its record's default, but the
+        # parser's hard_switching false keeps the smoothing that PositionGains leaves out
+        minimal = {"kind": "point_to_point", "t_end": 1.0, "target": [1.0, 2.0],
+                   "initial": {"x_a": 3.0, "y_a": 4.0, "alpha": 0.9}}
+        assert scenario_from_mapping(minimal).config == SimConfig(
+            "point_to_point", 1e-3, 1.0, WheelState(alpha=0.9, x_a=3.0, y_a=4.0),
+            PositionGains(smoothing=Smoothing()), target=(1.0, 2.0))
 
     def test_smoothing_defaults(self):
         cfg = scenario_from_mapping(_p2p_mapping()).config
@@ -288,6 +304,19 @@ PINNED_ERRORS = {
         "friction: joint friction applies in torque mode (balance runs) only"),
     "mode": (_p2p_mapping(mode="torque"),
              "mode: kind 'point_to_point' runs in 'velocity' mode, got 'torque'"),
+    # the parser's own checks come before SimConfig's
+    "stop_on_converged_before_lag": (
+        _p2p_mapping(stop_on_converged="yes", actuator_lag=-1),
+        "scenario.stop_on_converged: expected true/false, got 'yes'"),
+    "plot_channel_before_lag": (
+        _with(make_balance_mapping(), actuator_lag=0.1, plot_channels=["e"]),
+        "plot_channels: unknown channel 'e' for kind 'balance'; valid channels: t, alpha, "
+        "beta, gamma, alpha_dot, beta_dot, gamma_dot, beta_ddot, x_a, y_a, u_steer, "
+        "u_drive, V"),
+    "rate_limits_before_dt": (
+        _p2p_mapping(dt=0, rate_limits={"alpha_dot_max": 2.0, "gamma_dot_max": 8.0}),
+        "rate_limits.alpha_dot_max: steering commands reach k3 = 3.0, "
+        "which exceeds alpha_dot_max = 2.0"),
 }
 
 

@@ -4,7 +4,8 @@ Each script is started as a user starts it, in a fresh interpreter, and
 must exit 0 and print exactly the stdout pinned below: the header and the
 figures of every row. A reader that closes the pipe after the header, as
 `| head -1` does, must make a script end with exit code 4, not a traceback,
-and so must a flag the script does not know.
+and so must a flag the script does not know and a --help whose stdout is
+closed.
 """
 
 import os
@@ -59,6 +60,25 @@ def test_study_exits_4_on_a_bad_flag(script):
     assert done.stdout == ""
     assert done.stderr.startswith(f"usage: {script}")
     assert done.stderr.endswith("error: unrecognized arguments: --no-such-flag\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("script", sorted(STUDIES))
+def test_study_help_into_a_closed_stdout_exits_4(script, unbuffered):
+    # stdout is a pipe whose reader is gone before the start: the help's write (or, when
+    # buffered, the flush at the end) fails, and the study ends with 4 and nothing on stderr
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, str(SCRIPTS / script), "--help"], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    finally:
+        os.close(write)
+    assert done.returncode == 4, done.stderr
+    assert done.stderr == ""
 
 
 @pytest.mark.parametrize("script", sorted(STUDIES))
