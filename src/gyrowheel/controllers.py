@@ -15,15 +15,15 @@ spinning wheel precesses its heading. The drive term u_k is sized so the
 lean subsystem keeps a decreasing certificate no matter how the geometric
 switches flip.
 
-Smoothing scope. When smoothing is enabled, only the lean-error switch (and
-the line controller's drive step) are softened. The geometric switches
-(heading cosine, line-side product) stay hard: softening the heading switch
-scales the lean authority by cos-like factors that vanish exactly broadside,
-where the wheel then falls over; the simulation suite demonstrates this.
-Hard geometric switching costs nothing here because those arguments are
-state measurements, not sliding surfaces the trajectory rides on, except in
-the line task where the induced drive duty-cycling is the intended
-discrete-time sliding behavior.
+Smoothing scope. The gains smooth by default (smoothing=None is the hard law),
+and only the lean-error switch and the line controller's drive step are
+softened. The geometric switches (heading cosine, line-side product) stay
+hard: softening the heading switch scales the lean authority by cos-like
+factors that vanish exactly broadside, where the wheel then falls over; the
+simulation suite demonstrates this. Hard geometric switching costs nothing
+here because those arguments are state measurements, not sliding surfaces the
+trajectory rides on, except in the line task where the induced drive
+duty-cycling is the intended discrete-time sliding behavior.
 
 Each law is written once, over plain floats, as its controller's command
 method. The controller binds the gains, the smoothing slopes, (Gm, Im, Jm)
@@ -110,7 +110,7 @@ class PositionGains(Record):
 
     k3: float = 3.0
     k4: float = 1.0
-    smoothing: Smoothing | None = None
+    smoothing: Smoothing | None = Smoothing()
 
     def __post_init__(self) -> None:
         _require(self.k3 > 2.0, "k3", "k3 > 2", self.k3)
@@ -122,7 +122,7 @@ class LineGains(Record):
 
     k3: float = 3.0
     k5: float = 1.0
-    smoothing: Smoothing | None = None
+    smoothing: Smoothing | None = Smoothing()
 
     def __post_init__(self) -> None:
         _require(self.k3 > 2.0, "k3", "k3 > 2", self.k3)

@@ -181,9 +181,9 @@ def beta_jerk_coeffs(
 
 
 def friction_torque(
-    q_dot: tuple[float, float, float], fp: FrictionParams
-) -> tuple[float, float, float]:
-    """Joint friction torque for each axis at the given rates.
+    q_dot: tuple[float, float], fp: FrictionParams
+) -> tuple[float, float]:
+    """Joint friction torques at the (steering, rolling) joint rates.
 
     Viscous term plus a dynamic level that relaxes exponentially from the
     static level as the rate grows. sgn(0) is taken as 0 so the model is
@@ -191,7 +191,7 @@ def friction_torque(
     subtracts it from the motor torques.
     """
     out = []
-    for v, mv, md, ms in zip(q_dot, fp.mu_v, fp.mu_d, fp.mu_s):
+    for v, mv, md, ms in zip(q_dot, fp.mu_v, fp.mu_d, fp.mu_s, strict=True):
         if v > 0.0:
             s = 1.0
         elif v < 0.0:
@@ -200,7 +200,7 @@ def friction_torque(
             s = 0.0
         level = md + (ms - md) * math.exp(-abs(v) / fp.D)
         out.append(mv * v + level * s)
-    return (out[0], out[1], out[2])
+    return (out[0], out[1])
 
 
 def full_accel(
@@ -219,9 +219,9 @@ def full_accel(
     M11, M13, M22, M33, M_rho = inertia_matrix(state, params)
     n1, n2, n3 = nonlinear_terms(state, params)
     if friction is not None:
-        f = friction_torque((state.alpha_dot, state.beta_dot, state.gamma_dot), friction)
-        u1 = u1 - f[0]
-        u2 = u2 - f[2]
+        f1, f2 = friction_torque((state.alpha_dot, state.gamma_dot), friction)
+        u1 = u1 - f1
+        u2 = u2 - f2
     rhs1 = n1 + u1
     rhs3 = n3 + u2
     alpha_ddot = (M33 * rhs1 - M13 * rhs3) / M_rho

@@ -127,15 +127,15 @@ class RobotParams(Record):
 class FrictionParams(Record):
     """Joint friction model coefficients.
 
-    Each coefficient is a 3-vector over the (steering, lean, rolling) axes.
-    mu_v is viscous (N m s/rad), mu_d and mu_s are dynamic and static levels
-    (N m), and D is the rate scale (rad/s) of the exponential transition from
-    static to dynamic friction.
+    Each coefficient is a pair over the (steering, rolling) joints: the
+    lean axis is unactuated. mu_v is viscous (N m s/rad), mu_d and mu_s
+    are dynamic and static levels (N m), and D is the rate scale (rad/s)
+    of the exponential transition from static to dynamic friction.
     """
 
-    mu_v: tuple[float, float, float] = (0.17, 0.15, 0.09)
-    mu_d: tuple[float, float, float] = (0.1, 0.1, 0.07)
-    mu_s: tuple[float, float, float] = (0.3, 0.25, 0.1)
+    mu_v: tuple[float, float] = (0.17, 0.09)
+    mu_d: tuple[float, float] = (0.1, 0.07)
+    mu_s: tuple[float, float] = (0.3, 0.1)
     D: float = 0.05
 
     def __post_init__(self) -> None:
@@ -143,8 +143,8 @@ class FrictionParams(Record):
         if not self.D > 0.0:
             raise ValueError(f"D must be positive, got {self.D}")
         for name in ("mu_v", "mu_d", "mu_s"):
-            if len(getattr(self, name)) != 3:
-                raise ValueError(f"{name} must have three coefficients, got {getattr(self, name)}")
+            if len(getattr(self, name)) != 2:
+                raise ValueError(f"{name} must have two coefficients, got {getattr(self, name)}")
         for v, d, s in zip(self.mu_v, self.mu_d, self.mu_s):
             if not (v >= 0.0 and d >= 0.0):
                 raise ValueError("friction coefficients must be non-negative")

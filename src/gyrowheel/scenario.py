@@ -15,7 +15,7 @@ Top-level keys::
     kind              balance | point_to_point | line | corridor
     mode              optional; must match the kind (balance -> torque,
                       tracking kinds -> velocity)
-    dt                step size, default 0.001
+    dt                optional step size
     t_end             horizon, required
     stop_on_converged optional bool
     params            optional robot parameter overrides (m, R, Ix, g, M22)
@@ -30,12 +30,12 @@ Top-level keys::
     plot_channels     optional list of channel names for plot_<channel>.csv
 
 An omitted key takes its record's default: SimConfig's, or for a key of a
-block its record's (WheelState's for initial). The parser holds only the
-defaults no record has: dt's, the lean form's zeros, hard_switching false,
-the file-stem name and the kind's plot channels. Each form of the initial
-block is one table of its keys, marking the required ones: _BALANCE_COMMON
-with _BALANCE_LEAN (the rolling rate is derived to realize the requested
-lean acceleration) or _BALANCE_RAW, and _TRACKING_INITIAL.
+block its record's (WheelState's for initial, Smoothing's for the tracking
+gains' k6, k7). The parser holds only the defaults no record has: the lean
+form's zeros, the file-stem name and the kind's plot channels. Each form of
+the initial block is one table of its keys, marking the required ones:
+_BALANCE_COMMON with _BALANCE_LEAN (the rolling rate is derived to realize
+the requested lean acceleration) or _BALANCE_RAW, and _TRACKING_INITIAL.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class Scenario(Record):
     name: str
     config: SimConfig
     plot_channels: tuple[str, ...]
-    rate_limits: tuple[float, float] | None = None
+    rate_limits: tuple[float, float] | None
 
 
 _TOP_KEYS = (*SimConfig._fields, *(k for k in Scenario._fields if k != "config"), "mode")
@@ -130,10 +130,10 @@ def _bool(value, where: str) -> bool:
     return value
 
 
-def _triple(block: dict, key: str, where: str) -> tuple[float, float, float]:
+def _pair(block: dict, key: str, where: str) -> tuple[float, float]:
     value = block[key]
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ScenarioError(f"{where}.{key}: expected a list of three numbers")
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ScenarioError(f"{where}.{key}: expected a list of two numbers (steering, rolling)")
     return tuple(_number(item, f"{where}.{key}[{i}]") for i, item in enumerate(value))
 
 
@@ -158,14 +158,14 @@ def _read(block, table: dict, where: str) -> dict:
 
     `table` maps each key to _REQUIRED or, if optional, to its default or
     None. An absent optional key is left out, for its record to fill; a key
-    whose default is a tuple takes a list of three numbers, any other a number.
+    whose default is a tuple takes a list of two numbers, any other a number.
     """
     block = _require_mapping(block, where)
     _check_keys(block, table, where)
     values = {}
     for key, default in table.items():
         if key in block or default is _REQUIRED:  # _num refuses an absent key
-            read = _triple if isinstance(default, tuple) else _num
+            read = _pair if isinstance(default, tuple) else _num
             values[key] = read(block, key, where)
     return values
 
@@ -176,8 +176,7 @@ def _parse_block(data: dict, key: str, cls):
 
 
 def _parse_smoothing(block: dict, where: str) -> Smoothing | None:
-    hard = _bool(block.get("hard_switching", False), f"{where}.hard_switching")
-    if hard:
+    if "hard_switching" in block and _bool(block["hard_switching"], f"{where}.hard_switching"):
         if "k6" in block or "k7" in block:
             raise ScenarioError(f"{where}: hard_switching excludes k6/k7")
         return None
@@ -323,9 +322,10 @@ def scenario_from_mapping(data: dict, default_name: str = "scenario") -> Scenari
             f"mode: kind {kind!r} runs in {required_mode!r} mode, got {_echo(mode)}"
         )
 
-    dt = _num(data, "dt", "scenario") if "dt" in data else 1e-3
-    t_end = _num(data, "t_end", "scenario")
     given = {}  # the optional fields of SimConfig that the file gives
+    if "dt" in data:
+        given["dt"] = _num(data, "dt", "scenario")
+    t_end = _num(data, "t_end", "scenario")
     if "params" in data:
         given["params"] = _parse_block(data, "params", RobotParams)
     gains = _parse_gains(data, kind)
@@ -358,8 +358,7 @@ def scenario_from_mapping(data: dict, default_name: str = "scenario") -> Scenari
     rate_limits = _parse_rate_limits(data, kind, gains, initial, given.get("target"))
     plot_channels = _parse_plot_channels(data, kind)
 
-    config = _build(SimConfig, "", kind=kind, dt=dt, t_end=t_end, initial=initial, gains=gains,
-                    **given)
+    config = _build(SimConfig, "", kind=kind, t_end=t_end, initial=initial, gains=gains, **given)
     return Scenario(
         name=name, config=config, plot_channels=plot_channels, rate_limits=rate_limits
     )

@@ -207,7 +207,7 @@ class SimConfig(Record):
     """
 
     kind: str
-    dt: float
+    dt: float = 1e-3
     t_end: float
     initial: WheelState
     gains: object
@@ -394,9 +394,9 @@ def _friction_stepper(params: RobotParams, friction: FrictionParams, dt: float):
     big = 2.0 * Ix + m * R**2
     disk = Ix + m * R**2
     ix2, disk2, mgr = 2.0 * Ix, 2.0 * disk, -m * params.g * R
-    mv_a, _, mv_g = friction.mu_v
-    md_a, _, md_g = friction.mu_d
-    ms_a, _, ms_g = friction.mu_s
+    mv_a, mv_g = friction.mu_v
+    md_a, md_g = friction.mu_d
+    ms_a, ms_g = friction.mu_s
     dm_a, dm_g = ms_a - md_a, ms_g - md_g
     D = friction.D
     h2, h6 = 0.5 * dt, dt / 6.0

@@ -132,7 +132,7 @@ def full_accel(beta, alpha_dot, beta_dot, gamma_dot, u1, u2, params, friction):
         beta, alpha_dot, beta_dot, gamma_dot, params)
     f = friction
     rhs1 = n1 + (u1 - joint_friction(alpha_dot, f.mu_v[0], f.mu_d[0], f.mu_s[0], f.D))
-    rhs3 = n3 + (u2 - joint_friction(gamma_dot, f.mu_v[2], f.mu_d[2], f.mu_s[2], f.D))
+    rhs3 = n3 + (u2 - joint_friction(gamma_dot, f.mu_v[1], f.mu_d[1], f.mu_s[1], f.D))
     M_rho = M11 * M33 - M13**2
     return ((M33 * rhs1 - M13 * rhs3) / M_rho, n2 / params.M22,
             (-M13 * rhs1 + M11 * rhs3) / M_rho)

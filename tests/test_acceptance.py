@@ -262,13 +262,12 @@ def test_criterion_08_kinematic_consistency(
 
 
 def test_criterion_09_friction_model_exactness():
-    f = friction_torque((1.0, 1.0, 1.0), FrictionParams(D=1.0))
+    f = friction_torque((1.0, 1.0), FrictionParams(D=1.0))
     assert f[0] == pytest.approx(0.343576, abs=1e-6)
-    # remaining components from the same formula:
+    # both joints from the same formula:
     # mu_v*|v| + mu_d + (mu_s - mu_d)*exp(-1)
     assert f[0] == pytest.approx(0.27 + 0.20 * math.exp(-1.0), abs=1e-12)
-    assert f[1] == pytest.approx(0.25 + 0.15 * math.exp(-1.0), abs=1e-12)
-    assert f[2] == pytest.approx(0.16 + 0.03 * math.exp(-1.0), abs=1e-12)
+    assert f[1] == pytest.approx(0.16 + 0.03 * math.exp(-1.0), abs=1e-12)
 
 
 def test_criterion_10_structural_invariants():

@@ -173,10 +173,10 @@ def _control_config(name):
         return scenario_from_mapping(make_balance_mapping(t_end=T_END, k1=2.5)).config
     if name == "p2p_hard":
         cfg = parse_scenario(bundled_scenario_path("p2p_default")).config
-        return replace(cfg, t_end=T_END, gains=PositionGains(k3=3.0, k4=1.0))
+        return replace(cfg, t_end=T_END, gains=PositionGains(k3=3.0, k4=1.0, smoothing=None))
     cfg = parse_scenario(bundled_scenario_path("line_5m")).config
     if name == "line_hard":
-        return replace(cfg, t_end=T_END, gains=LineGains(k3=3.0, k5=1.5))
+        return replace(cfg, t_end=T_END, gains=LineGains(k3=3.0, k5=1.5, smoothing=None))
     if name == "line_converged":
         return replace(cfg, t_end=1.0, waypoints=((0.0, 0.0), (0.3, 0.0)))
     # the middle segment (0.022 m) is shorter than the advance radius and

@@ -34,6 +34,7 @@ from gyrowheel import (
 )
 from gyrowheel import cli
 from gyrowheel.cli import emit_plot_data, main
+from gyrowheel.kinematics import EPS_DISTANCE
 
 from conftest import failed_step_mapping, make_balance_mapping
 from test_lyapunov import _loop_decay_monitor
@@ -141,6 +142,39 @@ def test_run_inadmissible_exit(inadmissible_case, tmp_path):
     assert report["events"][0]["kind"] == "DomainExit"
     assert "sigma" in report["events"][0]["detail"]
     assert not (out / "trajectory.csv").exists()
+
+
+def test_run_singular_steering_exit(tmp_path):
+    # the exit table's row 1, "steering became singular": the decaying steering
+    # rate reaches a floor of 0.5 long before the run converges
+    path = _write(tmp_path, "singular.yaml", make_balance_mapping(alpha_dot_floor=0.5))
+    out = tmp_path / "singular"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert (report["status"], report["exit_code"]) == ("singular_steering", 1)
+    assert report["rows"] == 1227
+    assert report["events"] == [report["terminal_event"]] == [{
+        "kind": "SingularSteering", "time": 1.226,
+        "detail": "|alpha_dot| = 5.000e-01 below floor 5.000e-01"}]
+
+
+@pytest.mark.parametrize("x_a, code", [
+    (EPS_DISTANCE, 3), (math.nextafter(EPS_DISTANCE, math.inf), 0),
+], ids=["at-eps", "one-ulp-above"])
+def test_p2p_start_at_the_distance_floor_is_refused(x_a, code, tmp_path):
+    # a start at exactly EPS_DISTANCE from the target is refused; one ulp
+    # further, it is admitted and converges on its first row
+    path = _write(tmp_path, "edge.yaml", {
+        "kind": "point_to_point", "t_end": 0.01, "target": [0.0, 0.0],
+        "initial": {"x_a": x_a, "y_a": 0.0, "alpha": 0.0}})
+    out = tmp_path / "edge"
+    assert main(["run", str(path), "--out", str(out)]) == code
+    report = json.loads((out / "report.json").read_text())
+    if code == 3:
+        assert report["status"] == "inadmissible" and report["rows"] == 0
+        assert report["detail"] == "initial target distance e = 1.000e-06 is not positive"
+    else:
+        assert report["status"] == "converged" and report["rows"] == 1
 
 
 def _far_line(x0):
@@ -268,7 +302,11 @@ def test_run_config_error_exits(tmp_path, capsys):
     ("kind: balance\nt_end: 1.0\nbogus: 1\n", [], "scenario: unknown key 'bogus'"),
     (None, ["--t-end", "0.0001"], "t_end: must be at least dt, got 0.0001"),
     (None, ["--dt", "nan"], "dt: must be finite, got nan"),
-], ids=["schema", "t_end-below-dt", "dt-nan"])
+    # friction acts on the two actuated joints: a triple is refused
+    ("kind: balance\nt_end: 1.0\ninitial: {beta: 1.6, alpha_dot: 1.0}\n"
+     "friction: {mu_v: [0.17, 0.15, 0.09]}\n", [],
+     "friction.mu_v: expected a list of two numbers (steering, rolling)"),
+], ids=["schema", "t_end-below-dt", "dt-nan", "friction-triple"])
 def test_run_config_errors_end_in_run_command(body, override, text, tmp_path, capsys):
     # _cmd_run catches nothing: a schema error and SimConfig's refusal of an override
     # are both ScenarioErrors, which run_command prints as one error line
@@ -693,7 +731,7 @@ _NON_FINITE_FILES = {
     ),
     "friction_nan": (
         "kind: balance\nt_end: 0.1\ninitial: {beta: 1.6, alpha_dot: 1.0}\n"
-        "friction: {mu_v: [0.0, .nan, 0.0]}\n",
+        "friction: {mu_v: [0.0, .nan]}\n",
         "friction.mu_v[1]: expected a finite number, got nan",
     ),
     "integer_beyond_floats": (
@@ -912,7 +950,7 @@ def _schema_valid_mappings(draw):
             }
         m["gains"] = {"k1": draw(st.floats(0.0, 3.0)), "k2": draw(st.floats(0.1, 3.0))}
         if draw(st.booleans()):
-            m["friction"] = draw(st.sampled_from([{}, {"D": 0.01}, {"mu_v": [0.0, 0.0, 0.0]}]))
+            m["friction"] = draw(st.sampled_from([{}, {"D": 0.01}, {"mu_v": [0.0, 0.0]}]))
         return m
     m["initial"] = {
         "x_a": draw(st.floats(-0.4, 0.4)),

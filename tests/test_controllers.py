@@ -67,7 +67,7 @@ class TestBalanceControl:
     def test_closed_loop_jerk_cancellation(self, params):
         rng = random.Random(19)
         for k1 in (0.0, 1.0, 2.5):
-            gains = BalanceGains(k1=k1)
+            command = BalanceController(BalanceGains(k1=k1), params, 1.0).command
             for _ in range(50):
                 st = WheelState(
                     beta=rng.uniform(0.5, math.pi - 0.5),
@@ -77,7 +77,8 @@ class TestBalanceControl:
                     beta_ddot=rng.uniform(-1, 1),
                 )
                 V = balance_value(st.beta, st.beta_dot, st.beta_ddot, k1)
-                u5, u6 = balance_control(st, gains, V, 1.0, params)
+                u5, u6 = command(st.beta, st.alpha_dot, st.beta_dot, st.gamma_dot,
+                                 st.beta_ddot, V)
                 h1, h2, h3 = beta_jerk_coeffs(st, params)
                 jerk = h1 * st.beta_dot + h2 * u5 + h3 * u6
                 x = st.beta - math.pi / 2
@@ -173,14 +174,15 @@ class TestPositionControl:
         # under the law, the commanded rates force the lean surface toward
         # zero at unit margin: s * beta_ddot <= -2 s^2 for admissible states
         rng = random.Random(43)
-        gains = PositionGains(k3=3.0, k4=1.0, smoothing=None)
+        command = PositionController(PositionGains(k3=3.0, k4=1.0, smoothing=None),
+                                     params).command
         for _ in range(1000):
             st = WheelState(
                 beta=rng.uniform(math.pi / 2 - 0.5, math.pi / 2 + 0.5),
                 beta_dot=rng.uniform(-0.5, 0.5),
             )
-            pv = (rng.uniform(0, 6), rng.uniform(-3, 3), rng.uniform(-3, 3))
-            u_alpha, u_gamma = position_control(st, pv, gains, params)
+            e, _, psi = (rng.uniform(0, 6), rng.uniform(-3, 3), rng.uniform(-3, 3))
+            u_alpha, u_gamma = command(st.beta, st.beta_dot, e, psi)
             bdd = lean_accel(st.beta, u_alpha, u_gamma, params)
             s = (st.beta - math.pi / 2) + st.beta_dot
             assert s * bdd <= -2.0 * s * s + 1e-12

@@ -165,8 +165,8 @@ steps = st.sampled_from((1e-3, 0.01, 0.1, -1e-3))
 frictions = st.builds(
     lambda v, dyn, extra, D: FrictionParams(mu_v=v, mu_d=dyn,
                                             mu_s=tuple(a + b for a, b in zip(dyn, extra)), D=D),
-    st.tuples(*[st.floats(0.0, 0.5)] * 3), st.tuples(*[st.floats(0.0, 0.5)] * 3),
-    st.tuples(*[st.floats(0.0, 0.5)] * 3), st.floats(0.01, 0.5),
+    st.tuples(*[st.floats(0.0, 0.5)] * 2), st.tuples(*[st.floats(0.0, 0.5)] * 2),
+    st.tuples(*[st.floats(0.0, 0.5)] * 2), st.floats(0.01, 0.5),
 )
 
 
@@ -241,9 +241,10 @@ def test_line_law_matches_reference(lean, alpha, theta, phi, p, k3, k5, smoothin
 
 def test_law_edges_are_reached():
     # the strategies above reach these; pin one point on each
-    line = LineController(LineGains(), PARAMS, waypoints=((0.0, 0.0), (1.0, 0.0)))
+    hard = LineGains(smoothing=None)  # the hard switches' edges at s_lean = p*s = 0
+    line = LineController(hard, PARAMS, waypoints=((0.0, 0.0), (1.0, 0.0)))
     assert _outcome(line.command, 0.3, _HALF_PI, -0.0, 1.0, 0.0, 0.0) == \
-        _outcome(oracles.line_law, 0.3, _HALF_PI, -0.0, 1.0, 0.0, 0.0, LineGains(), PARAMS)
+        _outcome(oracles.line_law, 0.3, _HALF_PI, -0.0, 1.0, 0.0, 0.0, hard, PARAMS)
     law = BalanceController(BalanceGains(), PARAMS, 1.0).command
     with pytest.raises(DegenerateLeanError, match="outside"):
         law(pi, 1.0, 0.0, 0.0, 0.0, 0.0)
@@ -589,25 +590,25 @@ def test_every_stepper_returns_the_eight_coordinates():
 
 
 def _one_step(kind, **thresholds):
-    """A one-step (two-row) run config of the given kind."""
+    """A one-step (two-row) run config of the given kind; the tracking laws switch hard."""
     common = dict(dt=0.01, t_end=0.01, thresholds=Thresholds(**thresholds))
     if kind == "balance":
         return SimConfig(kind="balance", gains=BalanceGains(),
                          initial=WheelState(beta=_HALF_PI + 0.05, alpha_dot=1.0), **common)
     if kind == "falling":  # a tracking run whose lean falls toward 0
-        return SimConfig(kind="point_to_point", gains=PositionGains(),
+        return SimConfig(kind="point_to_point", gains=PositionGains(smoothing=None),
                          initial=WheelState(beta=_HALF_PI - 1.0, beta_dot=-0.5, x_a=1.0),
                          **common)
     if kind == "rising":  # ... and toward pi
-        return SimConfig(kind="point_to_point", gains=PositionGains(),
+        return SimConfig(kind="point_to_point", gains=PositionGains(smoothing=None),
                          initial=WheelState(beta=_HALF_PI + 1.0, beta_dot=0.5, x_a=1.0),
                          **common)
     if kind == "point_to_point":
-        return SimConfig(kind="point_to_point", gains=PositionGains(),
+        return SimConfig(kind="point_to_point", gains=PositionGains(smoothing=None),
                          initial=WheelState(beta=_HALF_PI + 0.05, x_a=1.0), **common)
-    return SimConfig(kind="line", gains=LineGains(), waypoints=((0.0, 0.0), (5.0, 0.0)),
-                     initial=WheelState(alpha=pi, beta=_HALF_PI + 0.05, x_a=0.01),
-                     **common)
+    return SimConfig(kind="line", gains=LineGains(smoothing=None),
+                     waypoints=((0.0, 0.0), (5.0, 0.0)),
+                     initial=WheelState(alpha=pi, beta=_HALF_PI + 0.05, x_a=0.01), **common)
 
 
 def _last_row(kind):

@@ -32,14 +32,14 @@ def test_nonpositive_physical_parameter_rejected(field):
 
 def test_friction_defaults_match_tabulated_coefficients():
     f = FrictionParams()
-    assert f.mu_v == (0.17, 0.15, 0.09)
-    assert f.mu_d == (0.1, 0.1, 0.07)
-    assert f.mu_s == (0.3, 0.25, 0.1)
+    assert f.mu_v == (0.17, 0.09)
+    assert f.mu_d == (0.1, 0.07)
+    assert f.mu_s == (0.3, 0.1)
 
 
 def test_friction_static_must_dominate_dynamic():
     with pytest.raises(ValueError):
-        FrictionParams(mu_s=(0.05, 0.25, 0.1))
+        FrictionParams(mu_s=(0.05, 0.1))
 
 
 def test_friction_rate_scale_must_be_positive():
@@ -48,9 +48,9 @@ def test_friction_rate_scale_must_be_positive():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("mu_v", (math.nan, 0.15, 0.09), "non-negative"),
-    ("mu_d", (0.1, math.nan, 0.07), "non-negative"),
-    ("mu_s", (0.3, 0.25, math.nan), "static level"),
+    ("mu_v", (math.nan, 0.09), "non-negative"),
+    ("mu_d", (0.1, math.nan), "non-negative"),
+    ("mu_s", (0.3, math.nan), "static level"),
     ("D", math.nan, "D must be positive"),
 ])
 def test_nan_friction_coefficient_rejected(field, value, message):
@@ -60,10 +60,11 @@ def test_nan_friction_coefficient_rejected(field, value, message):
 
 
 @pytest.mark.parametrize("field", ["mu_v", "mu_d", "mu_s"])
-@pytest.mark.parametrize("value", [(0.1, 0.1), (0.1, 0.1, 0.1, 0.1)])
+@pytest.mark.parametrize("value", [(0.1,), (0.1, 0.1, 0.1)])
 def test_friction_coefficients_must_be_three_long(field, value):
-    # a short vector would otherwise build and end the first friction step
-    with pytest.raises(ValueError, match=f"^{field} must have three coefficients"):
+    # one coefficient per actuated joint (steering, rolling): a single one or a
+    # triple would otherwise build and fail where the friction stepper unpacks it
+    with pytest.raises(ValueError, match=f"^{field} must have two coefficients"):
         FrictionParams(**{field: value})
 
 

@@ -12,10 +12,13 @@ from gyrowheel import scenario as scenario_module
 
 from gyrowheel import (
     BalanceGains,
+    LineGains,
     PositionGains,
+    RobotParams,
     ScenarioError,
     SimConfig,
     Smoothing,
+    Thresholds,
     WheelState,
     bundled_scenario_path,
     parse_scenario,
@@ -70,7 +73,8 @@ class TestParsing:
         # a minimal file: each field it leaves out is at its record's default
         minimal = {"kind": "balance", "t_end": 1.0, "initial": {"alpha_dot": 3.0, "beta": 1.6}}
         assert scenario_from_mapping(minimal).config == SimConfig(
-            "balance", 1e-3, 1.0, WheelState(alpha_dot=3.0, beta=1.6), BalanceGains())
+            "balance", t_end=1.0, initial=WheelState(alpha_dot=3.0, beta=1.6),
+            gains=BalanceGains())
 
     def test_balance_lean_form_solves_rolling_rate(self):
         # gamma_dot0 chosen so the initial lean acceleration equals the
@@ -106,13 +110,14 @@ class TestParsing:
         cfg = scenario_from_mapping(m).config
         assert cfg.initial.beta == pytest.approx(math.pi / 2)
         assert cfg.initial.beta_dot == 0.0
-        # a minimal file: each field it leaves out is at its record's default, but the
-        # parser's hard_switching false keeps the smoothing that PositionGains leaves out
+        # a minimal file: each field it leaves out is at its record's default, the
+        # smoothed law of PositionGains() included
         minimal = {"kind": "point_to_point", "t_end": 1.0, "target": [1.0, 2.0],
                    "initial": {"x_a": 3.0, "y_a": 4.0, "alpha": 0.9}}
         assert scenario_from_mapping(minimal).config == SimConfig(
-            "point_to_point", 1e-3, 1.0, WheelState(alpha=0.9, x_a=3.0, y_a=4.0),
-            PositionGains(smoothing=Smoothing()), target=(1.0, 2.0))
+            "point_to_point", t_end=1.0, initial=WheelState(alpha=0.9, x_a=3.0, y_a=4.0),
+            gains=PositionGains(), target=(1.0, 2.0))
+        assert PositionGains().smoothing == LineGains().smoothing == Smoothing()
 
     def test_smoothing_defaults(self):
         cfg = scenario_from_mapping(_p2p_mapping()).config
@@ -325,6 +330,73 @@ def test_error_text_is_pinned(case):
     mapping, text = PINNED_ERRORS[case]
     with pytest.raises(ScenarioError) as exc:
         scenario_from_mapping(mapping)
+    assert str(exc.value) == text
+
+
+_BALANCE_START = {"alpha_dot": 1.0, "beta": 1.6}
+
+
+def _file(kind="balance", **keys):
+    return lambda: scenario_from_mapping({"kind": kind, "t_end": 1.0, **keys})
+
+
+def _config(kind, gains, waypoints=((0.0, 0.0), (1.0, 0.0))):
+    return lambda: SimConfig(kind, t_end=1.0, initial=WheelState(), gains=gains,
+                             waypoints=waypoints)
+
+
+# Refusals that no run or file above reaches: each raiser, the class it
+# raises and the whole text. A file's refusal is a ScenarioError; a record's
+# or SimConfig's, built in the library, a ValueError.
+UNREACHED_REFUSALS = {
+    "no_t_end": (lambda: scenario_from_mapping({"kind": "balance", "initial": _BALANCE_START}),
+                 ScenarioError, "scenario: missing required key 't_end'"),
+    "balance_initial_without_alpha_dot": (
+        _file(initial={"lean_offset": 0.1}),
+        ScenarioError, "initial: missing required key 'alpha_dot'"),
+    "no_initial": (_file(), ScenarioError, "scenario: missing required key 'initial'"),
+    # friction holds (steering, rolling) pairs: a triple, or a lone number, is refused
+    "friction_triple": (
+        _file(initial=_BALANCE_START, friction={"mu_s": [0.3, 0.25, 0.1]}),
+        ScenarioError, "friction.mu_s: expected a list of two numbers (steering, rolling)"),
+    "friction_number": (
+        _file(initial=_BALANCE_START, friction={"mu_d": 0.1}),
+        ScenarioError, "friction.mu_d: expected a list of two numbers (steering, rolling)"),
+    "target_of_one_number": (
+        _file("point_to_point", initial={"x_a": 1.0, "y_a": 0.0, "alpha": 0.0}, target=[1.0]),
+        ScenarioError, "target: expected {x, y} or [x, y]"),
+    "waypoint_of_three_numbers": (
+        _file("line", initial={"x_a": 0.0, "y_a": 0.0, "alpha": 0.0},
+              waypoints=[[0.0, 0.0], [1.0, 0.0, 0.0]]),
+        ScenarioError, "waypoints[1]: expected {x, y} or [x, y]"),
+    "rate_limits_on_balance": (
+        _file(initial=_BALANCE_START,
+              rate_limits={"alpha_dot_max": 4.0, "gamma_dot_max": 8.0}),
+        ScenarioError, "rate_limits: applies to velocity (tracking) kinds only"),
+    "empty_plot_channels": (
+        _file(initial=_BALANCE_START, plot_channels=[]),
+        ScenarioError, "plot_channels: expected a non-empty list of channel names"),
+    "zero_m22": (lambda: RobotParams(M22=0.0), ValueError, "M22 must be positive, got 0.0"),
+    "negative_m22": (lambda: RobotParams(M22=-1.5), ValueError,
+                     "M22 must be positive, got -1.5"),
+    "topple_margin_at_half_pi": (lambda: Thresholds(topple_margin=math.pi / 2), ValueError,
+                                 "topple_margin must be below pi/2"),
+    "unknown_kind": (
+        _config("hover", BalanceGains()), ValueError,
+        "kind must be one of ('balance', 'point_to_point', 'line', 'corridor'), got 'hover'"),
+    "wrong_gains_class": (_config("line", PositionGains()), ValueError,
+                          "kind 'line' needs LineGains, got PositionGains"),
+    "one_waypoint_line": (_config("line", LineGains(), ((0.0, 0.0),)), ValueError,
+                          "line and corridor runs need at least two waypoints"),
+}
+
+
+@pytest.mark.parametrize("case", UNREACHED_REFUSALS)
+def test_unreached_refusal_text_is_pinned(case):
+    build, error, text = UNREACHED_REFUSALS[case]
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error
     assert str(exc.value) == text
 
 
