@@ -2,10 +2,10 @@
 
 Exit codes are a stable contract:
 
-    0  run converged, or --help printed
-    1  horizon reached (or steering went singular, or the state went
-       non-finite) without convergence
-    2  wheel toppled
+    0  run converged (also when steering then went singular), or --help printed
+    1  state went non-finite (after convergence too), or horizon reached or
+       steering went singular without convergence
+    2  wheel toppled (after convergence too)
     3  inadmissible initial state
     4  usage, configuration or I/O error; every command, --help included, ends through
        run_command, so an unwritable output or a closed stdout gives 4, no traceback
@@ -238,7 +238,9 @@ def _write_held(traj: Trajectory, trajectory, fmt: str, plot_channels, out_dir) 
     """Feed a held Trajectory to the output pass a chunk at a time; returns the finished pass."""
     with _OutputPass(traj.kind, trajectory, fmt, plot_channels, out_dir) as write:
         for start in range(0, traj.row_count, _CHUNK_ROWS):
-            write([col[start:start + _CHUNK_ROWS] for col in traj.channels.values()])
+            slices = [col[start:start + _CHUNK_ROWS] for col in traj.channels.values()]
+            lists = {s.tobytes(): s.tolist() for s in slices}  # equal slices share one list
+            write([lists[s.tobytes()] for s in slices])
         write.finish(traj)
     return write
 

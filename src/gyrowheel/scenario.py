@@ -130,19 +130,17 @@ def _bool(value, where: str) -> bool:
     return value
 
 
-def _pair(block: dict, key: str, where: str) -> tuple[float, float]:
-    value = block[key]
+def _pair(value, where: str, expected: str) -> tuple[float, float]:
+    """A list of two numbers; any other value is refused at `where`, naming the `expected` form."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ScenarioError(f"{where}.{key}: expected a list of two numbers (steering, rolling)")
-    return tuple(_number(item, f"{where}.{key}[{i}]") for i, item in enumerate(value))
+        raise ScenarioError(f"{where}: expected {expected}")
+    return tuple(_number(item, f"{where}[{i}]") for i, item in enumerate(value))
 
 
 def _point(value, where: str) -> tuple[float, float]:
     if isinstance(value, dict):
         return tuple(_read(value, {"x": _REQUIRED, "y": _REQUIRED}, where).values())
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return tuple(_number(item, f"{where}[{i}]") for i, item in enumerate(value))
-    raise ScenarioError(f"{where}: expected {{x, y}} or [x, y]")
+    return _pair(value, where, "{x, y} or [x, y]")
 
 
 def _build(cls, where: str, **kwargs):
@@ -158,15 +156,21 @@ def _read(block, table: dict, where: str) -> dict:
 
     `table` maps each key to _REQUIRED or, if optional, to its default or
     None. An absent optional key is left out, for its record to fill; a key
-    whose default is a tuple takes a list of two numbers, any other a number.
+    whose default is a tuple takes a list of two numbers, one whose default
+    is False takes true/false, any other a number.
     """
     block = _require_mapping(block, where)
     _check_keys(block, table, where)
     values = {}
     for key, default in table.items():
         if key in block or default is _REQUIRED:  # _num refuses an absent key
-            read = _pair if isinstance(default, tuple) else _num
-            values[key] = read(block, key, where)
+            if isinstance(default, tuple):
+                values[key] = _pair(block[key], f"{where}.{key}",
+                                    "a list of two numbers (steering, rolling)")
+            elif default is False:
+                values[key] = _bool(block[key], f"{where}.{key}")
+            else:
+                values[key] = _num(block, key, where)
     return values
 
 
@@ -175,33 +179,26 @@ def _parse_block(data: dict, key: str, cls):
     return _build(cls, f"{key}: ", **_read(data[key], cls._defaults, key))
 
 
-def _parse_smoothing(block: dict, where: str) -> Smoothing | None:
-    if "hard_switching" in block and _bool(block["hard_switching"], f"{where}.hard_switching"):
-        if "k6" in block or "k7" in block:
-            raise ScenarioError(f"{where}: hard_switching excludes k6/k7")
-        return None
-    kwargs = {k: _num(block, k, where) for k in Smoothing._fields if k in block}
-    return _build(Smoothing, f"{where}.", **kwargs)
-
-
 def _parse_gains(data: dict, kind: str):
     """The kind's gains from the gains block, keyed by the class's fields.
 
-    An absent key keeps the class default. Smoothing's flat keys are read
-    first, then the others in name order, k1 before k2."""
+    An absent key keeps the class default. A tracking block holds
+    hard_switching and Smoothing's fields flat, read first, then the gains
+    in name order, k1 before k2."""
     cls = _KINDS[kind].gains
-    names = cls._fields
-    keys = tuple(sorted(k for k in names if k != "smoothing"))
-    block = _require_mapping(data.get("gains", {}), "gains")
-    kwargs = {}
-    if "smoothing" in names:
-        # a tracking gains block holds Smoothing's fields flat, beside hard_switching
-        _check_keys(block, keys + Smoothing._fields + ("hard_switching",), "gains")
-        kwargs["smoothing"] = _parse_smoothing(block, "gains")
-    else:
-        _check_keys(block, keys, "gains")
-    kwargs.update((k, _num(block, k, "gains")) for k in keys if k in block)
-    return _build(cls, "gains.", **kwargs)
+    table = dict.fromkeys(sorted(k for k in cls._fields if k != "smoothing"))
+    if "smoothing" in cls._fields:
+        table = {"hard_switching": False, **Smoothing._defaults, **table}
+    values = _read(data.get("gains", {}), table, "gains")
+    if "smoothing" in cls._fields:
+        flat = {k: values.pop(k) for k in Smoothing._fields if k in values}
+        if values.pop("hard_switching", False):
+            if flat:
+                raise ScenarioError("gains: hard_switching excludes k6/k7")
+            values["smoothing"] = None
+        else:
+            values["smoothing"] = _build(Smoothing, "gains.", **flat)
+    return _build(cls, "gains.", **values)
 
 
 def _parse_initial(data: dict, kind: str, params: RobotParams) -> WheelState:
@@ -342,7 +339,7 @@ def scenario_from_mapping(data: dict, default_name: str = "scenario") -> Scenari
 
     if kind in ("line", "corridor"):
         wp = data.get("waypoints")
-        if not isinstance(wp, (list, tuple)) or len(wp) < 2:
+        if not isinstance(wp, (list, tuple)):  # SimConfig counts the points
             raise ScenarioError("waypoints: expected a list of at least two [x, y] points")
         given["waypoints"] = tuple(_point(item, f"waypoints[{i}]") for i, item in enumerate(wp))
     elif "waypoints" in data:

@@ -158,6 +158,20 @@ def test_run_singular_steering_exit(tmp_path):
         "detail": "|alpha_dot| = 5.000e-01 below floor 5.000e-01"}]
 
 
+def test_a_run_that_converged_before_going_singular_exits_converged(tmp_path):
+    # the exit table's row 0: a SingularSteering that ends a run after its
+    # Converged event leaves the status converged (a Toppled or NonFinite would not)
+    path = _write(tmp_path, "late_singular.yaml",
+                  make_balance_mapping(alpha_dot_floor=1e-4, t_end=20.0))
+    out = tmp_path / "late_singular"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert (report["status"], report["exit_code"]) == ("converged", 0)
+    assert [ev["kind"] for ev in report["events"]] == ["Converged", "SingularSteering"]
+    terminal = report["terminal_event"]
+    assert (terminal["kind"], terminal["time"]) == ("SingularSteering", 18.065)
+
+
 @pytest.mark.parametrize("x_a, code", [
     (EPS_DISTANCE, 3), (math.nextafter(EPS_DISTANCE, math.inf), 0),
 ], ids=["at-eps", "one-ulp-above"])

@@ -1,12 +1,20 @@
 import math
 import random
+import sys
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gyrowheel import (
+    BalanceController,
+    BalanceGains,
+    LineController,
+    LineGains,
+    PositionController,
+    PositionGains,
+    RobotParams,
     balance_value,
     decay_monitor,
     lean_tracking_value,
@@ -14,6 +22,7 @@ from gyrowheel import (
 )
 from gyrowheel.lyapunov import RATE_FLOOR, TOLERANCE
 
+import oracles
 from oracles import closed_form_alpha_dot, closed_form_beta, closed_form_beta_rates
 
 
@@ -176,6 +185,86 @@ def test_certificates_vanish_only_at_goal():
             assert x == xd == xdd == 0.0
     assert lean_tracking_value(math.pi / 2, 0.0) == 0.0
     assert lean_tracking_value(math.pi / 2, 1e-3) > 0.0
+
+
+# ---------------------------------------------- each law's certificate claim
+#
+# Each law's claim on its certificate's time derivative, at a state: dV/dt is
+# formed from the commanded inputs through the oracle's lean equations, and
+# checked to rounding: 64 units of rounding of the magnitudes of the terms
+# it is formed from, plus 1e-300 for the terms that underflow.
+
+_PARAMS = RobotParams()
+_EPS = math.ulp(1.0)
+_open_leans = st.floats(0.0, math.pi, exclude_min=True, exclude_max=True)
+_wide = st.floats(-50.0, 50.0)
+_angles = st.floats(-10.0, 10.0)
+
+
+def _to_rounding(excess: float, scale: float) -> bool:
+    return excess <= 64.0 * _EPS * scale + 1e-300
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(beta=_open_leans, alpha_dot=_wide, beta_dot=_wide, gamma_dot=_wide, beta_ddot=_wide,
+       k1=st.floats(0.1, 5.0), k2=st.floats(0.1, 5.0))
+def test_balance_law_certificate_identity(beta, alpha_dot, beta_dot, gamma_dot, beta_ddot,
+                                          k1, k2):
+    # the law makes the lean jerk h1*beta_dot + h2*u5 + h3*u6 that gives
+    # dV/dt = -x**2 - k1*z2**2 - z3**2, so dV/dt <= -2*min(1, k1)*V
+    h1, h2, h3 = oracles.jerk_coeffs(beta, alpha_dot, gamma_dot, _PARAMS)
+    assume(abs(h3) >= sys.float_info.min)  # the law divides by h3
+    V = balance_value(beta, beta_dot, beta_ddot, k1)
+    ctl = BalanceController(BalanceGains(k1=k1, k2=k2), _PARAMS, alpha_dot)
+    u5, u6 = ctl.command(beta, alpha_dot, beta_dot, gamma_dot, beta_ddot, V)
+    assume(math.isfinite(u6))
+    jerk = h1 * beta_dot + h2 * u5 + h3 * u6
+    x = beta - math.pi / 2
+    z2 = beta_dot + x
+    z3 = beta_ddot + (1.0 + k1) * z2
+    dz2 = beta_ddot + beta_dot  # z2's rate; x's is beta_dot, z3's jerk + (1 + k1)*dz2
+    dV = x * beta_dot + z2 * dz2 + z3 * (jerk + (1.0 + k1) * dz2)
+    claim = -x * x - k1 * z2 * z2 - z3 * z3
+    scale = (abs(x * beta_dot) + abs(z2 * dz2) - claim
+             + abs(z3) * (abs(h1 * beta_dot) + abs(h2 * u5) + abs(h3 * u6)
+                          + (1.0 + k1) * (abs(beta_ddot) + abs(beta_dot))))
+    assert _to_rounding(abs(dV - claim), scale)
+    assert _to_rounding(dV + 2.0 * min(1.0, k1) * V, scale)
+
+
+def _lean_tracking_excess(beta, beta_dot, u_alpha, u_gamma):
+    """dV1/dt + 2*V1 under velocity commands, and the magnitude it is formed from."""
+    bdd = oracles.lean_accel(beta, u_alpha, u_gamma, _PARAMS)
+    x = beta - math.pi / 2
+    s = x + beta_dot
+    dV1 = x * beta_dot + s * (beta_dot + bdd)
+    sb, cb = math.sin(beta), math.cos(beta)
+    bdd_scale = (_PARAMS.Gm * abs(cb) + _PARAMS.Im * abs(cb * sb) * u_alpha**2
+                 + _PARAMS.Jm * sb * abs(u_alpha * u_gamma))
+    scale = abs(x * beta_dot) + abs(s) * (abs(beta_dot) + bdd_scale) + x * x + s * s
+    return dV1 + (x * x + s * s), scale
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(beta=_open_leans, beta_dot=_wide, e=st.floats(0.0, 50.0), psi=_angles,
+       k3=st.floats(2.01, 6.0), k4_share=st.floats(0.01, 0.99))
+def test_hard_point_to_point_law_certificate_bound(beta, beta_dot, e, psi, k3, k4_share):
+    # with the commanded rates in effect, dV1/dt <= -2*V1
+    gains = PositionGains(k3=k3, k4=k4_share * (k3 - 1.0), smoothing=None)
+    u_alpha, u_gamma = PositionController(gains, _PARAMS).command(beta, beta_dot, e, psi)
+    assume(math.isfinite(u_gamma))
+    assert _to_rounding(*_lean_tracking_excess(beta, beta_dot, u_alpha, u_gamma))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(alpha=_angles, beta=_open_leans, beta_dot=_wide, theta=_angles, phi=_angles, p=_wide,
+       k3=st.floats(2.01, 6.0), k5=st.floats(0.1, 5.0))
+def test_hard_line_law_certificate_bound(alpha, beta, beta_dot, theta, phi, p, k3, k5):
+    ctl = LineController(LineGains(k3=k3, k5=k5, smoothing=None), _PARAMS,
+                         ((0.0, 0.0), (1.0, 0.0)))
+    u_alpha, u_gamma = ctl.command(alpha, beta, beta_dot, theta, phi, p)
+    assume(math.isfinite(u_gamma))
+    assert _to_rounding(*_lean_tracking_excess(beta, beta_dot, u_alpha, u_gamma))
 
 
 def test_decay_monitor_is_none_for_an_empty_or_all_non_finite_series():

@@ -296,6 +296,24 @@ PINNED_ERRORS = {
            "gains.k7: constraint k7 > 0 violated (got -1.0)"),
     "k6_before_k3": (_p2p_gains(k3=1.5, k4=1.0, k6=-2.0),
                      "gains.k6: constraint k6 > 0 violated (got -2.0)"),
+    "hard_switching_excludes_k6": (_line_gains(k3=3.0, k5=1.0, hard_switching=True, k6=20.0),
+                                   "gains: hard_switching excludes k6/k7"),
+    "hard_switching_not_a_bool": (_line_gains(k3=3.0, k5=1.0, hard_switching="yes"),
+                                  "gains.hard_switching: expected true/false, got 'yes'"),
+    # the gains block's keys are read, hard_switching first, before any gain is built
+    "hard_switching_before_k6": (_p2p_gains(hard_switching=1, k6="x"),
+                                 "gains.hard_switching: expected true/false, got 1"),
+    "k6_number_before_hard_switching": (_line_gains(hard_switching=True, k6="x"),
+                                        "gains.k6: expected a number, got 'x'"),
+    "k3_number_before_k6": (_p2p_gains(k6=-1.0, k3="x"),
+                            "gains.k3: expected a number, got 'x'"),
+    # SimConfig counts the waypoints; the parser refuses only a value that is no list
+    "one_waypoint": (_line_mapping(waypoints=[[0.0, 0.0]]),
+                     "line and corridor runs need at least two waypoints"),
+    "no_waypoint": (_line_mapping(waypoints=[]),
+                    "line and corridor runs need at least two waypoints"),
+    "waypoints_not_a_list": (_line_mapping(waypoints={"x": 0.0, "y": 0.0}),
+                             "waypoints: expected a list of at least two [x, y] points"),
     "dt": (_with(make_balance_mapping(), dt=0),
            "dt: must be positive, got 0.0"),
     "t_end": (_with(make_balance_mapping(), dt=0.01, t_end=0.005),

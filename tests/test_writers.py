@@ -195,12 +195,12 @@ def test_each_value_is_formatted_once(fmt, tmp_path, monkeypatch):
     _run_with(monkeypatch, sc, traj, tmp_path, fmt)
     assert len(calls) == traj.row_count * (len(traj.names) - 2)  # rows x distinct columns
 
-    # a library run's channels are doubles and share no object: each
-    # plotted channel is formatted once, a repeated name not again
+    # a library run's channels are doubles: each distinct plotted channel is
+    # formatted once, a repeated name not again, nor u_steer, whose bits are alpha_dot's
     calls.clear()
     held = run_closed_loop(sc.config)
     cli.emit_plot_data(held, ("beta", "t", "beta", "V", "alpha_dot", "u_steer"), tmp_path)
-    assert len(calls) == held.row_count * 5  # t, beta, V, alpha_dot, u_steer
+    assert len(calls) == held.row_count * 4  # t, beta, V, alpha_dot (u_steer equals it)
 
     # a pass that writes no file formats nothing, not even t
     calls.clear()
