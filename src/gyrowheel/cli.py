@@ -80,12 +80,8 @@ def _header_cell(name: str) -> str:
     return f"{name} [{unit}]"
 
 
-# the report's state record: WheelState's fields but the cached lean acceleration
-_STATE_KEYS = tuple(k for k in WheelState._fields if k != "beta_ddot")
-
-
 def _state_dict(state) -> dict:
-    return {key: getattr(state, key) for key in _STATE_KEYS}
+    return {key: getattr(state, key) for key in WheelState._fields}
 
 
 def _event_dict(ev: Event) -> dict:
@@ -239,7 +235,10 @@ def _write_held(traj: Trajectory, trajectory, fmt: str, plot_channels, out_dir) 
     with _OutputPass(traj.kind, trajectory, fmt, plot_channels, out_dir) as write:
         for start in range(0, traj.row_count, _CHUNK_ROWS):
             slices = [col[start:start + _CHUNK_ROWS] for col in traj.channels.values()]
-            lists = {s.tobytes(): s.tolist() for s in slices}  # equal slices share one list
+            lists = {}  # equal slices share one list, and one value repeated is one float object
+            for s in slices:
+                b = s.tobytes()
+                lists[b] = [s[0]] * len(s) if b == b[:8] * len(s) else s.tolist()
             write([lists[s.tobytes()] for s in slices])
         write.finish(traj)
     return write

@@ -156,12 +156,11 @@ def balance_control(
     sign0 is the latched sign of the initial steering rate; the steering
     channel decays toward a floor set by the shrinking certificate V, which
     keeps alpha_dot from crossing zero. The rolling channel u6 cancels the
-    natural lean jerk and imposes the stable linear one; it requires the
-    cached beta_ddot and a nonzero steering rate (h3 != 0).
+    natural lean jerk and imposes the stable linear one, reading the state's
+    lean acceleration (lean_accel); it requires a nonzero steering rate
+    (h3 != 0).
     """
-    bdd = state.beta_ddot
-    if bdd is None:
-        bdd = lean_accel(state.beta, state.alpha_dot, state.gamma_dot, params)
+    bdd = lean_accel(state.beta, state.alpha_dot, state.gamma_dot, params)
     # sign0 is +1 or -1, so the controller latches it as it is
     return BalanceController(gains, params, sign0).command(
         state.beta, state.alpha_dot, state.beta_dot, state.gamma_dot, bdd, V
@@ -214,9 +213,7 @@ class BalanceController:
         self._k = (gains.k2, self.sign0, 2.0 + k1, 3.0 + 2.0 * k1, params.Gm, params.Im, params.Jm)
 
     def certificate(self, state: WheelState) -> float:
-        bdd = state.beta_ddot
-        if bdd is None:
-            bdd = lean_accel(state.beta, state.alpha_dot, state.gamma_dot, self.params)
+        bdd = lean_accel(state.beta, state.alpha_dot, state.gamma_dot, self.params)
         return balance_value(state.beta, state.beta_dot, bdd, self.gains.k1)
 
     def command(

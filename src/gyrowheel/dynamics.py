@@ -59,13 +59,12 @@ class DegenerateLeanError(ValueError):
 
 
 class WheelState(Record):
-    """Angles, rates, the cached lean acceleration and the ground contact point.
+    """The eight coordinates a run integrates: angles, rates and the ground contact point.
 
-    beta_ddot is not an independent coordinate: whenever present it must
-    equal lean_accel(beta, alpha_dot, gamma_dot, params). It is cached
-    because the balance law and the balance certificate both consume it.
-    (x_a, y_a) is the contact point in metres. In velocity mode alpha_dot
-    and gamma_dot hold the rate commands in effect from this sample onward.
+    The lean acceleration is not a coordinate: lean_accel(beta, alpha_dot,
+    gamma_dot, params) gives it. (x_a, y_a) is the contact point in metres.
+    In velocity mode alpha_dot and gamma_dot hold the rate commands in
+    effect from this sample onward.
     """
 
     alpha: float = 0.0
@@ -74,7 +73,6 @@ class WheelState(Record):
     alpha_dot: float = 0.0
     beta_dot: float = 0.0
     gamma_dot: float = 0.0
-    beta_ddot: float | None = None
     x_a: float = 0.0
     y_a: float = 0.0
 

@@ -15,8 +15,9 @@ Two modes, four right-hand sides:
 
 The kernel is single-pass and builds no object per row. Each right-hand
 side has one RK4 stepper, unrolled over plain floats with the run's
-constants bound once; all four take the state in WheelState's field order
-and return the eight coordinates they integrate. One selector, _stepper,
+constants bound once; all four take WheelState's fields in order, with the
+step-start lean acceleration after gamma_dot, and return WheelState's fields,
+the eight coordinates they integrate. One selector, _stepper,
 builds the stepper of a mode for both run_closed_loop and rk4_step, which
 form the lean acceleration and judge each step: the steppers are plain
 arithmetic. The friction stepper writes its four stages out in full, each
@@ -324,10 +325,10 @@ class Trajectory:
 #
 # One unrolled RK4 stepper per right-hand side; _stepper picks a mode's, and
 # its factory binds the run's constants once. Each stepper maps the step-start
-# state, in WheelState's field order, and the held command to the eight
-# coordinates it integrates at the step's end, (a, b, g, ad, bd, gd, xa, ya),
-# a rate-layer stepper's rates being those in effect; the callers form the
-# lean acceleration, a value of the state. Stage values the right-hand side
+# WheelState fields, with the lean acceleration after gd, and the held command
+# to the eight coordinates it integrates at the step's end, (a, b, g, ad, bd,
+# gd, xa, ya), a rate-layer stepper's rates being those in effect; the callers
+# form the lean acceleration, a value of the state. Stage values the right-hand side
 # never reads (gamma, the contact point) are not formed; stage values that
 # coincide exactly are formed once. A stepper raises only DegenerateLeanError,
 # when a finite friction stage lean leaves (0, pi); its two callers,
@@ -591,7 +592,8 @@ def rk4_step(
     The command is (u5, u6) in torque mode and (u_alpha, u_gamma) in
     velocity mode. Runs the same stepper as run_closed_loop. dt may be
     negative (backward integration, used by finite-difference oracles).
-    It forms the lean acceleration at the step's end with lean_accel.
+    It forms the lean acceleration at the step's end with lean_accel and
+    judges it with the step, but returns only the eight coordinates.
     Raises ValueError for a mode not in MODES or for friction outside
     torque mode, DegenerateLeanError if a finite friction stage lean leaves
     (0, pi), and NonFiniteStateError if the step or that lean acceleration
@@ -603,14 +605,14 @@ def rk4_step(
     try:
         # the friction stepper solves its first stage in full and reads no bdd
         bdd = None if torque and friction is not None else lean_accel(st.beta, ad, gd, params)
-        a, b, g, ad, bd, gd, xa, ya = step(st.alpha, st.beta, st.gamma, ad, st.beta_dot, gd, bdd,
-                                           st.x_a, st.y_a, steer, drive)
-        out = (a, b, g, ad, bd, gd, lean_accel(b, ad, gd, params), xa, ya)
+        out = step(st.alpha, st.beta, st.gamma, ad, st.beta_dot, gd, bdd, st.x_a, st.y_a,
+                   steer, drive)
+        bdd = lean_accel(out[1], out[3], out[5], params)
     except DegenerateLeanError:
         raise
     except (ValueError, ArithmeticError):
         raise NonFiniteStateError(_NONFINITE) from None
-    if not (isfinite(sum(out)) or all(map(isfinite, out))):
+    if not all(map(isfinite, (*out, bdd))):
         raise NonFiniteStateError(_NONFINITE)
     return WheelState(*out)
 
@@ -829,7 +831,7 @@ def run_closed_loop(cfg: SimConfig, sink=None) -> Trajectory:
 
     st = cfg.initial
     a, b, g, ad, bd, gd = st.alpha, st.beta, st.gamma, st.alpha_dot, st.beta_dot, st.gamma_dot
-    xa, ya, bdd = st.x_a, st.y_a, lean_accel(b, ad, gd, params) if torque else st.beta_ddot
+    xa, ya, bdd = st.x_a, st.y_a, lean_accel(b, ad, gd, params) if torque else nan
     advance = _stepper(cfg.mode, params, dt, cfg.friction, cfg.actuator_lag)
 
     segment = 0
@@ -911,7 +913,7 @@ def run_closed_loop(cfg: SimConfig, sink=None) -> Trajectory:
             else segment == last_segment and d < distance and e < line_offset
         ):
             converged_seen = True
-            checks = _convergence(cfg, WheelState(a, b, g, ad, bd, gd, bdd, xa, ya), e, d, segment)
+            checks = _convergence(cfg, WheelState(a, b, g, ad, bd, gd, xa, ya), e, d, segment)
             events.append(Event("Converged", t, _converged_detail(kind, checks)))
             if cfg.stop_on_converged:
                 break
@@ -937,5 +939,5 @@ def run_closed_loop(cfg: SimConfig, sink=None) -> Trajectory:
 
     if rows:
         sink([rows[k::width] for k in range(width)])
-    traj.final_state = WheelState(a, b, g, ad, bd, gd, bdd, xa, ya)
+    traj.final_state = WheelState(a, b, g, ad, bd, gd, xa, ya)
     return traj

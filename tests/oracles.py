@@ -1,10 +1,13 @@
 """The model's equations, each written once over plain floats: the tests' reference.
 
-No run evaluates these. tests/test_fused_kernel.py compares every law,
-chart and RK4 stepper of the package against them, bit for bit or by the
-same exception type and message, and tests/test_dynamics.py so compares
-the library functions of gyrowheel.dynamics; the other test files derive
-or refute the model's properties with them. They import only records,
+The package never calls these. tests/test_fused_kernel.py compares every
+law, chart and RK4 stepper of the package against them, bit for bit or
+by the same exception type and message, and tests/test_dynamics.py so
+compares the library functions of gyrowheel.dynamics; the other test
+files derive or refute the model's properties with them. reference_run
+composes them into the closed loop, with its own event tests and
+convergence table, and tests/test_reference_run.py holds run_closed_loop
+to it at every row, every event and every final coordinate. They import only records,
 parameters, errors and constants from gyrowheel, never a law, chart,
 stepper or switch, so a fault in one of those cannot hide in its own
 reference.
@@ -16,12 +19,12 @@ The order and grouping of every float expression is the package's,
 since the comparison is bitwise. The sections follow the README: the
 model (lean equation, jerk coefficients, decoupling, full equations with
 friction), the controllers (switches, drive floor, laws), the charts,
-the closed forms of the nominal balance loop, and the RK4 steppers of
-the two command modes.
+the closed forms of the nominal balance loop, the RK4 steppers of the
+two command modes, and the run loop.
 """
 
 from functools import wraps
-from math import atan2, cos, exp, hypot, isfinite, pi, sin, sqrt, tanh
+from math import atan2, cos, exp, floor, hypot, isfinite, nan, pi, sin, sqrt, tanh
 
 from gyrowheel import (
     DegenerateLeanError,
@@ -171,6 +174,13 @@ def balance_certificate(beta, beta_dot, beta_ddot, k1):
     z2 = beta_dot + x
     z3 = beta_ddot + (1.0 + k1) * z2
     return 0.5 * (x * x + z2 * z2 + z3 * z3)
+
+
+def lean_tracking_certificate(beta, beta_dot):
+    """V1 = (x^2 + s^2)/2, x = beta - pi/2, s = x + beta_dot: the tracking laws' lean certificate."""
+    x = beta - HALF_PI
+    s = x + beta_dot
+    return 0.5 * (x * x + s * s)
 
 
 def balance_law(beta, alpha_dot, beta_dot, gamma_dot, beta_ddot, V, gains, sign0, params):
@@ -435,3 +445,134 @@ def lag_step(a, b, g, za, bd, zg, bdd, xa, ya, ua, ug, params, dt, tau):
     (a, b, g, bd, za, zg), stages = _rk4(rates, y, rates(*y, bdd), dt)
     xa, ya = _contact(xa, ya, [(s[0], s[5]) for s in stages], params.R, dt)
     return (a, b, g, za, bd, zg, bdd, xa, ya)
+
+
+# ------------------------------------------------------------ the run loop
+
+
+def convergence(kind, thr, beta, beta_dot, alpha_dot, gamma_dot, e, d, last):
+    """The Converged event's detail where the kind's every threshold holds, else None.
+
+    Balance: |beta - pi/2|, |beta_dot|, |alpha_dot| and |gamma_dot| at or
+    below lean, lean_rate, steer_rate and roll_rate. Point to point: e
+    below distance. Line and corridor: on the last segment, d below
+    distance and e below line_offset.
+    """
+    if kind == "balance":
+        if (abs(beta - HALF_PI) <= thr.lean and abs(beta_dot) <= thr.lean_rate
+                and abs(alpha_dot) <= thr.steer_rate and abs(gamma_dot) <= thr.roll_rate):
+            return "lean, lean rate, steering rate, rolling rate all within thresholds"
+    elif kind == "point_to_point":
+        if e < thr.distance:
+            return f"e = {e:.4f} m < {thr.distance} m"
+    elif last and d < thr.distance and e < thr.line_offset:
+        return f"d = {d:.4f} m and line distance e = {e:.4f} m within thresholds"
+    return None
+
+
+def reference_run(cfg):
+    """The closed loop of a SimConfig, row by row, from the laws, charts and steppers above.
+
+    Returns (rows, events, final): each row as the tuple of the kind's
+    channels, each event as (kind, time, detail), and the final state as
+    its eight coordinates (alpha, beta, gamma, alpha_dot, beta_dot,
+    gamma_dot, x_a, y_a). The start must be admissible: this loop does not
+    refuse one. Each row: test the lean and, in torque mode, the steering
+    rate against their thresholds (a stop row is written with NaN commands
+    and ends the run); form the certificate or the chart, advancing a
+    corridor at most one segment; command, the rates following a velocity
+    command at once without lag; form the lean acceleration of a velocity
+    row under its rates and the tracking certificate; write the row; test
+    convergence once; and step, holding the command. A row whose square
+    overflows or whose command divides by an underflowed 0 ends the run
+    without the row; a failed step ends it at the row it started from.
+    """
+    thr, params, dt, gains = cfg.thresholds, cfg.params, cfg.dt, cfg.gains
+    kind, tau, friction = cfg.kind, cfg.actuator_lag, cfg.friction
+    balance, p2p = kind == "balance", kind == "point_to_point"
+    s = cfg.initial
+    a, b, g, ad, bd, gd, xa, ya = (s.alpha, s.beta, s.gamma, s.alpha_dot, s.beta_dot,
+                                   s.gamma_dot, s.x_a, s.y_a)
+    sign0 = 1.0 if ad >= 0.0 else -1.0
+    target = (float(cfg.target[0]), float(cfg.target[1]))
+    waypoints = [(float(x), float(y)) for x, y in cfg.waypoints]
+    segment, e, d = 0, nan, nan  # a balance run has no chart, a point-to-point run no d
+    bdd = lean_accel(b, ad, gd, params) if balance else None
+    rows, events, converged = [], [], False
+    n = int(floor(cfg.t_end / dt + 1e-9))
+    for i in range(n + 1):
+        t = i * dt
+        stop = None
+        if not thr.topple_margin < b < pi - thr.topple_margin:
+            stop = ("Toppled", t, f"beta = {b:.6f} rad")
+        elif balance and abs(ad) < thr.alpha_dot_floor:
+            stop = ("SingularSteering", t, f"|alpha_dot| = {abs(ad):.3e} below floor "
+                                           f"{thr.alpha_dot_floor:.3e}")
+        if balance:
+            V = balance_certificate(b, bd, bdd, gains.k1)
+        elif p2p:
+            e, theta, psi = polar_chart(xa, ya, a, target)
+        else:
+            _, e, d, theta, phi, p, _ = line_chart(xa, ya, a, *waypoints[segment:segment + 2])
+            if stop is None and segment < len(waypoints) - 2 and d < thr.advance_radius:
+                segment += 1
+                _, e, d, theta, phi, p, _ = line_chart(xa, ya, a,
+                                                       *waypoints[segment:segment + 2])
+        try:
+            if stop is not None:
+                us = ud = nan
+            elif balance:
+                us, ud = balance_law(b, ad, bd, gd, bdd, V, gains, sign0, params)
+            elif p2p:
+                us, ud = position_law(b, bd, e, psi, gains, params)
+            else:
+                us, ud = line_law(a, b, bd, theta, phi, p, gains, params)
+            if not balance:
+                if stop is None and tau == 0.0:
+                    ad, gd = us, ud
+                bdd = lean_accel(b, ad, gd, params)
+                v1 = lean_tracking_certificate(b, bd)
+                V = v1 + 0.5 * e**2 if p2p else v1 + 0.5 * (e**2 + d**2)
+        except OverflowError:
+            events.append(("NonFinite", t, "a value of this row is beyond the float range"))
+            break
+        except ZeroDivisionError as exc:
+            events.append(("NonFinite", t, f"the command's divisor underflowed to 0: {exc}"))
+            break
+        row = (t, a, b, g, ad, bd, gd, bdd, xa, ya, us, ud, V)
+        if p2p:
+            row += (v1, e, psi)
+        elif not balance:
+            row += (v1, e, d, p, float(segment))
+        rows.append(row)
+        if stop is not None:
+            events.append(stop)
+            break
+        if not converged:
+            last = segment == len(waypoints) - 2
+            detail = convergence(kind, thr, b, bd, ad, gd, e, d, last)
+            if detail is not None:
+                converged = True
+                events.append(("Converged", t, detail))
+                if cfg.stop_on_converged:
+                    break
+        if i == n:
+            break
+        y = (a, b, g, ad, bd, gd, bdd, xa, ya, us, ud)
+        try:
+            if balance and friction is not None:
+                out = friction_step(*y, params, friction, dt)
+            elif balance:
+                out = torque_step(*y, params, dt)
+            elif tau > 0.0:
+                out = lag_step(*y, params, dt, tau)
+            else:
+                out = velocity_step(*y, params, dt)
+        except DegenerateLeanError as exc:
+            events.append(("Toppled", t, str(exc)))
+            break
+        except NonFiniteStateError as exc:
+            events.append(("NonFinite", t, str(exc)))
+            break
+        a, b, g, ad, bd, gd, bdd, xa, ya = out
+    return rows, events, (a, b, g, ad, bd, gd, xa, ya)

@@ -57,16 +57,16 @@ REPORT_DIGESTS = {
 }
 
 DIRECT_DIGESTS = {
-    "balance_friction": "fb31309a1790aa64687f733f2d8832408aaa155e638b90550d5b494db50fab6c",
-    "line_lag": "87d1fb8cf5963d4b4e253f26a805bdf4d4bd66a7ec24e58091e83788f9537c3d",
+    "balance_friction": "5d4a8bcdd8cc2ff1e6e6e3379d17631b665545d42f5fecc19d645aaba55c5984",
+    "line_lag": "dfc7e09c6363033527ced29d5003b1491eb5c3e8309b926ac1017c90d7a383d0",
 }
 
 CONTROL_DIGESTS = {
-    "balance_k1": "1372ac4f31842d82f3e6612c40e2db735d0b81c01ebd38c3ab7306166c5a0feb",
-    "corridor_short_segment": "e0c5b8c5d5b1bda9be4e81cd0398198943dd14cfc295c6246409c7df60a99eb2",
-    "line_converged": "8c669566b868f0f142011983c524d9dbed37aa830d7fc0330b266eb58cd107ab",
-    "line_hard": "c11c1d20beb287da1c9d03c84725563bb8056709e38b3ec02265e7ca605e1c38",
-    "p2p_hard": "a34cfe948a51b9ea6abef60a913d4dfdff390a2fa9839a2f3b0b2ccea8bbb73f",
+    "balance_k1": "0f59bc53e2df673e4a0579c3f62fd21d9bf8dd39ec79887b8e7d2f3ddb0923dd",
+    "corridor_short_segment": "da51704bc3f0cc2fc63d1c3ee3faacc5e08286431bf1dc61fe8099b5039f27b8",
+    "line_converged": "8f14b398f533c834791e51c7d1a7cb3d7a3eb850b631a15ad421554e59d1cc3b",
+    "line_hard": "86c2579bc74a6a36cf15dd06618643c7394128a9770f32412fbf4537e264eb71",
+    "p2p_hard": "46a40cd73509167c9af8c14ebc0ffbcc8b5c809f67eb1a1daa022b8f5208165f",
 }
 
 
@@ -74,15 +74,15 @@ CONTROL_DIGESTS = {
 # The event fires at the first step boundary where its condition holds.
 TERMINAL_DIGESTS = {
     "balance_singular": ("SingularSteering", 18.065,
-                         "f1f3b5fc2fd1c4036e9ba443b708af3eb1ef329827e1ec499ee106907e15b464"),
+                         "669d4d11be9514197393ed59a397fbf0884ce1b8348becaef2c1f3ef137fa1a6"),
     "balance_topple": ("Toppled", 4.0,
-                       "c24e258142a407e17e7e8e42df81d00e9e0f0a2f999f2bd9810fd88f7333c6dc"),
+                       "99b4cda9515fb6d915c729eabe18227085b8deff055477f506d1516666d507dc"),
     "friction_topple": ("Toppled", 4.8,
-                        "1244c6759bb8410f254b0084a1c7cd97bc3655153bc07d424fd4fd3f74656232"),
+                        "e04a8cdd0637113a3d98f504d67a965b74dfddfd29f8264940cec4ed4b48c639"),
     "lag_topple": ("Toppled", 0.6000000000000001,
-                   "905605aa673ec1525d6e27f1190d08b9da2a7ae0353ace79c662205f06a3f732"),
+                   "0f131de9ea766054214d25a200138581e57303915ddb2c043a6e4c856355e618"),
     "p2p_topple": ("Toppled", 2.0,
-                   "cd6339508b2105270cb65a2809f48ddedc2f4cb54bc400c0af0fd8af8933f89d"),
+                   "201dd6b513ae8af020e315a29934a0fae8f9a5e2b9cd83c1dd4f0c3d72b31931"),
 }
 
 

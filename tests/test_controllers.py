@@ -13,7 +13,6 @@ from gyrowheel import (
     RobotParams,
     Smoothing,
     WheelState,
-    balance_control,
     balance_value,
     beta_jerk_coeffs,
     lean_accel,
@@ -32,18 +31,16 @@ def _upright(alpha_dot=1.0, **kw):
     return WheelState(beta=math.pi / 2, alpha_dot=alpha_dot, **kw)
 
 
-def _balance_command(ctl, st):
-    """BalanceController.command at a state, with the lean acceleration and V filled in."""
-    bdd = st.beta_ddot
-    if bdd is None:
-        bdd = lean_accel(st.beta, st.alpha_dot, st.gamma_dot, ctl.params)
-    return ctl.command(st.beta, st.alpha_dot, st.beta_dot, st.gamma_dot, bdd, ctl.certificate(st))
+def _balance_command(ctl, st, bdd):
+    """BalanceController.command at a state and the lean acceleration bdd, with V formed from them."""
+    V = balance_value(st.beta, st.beta_dot, bdd, ctl.gains.k1)
+    return ctl.command(st.beta, st.alpha_dot, st.beta_dot, st.gamma_dot, bdd, V)
 
 
 class TestBalanceControl:
     def test_upright_rest_pure_steer_decay(self, params):
-        st = _upright(beta_ddot=0.0)
-        u5, u6 = balance_control(st, BalanceGains(), 0.0, +1.0, params)
+        command = BalanceController(BalanceGains(), params, +1.0).command
+        u5, u6 = command(math.pi / 2, 1.0, 0.0, 0.0, 0.0, 0.0)
         assert u5 == pytest.approx(-1.0, abs=1e-12)
         assert u6 == pytest.approx(0.0, abs=1e-12)
 
@@ -53,14 +50,14 @@ class TestBalanceControl:
         assert bdd == pytest.approx(0.7515796541568082, abs=1e-12)
         V = balance_value(beta, 0.0, bdd)
         assert V == pytest.approx(0.4627519191025955, abs=1e-12)
-        st = WheelState(beta=beta, alpha_dot=1.0, beta_ddot=bdd)
-        u5, u6 = balance_control(st, BalanceGains(), V, +1.0, params)
+        command = BalanceController(BalanceGains(), params, +1.0).command
+        u5, u6 = command(beta, 1.0, 0.0, 0.0, bdd, V)
         assert u5 == pytest.approx(-0.1752220208866403, abs=1e-12)
         assert u6 == pytest.approx(1.8994350542262772, abs=1e-12)
 
     def test_latched_negative_branch(self, params):
-        st = _upright(alpha_dot=1.0, beta_ddot=0.0)
-        u5, _ = balance_control(st, BalanceGains(), 0.0625, -1.0, params)
+        command = BalanceController(BalanceGains(), params, -1.0).command
+        u5, _ = command(math.pi / 2, 1.0, 0.0, 0.0, 0.0, 0.0625)
         # negative latch pushes the steering floor below zero: -(1 + 0.5)
         assert u5 == pytest.approx(-1.5, abs=1e-12)
 
@@ -74,23 +71,20 @@ class TestBalanceControl:
                     alpha_dot=rng.uniform(0.2, 2.0) * rng.choice((-1, 1)),
                     beta_dot=rng.uniform(-1, 1),
                     gamma_dot=rng.uniform(-2, 2),
-                    beta_ddot=rng.uniform(-1, 1),
                 )
-                V = balance_value(st.beta, st.beta_dot, st.beta_ddot, k1)
-                u5, u6 = command(st.beta, st.alpha_dot, st.beta_dot, st.gamma_dot,
-                                 st.beta_ddot, V)
+                bdd = rng.uniform(-1, 1)
+                V = balance_value(st.beta, st.beta_dot, bdd, k1)
+                u5, u6 = command(st.beta, st.alpha_dot, st.beta_dot, st.gamma_dot, bdd, V)
                 h1, h2, h3 = beta_jerk_coeffs(st, params)
                 jerk = h1 * st.beta_dot + h2 * u5 + h3 * u6
                 x = st.beta - math.pi / 2
-                want = -(
-                    (2 + k1) * x + (3 + 2 * k1) * st.beta_dot + (2 + k1) * st.beta_ddot
-                )
+                want = -((2 + k1) * x + (3 + 2 * k1) * st.beta_dot + (2 + k1) * bdd)
                 assert jerk == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_zero_steering_rate_is_singular(self, params):
-        st = WheelState(beta=math.pi / 2, alpha_dot=0.0, beta_ddot=0.0)
+        command = BalanceController(BalanceGains(), params, 1.0).command
         with pytest.raises(ZeroDivisionError):
-            balance_control(st, BalanceGains(), 0.0, 1.0, params)
+            command(math.pi / 2, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_gain_invariants(self):
         with pytest.raises(ValueError):
@@ -103,14 +97,15 @@ class TestBalanceController:
     def test_sign_latched_at_construction(self, params):
         ctl = BalanceController(BalanceGains(), params, alpha_dot0=-2.0)
         # the state's current sign is positive, but the latch stays negative
-        u5, _ = _balance_command(ctl, _upright(alpha_dot=1.0, beta_ddot=0.0))
+        u5, _ = _balance_command(ctl, _upright(alpha_dot=1.0), 0.0)
         assert u5 == pytest.approx(-1.0, abs=1e-12)
         ctl_pos = BalanceController(BalanceGains(), params, alpha_dot0=2.0)
-        u5_pos, _ = _balance_command(ctl_pos, _upright(alpha_dot=1.0, beta_ddot=0.0))
+        u5_pos, _ = _balance_command(ctl_pos, _upright(alpha_dot=1.0), 0.0)
         assert u5_pos == pytest.approx(-1.0, abs=1e-12)
         # with a nonzero certificate the branches separate
         st = WheelState(beta=math.pi / 2 + 0.05, alpha_dot=1.0)
-        assert _balance_command(ctl, st)[0] < _balance_command(ctl_pos, st)[0]
+        bdd = lean_accel(st.beta, st.alpha_dot, st.gamma_dot, params)
+        assert _balance_command(ctl, st, bdd)[0] < _balance_command(ctl_pos, st, bdd)[0]
 
     def test_certificate_fills_missing_lean_accel(self, params):
         ctl = BalanceController(BalanceGains(), params, alpha_dot0=1.0)

@@ -3,12 +3,14 @@ name a module exports in __all__ exists, no name is in two modules'
 __all__, the package exports every name of the modules it imports,
 PyYAML is imported only to parse scenario text, importing the package
 loads neither dataclasses nor inspect, and every other import is at module
-level."""
+level. Every module the tests and the benchmark import is the standard
+library's, the package's, their own, or declared in pyproject.toml."""
 
 import ast
 import importlib
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -119,3 +121,36 @@ def test_pyyaml_is_imported_only_to_parse_scenario_text():
     # one parse of scenario text loads it, and reads the text as yaml.safe_load does
     assert loaded is True
     assert same is True
+
+
+# a distribution whose import name is not its own
+_MODULE_OF = {"pyyaml": "yaml"}
+
+
+def test_every_third_party_import_of_the_suite_is_declared():
+    # tier-1 runs tests/ and perfbench/: a module they import that is neither
+    # the standard library's nor local must be a dependency or in the test extra
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    declared = set()
+    for requirement in project["dependencies"] + project["optional-dependencies"]["test"]:
+        name = re.match(r"[A-Za-z0-9._-]+", requirement).group().lower().replace("-", "_")
+        declared.add(_MODULE_OF.get(name, name))
+    files = sorted([*(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")])
+    local = {path.stem for path in files} | {"gyrowheel"}
+    third_party = {}  # module -> the first file that imports it
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top not in local:
+                    third_party.setdefault(top, path.name)
+    assert {"pytest", "hypothesis", "yaml"} <= third_party.keys()  # the scan sees them
+    assert {m: f for m, f in third_party.items() if m not in declared} == {}

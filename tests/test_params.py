@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gyrowheel import FrictionParams, LineGains, PositionGains, RobotParams, replace
+from gyrowheel import FrictionParams, LineGains, PositionGains, RobotParams, WheelState, replace
 
 
 def test_default_reduced_values():
@@ -87,6 +87,11 @@ def test_records_compare_by_class_and_fields():
                   lambda: RobotParams(1, 1, 1, 1, 1, 1)):
         with pytest.raises(TypeError):
             build()
+    # the state is the eight coordinates a run integrates; the lean acceleration is lean_accel's
+    assert WheelState._fields == (
+        "alpha", "beta", "gamma", "alpha_dot", "beta_dot", "gamma_dot", "x_a", "y_a")
+    with pytest.raises(TypeError, match=r"got 0 by position and beta_ddot by keyword"):
+        WheelState(beta_ddot=0.0)
 
 
 def test_replace_builds_a_checked_record():

@@ -10,6 +10,7 @@ from gyrowheel import (
     Event,
     FrictionParams,
     InadmissibleStateError,
+    LineController,
     LineGains,
     NonFiniteStateError,
     RobotParams,
@@ -17,10 +18,14 @@ from gyrowheel import (
     Thresholds,
     UnknownChannelError,
     WheelState,
+    balance_control,
     bundled_scenario_path,
     detect_events,
     lean_accel,
+    line_control,
     parse_scenario,
+    polar_view,
+    position_control,
     replace,
     rk4_step,
     run_closed_loop,
@@ -616,3 +621,38 @@ def test_detect_events_agrees_with_the_run_at_its_final_state(name):
     assert recorded
     found = detect_events(traj.final_state, cfg, t_final, segment)
     assert [ev.kind for ev in found] == recorded
+
+
+@pytest.mark.parametrize(
+    "name", ["balance_default", "p2p_default", "line_5m", "corridor_demo"]
+)
+def test_the_library_helpers_agree_with_the_run_at_every_row(name):
+    # each row's state, built from its channels: the state-level helpers must give
+    # the row's own bits. A stop row's commands are NaN, so it is left out.
+    cfg = replace(parse_scenario(bundled_scenario_path(name)).config, t_end=2.0)
+    traj = run_closed_loop(cfg)
+    ch, params, gains = traj.channels, cfg.params, cfg.gains
+    if cfg.kind == "balance":
+        ctl = BalanceController(gains, params, cfg.initial.alpha_dot)
+    elif cfg.kind != "point_to_point":
+        ctl = LineController(gains, params, cfg.waypoints)
+    checked = 0
+    for i in range(traj.row_count):
+        if math.isnan(ch["u_steer"][i]):
+            continue
+        state = WheelState(*(ch[key][i] for key in WheelState._fields))
+        if cfg.kind == "balance":
+            V = ctl.certificate(state)
+            got = (V, *balance_control(state, gains, V, ctl.sign0, params))
+            names = ("V", "u_steer", "u_drive")
+        elif cfg.kind == "point_to_point":
+            e, theta, psi = polar_view(state, cfg.target)
+            got = (e, psi, *position_control(state, (e, theta, psi), gains, params))
+            names = ("e", "psi", "u_steer", "u_drive")
+        else:
+            chart = ctl.geometry(state, int(ch["segment"][i]))
+            got = (*chart[1:3], chart[5], *line_control(state, chart, gains, params))
+            names = ("e", "d", "p", "u_steer", "u_drive")
+        assert [v.hex() for v in got] == [ch[key][i].hex() for key in names], i
+        checked += 1
+    assert checked >= traj.row_count - 1  # a stop row can only be the last

@@ -218,6 +218,12 @@ def test_each_value_is_formatted_once(fmt, tmp_path, monkeypatch):
     chunks = -(-traj.row_count // CHUNK)
     assert len(calls) == traj.row_count * (len(traj.names) - 3) + chunks
 
+    # and a held line run's segment is one value per chunk: formatted once per chunk, as streamed
+    calls.clear()
+    held = run_closed_loop(sc.config)
+    cli.emit_plot_data(held, ("segment",), tmp_path)
+    assert len(calls) == held.row_count + chunks  # t per row, segment per chunk
+
 
 # -------------------------------------------- columns that share objects
 
